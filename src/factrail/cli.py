@@ -13,13 +13,12 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import backends, corpus, dataset, evaluation, grammar, orchestrator
+from .fileio import atomic_path
 
 logger = logging.getLogger(__name__)
 
@@ -176,15 +175,8 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
         {"kind": args.kind, "task": args.task, "k": k, "critic": args.critic}
     )
     out = Path(args.out)
-    handle, temp_name = tempfile.mkstemp(dir=out.parent or Path("."), suffix=".part")
-    os.close(handle)
-    try:
-        manifest = dataset.emit_dataset(examples, temp_name, config_fingerprint=fingerprint)
-        os.replace(temp_name, out)
-    except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
-        raise
+    with atomic_path(out) as temp:
+        manifest = dataset.emit_dataset(examples, temp, config_fingerprint=fingerprint)
     manifest_path = str(out) + ".manifest.json"
     Path(manifest_path).write_text(
         json.dumps(manifest.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",

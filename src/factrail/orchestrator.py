@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .backends import Backend, BackendError, HEAD_TOKEN_SURFACES, prompt_text, AgentRequest
 from .corpus import CorpusIndex, EmptyQueryError, Passage, retrieve_multi
+from .fileio import atomic_path
 from .grammar import (
     CitationList,
     GrammarError,
@@ -511,7 +512,7 @@ def trace_from_dict(data: dict) -> InferenceTrace:
 
 
 def write_traces(results: Sequence[BatchResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
         for result in results:
             if result.trace is not None:
                 record = trace_to_dict(result.trace)

@@ -134,6 +134,46 @@ def test_index_missing_corpus_fails(tmp_path):
     assert code == EXIT_FAILURE
 
 
+GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
+
+
+@pytest.mark.parametrize(
+    "passages, complaint",
+    [
+        (None, "index has no 'passages' list"),
+        ({"0": GOOD_ENTRY}, "index has no 'passages' list"),
+        ([GOOD_ENTRY, "moon"], "passages[1] is not an object"),
+        *[
+            ([{k: v for k, v in GOOD_ENTRY.items() if k != name}], f"passages[0] has no '{name}'")
+            for name in GOOD_ENTRY
+        ],
+        ([GOOD_ENTRY, {**GOOD_ENTRY, "id": "1"}], "passages[1] 'id' must be int, not str"),
+        ([{**GOOD_ENTRY, "title": 7}], "passages[0] 'title' must be str, not int"),
+        ([{**GOOD_ENTRY, "text": None}], "passages[0] 'text' must be str, not NoneType"),
+        ([{**GOOD_ENTRY, "word_count": "2"}], "passages[0] 'word_count' must be int, not str"),
+        ([{**GOOD_ENTRY, "word_count": True}], "passages[0] 'word_count' must be int, not bool"),
+        ([{**GOOD_ENTRY, "word_count": 0}], "passages[0] 'word_count' must be at least 1"),
+    ],
+)
+def test_malformed_index_exits_with_message(tmp_path, capsys, passages, complaint):
+    payload = {"format": "factrail-index", "version": 1}
+    if passages is not None:
+        payload["passages"] = passages
+    index_path = tmp_path / "bad.index.json"
+    index_path.write_text(json.dumps(payload))
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
+    code = main(
+        [
+            "infer", "--backend", "scripted", "--index", str(index_path),
+            "--in", ins, "--out", str(tmp_path / "traces.jsonl"),
+        ]
+    )
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err == f"error: {complaint}\n"
+    assert not (tmp_path / "traces.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # build-dataset
 

@@ -1,10 +1,15 @@
 """Chunking, BM25 scoring against independent oracles, and index persistence."""
 
+import errno
 import json
 import math
 import random
+import stat
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factrail.corpus import (
     BM25_B,
@@ -182,6 +187,102 @@ def test_retrieve_matches_brute_force_on_random_corpora():
                 assert got_score == pytest.approx(want_score, abs=1e-9)
 
 
+VOCAB = [f"w{i}" for i in range(12)]
+# Term w<r> is drawn about 12/(r+1) times as often as w0: Zipf-skewed text.
+ZIPF_DRAWS = [term for rank, term in enumerate(VOCAB) for _ in range(12 // (rank + 1))]
+HEAD = "every"
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """A small Zipf-skewed corpus with duplicated passages, a query and a k."""
+    originals = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(VOCAB),
+                st.lists(st.sampled_from(ZIPF_DRAWS), min_size=1, max_size=30),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    # Copies of a passage tie exactly, so only the id orders them.
+    bodies = [(title, words) for title, words, copies in originals for _ in range(copies)]
+    if draw(st.booleans()):
+        bodies = [(title, words + [HEAD]) for title, words in bodies]
+    ids = draw(st.lists(st.integers(0, 400), min_size=len(bodies), max_size=len(bodies), unique=True))
+    passages = [make_passage(pid, title, " ".join(words)) for pid, (title, words) in zip(ids, bodies)]
+    query = draw(st.lists(st.sampled_from(VOCAB + [HEAD, "zebra"]), min_size=1, max_size=8))
+    k = draw(st.integers(1, len(passages) + 3))
+    return passages, " ".join(query), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_cases())
+def test_pruned_retrieve_matches_brute_force(case):
+    passages, query, k = case
+    got = retrieve(build_index(passages), query, k).ranked
+    expected = brute_force_bm25(passages, query, k)
+    assert [pid for pid, _ in got] == [pid for pid, _ in expected]
+    # Stronger than agreeing within 1e-9: the oracle adds the same expression
+    # in query order, so even the last bit agrees.
+    assert list(got) == expected
+
+
+class IterationCountingList(list):
+    """A posting list that counts full scans; binary search does not count."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_pruning_skips_the_head_term_list():
+    passages = [
+        make_passage(pid, "T", "common " + ("rare " if pid % 50 == 7 else "") + "filler " * (pid % 9))
+        for pid in range(200)
+    ]
+    index = build_index(passages)
+    head = IterationCountingList(index.postings["common"])
+    index.postings["common"] = head
+    got = retrieve(index, "common rare", k=2).ranked
+    assert head.scans == 0
+    # The skipped term still counts in the exact scores.
+    assert list(got) == brute_force_bm25(passages, "common rare", 2)
+
+
+def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold():
+    # After the rare term the best partial score is 0.944 (passages 0, 2, 3).
+    # The common term's bound is 1.083, and passage 1, which the rare list
+    # never reaches, scores 0.956 from the common term alone. A stop rule
+    # looser than the bound by more than 0.14 would rank passage 0 first.
+    passages = [make_passage(0, "T", "rare" + " x" * 8), make_passage(1, "T", "common " * 9)]
+    passages += [make_passage(pid, "T", "rare" + " y" * 8) for pid in (2, 3)]
+    passages += [make_passage(pid, "T", "common" + " y" * 8) for pid in range(4, 8)]
+    got = retrieve(build_index(passages), "rare common", k=1).ranked
+    assert list(got) == brute_force_bm25(passages, "rare common", 1)
+    assert got[0][0] == 1
+
+
+def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
+    rng = random.Random(5)
+    ids = rng.sample(range(1000), 40)
+    passages = [
+        make_passage(pid, rng.choice(VOCAB), " ".join(rng.choices(ZIPF_DRAWS, k=rng.randint(1, 20))))
+        for pid in ids
+    ]
+    built = build_index(passages)
+    path = tmp_path / "idx.json"
+    save_index(built, path)
+    for index in (built, load_index(path)):
+        for term, postings in index.postings.items():
+            pids = [pid for pid, _ in postings]
+            assert pids == sorted(set(pids)), term
+
+
 # ---------------------------------------------------------------------------
 # multi-intent retrieval
 
@@ -257,6 +358,26 @@ def test_load_rejects_foreign_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(IndexFormatError):
         load_index(path)
+
+
+def test_failed_save_keeps_previous_index_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "idx.json"
+    save_index(build_index([make_passage(0, "A", "cat")]), path)
+    before = path.read_bytes()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def half_then_disk_full(self, data, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+    with pytest.raises(OSError):
+        save_index(build_index([make_passage(0, "B", "dog bird")]), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.json", "plain.txt"]
 
 
 def test_read_documents_jsonl(tmp_path):

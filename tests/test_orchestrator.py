@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from factrail import orchestrator
 from factrail.backends import ScriptedBackend
 from factrail.corpus import index_documents
 from factrail.grammar import (
@@ -460,6 +461,29 @@ def test_trace_files_are_byte_identical_across_writes(index, tmp_path):
     write_traces(results, first)
     write_traces(results, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_failed_trace_write_keeps_previous_file_bytes(index, tmp_path, monkeypatch):
+    backend, cfg, _ = relevance_setup(index)
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    path = tmp_path / "traces.jsonl"
+    write_traces([BatchResult(index=0, error=PipelineError("locator", "gave up"))], path)
+    before = path.read_bytes()
+
+    calls = []
+
+    def fail_on_second(t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return trace_to_dict(t)
+
+    monkeypatch.setattr(orchestrator, "trace_to_dict", fail_on_second)
+    with pytest.raises(RuntimeError):
+        write_traces([BatchResult(index=i, trace=trace) for i in range(3)], path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
 
 
 def test_trace_dict_mirror(clean_trace):
