@@ -178,10 +178,11 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     with atomic_path(out) as temp:
         manifest = dataset.emit_dataset(examples, temp, config_fingerprint=fingerprint)
     manifest_path = str(out) + ".manifest.json"
-    Path(manifest_path).write_text(
-        json.dumps(manifest.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_path(manifest_path) as temp:
+        temp.write_text(
+            json.dumps(manifest.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+            encoding="utf-8",
+        )
     print(f"wrote {manifest.total} examples -> {out} (manifest {manifest_path})")
     return EXIT_OK
 
@@ -326,6 +327,7 @@ _DOMAIN_ERRORS = (
     dataset.DatasetError,
     backends.BackendError,
     orchestrator.PipelineError,
+    orchestrator.TraceFormatError,
     evaluation.UnknownTaskError,
     OSError,
 )

@@ -3,27 +3,38 @@
 Documents are split into non-overlapping 100-word passages that carry their
 source title. Retrieval runs over an in-memory inverted index with BM25
 scoring (k1=1.2, b=0.75) and a stable score-then-id tie-break, so results
-are fully deterministic. Indexes persist as versioned JSON, written
-atomically; derived structures are rebuilt on load.
+are fully deterministic.
 
-Posting lists are kept in ascending passage id. ``retrieve`` prunes exactly
-(MaxScore): it scans rare terms first and skips the posting lists of
-common terms once their summed upper bounds can no longer lift an unseen
-passage into the top k. It looks the skipped terms up by binary search for
-the passages still in contention, then rescores the survivors adding terms
-in query order, so scores and ranks equal those of an exhaustive scan.
+Each term's posting list is two columns, passage ids in ascending order and
+the matching term frequencies. An index file (format version 2, written
+atomically) stores them as they are: one JSON header line with the passages,
+the terms and their document frequencies, then every term's ids as
+little-endian int64 and every term's frequencies as little-endian uint32.
+Loading checks and slices those columns; it never tokenizes a passage.
+
+``retrieve`` prunes exactly (MaxScore): it scans rare terms first and skips
+the posting lists of common terms once their summed upper bounds can no
+longer lift an unseen passage into the top k. It looks the skipped terms up
+by binary search for the passages still in contention, then rescores the
+survivors adding terms in query order, so scores and ranks equal those of
+an exhaustive scan.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
-from bisect import bisect_left
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice
+from operator import ge
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .fileio import atomic_path
 from .grammar import IntentSet
@@ -56,7 +67,10 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 INDEX_FORMAT = "factrail-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+# Column element types on disk: int64 passage ids, uint32 term frequencies.
+_ID_TYPE, _TF_TYPE = "q", "I"
+_POSTING_BYTES = 8 + 4
 
 # Absorbs rounding in the partial sums that decide what retrieve may skip.
 _PRUNE_SLACK = 1e-9
@@ -133,13 +147,15 @@ def chunk_document(title: str, body: str, *, start_id: int = 0) -> list[Passage]
 class CorpusIndex:
     """Inverted index over passages. Treat as immutable once built.
 
-    Each posting list holds ``(passage id, term frequency)`` pairs in
-    ascending passage id; ``retrieve`` binary-searches them and relies on
-    that order.
+    Each term maps to two parallel columns: the ids of the passages that
+    contain it, strictly ascending, and the term's frequency in each.
+    ``build_index`` appends in ascending id and ``load_index`` rejects a file
+    whose id columns are out of order, because ``retrieve`` binary-searches
+    them.
     """
 
     passages: dict[int, Passage]
-    postings: dict[str, list[tuple[int, int]]]
+    postings: dict[str, tuple[list[int], list[int]]]
     length_norms: dict[int, float]
     avg_doc_length: float
     total_docs: int
@@ -151,13 +167,23 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
         if passage.id in by_id:
             raise DuplicatePassageError(passage.id)
         by_id[passage.id] = passage
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, tuple[list[int], list[int]]] = {}
     for pid in sorted(by_id):
         passage = by_id[pid]
         # Title terms are appended once so titles are searchable.
         counts = Counter(tokenize(passage.text) + tokenize(passage.title))
         for term, tf in counts.items():
-            postings.setdefault(term, []).append((pid, tf))
+            columns = postings.get(term)
+            if columns is None:
+                columns = postings[term] = ([], [])
+            columns[0].append(pid)
+            columns[1].append(tf)
+    return _corpus_index(by_id, postings)
+
+
+def _corpus_index(
+    by_id: dict[int, Passage], postings: dict[str, tuple[list[int], list[int]]]
+) -> CorpusIndex:
     total = len(by_id)
     avg = sum(p.word_count for p in by_id.values()) / total if total else 0.0
     # BM25's document-length normalisation, 1 - b + b * dl / avgdl.
@@ -198,11 +224,15 @@ def _kth_largest(values: Iterable[float], k: int) -> float:
     return sorted(values, reverse=True)[k - 1]
 
 
-def _term_frequency(postings: list[tuple[int, int]], pid: int) -> int:
-    """The tf of pid in a pid-ascending posting list, 0 when absent."""
-    at = bisect_left(postings, (pid,))
-    if at < len(postings) and postings[at][0] == pid:
-        return postings[at][1]
+def _term_frequency(columns: tuple[list[int], list[int]], pid: int) -> int:
+    """The tf of pid in a term's (ids, tfs) columns, 0 when absent.
+
+    Bisects the id column, which every index keeps strictly ascending.
+    """
+    pids, tfs = columns
+    at = bisect_left(pids, pid)
+    if at < len(pids) and pids[at] == pid:
+        return tfs[at]
     return 0
 
 
@@ -229,9 +259,9 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     terms = _unique_in_order(tokenize(query))
     if not terms:
         raise EmptyQueryError(query)
-    # (idf, postings) per matching term, in query order.
+    # (idf, (ids, tfs)) per matching term, in query order.
     weighted = [
-        (bm25_idf(index.total_docs, len(postings)), postings)
+        (bm25_idf(index.total_docs, len(postings[0])), postings)
         for postings in (index.postings.get(term) for term in terms)
         if postings
     ]
@@ -247,18 +277,18 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     postings_left = [0] * (len(scan) + 1)
     for i in range(len(scan) - 1, -1, -1):
         bound_left[i] = bound_left[i + 1] + scan[i][0]
-        postings_left[i] = postings_left[i + 1] + len(scan[i][1])
+        postings_left[i] = postings_left[i + 1] + len(scan[i][1][0])
 
     # Partial sums only steer pruning; the rescoring at the end gives the scores.
     partial: dict[int, float] = {}
     threshold = 0.0  # the k-th best partial score, once k passages have one
     scanned = 0
-    for bound, postings in scan:
+    for bound, (pids, tfs) in scan:
         if postings_left[scanned] > len(partial) >= k:
             threshold = _kth_largest(partial.values(), k)
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
-        for pid, tf in postings:
+        for pid, tf in zip(pids, tfs):
             partial[pid] = partial.get(pid, 0.0) + bound * tf / (tf + BM25_K1 * norms[pid])
         scanned += 1
     else:
@@ -324,7 +354,14 @@ def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passa
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    payload = {
+    """Write ``index`` to ``path`` in format version 2, atomically.
+
+    The layout is one line of compact JSON (the header: passages sorted by
+    id, terms in build order and each term's document frequency), then the
+    id columns of all terms back to back as little-endian int64, then their
+    tf columns as little-endian uint32. Equal indexes give equal bytes.
+    """
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "chunk_words": CHUNK_WORDS,
@@ -338,27 +375,133 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             }
             for p in (index.passages[pid] for pid in sorted(index.passages))
         ],
+        "terms": list(index.postings),
+        "doc_freqs": [len(pids) for pids, _tfs in index.postings.values()],
     }
-    with atomic_path(path) as temp:
-        temp.write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+    pids, tfs = array(_ID_TYPE), array(_TF_TYPE)
+    for pid_column, tf_column in index.postings.values():
+        pids.fromlist(pid_column)
+        tfs.fromlist(tf_column)
+    if sys.byteorder != "little":
+        pids.byteswap()
+        tfs.byteswap()
+    line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    with atomic_path(path) as temp, open(temp, "wb") as handle:
+        handle.write(line.encode("utf-8") + b"\n")
+        pids.tofile(handle)
+        tfs.tofile(handle)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
+    """Read an index that ``save_index`` wrote, checking every part of it.
+
+    Raises IndexFormatError, naming the fault, for anything else: a header
+    that is not JSON or has missing or mistyped entries, a version 1 file,
+    a duplicate passage id or term, a document frequency below 1, columns
+    whose length disagrees with the frequencies, a tf below 1, or a term
+    whose ids name an unknown passage or are not strictly ascending.
+    """
+    with open(path, "rb") as handle:
+        header = _read_header(handle)
+        by_id = _passages_from_header(header)
+        terms, doc_freqs = _terms_from_header(header)
+        total = sum(doc_freqs)
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != total * _POSTING_BYTES:
+            raise IndexFormatError(
+                f"index columns hold {size} bytes, but sum(doc_freqs) = {total} "
+                f"postings need {total * _POSTING_BYTES}"
+            )
+        pids, tfs = array(_ID_TYPE), array(_TF_TYPE)
+        pids.fromfile(handle, total)
+        tfs.fromfile(handle, total)
+    if sys.byteorder != "little":
+        pids.byteswap()
+        tfs.byteswap()
+    if total and min(tfs) < 1:
+        raise IndexFormatError("a term frequency in the index is below 1")
+    # The id columns reuse the passage table's own int objects, so a loaded
+    # index holds one int object per passage rather than one per posting.
+    shared = {pid: pid for pid in by_id}
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IndexFormatError(f"not an index file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
+        ids = list(map(shared.__getitem__, pids))
+    except KeyError as exc:
+        raise IndexFormatError(
+            f"the postings name passage id {exc.args[0]}, which is not in 'passages'"
+        ) from None
+    # Each array is freed as soon as its list holds the values.
+    del pids
+    tf_values = tfs.tolist()
+    del tfs
+    ends = list(accumulate(doc_freqs))
+    # Within a term the ids must rise; they may fall only where a term ends.
+    term_ends = {end - 1 for end in ends}
+    for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
+        if at not in term_ends:
+            term = terms[bisect_right(ends, at)]
+            raise IndexFormatError(f"the passage ids of term {term!r} are not strictly ascending")
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    start = 0
+    for term, end in zip(terms, ends):
+        postings[term] = (ids[start:end], tf_values[start:end])
+        start = end
+    return _corpus_index(by_id, postings)
+
+
+def _read_header(handle: BinaryIO) -> dict:
+    line = handle.readline()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # A version 1 index is one JSON document, pretty-printed by default,
+        # so its first line alone does not parse.
+        try:
+            header = json.loads((line + handle.read()).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            header = None
+        if not (isinstance(header, dict) and header.get("version") == 1):
+            raise IndexFormatError(f"not an index file: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
         raise IndexFormatError("missing or wrong format header")
-    if payload.get("version") != INDEX_VERSION:
-        raise IndexFormatError(f"unsupported index version {payload.get('version')!r}")
-    entries = payload.get("passages")
+    version = header.get("version")
+    if version == 1:
+        raise IndexFormatError(
+            "index format version 1 is no longer read; re-run `factrail index` "
+            "on the corpus to rebuild the index"
+        )
+    if version != INDEX_VERSION:
+        raise IndexFormatError(f"unsupported index version {version!r}")
+    return header
+
+
+def _passages_from_header(header: dict) -> dict[int, Passage]:
+    entries = header.get("passages")
     if not isinstance(entries, list):
         raise IndexFormatError("index has no 'passages' list")
-    return build_index([_passage_from_entry(at, entry) for at, entry in enumerate(entries)])
+    by_id: dict[int, Passage] = {}
+    for at, entry in enumerate(entries):
+        passage = _passage_from_entry(at, entry)
+        if passage.id in by_id:
+            raise IndexFormatError(f"passages[{at}] repeats passage id {passage.id}")
+        by_id[passage.id] = passage
+    return by_id
+
+
+def _terms_from_header(header: dict) -> tuple[list[str], list[int]]:
+    terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
+    if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
+        raise IndexFormatError("index has no 'terms' list of strings")
+    if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
+        raise IndexFormatError("index has no 'doc_freqs' list as long as 'terms'")
+    if len(set(terms)) != len(terms):
+        repeated = next(term for term, count in Counter(terms).items() if count > 1)
+        raise IndexFormatError(f"'terms' lists {repeated!r} twice")
+    for at, freq in enumerate(doc_freqs):
+        if not isinstance(freq, int) or isinstance(freq, bool):
+            raise IndexFormatError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
+        if freq < 1:
+            raise IndexFormatError(f"doc_freqs[{at}] must be at least 1")
+    return terms, doc_freqs
 
 
 _ENTRY_FIELDS = (("id", int), ("title", str), ("text", str), ("word_count", int))

@@ -48,6 +48,7 @@ __all__ = [
     "InferenceTrace",
     "TraceViolation",
     "PipelineError",
+    "TraceFormatError",
     "BatchResult",
     "build_step_prompt",
     "stops_for",
@@ -121,6 +122,10 @@ class PipelineError(Exception):
         self.message = message
 
 
+class TraceFormatError(Exception):
+    """A line of a trace file is not a trace or error record."""
+
+
 @dataclass(frozen=True)
 class BatchResult:
     index: int
@@ -182,7 +187,12 @@ def run_inference(
     records: list[StepRecord] = []
 
     def call(stage: StepKind, prior: Sequence[TrajectoryStep]) -> tuple[str, str, float]:
-        prompt = build_step_prompt(instruction, prior, stage)
+        # A prior section (a passage, a reply) may hold a grammar token, so
+        # the prompt cannot be serialized; that fails this item, not a batch.
+        try:
+            prompt = build_step_prompt(instruction, prior, stage)
+        except GrammarError as exc:
+            raise PipelineError(stage.value, f"cannot build the prompt: {exc}") from exc
         request = AgentRequest(
             instruction=render_instruction(instruction),
             prior_trajectory=serialize_steps(prior),
@@ -527,15 +537,24 @@ def write_traces(results: Sequence[BatchResult], path: str | Path) -> None:
 def read_traces(path: str | Path) -> list[BatchResult]:
     results: list[BatchResult] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             record = json.loads(line)
-            if "error" in record:
-                error = PipelineError(record["error"]["stage"], record["error"]["message"])
-                results.append(BatchResult(index=len(results), error=error))
-            else:
-                results.append(
-                    BatchResult(index=len(results), trace=trace_from_dict(record))
-                )
+            try:
+                if "error" in record:
+                    error = PipelineError(record["error"]["stage"], record["error"]["message"])
+                    results.append(BatchResult(index=len(results), error=error))
+                else:
+                    results.append(
+                        BatchResult(index=len(results), trace=trace_from_dict(record))
+                    )
+            except KeyError as exc:
+                raise TraceFormatError(
+                    f"trace record on line {lineno} has no {exc.args[0]!r}"
+                ) from exc
+            except TypeError as exc:
+                raise TraceFormatError(
+                    f"line {lineno} is not a trace record: {exc}"
+                ) from exc
     return results

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, config strictness, and file outputs."""
 
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,42 @@ def test_index_missing_corpus_fails(tmp_path):
 
 
 GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
+V1_COMPLAINT = (
+    "index format version 1 is no longer read; re-run `factrail index` "
+    "on the corpus to rebuild the index"
+)
+
+
+def index_bytes(header, pids=(), tfs=()):
+    """A version 2 index file: a JSON header line, then the two columns."""
+    return (
+        json.dumps(header).encode() + b"\n"
+        + b"".join(pid.to_bytes(8, "little", signed=True) for pid in pids)
+        + b"".join(tf.to_bytes(4, "little") for tf in tfs)
+    )
+
+
+def v2_header(passages=(GOOD_ENTRY,), terms=(), doc_freqs=()):
+    return {
+        "format": "factrail-index", "version": 2, "passages": list(passages),
+        "terms": list(terms), "doc_freqs": list(doc_freqs),
+    }
+
+
+def assert_infer_fails_with(tmp_path, capsys, index_data, complaint):
+    index_path = tmp_path / "bad.index.json"
+    index_path.write_bytes(index_data)
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
+    code = main(
+        [
+            "infer", "--backend", "scripted", "--index", str(index_path),
+            "--in", ins, "--out", str(tmp_path / "traces.jsonl"),
+        ]
+    )
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {complaint}") and err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "traces.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -156,22 +194,114 @@ GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
     ],
 )
 def test_malformed_index_exits_with_message(tmp_path, capsys, passages, complaint):
-    payload = {"format": "factrail-index", "version": 1}
+    header = v2_header()
+    del header["passages"]
     if passages is not None:
-        payload["passages"] = passages
-    index_path = tmp_path / "bad.index.json"
-    index_path.write_text(json.dumps(payload))
-    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
-    code = main(
-        [
-            "infer", "--backend", "scripted", "--index", str(index_path),
-            "--in", ins, "--out", str(tmp_path / "traces.jsonl"),
-        ]
-    )
-    assert code == EXIT_FAILURE
-    err = capsys.readouterr().err
-    assert err == f"error: {complaint}\n"
-    assert not (tmp_path / "traces.jsonl").exists()
+        header["passages"] = passages
+    assert_infer_fails_with(tmp_path, capsys, index_bytes(header), complaint + "\n")
+
+
+MOON_TERMS = {"terms": ["the", "moon"], "doc_freqs": [1, 1]}
+V1_PAYLOAD = {"format": "factrail-index", "version": 1, "passages": [GOOD_ENTRY]}
+
+
+@pytest.mark.parametrize(
+    "index_data, complaint",
+    [
+        pytest.param(b'{"format": "factrail-index",\n', "not an index file: ", id="header-not-json"),
+        pytest.param(
+            b"\xff\xfe" + index_bytes(v2_header()),
+            "not an index file: 'utf-8' codec can't decode byte 0xff",
+            id="header-not-utf8",
+        ),
+        pytest.param(
+            index_bytes(v2_header(**MOON_TERMS), [0], [1]),
+            "index columns hold 12 bytes, but sum(doc_freqs) = 2 postings need 24",
+            id="columns-too-short",
+        ),
+        pytest.param(
+            index_bytes(v2_header(**MOON_TERMS), [0, 0, 0], [1, 1, 1]),
+            "index columns hold 36 bytes, but sum(doc_freqs) = 2 postings need 24",
+            id="columns-too-long",
+        ),
+        pytest.param(
+            index_bytes(v2_header(**MOON_TERMS), [0, 0], [1, 0]),
+            "a term frequency in the index is below 1",
+            id="tf-zero",
+        ),
+        pytest.param(
+            index_bytes(v2_header(**MOON_TERMS), [0, 5], [1, 1]),
+            "the postings name passage id 5, which is not in 'passages'",
+            id="unknown-pid",
+        ),
+        pytest.param(
+            index_bytes(
+                v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 2]),
+                [0, 1, 1, 0], [1, 1, 1, 1],
+            ),
+            "the passage ids of term 'moon' are not strictly ascending",
+            id="descending-pids",
+        ),
+        pytest.param(
+            index_bytes(
+                v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 2]),
+                [0, 0, 0, 1], [1, 1, 1, 1],
+            ),
+            "the passage ids of term 'the' are not strictly ascending",
+            id="duplicate-pid",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["moon", "moon"], doc_freqs=[1, 1]), [0, 0], [1, 1]),
+            "'terms' lists 'moon' twice",
+            id="duplicate-term",
+        ),
+        pytest.param(
+            index_bytes(v2_header([GOOD_ENTRY, GOOD_ENTRY])),
+            "passages[1] repeats passage id 0",
+            id="duplicate-passage-id",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["the", "moon"], doc_freqs=[1, 0]), [0], [1]),
+            "doc_freqs[1] must be at least 1",
+            id="doc-freq-zero",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["moon"], doc_freqs=[-1])),
+            "doc_freqs[0] must be at least 1",
+            id="doc-freq-negative",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["moon"], doc_freqs=[True]), [0], [1]),
+            "doc_freqs[0] must be int, not bool",
+            id="doc-freq-bool",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["the", "moon"], doc_freqs=[1])),
+            "index has no 'doc_freqs' list as long as 'terms'",
+            id="doc-freqs-short",
+        ),
+        pytest.param(
+            index_bytes(v2_header(terms=["the", 7], doc_freqs=[1, 1]), [0, 0], [1, 1]),
+            "index has no 'terms' list of strings",
+            id="term-not-str",
+        ),
+        pytest.param(
+            json.dumps(V1_PAYLOAD, indent=1).encode() + b"\n", V1_COMPLAINT, id="v1-pretty-printed"
+        ),
+        pytest.param(json.dumps(V1_PAYLOAD).encode(), V1_COMPLAINT, id="v1-one-line"),
+    ],
+)
+def test_malformed_v2_index_exits_with_message(tmp_path, capsys, index_data, complaint):
+    assert_infer_fails_with(tmp_path, capsys, index_data, complaint)
+
+
+def test_index_with_valid_columns_loads(tmp_path):
+    # Ids may fall where one term's column ends and the next begins.
+    header = v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 1])
+    path = tmp_path / "ok.index"
+    path.write_bytes(index_bytes(header, [0, 1, 0], [1, 1, 2]))
+    index = load_index(path)
+    assert index.postings == {"the": ([0, 1], [1, 1]), "moon": ([0], [2])}
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +328,29 @@ def test_build_dataset_short_intent(tmp_path, capsys):
     assert manifest["counts_by_kind"] == {"short-intent": 2}
     assert manifest["counts_by_source"] == {"astro": 2}
     assert manifest["config_fingerprint"]
+
+
+def test_failed_manifest_write_keeps_previous_manifest_bytes(tmp_path, monkeypatch):
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", RAWS)
+
+    def build(*task):
+        out = str(tmp_path / "train.jsonl")
+        return main(["build-dataset", "--kind", "short-intent", *task, "--in", raw_path, "--out", out])
+
+    assert build() == EXIT_OK
+    manifest = tmp_path / "train.jsonl.manifest.json"
+    before = manifest.read_bytes()
+
+    def half_then_disk_full(self, data, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+    # A different --task changes the manifest's config fingerprint.
+    assert build("--task", "fact-verification") == EXIT_FAILURE
+    assert manifest.read_bytes() == before
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_build_dataset_long_requires_index(tmp_path):
@@ -336,6 +489,35 @@ def test_eval_schema_mismatch_is_usage_error(tmp_path, index_file):
     )
     code = main(["eval", "--traces", traces, "--refs", refs, "--task", "squad", "--out", "r"])
     assert code == EXIT_USAGE
+
+
+def eval_traces(tmp_path, traces):
+    refs = write_jsonl(
+        tmp_path / "refs.jsonl",
+        [{"task": "popqa", "question": INSTRUCTION, "gold_answers": ["the earth"]}],
+    )
+    return main(
+        ["eval", "--traces", str(traces), "--refs", refs, "--task", "popqa", "--out", str(tmp_path / "r")]
+    )
+
+
+@pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])
+def test_eval_trace_row_missing_a_key_exits_with_message(tmp_path, index_file, capsys, key):
+    row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])
+    del row[key]
+    error_row = {"error": {"stage": "locator", "message": "gave up"}}
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps(error_row) + "\n" + json.dumps(row) + "\n")
+    capsys.readouterr()
+    assert eval_traces(tmp_path, traces) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: trace record on line 2 has no '{key}'\n"
+
+
+def test_eval_trace_row_that_is_not_an_object_exits_with_message(tmp_path, capsys):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text('"an error string"\n')
+    assert eval_traces(tmp_path, traces) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: line 1 is not a trace record: ")
 
 
 # ---------------------------------------------------------------------------

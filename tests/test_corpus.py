@@ -5,12 +5,13 @@ import json
 import math
 import random
 import stat
-from pathlib import Path
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrail import corpus
 from factrail.corpus import (
     BM25_B,
     BM25_K1,
@@ -246,8 +247,9 @@ def test_pruning_skips_the_head_term_list():
         for pid in range(200)
     ]
     index = build_index(passages)
-    head = IterationCountingList(index.postings["common"])
-    index.postings["common"] = head
+    pids, tfs = index.postings["common"]
+    head = IterationCountingList(pids)
+    index.postings["common"] = (head, tfs)
     got = retrieve(index, "common rare", k=2).ranked
     assert head.scans == 0
     # The skipped term still counts in the exact scores.
@@ -278,9 +280,9 @@ def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
     path = tmp_path / "idx.json"
     save_index(built, path)
     for index in (built, load_index(path)):
-        for term, postings in index.postings.items():
-            pids = [pid for pid, _ in postings]
+        for term, (pids, tfs) in index.postings.items():
             assert pids == sorted(set(pids)), term
+            assert len(tfs) == len(pids) and min(tfs) >= 1, term
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +345,51 @@ def test_load_rejects_wrong_version(tmp_path):
     index = build_index([make_passage(0, "A", "cat")])
     path = tmp_path / "idx.json"
     save_index(index, path)
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(IndexFormatError):
+    line, newline, columns = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["version"] = 99
+    path.write_bytes(json.dumps(header).encode() + newline + columns)
+    with pytest.raises(IndexFormatError, match="unsupported index version 99"):
         load_index(path)
+
+
+def test_index_file_is_a_json_header_then_little_endian_columns(tmp_path):
+    index = build_index([make_passage(0, "A", "cat dog"), make_passage(300, "B", "dog dog")])
+    path = tmp_path / "idx.bin"
+    save_index(index, path)
+    line, newline, columns = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    compact = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert line == compact.encode()
+    assert header["version"] == 2
+    assert header["terms"] == ["cat", "dog", "a", "b"]
+    assert header["doc_freqs"] == [1, 2, 1, 1]
+    assert [p["id"] for p in header["passages"]] == [0, 300]
+    pids = [0, 0, 300, 0, 300]
+    tfs = [1, 1, 2, 1, 1]
+    assert columns == b"".join(p.to_bytes(8, "little") for p in pids) + b"".join(
+        t.to_bytes(4, "little") for t in tfs
+    )
+
+
+def test_saves_of_one_index_are_byte_identical(tmp_path):
+    index = build_index(_random_corpus(random.Random(7), 8))
+    first, second, again = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
+    save_index(index, first)
+    save_index(index, second)
+    save_index(load_index(first), again)
+    assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+
+
+def test_loaded_postings_share_the_passage_id_objects(tmp_path):
+    # Ids above 256 are not interned by CPython, so sharing is observable.
+    passages = chunk_document("T", "alpha beta " * 150, start_id=1000)
+    path = tmp_path / "idx.bin"
+    save_index(build_index(passages), path)
+    loaded = load_index(path)
+    own = {id(pid) for pid in loaded.passages}
+    for pids, _tfs in loaded.postings.values():
+        assert all(id(pid) in own for pid in pids)
 
 
 def test_load_rejects_foreign_json(tmp_path):
@@ -368,13 +410,16 @@ def test_failed_save_keeps_previous_index_bytes(tmp_path, monkeypatch):
     plain.write_text("x")
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
-    def half_then_disk_full(self, data, encoding=None):
-        with open(self, "w", encoding=encoding) as handle:
-            handle.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
+    class HalfWrittenArray(array):
+        """A column whose write stops halfway, as on a full disk."""
 
-    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
-    with pytest.raises(OSError):
+        def tofile(self, handle):
+            data = self.tobytes()
+            handle.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(corpus, "array", HalfWrittenArray)
+    with pytest.raises(OSError, match="No space left"):
         save_index(build_index([make_passage(0, "B", "dog bird")]), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.json", "plain.txt"]

@@ -493,3 +493,21 @@ def test_trace_dict_mirror(clean_trace):
     assert mirrored.judgments == clean_trace.judgments
     assert mirrored.trajectory == clean_trace.trajectory
     assert all(r.prompt is None for r in mirrored.steps)
+
+
+def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
+    index = index_documents(DOCS + [("Zebra", "zebra stripes hide a <Generator> token")])
+    cfg = InferenceConfig()
+    backend = ScriptedBackend()
+    script_scenario(
+        backend, index, cfg, INSTRUCTION, RECONSTRUCTION,
+        judge_by_answer("earth"), ANSWER_BODY,
+    )
+    zebra = "what do zebra stripes hide?"
+    backend.add_reply(build_step_prompt(zebra, [], StepKind.RECONSTRUCTOR), "Search(zebra stripes)")
+    results = run_batch([INSTRUCTION, zebra], index, backend, cfg, max_workers=2)
+
+    assert results[0].error is None and results[0].trace.answer == "the earth"
+    assert results[1].trace is None
+    assert results[1].error.stage == "locator"
+    assert "contains the token <Generator>" in results[1].error.message
