@@ -52,6 +52,7 @@ from .dataset import (
     RuleBasedCritic,
     TaskTag,
     TrainingExample,
+    build_example,
     build_long_example,
     build_short_generator,
     build_short_intent,

@@ -34,7 +34,6 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class GlobalConfig:
     log_level: str = "warning"
-    seed: int = 0
     concurrency: int = 4
     inference: orchestrator.InferenceConfig = orchestrator.InferenceConfig()
     backend: backends.BackendConfig | None = None
@@ -64,8 +63,7 @@ def load_config(path: str | None) -> GlobalConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"log_level", "seed", "concurrency", "inference", "backend", "script"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(GlobalConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     inference = _build_section(
@@ -74,12 +72,11 @@ def load_config(path: str | None) -> GlobalConfig:
     backend_cfg = None
     if "backend" in data:
         backend_cfg = _build_section(backends.BackendConfig, data["backend"], "backend")
-    for key, kind in (("log_level", str), ("seed", int), ("concurrency", int), ("script", str)):
+    for key, kind in (("log_level", str), ("concurrency", int), ("script", str)):
         if key in data and not isinstance(data[key], kind):
             raise ConfigError(f"config key {key!r} must be {kind.__name__}")
     return GlobalConfig(
         log_level=data.get("log_level", "warning"),
-        seed=data.get("seed", 0),
         concurrency=data.get("concurrency", 4),
         inference=inference,
         backend=backend_cfg,
@@ -136,41 +133,9 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     raws = dataset.read_raw_examples(args.input, default_task)
     critic = _make_critic(args.critic, cfg)
     kind = dataset.ExampleKind(args.kind)
-    needs_index = kind in (
-        dataset.ExampleKind.LONG,
-        dataset.ExampleKind.SHORT_LOCATOR,
-        dataset.ExampleKind.SHORT_GENERATOR_FACTS,
-    )
-    index = corpus.load_index(args.index) if needs_index else None
+    index = corpus.load_index(args.index) if kind.needs_index else None
     k = cfg.inference.k
-
-    examples = []
-    for raw in raws:
-        if kind is dataset.ExampleKind.LONG:
-            assert index is not None
-            examples.append(dataset.build_long_example(raw, critic, index, k))
-            continue
-        if kind is dataset.ExampleKind.SHORT_INTENT:
-            examples.append(dataset.build_short_intent(raw, critic))
-            continue
-        if kind is dataset.ExampleKind.SHORT_GENERATOR_PLAIN:
-            examples.append(dataset.build_short_generator(raw))
-            continue
-        assert index is not None
-        flat = dataset.normalize_dialogue(raw) if (
-            raw.task is dataset.TaskTag.DIALOGUE and raw.history is not None
-        ) else raw
-        intents = critic.propose_intents(flat.x, flat.task)
-        passages = corpus.retrieve_multi(index, intents, k)
-        if kind is dataset.ExampleKind.SHORT_LOCATOR:
-            examples.append(dataset.build_short_locator(flat, passages, critic))
-        else:
-            judgments = [
-                critic.judge_passage(flat.x, flat.y, p, i)
-                for i, p in enumerate(passages, start=1)
-            ]
-            examples.append(dataset.build_short_generator(flat, judgments))
-
+    examples = [dataset.build_example(kind, raw, critic, index, k) for raw in raws]
     fingerprint = _config_fingerprint(
         {"kind": args.kind, "task": args.task, "k": k, "critic": args.critic}
     )
@@ -224,10 +189,11 @@ def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     results = orchestrator.read_traces(args.traces)
     examples = evaluation.read_eval_examples(args.refs)
     report = evaluation.evaluate(results, examples, args.task)
-    Path(args.out).write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_path(args.out) as temp:
+        temp.write_text(
+            json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
+            encoding="utf-8",
+        )
     print(report.format_table())
     return EXIT_OK
 
@@ -347,11 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate" and not (args.dataset or args.traces):
         print("error: validate needs --dataset or --traces", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "build-dataset":
-        needs_index = args.kind in ("long", "short-locator", "short-generator-facts")
-        if needs_index and not args.index:
-            print(f"error: --kind {args.kind} needs --index", file=sys.stderr)
-            return EXIT_USAGE
+    if (
+        args.command == "build-dataset"
+        and dataset.ExampleKind(args.kind).needs_index
+        and not args.index
+    ):
+        print(f"error: --kind {args.kind} needs --index", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args, cfg)
     except (evaluation.SchemaMismatchError, ConfigError, ValueError) as exc:

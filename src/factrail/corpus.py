@@ -201,7 +201,6 @@ def _corpus_index(
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    query: str
     ranked: tuple[tuple[int, float], ...]
 
 
@@ -321,7 +320,7 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
                 score += idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
         scored.append((pid, score))
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
-    return RetrievalResult(query=query, ranked=tuple(ranked))
+    return RetrievalResult(ranked=tuple(ranked))
 
 
 def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passage]:

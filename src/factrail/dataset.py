@@ -35,7 +35,6 @@ from .grammar import (
     Relevance,
     StepKind,
     TokenKind,
-    Trajectory,
     TrajectoryStep,
     format_judgment,
     parse_citations,
@@ -43,10 +42,10 @@ from .grammar import (
     parse_locator_body,
     parse_trajectory,
     render_instruction,
-    render_retrieval_block,
     retrieval_body,
-    serialize_trajectory,
+    serialize_sections,
 )
+from .orchestrator import build_step_prompt
 
 __all__ = [
     "DatasetError",
@@ -63,6 +62,7 @@ __all__ = [
     "HttpCritic",
     "DatasetManifest",
     "normalize_dialogue",
+    "build_example",
     "build_long_example",
     "build_short_intent",
     "build_short_locator",
@@ -267,6 +267,13 @@ class ExampleKind(Enum):
     SHORT_GENERATOR_PLAIN = "short-generator-plain"
     SHORT_GENERATOR_FACTS = "short-generator-facts"
 
+    @property
+    def needs_index(self) -> bool:
+        """Whether building this kind retrieves passages from a corpus index."""
+        return self in (
+            ExampleKind.LONG, ExampleKind.SHORT_LOCATOR, ExampleKind.SHORT_GENERATOR_FACTS
+        )
+
 
 @dataclass(frozen=True)
 class TrainingExample:
@@ -309,10 +316,24 @@ def _intent_body(intents: IntentSet) -> str:
     return f"Search({'; '.join(intents.intents)})"
 
 
+def _locator_body(judgments: Sequence[LocatorJudgment]) -> str:
+    return "\n".join(format_judgment(j) for j in judgments)
+
+
 def _generator_body(y: str, relevant_indices: Sequence[int]) -> str:
     if not relevant_indices:
         return y
     return f"{y}\n{CitationList(tuple(relevant_indices)).render()}"
+
+
+def _serialize_long(
+    steps: Sequence[TrajectoryStep],
+) -> tuple[str, list[tuple[int, int]]]:
+    """A long output and its loss spans: every section but the retrieval block."""
+    output, spans = serialize_sections(steps)
+    return output, [
+        span for step, span in zip(steps, spans) if step.kind is not StepKind.RETRIEVAL
+    ]
 
 
 def build_long_example(
@@ -329,18 +350,10 @@ def build_long_example(
     steps = (
         TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents)),
         TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
-        TrajectoryStep(StepKind.LOCATOR, "\n".join(format_judgment(j) for j in judgments)),
+        TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments)),
         TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant)),
     )
-    output = serialize_trajectory(Trajectory(steps))
-    sections = [f"{s.kind.head.value}\n{s.body}\n{s.kind.end.value}\n" for s in steps]
-    spans = []
-    offset = 0
-    for step, section in zip(steps, sections):
-        if step.kind is not StepKind.RETRIEVAL:
-            # Head through end token; the newline after the end token stays free.
-            spans.append((offset, offset + len(section) - 1))
-        offset += len(section)
+    output, spans = _serialize_long(steps)
     return TrainingExample(
         kind=ExampleKind.LONG,
         input=render_instruction(raw.x),
@@ -350,16 +363,29 @@ def build_long_example(
     )
 
 
-def build_short_intent(raw: RawExample, critic: Critic) -> TrainingExample:
-    raw = _ensure_flat(raw)
-    intents = critic.propose_intents(raw.x, raw.task)
-    output = _intent_body(intents) + TokenKind.RECONSTRUCTOR_END.value
+def _short_example(
+    kind: ExampleKind,
+    raw: RawExample,
+    prior: Sequence[TrajectoryStep],
+    stage: StepKind,
+    body: str,
+) -> TrainingExample:
+    """One stage's inference prompt in; its body and end token out, all supervised."""
+    output = body + stage.end.value
     return TrainingExample(
-        kind=ExampleKind.SHORT_INTENT,
-        input=render_instruction(raw.x) + TokenKind.RECONSTRUCTOR_HEAD.value + "\n",
+        kind=kind,
+        input=build_step_prompt(raw.x, prior, stage),
         output=output,
         loss_spans=((0, len(output)),),
         source=raw.source or raw.task.value,
+    )
+
+
+def build_short_intent(raw: RawExample, critic: Critic) -> TrainingExample:
+    raw = _ensure_flat(raw)
+    intents = critic.propose_intents(raw.x, raw.task)
+    return _short_example(
+        ExampleKind.SHORT_INTENT, raw, [], StepKind.RECONSTRUCTOR, _intent_body(intents)
     )
 
 
@@ -370,19 +396,9 @@ def build_short_locator(
     if not passages:
         raise EmptyRetrievalError()
     judgments = _judge_all(raw.x, raw.y, passages, critic)
-    output = "\n".join(format_judgment(j) for j in judgments) + TokenKind.LOCATOR_END.value
-    input_text = (
-        render_instruction(raw.x)
-        + render_retrieval_block(passages)
-        + TokenKind.LOCATOR_HEAD.value
-        + "\n"
-    )
-    return TrainingExample(
-        kind=ExampleKind.SHORT_LOCATOR,
-        input=input_text,
-        output=output,
-        loss_spans=((0, len(output)),),
-        source=raw.source or raw.task.value,
+    retrieval = TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))
+    return _short_example(
+        ExampleKind.SHORT_LOCATOR, raw, [retrieval], StepKind.LOCATOR, _locator_body(judgments)
     )
 
 
@@ -392,33 +408,45 @@ def build_short_generator(
     """Plain answer imitation, or fact-conditioned answering when judgments given."""
     raw = _ensure_flat(raw)
     if judgments is None:
-        output = raw.y + TokenKind.GENERATOR_END.value
-        return TrainingExample(
-            kind=ExampleKind.SHORT_GENERATOR_PLAIN,
-            input=render_instruction(raw.x) + TokenKind.GENERATOR_HEAD.value + "\n",
-            output=output,
-            loss_spans=((0, len(output)),),
-            source=raw.source or raw.task.value,
+        return _short_example(
+            ExampleKind.SHORT_GENERATOR_PLAIN, raw, [], StepKind.GENERATOR, raw.y
         )
     relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
     if not relevant:
         raise NoRelevantFactsError()
-    locator_section = (
-        TokenKind.LOCATOR_HEAD.value
-        + "\n"
-        + "\n".join(format_judgment(j) for j in judgments)
-        + "\n"
-        + TokenKind.LOCATOR_END.value
-        + "\n"
+    locator = TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments))
+    return _short_example(
+        ExampleKind.SHORT_GENERATOR_FACTS, raw, [locator], StepKind.GENERATOR,
+        _generator_body(raw.y, relevant),
     )
-    output = _generator_body(raw.y, relevant) + TokenKind.GENERATOR_END.value
-    return TrainingExample(
-        kind=ExampleKind.SHORT_GENERATOR_FACTS,
-        input=render_instruction(raw.x) + locator_section + TokenKind.GENERATOR_HEAD.value + "\n",
-        output=output,
-        loss_spans=((0, len(output)),),
-        source=raw.source or raw.task.value,
-    )
+
+
+def build_example(
+    kind: ExampleKind,
+    raw: RawExample,
+    critic: Critic,
+    index: CorpusIndex | None = None,
+    k: int = 3,
+) -> TrainingExample:
+    """Build one example of any kind from a raw record.
+
+    Kinds with ``needs_index`` retrieve the top k passages per intent the
+    critic proposes; every Relevant judgment they carry passes the
+    fact-containment check.
+    """
+    if kind is ExampleKind.SHORT_INTENT:
+        return build_short_intent(raw, critic)
+    if kind is ExampleKind.SHORT_GENERATOR_PLAIN:
+        return build_short_generator(raw)
+    if index is None:
+        raise ValueError(f"{kind.value} examples need an index")
+    if kind is ExampleKind.LONG:
+        return build_long_example(raw, critic, index, k)
+    raw = _ensure_flat(raw)
+    passages = retrieve_multi(index, critic.propose_intents(raw.x, raw.task), k)
+    if kind is ExampleKind.SHORT_LOCATOR:
+        return build_short_locator(raw, passages, critic)
+    return build_short_generator(raw, _judge_all(raw.x, raw.y, passages, critic))
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +454,19 @@ def build_short_generator(
 
 
 def _expected_long_spans(output: str) -> list[tuple[int, int]] | None:
-    """Recompute the supervised spans of a long output from its parse."""
+    """Recompute the supervised spans of a long output from its parse.
+
+    None unless the output is a canonical four-section trajectory, i.e.
+    re-serializing its parse gives back the same text.
+    """
     try:
-        trajectory = parse_trajectory(output)
+        steps = parse_trajectory(output).steps
     except GrammarError:
         return None
-    if [s.kind for s in trajectory.steps] != [
-        StepKind.RECONSTRUCTOR,
-        StepKind.RETRIEVAL,
-        StepKind.LOCATOR,
-        StepKind.GENERATOR,
-    ]:
+    if [s.kind for s in steps] != list(StepKind):
         return None
-    spans = []
-    offset = 0
-    for step in trajectory.steps:
-        section = f"{step.kind.head.value}\n{step.body}\n{step.kind.end.value}\n"
-        if step.kind is not StepKind.RETRIEVAL:
-            spans.append((offset, offset + len(section) - 1))
-        offset += len(section)
-    if offset != len(output):
-        return None
-    return spans
+    text, spans = _serialize_long(steps)
+    return spans if text == output else None
 
 
 def check_training_example(example: TrainingExample) -> list[str]:
@@ -456,7 +475,10 @@ def check_training_example(example: TrainingExample) -> list[str]:
     if example.kind is ExampleKind.LONG:
         expected = _expected_long_spans(example.output)
         if expected is None:
-            problems.append("long output is not a four-section trajectory")
+            problems.append(
+                "long output is not a canonical four-section trajectory"
+                " (re-serializing its parse differs)"
+            )
         elif list(example.loss_spans) != expected:
             problems.append("loss spans do not match the supervised sections")
         if not example.input.rstrip("\n").endswith(TokenKind.INSTRUCTION_END.value):

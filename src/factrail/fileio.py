@@ -1,8 +1,9 @@
 """Atomic replacement of output files.
 
-Every file factrail writes (index, traces, dataset) goes through
-``atomic_path``, so an interrupted or failed write never leaves a truncated
-file where a reader expects a complete one.
+Every file the ``factrail`` command writes (index, traces, dataset,
+manifest, eval report) goes through ``atomic_path``, so an interrupted or
+failed write never leaves a truncated file where a reader expects a
+complete one.
 """
 
 from __future__ import annotations

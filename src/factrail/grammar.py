@@ -40,6 +40,8 @@ __all__ = [
     "CitationSyntaxError",
     "EmptyRetrievalError",
     "RetrievalSyntaxError",
+    "step_violation",
+    "serialize_sections",
     "serialize_steps",
     "serialize_trajectory",
     "parse_trajectory",
@@ -51,9 +53,6 @@ __all__ = [
     "render_retrieval_block",
     "parse_retrieval_body",
     "render_instruction",
-    "strip_instruction_end",
-    "trajectory_to_dict",
-    "trajectory_from_dict",
     "IRRELEVANT_PHRASE",
     "CITE_PREFIX",
 ]
@@ -302,20 +301,30 @@ class TitledText(Protocol):
 # serialization
 
 
-def _step_violation(step: TrajectoryStep) -> str | None:
+def step_violation(step: TrajectoryStep) -> str | None:
+    """Name the first grammar token in a step's body, or None if it is clean."""
     for token in TokenKind:
         if token.value in step.body:
             return f"body of {step.kind.value} step contains the token {token.value}"
     return None
 
 
-def serialize_steps(steps: Sequence[TrajectoryStep]) -> str:
+def serialize_sections(
+    steps: Sequence[TrajectoryStep],
+) -> tuple[str, list[tuple[int, int]]]:
     """Serialize a (possibly incomplete) step sequence to the canonical layout.
 
-    Order and body cleanliness are enforced; a final generator step is not,
-    so this can render the prefix of a trajectory still being built.
+    Returns the text and, per step, the half-open span of its section from
+    the first character of the head token to the last of the end token (the
+    newline after the end token is outside it). Order and body cleanliness
+    are enforced; a final generator step is not, so this can render the
+    prefix of a trajectory still being built. This is the only place a
+    section is laid out.
     """
     last_rank = -1
+    parts: list[str] = []
+    spans: list[tuple[int, int]] = []
+    offset = 0
     for i, step in enumerate(steps):
         if step.kind.rank <= last_rank:
             raise TrajectoryInvariantError(
@@ -323,12 +332,19 @@ def serialize_steps(steps: Sequence[TrajectoryStep]) -> str:
                 step_index=i,
             )
         last_rank = step.kind.rank
-        problem = _step_violation(step)
+        problem = step_violation(step)
         if problem:
             raise TrajectoryInvariantError(problem, step_index=i)
-    return "".join(
-        f"{s.kind.head.value}\n{s.body}\n{s.kind.end.value}\n" for s in steps
-    )
+        section = f"{step.kind.head.value}\n{step.body}\n{step.kind.end.value}\n"
+        parts.append(section)
+        spans.append((offset, offset + len(section) - 1))
+        offset += len(section)
+    return "".join(parts), spans
+
+
+def serialize_steps(steps: Sequence[TrajectoryStep]) -> str:
+    """The text of ``serialize_sections``, without the spans."""
+    return serialize_sections(steps)[0]
 
 
 def serialize_trajectory(trajectory: Trajectory) -> str:
@@ -518,9 +534,7 @@ def render_retrieval_block(passages: Sequence[TitledText]) -> str:
     """Render a full retrieval section, head and end tokens included."""
     if not passages:
         raise EmptyRetrievalError()
-    head = TokenKind.RETRIEVAL_HEAD.value
-    end = TokenKind.RETRIEVAL_END.value
-    return f"{head}\n{retrieval_body(passages)}\n{end}\n"
+    return serialize_steps([TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))])
 
 
 _RETRIEVAL_ENTRY_RE = re.compile(r"^\[(\d+)\] (.*?) -(.*)$")
@@ -548,29 +562,9 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# instruction framing and JSON mirror
+# instruction framing
 
 
 def render_instruction(instruction: str) -> str:
     """Frame an instruction for the start of a prompt or training input."""
     return f"{instruction}{TokenKind.INSTRUCTION_END.value}\n"
-
-
-def strip_instruction_end(text: str) -> str:
-    """Drop one trailing instruction terminator, if present."""
-    stripped = text.rstrip()
-    if stripped.endswith(TokenKind.INSTRUCTION_END.value):
-        return stripped[: -len(TokenKind.INSTRUCTION_END.value)].rstrip()
-    return text
-
-
-def trajectory_to_dict(trajectory: Trajectory) -> dict:
-    return {"steps": [{"kind": s.kind.value, "body": s.body} for s in trajectory.steps]}
-
-
-def trajectory_from_dict(data: dict) -> Trajectory:
-    steps = tuple(
-        TrajectoryStep(StepKind(entry["kind"]), entry["body"])
-        for entry in data["steps"]
-    )
-    return Trajectory(steps)

@@ -39,6 +39,7 @@ from .grammar import (
     retrieval_body,
     serialize_steps,
     serialize_trajectory,
+    step_violation,
     parse_trajectory,
 )
 
@@ -140,11 +141,22 @@ def stops_for(kind: StepKind) -> tuple[str, ...]:
     return (own,) + rest
 
 
+def _step_request(
+    instruction: str, prior: Sequence[TrajectoryStep], head: StepKind
+) -> AgentRequest:
+    return AgentRequest(
+        instruction=render_instruction(instruction),
+        prior_trajectory=serialize_steps(prior),
+        head=head.head,
+        stop=stops_for(head),
+    )
+
+
 def build_step_prompt(
     instruction: str, prior: Sequence[TrajectoryStep], head: StepKind
 ) -> str:
     """Compose the exact prompt for one stage from the prior sections."""
-    return render_instruction(instruction) + serialize_steps(prior) + head.head.value + "\n"
+    return prompt_text(_step_request(instruction, prior, head))
 
 
 def _strip_premature_heads(body: str, stage: str, flags: list[str]) -> str:
@@ -190,16 +202,10 @@ def run_inference(
         # A prior section (a passage, a reply) may hold a grammar token, so
         # the prompt cannot be serialized; that fails this item, not a batch.
         try:
-            prompt = build_step_prompt(instruction, prior, stage)
+            request = _step_request(instruction, prior, stage)
         except GrammarError as exc:
             raise PipelineError(stage.value, f"cannot build the prompt: {exc}") from exc
-        request = AgentRequest(
-            instruction=render_instruction(instruction),
-            prior_trajectory=serialize_steps(prior),
-            head=stage.head,
-            stop=stops_for(stage),
-        )
-        assert prompt_text(request) == prompt
+        prompt = prompt_text(request)
         begin = time.perf_counter()
         try:
             reply = backend.generate(request)
@@ -209,6 +215,11 @@ def run_inference(
         body = _strip_premature_heads(reply.body, stage.value, flags)
         if not body:
             raise PipelineError(stage.value, "reply is empty after head truncation")
+        # A token left in the body (an end token, </eoi>) would make the
+        # trace unserializable when the batch is written; fail the item now.
+        problem = step_violation(TrajectoryStep(stage, body))
+        if problem:
+            raise PipelineError(stage.value, problem)
         return prompt, body, elapsed
 
     # Stage 1: intent reconstruction.
@@ -403,37 +414,23 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
 def _prompt_violations(trace: InferenceTrace) -> list[TraceViolation]:
     violations: list[TraceViolation] = []
     prefix: list[TrajectoryStep] = []
+    has_relevant = any(j.relevance is Relevance.RELEVANT for j in trace.judgments)
     for record in trace.steps:
-        if record.kind is StepKind.GENERATOR and record.prompt is not None:
-            has_relevant = any(
-                j.relevance is Relevance.RELEVANT for j in trace.judgments
-            )
+        if record.prompt is not None:
+            prior: Sequence[TrajectoryStep] = prefix
+            if record.kind is StepKind.GENERATOR:
+                code, problem = "branch_mismatch", "generator prompt does not match the relevance branch"
+                if not has_relevant:
+                    prior = []
+            else:
+                code, problem = "prompt_mismatch", f"{record.kind.value} prompt is not cumulative"
             try:
-                expected = (
-                    build_step_prompt(trace.instruction, prefix, StepKind.GENERATOR)
-                    if has_relevant
-                    else build_step_prompt(trace.instruction, [], StepKind.GENERATOR)
-                )
+                expected = build_step_prompt(trace.instruction, prior, record.kind)
             except GrammarError as exc:
-                violations.append(TraceViolation("branch_mismatch", str(exc)))
+                violations.append(TraceViolation(code, str(exc)))
             else:
                 if record.prompt != expected:
-                    violations.append(
-                        TraceViolation(
-                            "branch_mismatch",
-                            "generator prompt does not match the relevance branch",
-                        )
-                    )
-        elif record.prompt is not None:
-            try:
-                expected = build_step_prompt(trace.instruction, prefix, record.kind)
-            except GrammarError as exc:
-                violations.append(TraceViolation("prompt_mismatch", str(exc)))
-            else:
-                if record.prompt != expected:
-                    violations.append(
-                        TraceViolation("prompt_mismatch", f"{record.kind.value} prompt is not cumulative")
-                    )
+                    violations.append(TraceViolation(code, problem))
         prefix.append(TrajectoryStep(record.kind, record.body))
     return violations
 

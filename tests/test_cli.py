@@ -9,9 +9,16 @@ import pytest
 from factrail.backends import ScriptedBackend, save_script
 from factrail.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, ConfigError, load_config, main
 from factrail.corpus import index_documents, load_index
+from factrail.dataset import (
+    ExampleKind,
+    RuleBasedCritic,
+    build_example,
+    emit_dataset,
+    read_raw_examples,
+)
 from factrail.orchestrator import InferenceConfig
 
-from helpers import judge_by_answer, script_scenario
+from helpers import StubServer, chat_reply, judge_by_answer, script_scenario
 
 DOCS = [
     {"title": "Moon", "text": "the moon orbits the earth every month"},
@@ -72,6 +79,9 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"mystery": 1}')
     with pytest.raises(ConfigError, match="mystery"):
+        load_config(str(path))
+    path.write_text('{"seed": 0}')
+    with pytest.raises(ConfigError, match="seed"):
         load_config(str(path))
     path.write_text('{"inference": {"k": 2, "bogus": true}}')
     with pytest.raises(ConfigError, match="bogus"):
@@ -374,6 +384,55 @@ def test_build_dataset_long_with_index(tmp_path, index_file):
     assert main(["validate", "--dataset", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("kind", [k.value for k in ExampleKind])
+def test_build_dataset_every_kind_matches_the_library(tmp_path, index_file, capsys, kind):
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", RAWS)
+    out = tmp_path / "train.jsonl"
+    code = main(
+        [
+            "build-dataset", "--kind", kind, "--in", raw_path,
+            "--index", index_file, "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    index = load_index(index_file)
+    expected = [
+        build_example(ExampleKind(kind), raw, RuleBasedCritic(), index, InferenceConfig().k)
+        for raw in read_raw_examples(raw_path)
+    ]
+    emit_dataset(expected, tmp_path / "expected.jsonl")
+    assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["validate", "--dataset", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "clean\n"
+
+
+def test_http_critic_fact_outside_its_passage_fails_the_build(tmp_path, index_file):
+    def handler(payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt.startswith("Decompose"):
+            return 200, chat_reply("Search Intent: moon orbit")
+        return 200, chat_reply("Rating: [Relevant]\nExtracted span: the moon is made of cheese")
+
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", RAWS[:1])
+    out = tmp_path / "train.jsonl"
+    with StubServer(handler) as server:
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"backend": {"endpoint_url": server.url, "retries": 0, "timeout_s": 5.0}})
+        )
+        code = main(
+            [
+                "--config", str(config), "build-dataset", "--kind", "short-generator-facts",
+                "--critic", "http", "--in", raw_path, "--index", index_file, "--out", str(out),
+            ]
+        )
+    assert code == EXIT_FAILURE
+    assert not out.exists()
+    assert not (tmp_path / "train.jsonl.manifest.json").exists()
+    assert not list(tmp_path.glob("*.part"))
+
+
 def test_build_dataset_failure_leaves_no_partial_output(tmp_path, index_file):
     bad = [{"task": "open-qa", "x": "zebra xylophone", "y": "nothing matches"}]
     raw_path = write_jsonl(tmp_path / "raw.jsonl", bad)
@@ -489,6 +548,39 @@ def test_eval_schema_mismatch_is_usage_error(tmp_path, index_file):
     )
     code = main(["eval", "--traces", traces, "--refs", refs, "--task", "squad", "--out", "r"])
     assert code == EXIT_USAGE
+
+
+def test_failed_eval_report_write_keeps_previous_report_bytes(
+    tmp_path, index_file, monkeypatch
+):
+    traces = infer_traces(tmp_path, index_file)
+    out = tmp_path / "report.json"
+
+    # Written up front: write_jsonl uses the Path.write_text patched below.
+    refs = {
+        gold: write_jsonl(
+            tmp_path / f"refs{i}.jsonl",
+            [{"task": "popqa", "question": INSTRUCTION, "gold_answers": [gold]}],
+        )
+        for i, gold in enumerate(("the earth", "the sun"))
+    }
+
+    def run_eval(gold):
+        return main(["eval", "--traces", traces, "--refs", refs[gold], "--task", "popqa", "--out", str(out)])
+
+    assert run_eval("the earth") == EXIT_OK
+    before = out.read_bytes()
+
+    def half_then_disk_full(self, data, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+    # Another gold answer changes the accuracy in the report.
+    assert run_eval("the sun") == EXIT_FAILURE
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.part"))
 
 
 def eval_traces(tmp_path, traces):

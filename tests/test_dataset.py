@@ -393,3 +393,19 @@ def test_read_raw_examples_requires_task_without_default(tmp_path):
     path.write_text('{"x": "q", "y": "a"}\n')
     with pytest.raises(DatasetError, match="line 1"):
         read_raw_examples(path)
+
+
+def test_non_canonical_long_output_is_rejected():
+    # Extra blank lines between sections still parse, but the first span
+    # would end on "\n\n" instead of on </eor>.
+    output = (
+        "<Reconstructor>Search(q)</eor>\n\n\n<retrieval>\n[1] T -a b\n</retrieval>\n"
+        "<Locator>\n[Relevant]: [1] a b\n</eol>\n<Generator>\nans\n[Cite]: [1]\n</eog>\n"
+    )
+    example = TrainingExample(
+        ExampleKind.LONG, "q</eoi>\n", output, ((0, 32), (69, 105), (106, 140))
+    )
+    assert check_training_example(example) == [
+        "long output is not a canonical four-section trajectory"
+        " (re-serializing its parse differs)"
+    ]

@@ -35,10 +35,8 @@ from factrail.grammar import (
     render_instruction,
     render_retrieval_block,
     retrieval_body,
+    serialize_sections,
     serialize_trajectory,
-    strip_instruction_end,
-    trajectory_from_dict,
-    trajectory_to_dict,
 )
 
 from helpers import mutate_serialized, random_trajectory
@@ -65,6 +63,21 @@ def test_token_surfaces_are_frozen():
 def test_serialize_single_generator_step():
     t = Trajectory((TrajectoryStep(StepKind.GENERATOR, "Yi Yi\n[Cite]: [2] [6]"),))
     assert serialize_trajectory(t) == "<Generator>\nYi Yi\n[Cite]: [2] [6]\n</eog>\n"
+
+
+def test_serialize_sections_spans_run_from_head_through_end_token():
+    steps = (
+        TrajectoryStep(StepKind.RECONSTRUCTOR, "Search(q)"),
+        TrajectoryStep(StepKind.GENERATOR, "y"),
+    )
+    text, spans = serialize_sections(steps)
+    assert text == serialize_trajectory(Trajectory(steps))
+    assert [text[a:b] for a, b in spans] == [
+        "<Reconstructor>\nSearch(q)\n</eor>",
+        "<Generator>\ny\n</eog>",
+    ]
+    assert spans[1][0] == spans[0][1] + 1
+    assert serialize_sections(()) == ("", [])
 
 
 def test_serialize_requires_generator():
@@ -310,23 +323,8 @@ def test_retrieval_body_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# framing and JSON mirror
+# framing
 
 
-def test_render_instruction_and_strip():
-    framed = render_instruction("why?")
-    assert framed == "why?</eoi>\n"
-    assert strip_instruction_end(framed) == "why?"
-    assert strip_instruction_end("no marker") == "no marker"
-
-
-def test_trajectory_dict_mirror():
-    t = Trajectory(
-        (
-            TrajectoryStep(StepKind.RECONSTRUCTOR, "Search(q)"),
-            TrajectoryStep(StepKind.GENERATOR, "y"),
-        )
-    )
-    mirrored = trajectory_from_dict(trajectory_to_dict(t))
-    assert mirrored == t
-    assert trajectory_to_dict(t)["steps"][0] == {"kind": "reconstructor", "body": "Search(q)"}
+def test_render_instruction():
+    assert render_instruction("why?") == "why?</eoi>\n"

@@ -511,3 +511,28 @@ def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
     assert results[1].trace is None
     assert results[1].error.stage == "locator"
     assert "contains the token <Generator>" in results[1].error.message
+
+
+def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tmp_path):
+    cfg = InferenceConfig()
+    backend = ScriptedBackend()
+    script_scenario(
+        backend, index, cfg, INSTRUCTION, RECONSTRUCTION,
+        judge_by_answer("earth"), ANSWER_BODY,
+    )
+    leaky = "what orbits the earth?"
+    script_scenario(
+        backend, index, cfg, leaky, RECONSTRUCTION,
+        judge_by_answer("earth"), "the earth </eoi>\n[Cite]: [1]",
+    )
+    results = run_batch([leaky, INSTRUCTION], index, backend, cfg, max_workers=2)
+
+    assert results[0].trace is None
+    assert results[0].error.stage == "generator"
+    assert "contains the token </eoi>" in results[0].error.message
+    assert results[1].error is None and results[1].trace.answer == "the earth"
+    out = tmp_path / "traces.jsonl"
+    write_traces(results, out)
+    reread = read_traces(out)
+    assert reread[0].error.stage == "generator"
+    assert validate_trace(reread[1].trace) == []
