@@ -47,6 +47,9 @@ HEAD_TOKEN_SURFACES = tuple(kind.head.value for kind in StepKind)
 
 LENGTH_LIMIT_MARKER = "length"
 
+# Client errors that a later attempt may get past: timeout, rate limit.
+_RETRYABLE_CLIENT_STATUSES = frozenset({408, 429})
+
 _HEAD_TOKENS = {kind.head for kind in StepKind}
 _MATCHING_END = {kind.head: kind.end for kind in StepKind}
 
@@ -217,9 +220,11 @@ def chat_completion(
 ) -> tuple[str, str | None]:
     """POST one chat-completion request; return (content, finish_reason).
 
-    Transport failures and non-2xx statuses are retried until the attempt
-    budget (retries + 1) is spent, then surface as unavailability. A 2xx
-    response missing the text field is malformed and not retried.
+    Transport failures, 5xx statuses, 408 and 429 are retried until the
+    attempt budget (retries + 1) is spent, then surface as unavailability.
+    Any other 4xx status cannot succeed on a retry, so it surfaces after one
+    request. A 2xx response missing the text field is malformed and not
+    retried.
     """
     payload = {
         "model": config.model,
@@ -242,11 +247,13 @@ def chat_completion(
         except requests.RequestException as exc:
             last_error = BackendUnavailableError(f"transport failure: {exc}")
             continue
-        if response.status_code < 200 or response.status_code >= 300:
+        status = response.status_code
+        if status < 200 or status >= 300:
             last_error = BackendUnavailableError(
-                f"upstream returned status {response.status_code}",
-                status=response.status_code,
+                f"upstream returned status {status}", status=status
             )
+            if 400 <= status < 500 and status not in _RETRYABLE_CLIENT_STATUSES:
+                raise last_error
             continue
         try:
             document = response.json()

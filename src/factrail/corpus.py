@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from .fileio import atomic_path
-from .grammar import IntentSet
+from .grammar import IntentSet, first_token
 
 __all__ = [
     "CHUNK_WORDS",
@@ -535,17 +535,33 @@ def read_documents(path: str | Path) -> list[tuple[str, str]]:
                 continue
             try:
                 record = json.loads(line)
-                docs.append((record["title"], record["text"]))
+                title, text = record["title"], record["text"]
+                if not isinstance(title, str) or not isinstance(text, str):
+                    raise TypeError("'title' and 'text' must be strings")
+                docs.append((title, text))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorpusError(f"bad corpus record on line {lineno}: {exc}") from exc
     return docs
 
 
 def index_documents(docs: Iterable[tuple[str, str]]) -> CorpusIndex:
-    """Chunk and index documents, assigning globally unique passage ids."""
+    """Chunk and index documents, assigning globally unique passage ids.
+
+    A title or text holding a grammar token is rejected: a passage with one
+    could never be serialized into a prompt. Documents are numbered from 1
+    in the order given, which is their line in a corpus file read by
+    ``read_documents`` unless the file has blank lines.
+    """
     passages: list[Passage] = []
     next_id = 0
-    for title, body in docs:
+    for number, (title, body) in enumerate(docs, start=1):
+        for field_name, value in (("title", title), ("text", body)):
+            token = first_token(value)
+            if token is not None:
+                raise CorpusError(
+                    f"document {number} ({title!r}): its {field_name} holds the "
+                    f"grammar token {token.value}, which no passage may contain"
+                )
         chunks = chunk_document(title, body, start_id=next_id)
         next_id += len(chunks)
         passages.extend(chunks)

@@ -469,6 +469,14 @@ def _expected_long_spans(output: str) -> list[tuple[int, int]] | None:
     return spans if text == output else None
 
 
+_SHORT_STAGES = {
+    ExampleKind.SHORT_INTENT: StepKind.RECONSTRUCTOR,
+    ExampleKind.SHORT_LOCATOR: StepKind.LOCATOR,
+    ExampleKind.SHORT_GENERATOR_PLAIN: StepKind.GENERATOR,
+    ExampleKind.SHORT_GENERATOR_FACTS: StepKind.GENERATOR,
+}
+
+
 def check_training_example(example: TrainingExample) -> list[str]:
     """Return every contract violation in a built example (empty means clean)."""
     problems: list[str] = []
@@ -487,13 +495,14 @@ def check_training_example(example: TrainingExample) -> list[str]:
 
     if example.loss_spans != ((0, len(example.output)),):
         problems.append("short example must supervise its whole output")
-    ends = {
-        ExampleKind.SHORT_INTENT: TokenKind.RECONSTRUCTOR_END,
-        ExampleKind.SHORT_LOCATOR: TokenKind.LOCATOR_END,
-        ExampleKind.SHORT_GENERATOR_PLAIN: TokenKind.GENERATOR_END,
-        ExampleKind.SHORT_GENERATOR_FACTS: TokenKind.GENERATOR_END,
-    }
-    end = ends[example.kind]
+    # A short input is its stage's inference prompt: the framed instruction,
+    # any prior sections, then the stage's head on a line of its own.
+    stage = _SHORT_STAGES[example.kind]
+    if f"{TokenKind.INSTRUCTION_END.value}\n" not in example.input:
+        problems.append("short input lacks the instruction terminator")
+    if not example.input.endswith(f"{stage.head.value}\n"):
+        problems.append(f"short input must end with the {stage.head.value} head")
+    end = stage.end
     if not example.output.endswith(end.value):
         problems.append(f"short output must end with {end.value}")
         return problems

@@ -40,6 +40,7 @@ __all__ = [
     "CitationSyntaxError",
     "EmptyRetrievalError",
     "RetrievalSyntaxError",
+    "first_token",
     "step_violation",
     "serialize_sections",
     "serialize_steps",
@@ -118,6 +119,10 @@ _HEAD_TO_KIND = {v: k for k, v in _KIND_TO_HEAD.items()}
 _END_TO_KIND = {v: k for k, v in _KIND_TO_END.items()}
 
 _TOKEN_BY_SURFACE = {t.value: t for t in TokenKind}
+
+# The first characters of the token surfaces ("<" today). Text holding none
+# of them holds no token, which one substring search per character shows.
+_TOKEN_STARTS = tuple(sorted({t.value[0] for t in TokenKind}))
 
 # Longest-first alternation so overlapping surfaces cannot shadow each other.
 _TOKEN_RE = re.compile(
@@ -301,12 +306,29 @@ class TitledText(Protocol):
 # serialization
 
 
+def first_token(text: str) -> TokenKind | None:
+    """The first token, in ``TokenKind`` order, whose surface occurs in text.
+
+    Text without the first character of any surface returns None after one
+    pass; only text that has one is searched for each surface in turn.
+    """
+    for start in _TOKEN_STARTS:
+        if start in text:
+            break
+    else:
+        return None
+    for token in TokenKind:
+        if token.value in text:
+            return token
+    return None
+
+
 def step_violation(step: TrajectoryStep) -> str | None:
     """Name the first grammar token in a step's body, or None if it is clean."""
-    for token in TokenKind:
-        if token.value in step.body:
-            return f"body of {step.kind.value} step contains the token {token.value}"
-    return None
+    token = first_token(step.body)
+    if token is None:
+        return None
+    return f"body of {step.kind.value} step contains the token {token.value}"
 
 
 def serialize_sections(

@@ -134,11 +134,15 @@ class BatchResult:
     error: PipelineError | None = None
 
 
+_STOPS = {
+    kind: (kind.end.value,) + tuple(k.end.value for k in StepKind if k is not kind)
+    for kind in StepKind
+}
+
+
 def stops_for(kind: StepKind) -> tuple[str, ...]:
     """Stop strings for a stage: its own end token first, then the others."""
-    own = kind.end.value
-    rest = tuple(k.end.value for k in StepKind if k is not kind)
-    return (own,) + rest
+    return _STOPS[kind]
 
 
 def _step_request(

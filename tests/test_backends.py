@@ -194,6 +194,25 @@ def test_http_retry_exhaustion_counts_attempts():
     assert server.request_count == 3
 
 
+def test_http_client_error_is_not_retried():
+    with StubServer(lambda payload: (404, {"error": "no such model"})) as server:
+        backend = HttpBackend(config_for(server, retries=2))
+        with pytest.raises(BackendUnavailableError) as err:
+            backend.generate(request_for())
+    assert err.value.status == 404
+    assert server.request_count == 1
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_timeout_and_rate_limit_statuses_are_retried(status):
+    with StubServer(lambda payload: (status, {"error": "later"})) as server:
+        backend = HttpBackend(config_for(server, retries=2))
+        with pytest.raises(BackendUnavailableError) as err:
+            backend.generate(request_for())
+    assert err.value.status == status
+    assert server.request_count == 3
+
+
 def test_http_recovers_after_transient_failure():
     calls = []
 

@@ -141,6 +141,29 @@ def test_index_command_writes_loadable_index(tmp_path, corpus_file, capsys):
     assert index.total_docs == 3
 
 
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ({"title": "Zebra", "text": "zebra stripes hide a <Generator> token"}, "text"),
+        ({"title": "Zebra </eoi>", "text": "zebra stripes"}, "title"),
+    ],
+)
+def test_index_rejects_a_document_holding_a_grammar_token(tmp_path, capsys, row, where):
+    corpus_path = write_jsonl(tmp_path / "docs.jsonl", [DOCS[0], row])
+    out = tmp_path / "idx.json"
+    assert main(["index", "--corpus", corpus_path, "--out", str(out)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: document 2 ({row['title']!r}): its {where} holds")
+    assert ("</eoi>" if where == "title" else "<Generator>") in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "docs.jsonl"]
+
+
+def test_index_rejects_a_record_whose_text_is_not_a_string(tmp_path, capsys):
+    corpus_path = write_jsonl(tmp_path / "docs.jsonl", [DOCS[0], {"title": "N", "text": 7}])
+    assert main(["index", "--corpus", corpus_path, "--out", str(tmp_path / "i")]) == EXIT_FAILURE
+    assert "bad corpus record on line 2" in capsys.readouterr().err
+
+
 def test_index_missing_corpus_fails(tmp_path):
     code = main(["index", "--corpus", str(tmp_path / "nope.jsonl"), "--out", "x"])
     assert code == EXIT_FAILURE
@@ -646,6 +669,23 @@ def test_validate_flags_tampered_dataset(tmp_path, capsys):
     code = main(["validate", "--dataset", str(tmp_path / "bad.jsonl")])
     assert code == EXIT_FAILURE
     assert "supervise its whole output" in capsys.readouterr().out
+
+
+def test_validate_flags_a_short_input_that_is_not_a_stage_prompt(tmp_path, capsys):
+    record = {
+        "kind": "short-intent",
+        "input": "no terminator, no head",
+        "output": "Search(q)</eor>",
+        "loss_spans": [[0, 15]],
+        "source": "open-qa",
+    }
+    path = write_jsonl(tmp_path / "bad.jsonl", [record])
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        "line 1: short input lacks the instruction terminator\n"
+        "line 1: short input must end with the <Reconstructor> head\n"
+        "2 problem(s) found\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -409,3 +409,17 @@ def test_non_canonical_long_output_is_rejected():
         "long output is not a canonical four-section trajectory"
         " (re-serializing its parse differs)"
     ]
+
+
+def test_short_input_must_be_its_stage_prompt():
+    # A locator input that ends with the generator's head is another stage's prompt.
+    example = TrainingExample(
+        ExampleKind.SHORT_LOCATOR, "q</eoi>\n<Generator>\n", "[Irrelevant]: [1]</eol>",
+        ((0, 23),),
+    )
+    assert check_training_example(example) == [
+        "short input must end with the <Locator> head"
+    ]
+    assert check_training_example(
+        TrainingExample(ExampleKind.SHORT_LOCATOR, "q\n<Locator>\n", example.output, ((0, 23),))
+    ) == ["short input lacks the instruction terminator"]

@@ -4,11 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factrail.backends import ScriptedBackend
 from factrail.corpus import index_documents
 from factrail.evaluation import (
     EvalExample,
+    _lcs_length,
     SchemaMismatchError,
     TASK_INSTRUCTIONS,
     UnknownTaskError,
@@ -147,6 +150,43 @@ def test_rouge_matches_oracle_on_random_pairs():
             for _ in range(rng.randint(1, 3))
         ]
         assert rouge_l(pred, refs) == pytest.approx(oracle_rouge(pred, refs), abs=1e-9)
+
+
+def reference_lcs_length(a, b):
+    """The textbook O(n*m) dynamic programme."""
+    previous = [0] * (len(b) + 1)
+    for token in a:
+        current = [0]
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
+
+
+# Small alphabets make long common subsequences; lengths up to 300 make the
+# bit vector span many of CPython's 30-bit digits, so carries cross them.
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lcs_length_matches_the_textbook_table(data):
+    alphabet = st.sampled_from(data.draw(st.sampled_from(["a", "ab", "abc", "abcdef"])))
+    a, b = (
+        data.draw(st.lists(alphabet, min_size=n, max_size=n))
+        for n in data.draw(st.tuples(st.integers(0, 300), st.integers(0, 300)))
+    )
+    assert _lcs_length(a, b) == reference_lcs_length(a, b)
+
+
+def test_lcs_length_across_digit_boundaries():
+    rng = random.Random(5)
+    for length in (29, 30, 31, 59, 60, 61, 299, 300):
+        a = [rng.choice("ab") for _ in range(length)]
+        b = [rng.choice("ab") for _ in range(length)]
+        assert _lcs_length(a, b) == reference_lcs_length(a, b)
+        assert _lcs_length(a, a) == length
+        assert _lcs_length(["c"] * length, b) == 0
 
 
 # ---------------------------------------------------------------------------

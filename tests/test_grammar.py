@@ -37,6 +37,7 @@ from factrail.grammar import (
     retrieval_body,
     serialize_sections,
     serialize_trajectory,
+    step_violation,
 )
 
 from helpers import mutate_serialized, random_trajectory
@@ -105,6 +106,37 @@ def test_serialize_rejects_nested_tokens():
     t = Trajectory((TrajectoryStep(StepKind.GENERATOR, "bad </eor> body"),))
     with pytest.raises(TrajectoryInvariantError):
         serialize_trajectory(t)
+
+
+def reference_step_violation(step):
+    """The plain check: search the body for each of the nine surfaces in turn."""
+    for token in TokenKind:
+        if token.value in step.body:
+            return f"body of {step.kind.value} step contains the token {token.value}"
+    return None
+
+
+# Whole surfaces, their prefixes and suffixes (e.g. "</eo", "erator>"), and
+# the characters they are made of, so bodies hold near misses as well as hits.
+_SURFACE_PIECES = sorted(
+    {t.value for t in TokenKind}
+    | {t.value[:i] for t in TokenKind for i in range(1, len(t.value))}
+    | {t.value[i:] for t in TokenKind for i in range(1, len(t.value))}
+    | set("<>/ \nabz")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(StepKind)),
+    st.one_of(
+        st.lists(st.sampled_from(_SURFACE_PIECES), max_size=12).map("".join),
+        st.text(max_size=60),
+    ),
+)
+def test_step_violation_matches_the_nine_token_loop(kind, body):
+    step = TrajectoryStep(kind, body)
+    assert step_violation(step) == reference_step_violation(step)
 
 
 def test_parse_lone_reconstructor_section():

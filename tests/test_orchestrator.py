@@ -6,7 +6,7 @@ import pytest
 
 from factrail import orchestrator
 from factrail.backends import ScriptedBackend
-from factrail.corpus import index_documents
+from factrail.corpus import build_index, chunk_document, index_documents
 from factrail.grammar import (
     CitationList,
     IntentSet,
@@ -496,7 +496,13 @@ def test_trace_dict_mirror(clean_trace):
 
 
 def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
-    index = index_documents(DOCS + [("Zebra", "zebra stripes hide a <Generator> token")])
+    # index_documents refuses such a passage; an index built from passages
+    # (or a hand-edited index file) can still hold one.
+    passages = list(index_documents(DOCS).passages.values())
+    zebra = chunk_document(
+        "Zebra", "zebra stripes hide a <Generator> token", start_id=len(passages)
+    )
+    index = build_index(passages + zebra)
     cfg = InferenceConfig()
     backend = ScriptedBackend()
     script_scenario(
