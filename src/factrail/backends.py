@@ -19,6 +19,7 @@ from typing import Mapping, Protocol
 
 import requests
 
+from .fileio import atomic_path, read_jsonl, typed_field
 from .grammar import StepKind, TokenKind
 
 __all__ = [
@@ -50,7 +51,6 @@ LENGTH_LIMIT_MARKER = "length"
 # Client errors that a later attempt may get past: timeout, rate limit.
 _RETRYABLE_CLIENT_STATUSES = frozenset({408, 429})
 
-_HEAD_TOKENS = {kind.head for kind in StepKind}
 _MATCHING_END = {kind.head: kind.end for kind in StepKind}
 
 
@@ -84,7 +84,7 @@ class AgentRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stop", tuple(self.stop))
-        if self.head not in _HEAD_TOKENS:
+        if self.head not in _MATCHING_END:
             raise ValueError(f"{self.head.value} is not a section head token")
         if _MATCHING_END[self.head].value not in self.stop:
             raise ValueError("stop strings must include the end token matching the head")
@@ -110,15 +110,15 @@ def fingerprint(prompt: str) -> str:
 
 
 def _finalize(raw: str, stop: tuple[str, ...]) -> tuple[str, str | None]:
-    """Truncate at the earliest stop (any end token counts) and trim framing newlines."""
-    cut = len(raw)
-    fired: str | None = None
+    """Truncate at the earliest stop (any end token counts) and trim framing newlines.
+
+    The body is the text before the earliest occurrence of any end token, so
+    it never holds one.
+    """
     candidates = list(stop) + [t for t in END_TOKEN_SURFACES if t not in stop]
-    for candidate in candidates:
-        at = raw.find(candidate)
-        if at != -1 and at < cut:
-            cut = at
-            fired = candidate
+    found = [(at, c) for c in candidates if (at := raw.find(c)) != -1]
+    # min keeps the first of equal positions, so stop order breaks ties.
+    cut, fired = min(found, key=lambda hit: hit[0], default=(len(raw), None))
     body = raw[:cut]
     if body.startswith("\n"):
         body = body[1:]
@@ -151,33 +151,21 @@ class ScriptedBackend:
         body, fired = _finalize(raw, request.stop)
         if not body:
             raise EmptyGenerationError()
-        _assert_stop_discipline(body)
         return AgentReply(body, fired or _MATCHING_END[request.head].value)
 
 
-def _assert_stop_discipline(body: str) -> None:
-    for token in END_TOKEN_SURFACES:
-        if token in body:
-            raise BackendError(f"reply body contains the end token {token}")
+def _script_entry(record: dict) -> tuple[str, str]:
+    return typed_field(record, "fingerprint"), typed_field(record, "reply")
 
 
 def load_script(path: str | Path) -> dict[str, str]:
     """Read a JSONL replay script of {"fingerprint", "reply"} records."""
-    script: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                script[record["fingerprint"]] = record["reply"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise BackendError(f"bad script record on line {lineno}: {exc}") from exc
-    return script
+    return dict(entry for _, entry in read_jsonl(path, _script_entry, "script record", BackendError))
 
 
 def save_script(script: Mapping[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write a replay script that ``load_script`` reads, atomically."""
+    with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
         for key in sorted(script):
             handle.write(
                 json.dumps(
@@ -291,7 +279,6 @@ class HttpBackend:
         body, fired = _finalize(content, request.stop)
         if not body:
             raise EmptyGenerationError()
-        _assert_stop_discipline(body)
         if fired is not None:
             terminated_by = fired
         elif finish_reason == "length":

@@ -18,9 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import backends, corpus, dataset, evaluation, grammar, orchestrator
-from .fileio import atomic_path
-
-logger = logging.getLogger(__name__)
+from .fileio import atomic_path, read_jsonl, typed_field
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -90,19 +88,19 @@ def _config_fingerprint(parts: dict) -> str:
     ).hexdigest()
 
 
+def _write_json(path: str, data: dict) -> None:
+    with atomic_path(path) as temp:
+        temp.write_text(
+            json.dumps(data, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        )
+
+
 def _read_instructions(path: str) -> list[str]:
-    instructions = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                instructions.append(json.loads(line)["instruction"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise evaluation.SchemaMismatchError(
-                    f"bad instruction record on line {lineno}: {exc}"
-                ) from exc
-    return instructions
+    rows = read_jsonl(
+        path, lambda row: typed_field(row, "instruction"), "instruction record",
+        evaluation.SchemaMismatchError,
+    )
+    return [instruction for _, instruction in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +141,7 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     with atomic_path(out) as temp:
         manifest = dataset.emit_dataset(examples, temp, config_fingerprint=fingerprint)
     manifest_path = str(out) + ".manifest.json"
-    with atomic_path(manifest_path) as temp:
-        temp.write_text(
-            json.dumps(manifest.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+    _write_json(manifest_path, manifest.to_dict())
     print(f"wrote {manifest.total} examples -> {out} (manifest {manifest_path})")
     return EXIT_OK
 
@@ -189,11 +183,7 @@ def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     results = orchestrator.read_traces(args.traces)
     examples = evaluation.read_eval_examples(args.refs)
     report = evaluation.evaluate(results, examples, args.task)
-    with atomic_path(args.out) as temp:
-        temp.write_text(
-            json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+    _write_json(args.out, report.to_dict())
     print(report.format_table())
     return EXIT_OK
 
@@ -201,32 +191,15 @@ def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
 def cmd_validate(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     problems: list[str] = []
     if args.dataset:
-        with open(args.dataset, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    problems.append(f"line {lineno}: not JSON ({exc})")
-                    continue
-                for problem in dataset.check_example_dict(record):
-                    problems.append(f"line {lineno}: {problem}")
+        examples = read_jsonl(
+            args.dataset, dataset.example_from_dict, "dataset record", dataset.DatasetError
+        )
+        for lineno, example in examples:
+            problems.extend(f"line {lineno}: {p}" for p in dataset.check_training_example(example))
     if args.traces:
-        with open(args.traces, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    if "error" in record:
-                        continue
-                    trace = orchestrator.trace_from_dict(record)
-                except Exception as exc:  # noqa: BLE001 - report, don't crash
-                    problems.append(f"line {lineno}: unreadable trace ({exc})")
-                    continue
-                for violation in orchestrator.validate_trace(trace):
-                    problems.append(f"line {lineno}: {violation}")
+        for lineno, row in orchestrator.iter_traces(args.traces):
+            if isinstance(row, orchestrator.InferenceTrace):
+                problems.extend(f"line {lineno}: {v}" for v in orchestrator.validate_trace(row))
     for problem in problems:
         print(problem)
     if problems:

@@ -36,8 +36,8 @@ from operator import ge
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
-from .fileio import atomic_path
-from .grammar import IntentSet, first_token
+from .fileio import atomic_path, read_jsonl, typed_field
+from .grammar import IntentSet, text_violation
 
 __all__ = [
     "CHUNK_WORDS",
@@ -209,16 +209,6 @@ def bm25_idf(total_docs: int, doc_freq: int) -> float:
     return math.log(1.0 + (total_docs - doc_freq + 0.5) / (doc_freq + 0.5))
 
 
-def _unique_in_order(terms: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for term in terms:
-        if term not in seen:
-            seen.add(term)
-            out.append(term)
-    return out
-
-
 def _kth_largest(values: Iterable[float], k: int) -> float:
     return sorted(values, reverse=True)[k - 1]
 
@@ -255,7 +245,7 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    terms = _unique_in_order(tokenize(query))
+    terms = list(dict.fromkeys(tokenize(query)))  # unique, in query order
     if not terms:
         raise EmptyQueryError(query)
     # (idf, (ids, tfs)) per matching term, in query order.
@@ -526,41 +516,33 @@ def _passage_from_entry(at: int, entry: object) -> Passage:
     )
 
 
+def _document(row: dict) -> tuple[str, str]:
+    return typed_field(row, "title"), typed_field(row, "text")
+
+
 def read_documents(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSONL corpus of {"title", "text"} records."""
-    docs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                title, text = record["title"], record["text"]
-                if not isinstance(title, str) or not isinstance(text, str):
-                    raise TypeError("'title' and 'text' must be strings")
-                docs.append((title, text))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorpusError(f"bad corpus record on line {lineno}: {exc}") from exc
-    return docs
+    return [doc for _, doc in read_jsonl(path, _document, "corpus record", CorpusError)]
 
 
 def index_documents(docs: Iterable[tuple[str, str]]) -> CorpusIndex:
     """Chunk and index documents, assigning globally unique passage ids.
 
-    A title or text holding a grammar token is rejected: a passage with one
-    could never be serialized into a prompt. Documents are numbered from 1
-    in the order given, which is their line in a corpus file read by
-    ``read_documents`` unless the file has blank lines.
+    A title or text that ``text_violation`` rejects (a grammar token or a
+    lone surrogate) is refused: a passage holding one could never be put
+    into a prompt. Documents are numbered from 1 in the order given, which
+    is their line in a corpus file read by ``read_documents`` unless the
+    file has blank lines.
     """
     passages: list[Passage] = []
     next_id = 0
     for number, (title, body) in enumerate(docs, start=1):
         for field_name, value in (("title", title), ("text", body)):
-            token = first_token(value)
-            if token is not None:
+            problem = text_violation(value)
+            if problem is not None:
                 raise CorpusError(
-                    f"document {number} ({title!r}): its {field_name} holds the "
-                    f"grammar token {token.value}, which no passage may contain"
+                    f"document {number} ({title!r}): its {field_name} {problem}, "
+                    "which no passage may contain"
                 )
         chunks = chunk_document(title, body, start_id=next_id)
         next_id += len(chunks)

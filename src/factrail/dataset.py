@@ -44,7 +44,9 @@ from .grammar import (
     render_instruction,
     retrieval_body,
     serialize_sections,
+    text_violation,
 )
+from .fileio import read_jsonl, typed_field
 from .orchestrator import build_step_prompt
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
     "build_short_generator",
     "check_training_example",
     "check_example_dict",
+    "example_from_dict",
     "emit_dataset",
     "read_raw_examples",
     "SCHEMA_VERSION",
@@ -123,6 +126,13 @@ class RawExample:
     def __post_init__(self) -> None:
         if self.history is not None:
             object.__setattr__(self, "history", tuple(tuple(turn) for turn in self.history))
+        turns = [("history", text) for turn in self.history or () for text in turn]
+        for name, text in [("x", self.x), ("y", self.y), *turns, ("source", self.source)]:
+            if type(text) is not str:
+                raise TypeError(f"{name} must be str, not {type(text).__name__}")
+            problem = text_violation(text)
+            if problem is not None:
+                raise ValueError(f"{name} {problem}")
         if not self.y.strip():
             raise ValueError("gold answer must be non-empty")
         if self.task is not TaskTag.DIALOGUE:
@@ -480,6 +490,9 @@ _SHORT_STAGES = {
 def check_training_example(example: TrainingExample) -> list[str]:
     """Return every contract violation in a built example (empty means clean)."""
     problems: list[str] = []
+    terminators = example.input.count(TokenKind.INSTRUCTION_END.value)
+    if terminators > 1:
+        problems.append(f"input holds {terminators} instruction terminators, not one")
     if example.kind is ExampleKind.LONG:
         expected = _expected_long_spans(example.output)
         if expected is None:
@@ -519,16 +532,21 @@ def check_training_example(example: TrainingExample) -> list[str]:
     return problems
 
 
+def example_from_dict(record: dict) -> TrainingExample:
+    """The example a dataset row holds; KeyError, TypeError or ValueError if none."""
+    return TrainingExample(
+        kind=ExampleKind(record["kind"]),
+        input=typed_field(record, "input"),
+        output=typed_field(record, "output"),
+        loss_spans=tuple((a, b) for a, b in typed_field(record, "loss_spans", list)),
+        source=record.get("source", ""),
+    )
+
+
 def check_example_dict(record: dict) -> list[str]:
     """Validate one JSONL record; schema problems come back as messages too."""
     try:
-        example = TrainingExample(
-            kind=ExampleKind(record["kind"]),
-            input=record["input"],
-            output=record["output"],
-            loss_spans=tuple((a, b) for a, b in record["loss_spans"]),
-            source=record.get("source", ""),
-        )
+        example = example_from_dict(record)
     except (KeyError, TypeError, ValueError) as exc:
         return [f"bad record: {exc}"]
     return check_training_example(example)
@@ -588,26 +606,18 @@ def emit_dataset(
 
 def read_raw_examples(path: str | Path, default_task: TaskTag | None = None) -> list[RawExample]:
     """Read raw records from JSONL; rows may omit "task" when a default is given."""
-    raws: list[RawExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                task = TaskTag(record["task"]) if "task" in record else default_task
-                if task is None:
-                    raise KeyError("task")
-                history = record.get("history")
-                raws.append(
-                    RawExample(
-                        task=task,
-                        x=record["x"],
-                        y=record["y"],
-                        history=tuple((q, a) for q, a in history) if history else None,
-                        source=record.get("source", ""),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"bad raw record on line {lineno}: {exc}") from exc
-    return raws
+
+    def parse(record: dict) -> RawExample:
+        task = TaskTag(record["task"]) if "task" in record else default_task
+        if task is None:
+            raise KeyError("task")
+        history = record.get("history")
+        return RawExample(
+            task=task,
+            x=record["x"],
+            y=record["y"],
+            history=tuple((q, a) for q, a in history) if history else None,
+            source=record.get("source", ""),
+        )
+
+    return [raw for _, raw in read_jsonl(path, parse, "raw record", DatasetError)]

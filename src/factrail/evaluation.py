@@ -17,12 +17,12 @@ unchanged, at a cost of O(n·m/w) word operations.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .fileio import read_jsonl, string_list, typed_field
 from .grammar import Relevance
 from .orchestrator import BatchResult, InferenceTrace
 
@@ -197,39 +197,32 @@ class EvalExample:
             raise ValueError("long-form references are for asqa examples exactly")
 
 
+def _eval_example(record: dict) -> EvalExample:
+    task = record["task"]
+    gold_answers = string_list(record["gold_answers"], "gold_answers")
+    answer_sets = long_form = None
+    if task == "asqa":
+        raw_sets = record.get("gold_answer_sets")
+        if raw_sets:
+            answer_sets = tuple(string_list(s, "gold_answer_sets entry") for s in raw_sets)
+        else:
+            answer_sets = tuple((g,) for g in gold_answers)
+        long_form = string_list(record["long_form_refs"], "long_form_refs")
+    return EvalExample(
+        question=typed_field(record, "question"),
+        gold_answers=gold_answers,
+        task=task,
+        long_form_refs=long_form,
+        answer_sets=answer_sets,
+    )
+
+
 def read_eval_examples(path: str | Path) -> list[EvalExample]:
     """Read reference records. asqa rows keep their per-disambiguation answer
     grouping via "gold_answer_sets"; rows without it treat each gold answer
     as its own set."""
-    examples: list[EvalExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                task = record["task"]
-                answer_sets = None
-                long_form = None
-                if task == "asqa":
-                    raw_sets = record.get("gold_answer_sets")
-                    if raw_sets:
-                        answer_sets = tuple(tuple(s) for s in raw_sets)
-                    else:
-                        answer_sets = tuple((g,) for g in record["gold_answers"])
-                    long_form = tuple(record["long_form_refs"])
-                examples.append(
-                    EvalExample(
-                        question=record["question"],
-                        gold_answers=tuple(record["gold_answers"]),
-                        task=task,
-                        long_form_refs=long_form,
-                        answer_sets=answer_sets,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaMismatchError(f"bad reference on line {lineno}: {exc}") from exc
-    return examples
+    rows = read_jsonl(path, _eval_example, "reference", SchemaMismatchError, (UnknownTaskError,))
+    return [example for _, example in rows]
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,25 @@
-"""Atomic replacement of output files.
+"""Input and output files.
 
-Every file the ``factrail`` command writes (index, traces, dataset,
-manifest, eval report) goes through ``atomic_path``, so an interrupted or
-failed write never leaves a truncated file where a reader expects a
-complete one.
+Every JSONL input (corpus, raw records, instructions, replay script, traces,
+references, dataset) is read by ``read_jsonl``, so a malformed line fails
+with its file kind's error class and a message naming the line. Every
+output (index, traces, dataset, manifest, eval report, replay script) is
+written through ``atomic_path``, so an interrupted or failed write never
+leaves a truncated file where a reader expects a complete one.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
-__all__ = ["atomic_path"]
+__all__ = ["atomic_path", "read_jsonl", "typed_field", "string_list"]
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -38,3 +43,52 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def read_jsonl(
+    path: str | Path,
+    parse: Callable[[dict], T],
+    what: str,
+    error: type[Exception],
+    faults: tuple[type[Exception], ...] = (),
+) -> Iterator[tuple[int, T]]:
+    """Stream ``(line number, parse(row))`` for each non-blank line of a JSONL file.
+
+    Each line must be UTF-8 holding a JSON object. A line that is not, or on
+    which ``parse`` raises KeyError, TypeError, ValueError or one of
+    ``faults``, raises ``error`` naming the line (counted from 1): ``{what}
+    on line N has no 'key'``, ``line N is not a {what}: …`` (a TypeError, or
+    no object) or ``bad {what} on line N: …``.
+    """
+    with open(path, "rb") as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                text = raw.decode("utf-8")
+                if not text.strip():
+                    continue
+                row = json.loads(text)
+                if type(row) is not dict:
+                    raise TypeError("expected a JSON object")
+                value = parse(row)
+            except KeyError as exc:
+                raise error(f"{what} on line {lineno} has no {exc.args[0]!r}") from exc
+            except TypeError as exc:
+                raise error(f"line {lineno} is not a {what}: {exc}") from exc
+            except (ValueError, RecursionError, *faults) as exc:
+                raise error(f"bad {what} on line {lineno}: {exc}") from exc
+            yield lineno, value
+
+
+def typed_field(row: dict, key: str, kind: type = str):
+    """``row[key]``, which must be of exactly type ``kind``; a ValueError if not."""
+    value = row[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def string_list(value: object, name: str) -> tuple[str, ...]:
+    """``value``, which must be a JSON array of strings, as a tuple."""
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise ValueError(f"{name!r} must be a list of str")
+    return tuple(value)

@@ -41,6 +41,7 @@ __all__ = [
     "EmptyRetrievalError",
     "RetrievalSyntaxError",
     "first_token",
+    "text_violation",
     "step_violation",
     "serialize_sections",
     "serialize_steps",
@@ -74,49 +75,28 @@ class TokenKind(Enum):
 
 
 class StepKind(Enum):
-    """Pipeline stages, in the only order they may appear."""
+    """Pipeline stages, in the only order they may appear.
 
-    RECONSTRUCTOR = "reconstructor"
-    RETRIEVAL = "retrieval"
-    LOCATOR = "locator"
-    GENERATOR = "generator"
+    ``.value`` is the stage name; ``rank`` (the position in that order),
+    ``head`` and ``end`` are plain attributes, set once per member.
+    """
 
-    @property
-    def rank(self) -> int:
-        return _STEP_RANK[self]
+    RECONSTRUCTOR = ("reconstructor", TokenKind.RECONSTRUCTOR_HEAD, TokenKind.RECONSTRUCTOR_END)
+    RETRIEVAL = ("retrieval", TokenKind.RETRIEVAL_HEAD, TokenKind.RETRIEVAL_END)
+    LOCATOR = ("locator", TokenKind.LOCATOR_HEAD, TokenKind.LOCATOR_END)
+    GENERATOR = ("generator", TokenKind.GENERATOR_HEAD, TokenKind.GENERATOR_END)
 
-    @property
-    def head(self) -> TokenKind:
-        return _KIND_TO_HEAD[self]
+    def __new__(cls, value: str, head: TokenKind, end: TokenKind) -> "StepKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.rank = len(cls._member_names_)
+        member.head = head
+        member.end = end
+        return member
 
-    @property
-    def end(self) -> TokenKind:
-        return _KIND_TO_END[self]
 
-
-_STEP_RANK = {
-    StepKind.RECONSTRUCTOR: 0,
-    StepKind.RETRIEVAL: 1,
-    StepKind.LOCATOR: 2,
-    StepKind.GENERATOR: 3,
-}
-
-_KIND_TO_HEAD = {
-    StepKind.RECONSTRUCTOR: TokenKind.RECONSTRUCTOR_HEAD,
-    StepKind.RETRIEVAL: TokenKind.RETRIEVAL_HEAD,
-    StepKind.LOCATOR: TokenKind.LOCATOR_HEAD,
-    StepKind.GENERATOR: TokenKind.GENERATOR_HEAD,
-}
-
-_KIND_TO_END = {
-    StepKind.RECONSTRUCTOR: TokenKind.RECONSTRUCTOR_END,
-    StepKind.RETRIEVAL: TokenKind.RETRIEVAL_END,
-    StepKind.LOCATOR: TokenKind.LOCATOR_END,
-    StepKind.GENERATOR: TokenKind.GENERATOR_END,
-}
-
-_HEAD_TO_KIND = {v: k for k, v in _KIND_TO_HEAD.items()}
-_END_TO_KIND = {v: k for k, v in _KIND_TO_END.items()}
+_HEAD_TO_KIND = {kind.head: kind for kind in StepKind}
+_END_TO_KIND = {kind.end: kind for kind in StepKind}
 
 _TOKEN_BY_SURFACE = {t.value: t for t in TokenKind}
 
@@ -270,7 +250,7 @@ class LocatorJudgment:
     def __post_init__(self) -> None:
         if self.passage_index < 1:
             raise ValueError("passage indices are 1-based")
-        has_fact = self.fact is not None and self.fact.strip() != ""
+        has_fact = type(self.fact) is str and self.fact.strip() != ""
         if (self.relevance is Relevance.RELEVANT) != has_fact:
             raise ValueError("a judgment carries a fact iff it is Relevant")
 
@@ -320,6 +300,21 @@ def first_token(text: str) -> TokenKind | None:
     for token in TokenKind:
         if token.value in text:
             return token
+    return None
+
+
+def text_violation(text: str) -> str | None:
+    """Why text may not enter a prompt, or None: it holds a grammar token (the
+    first by ``first_token``) or a lone surrogate, which UTF-8 cannot encode.
+    The reason is escaped, so it can itself be printed and written."""
+    token = first_token(text)
+    if token is not None:
+        return f"holds the grammar token {token.value}"
+    if not text.isascii():  # isascii is O(1); only other text is encoded
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return f"holds the lone surrogate {ascii(text[exc.start])}"
     return None
 
 

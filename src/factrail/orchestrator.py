@@ -18,11 +18,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .backends import Backend, BackendError, HEAD_TOKEN_SURFACES, prompt_text, AgentRequest
 from .corpus import CorpusIndex, EmptyQueryError, Passage, retrieve_multi
-from .fileio import atomic_path
+from .fileio import atomic_path, read_jsonl, string_list, typed_field
 from .grammar import (
     CitationList,
     GrammarError,
@@ -41,6 +41,7 @@ from .grammar import (
     serialize_trajectory,
     step_violation,
     parse_trajectory,
+    text_violation,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "trace_to_dict",
     "trace_from_dict",
     "write_traces",
+    "iter_traces",
     "read_traces",
 ]
 
@@ -198,6 +200,11 @@ def run_inference(
 ) -> InferenceTrace:
     """Run the staged pipeline for one instruction and return a validated trace."""
     cfg = config or InferenceConfig()
+    # The instruction opens every prompt; one that cannot go into a prompt
+    # fails this item.
+    problem = text_violation(instruction)
+    if problem is not None:
+        raise PipelineError("instruction", f"the instruction {problem}")
     flags: list[str] = []
     steps: list[TrajectoryStep] = []
     records: list[StepRecord] = []
@@ -323,10 +330,6 @@ def run_inference(
 # trace validation
 
 
-def _steps_by_kind(trace: InferenceTrace) -> dict[StepKind, TrajectoryStep]:
-    return {s.kind: s for s in trace.trajectory.steps}
-
-
 def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     """Check a trace against the structural contract; total, never raises.
 
@@ -342,7 +345,7 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     if StepKind.GENERATOR not in {s.kind for s in steps}:
         violations.append(TraceViolation("generator_missing", "no generator section"))
 
-    by_kind = _steps_by_kind(trace)
+    by_kind = {s.kind: s for s in steps}
     n = len(trace.passages)
 
     locator_ran = StepKind.LOCATOR in by_kind or bool(trace.judgments)
@@ -493,13 +496,16 @@ def trace_to_dict(trace: InferenceTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> InferenceTrace:
+    """The trace a ``trace_to_dict`` record holds. A malformed record raises
+    KeyError, TypeError, ValueError or (its trajectory) GrammarError."""
     trajectory = parse_trajectory(data["trajectory"])
     records = tuple(
         StepRecord(step.kind, None, step.body, 0.0) for step in trajectory.steps
     )
+    intents = data.get("intents")
     return InferenceTrace(
-        instruction=data["instruction"],
-        intents=IntentSet(tuple(data["intents"])) if data.get("intents") else None,
+        instruction=typed_field(data, "instruction"),
+        intents=IntentSet(string_list(intents, "intents")) if intents else None,
         passages=tuple(
             Passage(
                 id=p["id"], title=p["title"], text=p["text"], word_count=p["word_count"]
@@ -514,7 +520,7 @@ def trace_from_dict(data: dict) -> InferenceTrace:
             )
             for j in data["judgments"]
         ),
-        answer=data["answer"],
+        answer=typed_field(data, "answer"),
         citations=CitationList(tuple(data["citations"])),
         trajectory=trajectory,
         steps=records,
@@ -535,27 +541,23 @@ def write_traces(results: Sequence[BatchResult], path: str | Path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _trace_row(record: dict) -> InferenceTrace | PipelineError:
+    if "error" in record:
+        error = record["error"]
+        return PipelineError(typed_field(error, "stage"), typed_field(error, "message"))
+    return trace_from_dict(record)
+
+
+def iter_traces(path: str | Path) -> Iterator[tuple[int, InferenceTrace | PipelineError]]:
+    """Stream a trace file as (line number, trace or recorded error) pairs; a
+    row that is neither raises TraceFormatError naming its line."""
+    return read_jsonl(path, _trace_row, "trace record", TraceFormatError, (GrammarError,))
+
+
 def read_traces(path: str | Path) -> list[BatchResult]:
-    results: list[BatchResult] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                if "error" in record:
-                    error = PipelineError(record["error"]["stage"], record["error"]["message"])
-                    results.append(BatchResult(index=len(results), error=error))
-                else:
-                    results.append(
-                        BatchResult(index=len(results), trace=trace_from_dict(record))
-                    )
-            except KeyError as exc:
-                raise TraceFormatError(
-                    f"trace record on line {lineno} has no {exc.args[0]!r}"
-                ) from exc
-            except TypeError as exc:
-                raise TraceFormatError(
-                    f"line {lineno} is not a trace record: {exc}"
-                ) from exc
-    return results
+    return [
+        BatchResult(index=i, error=row)
+        if isinstance(row, PipelineError)
+        else BatchResult(index=i, trace=row)
+        for i, (_, row) in enumerate(iter_traces(path))
+    ]

@@ -4,8 +4,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factrail.backends import (
+    END_TOKEN_SURFACES,
     AgentReply,
     AgentRequest,
     BackendConfig,
@@ -21,6 +24,7 @@ from factrail.backends import (
     load_script,
     prompt_text,
     save_script,
+    _finalize,
 )
 from factrail.grammar import TokenKind
 
@@ -111,6 +115,28 @@ def test_scripted_empty_reply_raises():
         backend.generate(req)
 
 
+# Whole end-token surfaces, their proper prefixes (such as "</eo"), head
+# tokens, newlines and plain characters: raw replies full of near misses.
+_REPLY_PIECES = sorted(
+    {t.value for t in TokenKind}
+    | {s[:i] for s in END_TOKEN_SURFACES for i in range(1, len(s))}
+    | set("\n <>/ab")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_REPLY_PIECES), max_size=16).map("".join),
+    st.lists(st.sampled_from(END_TOKEN_SURFACES), unique=True, max_size=4).map(tuple),
+)
+def test_finalize_body_never_holds_an_end_token(raw, stop):
+    body, fired = _finalize(raw, stop)
+    assert not any(token in body for token in END_TOKEN_SURFACES)
+    assert raw.startswith(body) or raw.startswith("\n" + body)
+    if fired is not None:
+        assert fired in raw
+
+
 def test_script_file_round_trip(tmp_path):
     path = tmp_path / "script.jsonl"
     save_script({"ff" * 32: "reply one", "aa" * 32: "reply two"}, path)
@@ -125,6 +151,18 @@ def test_load_script_reports_bad_line(tmp_path):
     path.write_text('{"fingerprint": "x", "reply": "y"}\nnot json\n')
     with pytest.raises(BackendError, match="line 2"):
         load_script(path)
+
+
+def test_failed_script_write_keeps_previous_script_bytes(tmp_path):
+    path = tmp_path / "script.jsonl"
+    save_script({"cc" * 32: "old reply"}, path)
+    before = path.read_bytes()
+    # The second record's lone surrogate cannot be encoded, so the write
+    # fails after the first record.
+    with pytest.raises(UnicodeEncodeError):
+        save_script({"aa" * 32: "reply one", "bb" * 32: "reply \udc80"}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ---------------------------------------------------------------------------

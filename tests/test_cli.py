@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, config strictness, and file outputs."""
 
 import errno
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factrail.backends import ScriptedBackend, save_script
 from factrail.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, ConfigError, load_config, main
@@ -651,7 +656,7 @@ def test_validate_clean_traces(tmp_path, index_file, capsys):
 
 def test_validate_flags_tampered_traces(tmp_path, index_file, capsys):
     traces = infer_traces(tmp_path, index_file)
-    rows = [json.loads(l) for l in open(traces)]
+    rows = [json.loads(l) for l in Path(traces).read_text().splitlines()]
     rows[0]["answer"] = "tampered"
     write_jsonl(tmp_path / "bad_traces.jsonl", rows)
     code = main(["validate", "--traces", str(tmp_path / "bad_traces.jsonl")])
@@ -663,7 +668,7 @@ def test_validate_flags_tampered_dataset(tmp_path, capsys):
     raw_path = write_jsonl(tmp_path / "raw.jsonl", RAWS)
     out = tmp_path / "train.jsonl"
     main(["build-dataset", "--kind", "short-intent", "--in", raw_path, "--out", str(out)])
-    rows = [json.loads(l) for l in open(out)]
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
     rows[0]["loss_spans"] = [[0, 3]]
     write_jsonl(tmp_path / "bad.jsonl", rows)
     code = main(["validate", "--dataset", str(tmp_path / "bad.jsonl")])
@@ -696,3 +701,241 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# input files: every malformed line is named
+
+
+def test_index_names_a_corpus_line_that_is_not_utf8(tmp_path, capsys):
+    corpus_path = tmp_path / "docs.jsonl"
+    corpus_path.write_bytes(json.dumps(DOCS[0]).encode() + b'\n{"title": "Caf\xe9", "text": "x"}\n')
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i")]) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith(
+        "error: bad corpus record on line 2: 'utf-8' codec can't decode byte 0xe9"
+    )
+    assert list(tmp_path.iterdir()) == [corpus_path]
+
+
+def test_index_rejects_a_document_holding_a_lone_surrogate(tmp_path, capsys):
+    corpus_path = write_jsonl(tmp_path / "docs.jsonl", [DOCS[0], {"title": "X", "text": "a \ud800 b"}])
+    assert main(["index", "--corpus", corpus_path, "--out", str(tmp_path / "i")]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: document 2 ('X'): its text holds the lone surrogate '\\ud800', "
+        "which no passage may contain\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "docs.jsonl"]
+
+
+def test_infer_turns_an_instruction_holding_a_lone_surrogate_into_an_item_error(
+    tmp_path, index_file, capsys
+):
+    config = scripted_setup(tmp_path, [(INSTRUCTION, "the earth\n[Cite]: [1]")])
+    ins = write_jsonl(
+        tmp_path / "ins.jsonl", [{"instruction": "what \udc80 moon"}, {"instruction": INSTRUCTION}]
+    )
+    out = tmp_path / "traces.jsonl"
+    base = [
+        "--config", config, "infer", "--backend", "scripted",
+        "--index", index_file, "--in", ins, "--out", str(out),
+    ]
+    assert main(base) == EXIT_OK
+    assert "wrote 2 traces (1 failures)" in capsys.readouterr().out
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert rows[0] == {
+        "error": {"stage": "instruction", "message": "the instruction holds the lone surrogate '\\udc80'"}
+    }
+    assert rows[1]["answer"] == "the earth"
+    assert main(base + ["--strict"]) == EXIT_FAILURE
+
+
+def test_build_dataset_names_a_raw_line_holding_the_instruction_terminator(tmp_path, capsys):
+    bad = {"task": "open-qa", "x": "which planet is </eoi> the smallest planet?", "y": "mercury"}
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", [RAWS[0], bad])
+    out = tmp_path / "train.jsonl"
+    code = main(["build-dataset", "--kind", "short-intent", "--in", raw_path, "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: bad raw record on line 2: x holds the grammar token </eoi>\n"
+    )
+    assert not out.exists()
+
+
+def test_validate_flags_a_dataset_input_with_two_instruction_terminators(tmp_path, capsys):
+    x = "which planet is </eoi> the smallest planet?"
+    output = f"Search({x})</eor>"
+    record = {
+        "kind": "short-intent",
+        "input": f"{x}</eoi>\n<Reconstructor>\n",
+        "output": output,
+        "loss_spans": [[0, len(output)]],
+        "source": "open-qa",
+    }
+    path = write_jsonl(tmp_path / "train.jsonl", [record])
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        "line 1: input holds 2 instruction terminators, not one\n1 problem(s) found\n"
+    )
+
+
+def _set(key, value):
+    def corrupt(row):
+        row[key] = value
+        return row
+
+    return corrupt
+
+
+def _drop(key):
+    def corrupt(row):
+        del row[key]
+        return row
+
+    return corrupt
+
+
+def _bogus_judgment(row):
+    row["judgments"][0]["relevance"] = "bogus"
+    return row
+
+
+@pytest.mark.parametrize(
+    "corrupt, complaint",
+    [
+        (lambda row: b'{"answer": "caf\xe9"}', "bad trace record on line 2: 'utf-8' codec"),
+        (lambda row: b"not json", "bad trace record on line 2: Expecting value"),
+        (
+            lambda row: json.dumps(_bogus_judgment(row)).encode(),
+            "bad trace record on line 2: 'bogus' is not a valid Relevance",
+        ),
+        (
+            lambda row: json.dumps(_set("trajectory", "<Generator>\nthe earth")(row)).encode(),
+            "bad trace record on line 2: <Generator> at offset 0 is never closed",
+        ),
+    ],
+)
+def test_eval_and_validate_name_a_malformed_trace_line(
+    tmp_path, index_file, capsys, corrupt, complaint
+):
+    good = Path(infer_traces(tmp_path, index_file)).read_bytes()
+    traces = tmp_path / "bad_traces.jsonl"
+    traces.write_bytes(good + corrupt(json.loads(good)) + b"\n")
+    capsys.readouterr()
+    assert eval_traces(tmp_path, traces) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith(f"error: {complaint}")
+    assert main(["validate", "--traces", str(traces)]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert (out, err.startswith(f"error: {complaint}")) == ("", True)
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """One valid file of each kind the command line reads, and their rows."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    corpus = write_jsonl(tmp / "docs.jsonl", DOCS)
+    index = str(tmp / "corpus.index")
+    config = scripted_setup(tmp, [(INSTRUCTION, "the earth\n[Cite]: [1]")])
+    instructions = write_jsonl(tmp / "ins.jsonl", [{"instruction": INSTRUCTION}])
+    refs_rows = [{"task": "popqa", "question": INSTRUCTION, "gold_answers": ["the earth"]}]
+    refs = write_jsonl(tmp / "refs.jsonl", refs_rows)
+    traces, dataset = tmp / "traces.jsonl", tmp / "train.jsonl"
+    raw = write_jsonl(tmp / "raw.jsonl", RAWS)
+    assert main(["index", "--corpus", corpus, "--out", index]) == EXIT_OK
+    assert main(
+        ["--config", config, "infer", "--backend", "scripted", "--index", index,
+         "--in", instructions, "--out", str(traces)]
+    ) == EXIT_OK
+    assert main(["build-dataset", "--kind", "short-intent", "--in", raw, "--out", str(dataset)]) == EXIT_OK
+
+    def rows(path):
+        return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+    return {
+        "dir": tmp, "index": index, "instructions": instructions, "refs": refs,
+        "traces": str(traces), "rows": {
+            "corpus": DOCS, "raw": RAWS, "instructions": rows(instructions),
+            "script": rows(tmp / "replies.jsonl"), "traces": rows(traces),
+            "refs": refs_rows, "dataset": rows(dataset),
+        },
+    }
+
+
+def _commands(kind, path, inputs):
+    """The commands that read ``path`` as a file of this kind."""
+    out = str(inputs["dir"] / "out")
+    infer = ["infer", "--backend", "scripted", "--index", inputs["index"], "--out", out]
+    eval_ = ["eval", "--task", "popqa", "--out", out]
+    if kind == "script":
+        config = inputs["dir"] / "script-config.json"
+        config.write_text(json.dumps({"script": path}))
+        return [["--config", str(config), *infer, "--in", inputs["instructions"]]]
+    return {
+        "corpus": [["index", "--corpus", path, "--out", out]],
+        "raw": [["build-dataset", "--kind", "short-intent", "--in", path, "--out", out]],
+        "instructions": [["--config", str(inputs["dir"] / "config.json"), *infer, "--in", path]],
+        "traces": [[*eval_, "--traces", path, "--refs", inputs["refs"]], ["validate", "--traces", path]],
+        "refs": [[*eval_, "--traces", inputs["traces"], "--refs", path]],
+        "dataset": [["validate", "--dataset", path]],
+    }[kind]
+
+
+# Per kind: its exit code, and what makes one of its rows unreadable: a
+# missing field, a field of the wrong type, a bad enum value.
+INPUT_KINDS = {
+    "corpus": (EXIT_FAILURE, [_drop("text"), _set("title", 7)]),
+    "raw": (EXIT_FAILURE, [_drop("y"), _set("x", 7), _set("task", "bogus")]),
+    "instructions": (EXIT_USAGE, [_drop("instruction"), _set("instruction", ["a"])]),
+    "script": (EXIT_FAILURE, [_drop("reply"), _set("fingerprint", 7)]),
+    "traces": (
+        EXIT_FAILURE,
+        [_drop("trajectory"), _set("answer", 7), _set("intents", "moon"), _bogus_judgment,
+         _set("trajectory", "<Generator>\nthe earth")],
+    ),
+    "refs": (EXIT_USAGE, [_drop("gold_answers"), _set("question", 7), _set("task", "bogus")]),
+    "dataset": (EXIT_FAILURE, [_drop("output"), _set("input", 7), _set("kind", "bogus")]),
+}
+
+# Faults that any kind of row can have; each maps a good line to a bad one.
+LINE_FAULTS = [
+    lambda line: line.replace(b'"', b'"\xe9', 1),  # not UTF-8
+    lambda line: line[: len(line) // 2],  # truncated JSON
+    lambda line: b"7",
+    lambda line: b'"a string"',
+    lambda line: b"null",
+    lambda line: b"[" + line + b"]",
+    lambda line: b"[" * 100_000,  # nested deeper than the JSON decoder recurses
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(INPUT_KINDS)),
+    good=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_one_bad_line_in_any_input_file_is_named(good_inputs, kind, good, data):
+    code, row_faults = INPUT_KINDS[kind]
+    rows = good_inputs["rows"][kind]
+    lines = [json.dumps(rows[i % len(rows)]).encode() for i in range(good)]
+    blank = data.draw(st.integers(min_value=0, max_value=len(lines) + 1))
+    if blank <= len(lines):
+        lines.insert(blank, b"  ")
+    template = json.loads(json.dumps(rows[0]))
+    bad = data.draw(st.sampled_from(LINE_FAULTS + row_faults))
+    if bad in row_faults:
+        bad_line = json.dumps(bad(template)).encode()
+    else:
+        bad_line = bad(json.dumps(template).encode())
+    at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+    lines.insert(at, bad_line)
+    path = good_inputs["dir"] / f"bad-{kind}.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+    for argv in _commands(kind, str(path), good_inputs):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(argv) == code
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err.getvalue()
+        assert re.search(rf"\bline {at + 1}\b", errors[0]), errors[0]
+        assert not (good_inputs["dir"] / "out").exists()

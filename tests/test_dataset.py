@@ -1,6 +1,7 @@
 """Training-example builders, loss masks, critics, and dataset emission."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,32 @@ def test_raw_example_invariants():
         planet_example(x="")
     with pytest.raises(ValueError):
         planet_example(history=(("q", "a"),))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"x": "which planet is </eoi> the smallest planet?"}, "x holds the grammar token </eoi>"),
+        ({"y": "Mercury <Generator>"}, "y holds the grammar token <Generator>"),
+        ({"x": "which \ud800 planet?"}, "x holds the lone surrogate '\\ud800'"),
+        ({"source": "planets \udc80"}, "source holds the lone surrogate '\\udc80'"),
+        (
+            {"task": TaskTag.DIALOGUE, "history": (("hi </eor>", "hello"),)},
+            "history holds the grammar token </eor>",
+        ),
+    ],
+)
+def test_raw_example_text_must_be_clean(overrides, message):
+    with pytest.raises(ValueError) as err:
+        planet_example(**overrides)
+    assert str(err.value) == message
+
+
+def test_raw_example_text_must_be_a_string():
+    with pytest.raises(TypeError, match="x must be str, not int"):
+        planet_example(x=7)
+    with pytest.raises(TypeError, match="history must be str, not NoneType"):
+        planet_example(task=TaskTag.DIALOGUE, history=(("q", None),))
 
 
 def test_dialogue_flattening():
@@ -423,3 +450,11 @@ def test_short_input_must_be_its_stage_prompt():
     assert check_training_example(
         TrainingExample(ExampleKind.SHORT_LOCATOR, "q\n<Locator>\n", example.output, ((0, 23),))
     ) == ["short input lacks the instruction terminator"]
+
+
+def test_long_input_must_hold_exactly_one_instruction_terminator(index):
+    # The short-input case is checked through `factrail validate` in test_cli.
+    long = build_long_example(planet_example(), RuleBasedCritic(), index)
+    doubled = replace(long, input="q</eoi>" + long.input)
+    assert check_training_example(long) == []
+    assert check_training_example(doubled) == ["input holds 2 instruction terminators, not one"]

@@ -38,6 +38,7 @@ from factrail.grammar import (
     serialize_sections,
     serialize_trajectory,
     step_violation,
+    text_violation,
 )
 
 from helpers import mutate_serialized, random_trajectory
@@ -59,6 +60,34 @@ def test_token_surfaces_are_frozen():
     assert TokenKind.LOCATOR_END.value == "</eol>"
     assert TokenKind.GENERATOR_HEAD.value == "<Generator>"
     assert TokenKind.GENERATOR_END.value == "</eog>"
+
+
+def test_step_kinds_carry_rank_head_and_end():
+    assert [k.value for k in StepKind] == ["reconstructor", "retrieval", "locator", "generator"]
+    assert [k.rank for k in StepKind] == [0, 1, 2, 3]
+    assert StepKind("locator") is StepKind.LOCATOR
+    assert (StepKind.LOCATOR.head, StepKind.LOCATOR.end) == (
+        TokenKind.LOCATOR_HEAD, TokenKind.LOCATOR_END
+    )
+    # Plain attributes on each member, not properties looked up per read.
+    assert {"rank", "head", "end"} <= set(vars(StepKind.GENERATOR))
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("a plain question?", None),
+        ("ümlaut and 漢字 are fine", None),
+        ("which planet is </eoi> the smallest?", "holds the grammar token </eoi>"),
+        ("<Generator> then </eoi>", "holds the grammar token </eoi>"),
+        ("what \udc80 moon", "holds the lone surrogate '\\udc80'"),
+        ("\ud800", "holds the lone surrogate '\\ud800'"),
+    ],
+)
+def test_text_violation_names_a_token_or_a_lone_surrogate(text, problem):
+    assert text_violation(text) == problem
+    if problem is not None:
+        problem.encode("utf-8")
 
 
 def test_serialize_single_generator_step():
@@ -293,6 +322,8 @@ def test_judgment_invariant():
         LocatorJudgment(1, Relevance.RELEVANT, None)
     with pytest.raises(ValueError):
         LocatorJudgment(1, Relevance.IRRELEVANT, "fact")
+    with pytest.raises(ValueError):
+        LocatorJudgment(1, Relevance.RELEVANT, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -542,3 +542,40 @@ def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tm
     reread = read_traces(out)
     assert reread[0].error.stage == "generator"
     assert validate_trace(reread[1].trace) == []
+
+
+@pytest.mark.parametrize(
+    "instruction, problem",
+    [
+        ("what \udc80 moon", "holds the lone surrogate '\\udc80'"),
+        ("what </eoi> moon", "holds the grammar token </eoi>"),
+    ],
+)
+def test_run_batch_turns_an_unclean_instruction_into_an_item_error(
+    index, tmp_path, instruction, problem
+):
+    backend, cfg, _ = relevance_setup(index)
+    results = run_batch([instruction, INSTRUCTION], index, backend, cfg, max_workers=2)
+
+    assert results[0].trace is None
+    assert results[0].error.stage == "instruction"
+    assert results[0].error.message == f"the instruction {problem}"
+    assert results[1].trace.answer == "the earth"
+    out = tmp_path / "traces.jsonl"
+    write_traces(results, out)
+    assert read_traces(out)[0].error.message == f"the instruction {problem}"
+
+
+def test_iter_traces_streams_rows_with_their_line_numbers(index, tmp_path):
+    backend, cfg, _ = relevance_setup(index)
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    path = tmp_path / "traces.jsonl"
+    write_traces([BatchResult(0, error=PipelineError("locator", "gave up"))], path)
+    row = path.read_text()
+    write_traces([BatchResult(0, trace=trace)], path)
+    path.write_text("\n" + row + path.read_text())
+    rows = list(orchestrator.iter_traces(path))
+    assert [lineno for lineno, _ in rows] == [2, 3]
+    assert str(rows[0][1]) == "locator: gave up"
+    assert trace_to_dict(rows[1][1]) == trace_to_dict(trace)
+    assert [r.index for r in read_traces(path)] == [0, 1]
