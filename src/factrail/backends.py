@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 import requests
 
@@ -50,6 +52,12 @@ LENGTH_LIMIT_MARKER = "length"
 
 # Client errors that a later attempt may get past: timeout, rate limit.
 _RETRYABLE_CLIENT_STATUSES = frozenset({408, 429})
+# Statuses whose Retry-After header sets the wait before the next attempt.
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
+# The wait before the first retry, doubled before each later one, and the
+# most any wait may be, Retry-After included.
+_BACKOFF_S = 0.5
+_MAX_BACKOFF_S = 8.0
 
 _MATCHING_END = {kind.head: kind.end for kind in StepKind}
 
@@ -200,17 +208,39 @@ class BackendConfig:
             raise ValueError("max_output_tokens must be at least 1")
 
 
+def _retry_delay(retry: int, response: requests.Response | None) -> float:
+    """Seconds to wait before retry number ``retry`` (from 0).
+
+    A 429 or 503 response's Retry-After, given in seconds, sets the wait;
+    otherwise it is _BACKOFF_S doubled per earlier retry. Either way it is
+    at most _MAX_BACKOFF_S.
+    """
+    delay = _BACKOFF_S * 2.0 ** min(retry, 16)
+    if response is not None and response.status_code in _RETRY_AFTER_STATUSES:
+        try:
+            asked = float(response.headers.get("Retry-After", ""))
+        except ValueError:
+            asked = math.nan
+        if math.isfinite(asked):
+            delay = max(asked, 0.0)
+    return min(delay, _MAX_BACKOFF_S)
+
+
 def chat_completion(
     config: BackendConfig,
     prompt: str,
     stop: tuple[str, ...] = (),
     session: requests.Session | None = None,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[str, str | None]:
     """POST one chat-completion request; return (content, finish_reason).
 
     Transport failures, 5xx statuses, 408 and 429 are retried until the
     attempt budget (retries + 1) is spent, then surface as unavailability.
-    Any other 4xx status cannot succeed on a retry, so it surfaces after one
+    Before each retry it calls ``sleep`` with a capped exponential backoff
+    that honours Retry-After (see ``_retry_delay``); it never sleeps after
+    the last attempt, and tests pass a ``sleep`` that only records. Any
+    other 4xx status cannot succeed on a retry, so it surfaces after one
     request. A 2xx response missing the text field is malformed and not
     retried.
     """
@@ -227,13 +257,17 @@ def chat_completion(
         headers["Authorization"] = f"Bearer {api_key}"
     post = (session or requests).post
     last_error: BackendUnavailableError | None = None
-    for _attempt in range(config.retries + 1):
+    response: requests.Response | None = None  # the last attempt's, if any
+    for attempt in range(config.retries + 1):
+        if attempt:
+            sleep(_retry_delay(attempt - 1, response))
         try:
             response = post(
                 config.endpoint_url, json=payload, headers=headers, timeout=config.timeout_s
             )
         except requests.RequestException as exc:
             last_error = BackendUnavailableError(f"transport failure: {exc}")
+            response = None
             continue
         status = response.status_code
         if status < 200 or status >= 300:
@@ -263,10 +297,14 @@ def chat_completion(
 
 
 class HttpBackend:
-    """Chat-completion client with retries and a bound on in-flight requests."""
+    """Chat-completion client with retries and a bound on in-flight requests.
 
-    def __init__(self, config: BackendConfig) -> None:
+    ``sleep`` waits out the backoff between attempts (see ``chat_completion``).
+    """
+
+    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
         self._config = config
+        self._sleep = sleep
         self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._session = requests.Session()
 
@@ -274,7 +312,7 @@ class HttpBackend:
         prompt = prompt_text(request)
         with self._semaphore:
             content, finish_reason = chat_completion(
-                self._config, prompt, request.stop, session=self._session
+                self._config, prompt, request.stop, session=self._session, sleep=self._sleep
             )
         body, fired = _finalize(content, request.stop)
         if not body:

@@ -5,16 +5,17 @@ source title. Retrieval runs over an in-memory inverted index with BM25
 scoring (k1=1.2, b=0.75) and a stable score-then-id tie-break, so results
 are fully deterministic.
 
-Each term's posting list is two columns, passage ids in ascending order and
-the matching term frequencies. An index file (format version 2, written
-atomically) stores them as they are: one JSON header line with the passages,
-the terms and their document frequencies, then every term's ids as
-little-endian int64 and every term's frequencies as little-endian uint32.
-Loading checks and slices those columns; it never tokenizes a passage.
+The postings sit in two flat columns, passage ids and term frequencies,
+term after term; a term's postings are one span of both, with its ids in
+ascending order. An index file (format version 2, written atomically) stores
+the columns as they are: one JSON header line with the passages, the terms
+and their document frequencies, then the id column as little-endian int64
+and the tf column as little-endian uint32. Loading checks the columns and
+keeps them whole; it never tokenizes a passage and builds no per-term lists.
 
 ``retrieve`` prunes exactly (MaxScore): it scans rare terms first and skips
-the posting lists of common terms once their summed upper bounds can no
-longer lift an unseen passage into the top k. It looks the skipped terms up
+the spans of common terms once their summed upper bounds can no longer
+lift an unseen passage into the top k. It looks the skipped terms up
 by binary search for the passages still in contention, then rescores the
 survivors adding terms in query order, so scores and ranks equal those of
 an exhaustive scan.
@@ -147,18 +148,38 @@ def chunk_document(title: str, body: str, *, start_id: int = 0) -> list[Passage]
 class CorpusIndex:
     """Inverted index over passages. Treat as immutable once built.
 
-    Each term maps to two parallel columns: the ids of the passages that
-    contain it, strictly ascending, and the term's frequency in each.
-    ``build_index`` appends in ascending id and ``load_index`` rejects a file
-    whose id columns are out of order, because ``retrieve`` binary-searches
-    them.
+    The postings of every term lie in two flat, parallel columns, ``ids``
+    (passage ids) and ``tfs`` (the term's frequency in each), term after
+    term in the order of ``term_numbers``. Term number n owns the span
+    ``offsets[n]:offsets[n + 1]`` of both. Within a span the ids are strictly
+    ascending: ``build_index`` appends in ascending id and ``load_index``
+    rejects a file whose spans are out of order, because ``retrieve``
+    binary-searches them. This is the layout of the index file, so loading
+    allocates no per-term containers.
+
+    ``ids`` is a list that shares the passage table's int objects, since
+    reading an id out of an array would allocate an int per read. ``tfs``
+    is a uint32 array, the file's own type: frequencies are small ints
+    that CPython caches, so reading them allocates nothing; the array
+    holds 4 bytes per posting where a list holds 8, and it gives the
+    garbage collector nothing to traverse.
     """
 
     passages: dict[int, Passage]
-    postings: dict[str, tuple[list[int], list[int]]]
+    term_numbers: dict[str, int]
+    offsets: list[int]
+    ids: list[int]
+    tfs: array
     length_norms: dict[int, float]
     avg_doc_length: float
     total_docs: int
+
+    def span(self, term: str) -> tuple[int, int]:
+        """The (start, end) of term's postings in ids and tfs; empty if unknown."""
+        number = self.term_numbers.get(term)
+        if number is None:
+            return 0, 0
+        return self.offsets[number], self.offsets[number + 1]
 
 
 def build_index(passages: Sequence[Passage]) -> CorpusIndex:
@@ -167,22 +188,35 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
         if passage.id in by_id:
             raise DuplicatePassageError(passage.id)
         by_id[passage.id] = passage
-    postings: dict[str, tuple[list[int], list[int]]] = {}
+    # Each term's postings as one list, pid, tf, pid, tf, ... by ascending pid.
+    postings: dict[str, list[int]] = {}
     for pid in sorted(by_id):
         passage = by_id[pid]
         # Title terms are appended once so titles are searchable.
         counts = Counter(tokenize(passage.text) + tokenize(passage.title))
         for term, tf in counts.items():
-            columns = postings.get(term)
-            if columns is None:
-                columns = postings[term] = ([], [])
-            columns[0].append(pid)
-            columns[1].append(tf)
-    return _corpus_index(by_id, postings)
+            pairs = postings.get(term)
+            if pairs is None:
+                postings[term] = [pid, tf]
+            else:
+                pairs.append(pid)
+                pairs.append(tf)
+    # Flatten once into the layout that save_index writes and load_index
+    # reads. Emptying each term's list once it is copied keeps the build's
+    # peak memory below that of holding every posting twice.
+    ids: list[int] = []
+    tfs = array(_TF_TYPE)
+    offsets = [0]
+    for pairs in postings.values():
+        ids += pairs[::2]
+        tfs.fromlist(pairs[1::2])
+        offsets.append(len(ids))
+        pairs.clear()
+    return _corpus_index(by_id, list(postings), offsets, ids, tfs)
 
 
 def _corpus_index(
-    by_id: dict[int, Passage], postings: dict[str, tuple[list[int], list[int]]]
+    by_id: dict[int, Passage], terms: list[str], offsets: list[int], ids: list[int], tfs: array
 ) -> CorpusIndex:
     total = len(by_id)
     avg = sum(p.word_count for p in by_id.values()) / total if total else 0.0
@@ -192,7 +226,10 @@ def _corpus_index(
     }
     return CorpusIndex(
         passages=by_id,
-        postings=postings,
+        term_numbers=dict(zip(terms, range(len(terms)))),
+        offsets=offsets,
+        ids=ids,
+        tfs=tfs,
         length_norms=length_norms,
         avg_doc_length=avg,
         total_docs=total,
@@ -213,14 +250,14 @@ def _kth_largest(values: Iterable[float], k: int) -> float:
     return sorted(values, reverse=True)[k - 1]
 
 
-def _term_frequency(columns: tuple[list[int], list[int]], pid: int) -> int:
-    """The tf of pid in a term's (ids, tfs) columns, 0 when absent.
+def _term_frequency(ids: list[int], tfs: array, start: int, end: int, pid: int) -> int:
+    """The tf of pid in the term whose postings span ids[start:end], 0 when absent.
 
-    Bisects the id column, which every index keeps strictly ascending.
+    Bisects only that span, which every index keeps strictly ascending, so
+    a pid in a neighbouring term's span is never found.
     """
-    pids, tfs = columns
-    at = bisect_left(pids, pid)
-    if at < len(pids) and pids[at] == pid:
+    at = bisect_left(ids, pid, start, end)
+    if at < end and ids[at] == pid:
         return tfs[at]
     return 0
 
@@ -238,9 +275,9 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     rounding), no passage the scan has not reached can enter the top k, so
     the rest of the posting lists are skipped; the scan stops there only
     when those lists hold more postings than there are passages to probe
-    instead. Each skipped term is then looked up by binary search for the
-    passages that could still reach the k-th best score, and the survivors
-    are rescored in full: terms added in query order with the
+    instead. Each skipped term is then looked up by binary search within its
+    span for the passages that could still reach the k-th best score, and
+    the survivors are rescored in full: terms added in query order with the
     exhaustive expression, so scores are bit-identical to a full scan.
     """
     if k < 1:
@@ -248,36 +285,39 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     terms = list(dict.fromkeys(tokenize(query)))  # unique, in query order
     if not terms:
         raise EmptyQueryError(query)
-    # (idf, (ids, tfs)) per matching term, in query order.
+    # (idf, start, end) per matching term, in query order; the term's
+    # postings are ids[start:end] and tfs[start:end].
     weighted = [
-        (bm25_idf(index.total_docs, len(postings[0])), postings)
-        for postings in (index.postings.get(term) for term in terms)
-        if postings
+        (bm25_idf(index.total_docs, end - start), start, end)
+        for start, end in map(index.span, terms)
+        if end > start
     ]
-    norms = index.length_norms
+    ids, tfs, norms = index.ids, index.tfs, index.length_norms
 
-    # (bound, postings) per matching term, largest bound first. bound_left[i]
-    # and postings_left[i] total the bounds and the postings of scan[i:].
+    # (bound, start, end) per matching term, largest bound first.
+    # bound_left[i] and postings_left[i] total the bounds and the postings
+    # of scan[i:].
     scan = sorted(
-        ((idf * (BM25_K1 + 1.0), postings) for idf, postings in weighted),
+        ((idf * (BM25_K1 + 1.0), start, end) for idf, start, end in weighted),
         key=lambda item: -item[0],
     )
     bound_left = [0.0] * (len(scan) + 1)
     postings_left = [0] * (len(scan) + 1)
     for i in range(len(scan) - 1, -1, -1):
-        bound_left[i] = bound_left[i + 1] + scan[i][0]
-        postings_left[i] = postings_left[i + 1] + len(scan[i][1][0])
+        bound, start, end = scan[i]
+        bound_left[i] = bound_left[i + 1] + bound
+        postings_left[i] = postings_left[i + 1] + end - start
 
     # Partial sums only steer pruning; the rescoring at the end gives the scores.
     partial: dict[int, float] = {}
     threshold = 0.0  # the k-th best partial score, once k passages have one
     scanned = 0
-    for bound, (pids, tfs) in scan:
+    for bound, start, end in scan:
         if postings_left[scanned] > len(partial) >= k:
             threshold = _kth_largest(partial.values(), k)
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
-        for pid, tf in zip(pids, tfs):
+        for pid, tf in zip(ids[start:end], tfs[start:end]):
             partial[pid] = partial.get(pid, 0.0) + bound * tf / (tf + BM25_K1 * norms[pid])
         scanned += 1
     else:
@@ -292,9 +332,9 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
         candidates = [pid for pid in candidates if partial[pid] >= floor]
         if i == len(scan):
             break
-        bound, postings = scan[i]
+        bound, start, end = scan[i]
         for pid in candidates:
-            tf = _term_frequency(postings, pid)
+            tf = _term_frequency(ids, tfs, start, end, pid)
             if tf:
                 partial[pid] += bound * tf / (tf + BM25_K1 * norms[pid])
         if len(candidates) >= k:
@@ -304,8 +344,8 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     for pid in candidates:
         norm = norms[pid]
         score = 0.0
-        for idf, postings in weighted:
-            tf = _term_frequency(postings, pid)
+        for idf, start, end in weighted:
+            tf = _term_frequency(ids, tfs, start, end, pid)
             if tf:
                 score += idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
         scored.append((pid, score))
@@ -347,9 +387,10 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
     The layout is one line of compact JSON (the header: passages sorted by
     id, terms in build order and each term's document frequency), then the
-    id columns of all terms back to back as little-endian int64, then their
-    tf columns as little-endian uint32. Equal indexes give equal bytes.
+    index's id column as little-endian int64, then its tf column as
+    little-endian uint32. Equal indexes give equal bytes.
     """
+    offsets = index.offsets
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -364,19 +405,17 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             }
             for p in (index.passages[pid] for pid in sorted(index.passages))
         ],
-        "terms": list(index.postings),
-        "doc_freqs": [len(pids) for pids, _tfs in index.postings.values()],
+        "terms": list(index.term_numbers),
+        "doc_freqs": [end - start for start, end in zip(offsets, islice(offsets, 1, None))],
     }
-    pids, tfs = array(_ID_TYPE), array(_TF_TYPE)
-    for pid_column, tf_column in index.postings.values():
-        pids.fromlist(pid_column)
-        tfs.fromlist(tf_column)
+    pids, tfs = array(_ID_TYPE, index.ids), array(_TF_TYPE, index.tfs)
     if sys.byteorder != "little":
         pids.byteswap()
         tfs.byteswap()
     line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     with atomic_path(path) as temp, open(temp, "wb") as handle:
-        handle.write(line.encode("utf-8") + b"\n")
+        handle.write(line.encode("utf-8"))
+        handle.write(b"\n")
         pids.tofile(handle)
         tfs.tofile(handle)
 
@@ -409,7 +448,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         tfs.byteswap()
     if total and min(tfs) < 1:
         raise IndexFormatError("a term frequency in the index is below 1")
-    # The id columns reuse the passage table's own int objects, so a loaded
+    # The id column reuses the passage table's own int objects, so a loaded
     # index holds one int object per passage rather than one per posting.
     shared = {pid: pid for pid in by_id}
     try:
@@ -418,23 +457,15 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise IndexFormatError(
             f"the postings name passage id {exc.args[0]}, which is not in 'passages'"
         ) from None
-    # Each array is freed as soon as its list holds the values.
-    del pids
-    tf_values = tfs.tolist()
-    del tfs
-    ends = list(accumulate(doc_freqs))
+    del pids  # freed as soon as the list holds the ids
+    offsets = [0, *accumulate(doc_freqs)]
     # Within a term the ids must rise; they may fall only where a term ends.
-    term_ends = {end - 1 for end in ends}
+    term_ends = {end - 1 for end in islice(offsets, 1, None)}
     for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
         if at not in term_ends:
-            term = terms[bisect_right(ends, at)]
+            term = terms[bisect_right(offsets, at) - 1]
             raise IndexFormatError(f"the passage ids of term {term!r} are not strictly ascending")
-    postings: dict[str, tuple[list[int], list[int]]] = {}
-    start = 0
-    for term, end in zip(terms, ends):
-        postings[term] = (ids[start:end], tf_values[start:end])
-        start = end
-    return _corpus_index(by_id, postings)
+    return _corpus_index(by_id, terms, offsets, ids, tfs)
 
 
 def _read_header(handle: BinaryIO) -> dict:

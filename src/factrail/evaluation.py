@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .fileio import read_jsonl, string_list, typed_field
 from .grammar import Relevance
-from .orchestrator import BatchResult, InferenceTrace
+from .orchestrator import BatchResult, InferenceTrace, TraceViolation
 
 __all__ = [
     "EvaluationError",
@@ -250,10 +250,31 @@ class EvalReport:
         return header + "\n" + "  ".join(parts)
 
 
+def _unscorable(result: BatchResult) -> str | None:
+    """Why a row is an error row rather than scored, or None.
+
+    A row is not scored when it holds no trace, or when its trace cites a
+    passage number beyond its passages (``validate_trace``'s
+    citation_out_of_range; citations are positive by construction).
+    """
+    trace = result.trace
+    if trace is None:
+        return str(result.error) if result.error else "missing trace"
+    beyond = [cited for cited in trace.citations.indices if cited > len(trace.passages)]
+    if beyond:
+        return str(TraceViolation("citation_out_of_range", str(beyond[0])))
+    return None
+
+
 def evaluate(
     results: Sequence[BatchResult], examples: Sequence[EvalExample], task: str
 ) -> EvalReport:
-    """Score traces against references, paired by position."""
+    """Score traces against references, paired by position.
+
+    A row without a trace, or whose trace cites a passage it does not hold,
+    is an error row: it scores as an empty prediction, gets no citation
+    precision, and names its fault under "error".
+    """
     if task not in KNOWN_TASKS:
         raise UnknownTaskError(task)
     if len(results) != len(examples):
@@ -274,10 +295,11 @@ def evaluate(
     errors = 0
     for position, (result, example) in enumerate(zip(results, examples)):
         row: dict = {"i": position}
-        if result.trace is None:
+        problem = _unscorable(result)
+        if problem is not None:
             errors += 1
             prediction = ""
-            row["error"] = str(result.error) if result.error else "missing trace"
+            row["error"] = problem
         else:
             prediction = result.trace.answer
         row["prediction"] = prediction
@@ -290,7 +312,7 @@ def evaluate(
         else:
             row["acc"] = match_accuracy(prediction, example.gold_answers)
             acc_values.append(row["acc"])
-        if result.trace is not None:
+        if problem is None:
             row["citation_precision"] = citation_precision(
                 result.trace, example.gold_answers
             )

@@ -227,8 +227,14 @@ def run_inference(
         if not body:
             raise PipelineError(stage.value, "reply is empty after head truncation")
         # A token left in the body (an end token, </eoi>) would make the
-        # trace unserializable when the batch is written; fail the item now.
+        # trace unserializable when the batch is written, and a lone
+        # surrogate unencodable; fail the item now.
         problem = step_violation(TrajectoryStep(stage, body))
+        if problem is None and not body.isascii():
+            # No token is left, so text_violation can only name a surrogate.
+            unclean = text_violation(body)
+            if unclean is not None:
+                problem = f"the reply {unclean}"
         if problem:
             raise PipelineError(stage.value, problem)
         return prompt, body, elapsed

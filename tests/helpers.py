@@ -237,11 +237,12 @@ class StubServer:
     """Tiny local chat-completion endpoint driven by a per-test handler.
 
     The handler receives the parsed request payload and returns
-    (status_code, response_object); a string response object is sent as-is,
-    anything else is JSON-encoded. Requests are counted and recorded.
+    (status_code, response_object) or (status_code, response_object,
+    headers); a string response object is sent as-is, anything else is
+    JSON-encoded. Requests are counted and recorded.
     """
 
-    def __init__(self, handler: Callable[[dict], tuple[int, object]]) -> None:
+    def __init__(self, handler: Callable[[dict], tuple]) -> None:
         self._handler = handler
         self.requests: list[dict] = []
         self.header_log: list[dict] = []
@@ -255,11 +256,13 @@ class StubServer:
                 stub.requests.append(payload)
                 stub.header_log.append({k.lower(): v for k, v in self.headers.items()})
                 stub.request_count += 1
-                status, body = stub._handler(payload)
+                status, body, *extra = stub._handler(payload)
                 raw = body if isinstance(body, str) else json.dumps(body)
                 data = raw.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)

@@ -24,11 +24,17 @@ from factrail.backends import (
     load_script,
     prompt_text,
     save_script,
+    _BACKOFF_S,
+    _MAX_BACKOFF_S,
     _finalize,
 )
 from factrail.grammar import TokenKind
 
 from helpers import StubServer, chat_reply
+
+
+def NO_WAIT(_seconds):
+    """A sleep for tests that count attempts, not waits."""
 
 
 def request_for(head=TokenKind.GENERATOR_HEAD, instruction="q</eoi>\n", prior=""):
@@ -225,7 +231,7 @@ def test_http_omits_auth_header_without_key(monkeypatch):
 
 def test_http_retry_exhaustion_counts_attempts():
     with StubServer(lambda payload: (500, {"error": "down"})) as server:
-        backend = HttpBackend(config_for(server, retries=2))
+        backend = HttpBackend(config_for(server, retries=2), sleep=NO_WAIT)
         with pytest.raises(BackendUnavailableError) as err:
             backend.generate(request_for())
     assert err.value.status == 500
@@ -244,7 +250,7 @@ def test_http_client_error_is_not_retried():
 @pytest.mark.parametrize("status", [408, 429])
 def test_http_timeout_and_rate_limit_statuses_are_retried(status):
     with StubServer(lambda payload: (status, {"error": "later"})) as server:
-        backend = HttpBackend(config_for(server, retries=2))
+        backend = HttpBackend(config_for(server, retries=2), sleep=NO_WAIT)
         with pytest.raises(BackendUnavailableError) as err:
             backend.generate(request_for())
     assert err.value.status == status
@@ -261,7 +267,7 @@ def test_http_recovers_after_transient_failure():
         return 200, chat_reply("recovered")
 
     with StubServer(handler) as server:
-        reply = HttpBackend(config_for(server, retries=3)).generate(request_for())
+        reply = HttpBackend(config_for(server, retries=3), sleep=NO_WAIT).generate(request_for())
     assert reply.body == "recovered"
     assert server.request_count == 2
 
@@ -294,8 +300,40 @@ def test_http_empty_content_raises():
 
 def test_http_transport_failure_is_unavailable():
     config = BackendConfig(endpoint_url="http://127.0.0.1:9/nothing", timeout_s=0.2, retries=1)
+    waits = []
     with pytest.raises(BackendUnavailableError):
-        HttpBackend(config).generate(request_for())
+        HttpBackend(config, sleep=waits.append).generate(request_for())
+    assert waits == [_BACKOFF_S]
+
+
+def test_http_503_waits_the_retry_after_seconds_then_succeeds():
+    replies = iter([(503, {"error": "busy"}, {"Retry-After": "2"}), (200, chat_reply("done"))])
+    waits = []
+    with StubServer(lambda payload: next(replies)) as server:
+        content, _ = chat_completion(config_for(server, retries=3), "p", sleep=waits.append)
+    assert content == "done"
+    assert server.request_count == 2
+    assert waits == [2.0]
+
+
+def test_http_backoff_doubles_to_the_cap_and_never_follows_the_last_attempt():
+    # A 500's Retry-After is not honoured; only 429 and 503 set the wait.
+    waits = []
+    with StubServer(lambda payload: (500, {"error": "down"}, {"Retry-After": "0"})) as server:
+        with pytest.raises(BackendUnavailableError):
+            chat_completion(config_for(server, retries=7), "p", sleep=waits.append)
+    assert server.request_count == 8
+    assert (_BACKOFF_S, _MAX_BACKOFF_S) == (0.5, 8.0)
+    assert waits == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
+
+
+def test_http_retry_after_beyond_the_cap_is_capped():
+    waits = []
+    with StubServer(lambda payload: (429, {"error": "slow"}, {"Retry-After": "3600"})) as server:
+        with pytest.raises(BackendUnavailableError):
+            chat_completion(config_for(server, retries=2), "p", sleep=waits.append)
+    assert server.request_count == 3
+    assert waits == [_MAX_BACKOFF_S, _MAX_BACKOFF_S]
 
 
 def test_chat_completion_reports_finish_reason():

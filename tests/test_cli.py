@@ -339,7 +339,8 @@ def test_index_with_valid_columns_loads(tmp_path):
     path = tmp_path / "ok.index"
     path.write_bytes(index_bytes(header, [0, 1, 0], [1, 1, 2]))
     index = load_index(path)
-    assert index.postings == {"the": ([0, 1], [1, 1]), "moon": ([0], [2])}
+    assert index.term_numbers == {"the": 0, "moon": 1}
+    assert (index.offsets, index.ids, index.tfs.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +479,37 @@ def test_build_dataset_failure_leaves_no_partial_output(tmp_path, index_file):
 
 # ---------------------------------------------------------------------------
 # infer
+
+
+def test_http_reply_with_a_lone_surrogate_fails_only_its_item(tmp_path, index_file, capsys):
+    def handler(payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt.endswith("<Reconstructor>\n"):
+            return 200, chat_reply("Search(zebra)")  # retrieves nothing
+        return 200, chat_reply("the earth \udc80" if "moon" in prompt else "the sun")
+
+    ins = write_jsonl(
+        tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}, {"instruction": "what is the sun?"}]
+    )
+    out = tmp_path / "traces.jsonl"
+    with StubServer(handler) as server:
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"backend": {"endpoint_url": server.url, "retries": 0, "timeout_s": 5.0}})
+        )
+        code = main(
+            [
+                "--config", str(config), "infer", "--backend", "http",
+                "--index", index_file, "--in", ins, "--out", str(out),
+            ]
+        )
+    assert code == EXIT_OK
+    assert "wrote 2 traces (1 failures)" in capsys.readouterr().out
+    failed, answered = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert failed == {
+        "error": {"stage": "generator", "message": "the reply holds the lone surrogate '\\udc80'"}
+    }
+    assert answered["answer"] == "the sun"
 
 
 def test_infer_scripted_writes_traces(tmp_path, index_file, capsys):
@@ -619,6 +651,32 @@ def eval_traces(tmp_path, traces):
     return main(
         ["eval", "--traces", str(traces), "--refs", refs, "--task", "popqa", "--out", str(tmp_path / "r")]
     )
+
+
+def test_eval_counts_a_trace_citing_no_passage_as_an_error_row(tmp_path, capsys):
+    # The generator cites [99], but the trace holds no passages.
+    row = {
+        "instruction": INSTRUCTION,
+        "intents": ["moon orbit"],
+        "passages": [],
+        "judgments": [],
+        "answer": "the earth",
+        "citations": [99],
+        "trajectory": (
+            "<Reconstructor>\nSearch(moon orbit)\n</eor>\n"
+            "<Generator>\nthe earth\n[Cite]: [99]\n</eog>\n"
+        ),
+        "flags": [],
+    }
+    traces = write_jsonl(tmp_path / "traces.jsonl", [row])
+    assert eval_traces(tmp_path, traces) == EXIT_OK
+    assert "Acc=0.0000" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r").read_text())
+    assert report["citations"]["errors"] == 1.0
+    assert report["citations"]["traces_scored"] == 0.0
+    assert report["rows"] == [
+        {"i": 0, "error": "citation_out_of_range: 99", "prediction": "", "acc": 0}
+    ]
 
 
 @pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])

@@ -1,6 +1,7 @@
 """Chunking, BM25 scoring against independent oracles, and index persistence."""
 
 import errno
+import gc
 import json
 import math
 import random
@@ -231,13 +232,24 @@ def test_pruned_retrieve_matches_brute_force(case):
     assert list(got) == expected
 
 
-class IterationCountingList(list):
-    """A posting list that counts full scans; binary search does not count."""
+class ScanRecordingList(list):
+    """A posting column that records the ranges it is scanned over.
 
-    scans = 0
+    Slicing records its range and iterating records the whole column;
+    binary search reads single items, which are not recorded.
+    """
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.scanned = []
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.scanned.append((key.start, key.stop))
+        return super().__getitem__(key)
 
     def __iter__(self):
-        self.scans += 1
+        self.scanned.append((0, len(self)))
         return super().__iter__()
 
 
@@ -247,11 +259,12 @@ def test_pruning_skips_the_head_term_list():
         for pid in range(200)
     ]
     index = build_index(passages)
-    pids, tfs = index.postings["common"]
-    head = IterationCountingList(pids)
-    index.postings["common"] = (head, tfs)
+    start, end = index.span("common")
+    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
     got = retrieve(index, "common rare", k=2).ranked
-    assert head.scans == 0
+    assert index.ids.scanned == index.tfs.scanned == [index.span("rare")]
+    for lo, hi in index.ids.scanned:
+        assert hi <= start or end <= lo
     # The skipped term still counts in the exact scores.
     assert list(got) == brute_force_bm25(passages, "common rare", 2)
 
@@ -280,9 +293,65 @@ def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
     path = tmp_path / "idx.json"
     save_index(built, path)
     for index in (built, load_index(path)):
-        for term, (pids, tfs) in index.postings.items():
+        assert index.offsets[0] == 0
+        assert index.offsets[-1] == len(index.ids) == len(index.tfs)
+        for term in index.term_numbers:
+            start, end = index.span(term)
+            pids, tfs = index.ids[start:end], index.tfs[start:end]
             assert pids == sorted(set(pids)), term
             assert len(tfs) == len(pids) and min(tfs) >= 1, term
+
+
+def test_a_term_frequency_lookup_stays_inside_its_span():
+    # "beta" holds passage 1 and its span follows "alpha"'s, so an unbounded
+    # binary search for passage 1 from inside "alpha"'s span would find it.
+    passages = [
+        make_passage(0, "X", "alpha"),
+        make_passage(1, "X", "beta beta"),
+        make_passage(2, "X", "alpha alpha alpha beta"),
+    ]
+    index = build_index(passages)
+    assert list(index.term_numbers) == ["alpha", "x", "beta"]
+    alpha, beta = index.span("alpha"), index.span("beta")
+    assert index.ids[alpha[0] : alpha[1]] == [0, 2] and index.ids[beta[0] : beta[1]] == [1, 2]
+    assert corpus._term_frequency(index.ids, index.tfs, *alpha, 1) == 0
+    assert corpus._term_frequency(index.ids, index.tfs, *beta, 0) == 0
+    for term in index.term_numbers:
+        for passage in passages:
+            want = tokenize(passage.text + " " + passage.title).count(term)
+            assert corpus._term_frequency(index.ids, index.tfs, *index.span(term), passage.id) == want
+    assert index.span("gamma") == (0, 0)
+
+
+def _tracked_objects_kept_by_load(path):
+    gc.collect()
+    before = len(gc.get_objects())
+    index = load_index(path)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert index.total_docs  # keeps the index alive until counted
+    return kept
+
+
+def test_load_keeps_gc_tracked_objects_per_passage_not_per_term(tmp_path):
+    # Equal passages: 50 of 100 words each, drawn from 10 terms in one index
+    # and from 5,000 (100 per passage) in the other.
+    few = [
+        make_passage(pid, "T", " ".join(f"w{(pid + at) % 10}" for at in range(100)))
+        for pid in range(50)
+    ]
+    many = [
+        make_passage(pid, "T", " ".join(f"w{pid * 100 + at}" for at in range(100)))
+        for pid in range(50)
+    ]
+    kept = {}
+    for name, passages in (("few", few), ("many", many)):
+        path = tmp_path / f"{name}.idx"
+        save_index(build_index(passages), path)
+        kept[name] = _tracked_objects_kept_by_load(path)
+    assert len(build_index(many).term_numbers) == 5001
+    # A container per term would keep thousands more in the larger index.
+    assert abs(kept["many"] - kept["few"]) <= 5, kept
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +403,10 @@ def test_save_and_load_round_trip(tmp_path):
     save_index(index, path)
     loaded = load_index(path)
     assert loaded.passages == index.passages
-    assert loaded.postings == index.postings
+    assert loaded.term_numbers == index.term_numbers
+    assert loaded.offsets == index.offsets
+    assert loaded.ids == index.ids
+    assert loaded.tfs == index.tfs
     assert loaded.avg_doc_length == index.avg_doc_length
     got = retrieve(loaded, "term1 term2", k=5).ranked
     want = retrieve(index, "term1 term2", k=5).ranked
@@ -373,12 +445,14 @@ def test_index_file_is_a_json_header_then_little_endian_columns(tmp_path):
 
 
 def test_saves_of_one_index_are_byte_identical(tmp_path):
-    index = build_index(_random_corpus(random.Random(7), 8))
-    first, second, again = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
+    passages = _random_corpus(random.Random(7), 8)
+    index = build_index(passages)
+    first, second, again, rebuilt = (tmp_path / f"{name}.idx" for name in "abcd")
     save_index(index, first)
     save_index(index, second)
     save_index(load_index(first), again)
-    assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+    save_index(build_index(passages), rebuilt)
+    assert first.read_bytes() == second.read_bytes() == again.read_bytes() == rebuilt.read_bytes()
 
 
 def test_loaded_postings_share_the_passage_id_objects(tmp_path):
@@ -388,8 +462,8 @@ def test_loaded_postings_share_the_passage_id_objects(tmp_path):
     save_index(build_index(passages), path)
     loaded = load_index(path)
     own = {id(pid) for pid in loaded.passages}
-    for pids, _tfs in loaded.postings.values():
-        assert all(id(pid) in own for pid in pids)
+    assert len(loaded.ids) == 3 * len(passages)  # alpha, beta and the title t
+    assert all(id(pid) in own for pid in loaded.ids)
 
 
 def test_load_rejects_foreign_json(tmp_path):
