@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
+
+import requests
 
 from .backends import BackendConfig, chat_completion
 from .corpus import CorpusIndex, Passage, retrieve_multi
@@ -223,7 +226,12 @@ _RATING_RE = re.compile(r"\[(Relevant|Irrelevant)\]")
 
 
 class HttpCritic:
-    """Critic that asks a chat-completion service for intents and judgments."""
+    """Critic that asks a chat-completion service for intents and judgments.
+
+    Like ``HttpBackend``, it sends every request over one connection
+    (a ``requests.Session``), and ``sleep`` waits out the backoff between
+    attempts (see ``chat_completion``).
+    """
 
     INTENT_PROMPT = (
         "Decompose the instruction below into the web search queries needed to "
@@ -238,11 +246,19 @@ class HttpCritic:
         "Instruction: {x}\nExpected answer: {y}\nPassage: {p}\n"
     )
 
-    def __init__(self, config: BackendConfig) -> None:
+    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
         self._config = config
+        self._sleep = sleep
+        self._session = requests.Session()
+
+    def _ask(self, prompt: str) -> str:
+        content, _reason = chat_completion(
+            self._config, prompt, session=self._session, sleep=self._sleep
+        )
+        return content
 
     def propose_intents(self, x: str, task: TaskTag) -> IntentSet:
-        content, _reason = chat_completion(self._config, self.INTENT_PROMPT.format(x=x))
+        content = self._ask(self.INTENT_PROMPT.format(x=x))
         for line in content.splitlines():
             if line.strip().startswith("Search Intent:"):
                 return parse_intents(line.split(":", 1)[1])
@@ -252,7 +268,7 @@ class HttpCritic:
         self, x: str, y: str, passage: Passage, index: int = 0
     ) -> LocatorJudgment:
         prompt = self.JUDGE_PROMPT.format(x=x, y=y, p=f"{passage.title} -{passage.text}")
-        content, _reason = chat_completion(self._config, prompt)
+        content = self._ask(prompt)
         rating = _RATING_RE.search(content)
         if rating is None:
             raise CriticResponseError("no Rating in critic reply")

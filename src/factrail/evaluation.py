@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .fileio import read_jsonl, string_list, typed_field
 from .grammar import Relevance
-from .orchestrator import BatchResult, InferenceTrace, TraceViolation
+from .orchestrator import BatchResult, InferenceTrace, TraceViolation, generator_violation
 
 __all__ = [
     "EvaluationError",
@@ -253,13 +253,18 @@ class EvalReport:
 def _unscorable(result: BatchResult) -> str | None:
     """Why a row is an error row rather than scored, or None.
 
-    A row is not scored when it holds no trace, or when its trace cites a
-    passage number beyond its passages (``validate_trace``'s
-    citation_out_of_range; citations are positive by construction).
+    A row is not scored when it holds no trace, when its answer and
+    citations are not those its generator section holds
+    (``generator_violation``), or when its trace cites a passage number
+    beyond its passages (``validate_trace``'s citation_out_of_range;
+    citations are positive by construction).
     """
     trace = result.trace
     if trace is None:
         return str(result.error) if result.error else "missing trace"
+    problem = generator_violation(trace)
+    if problem is not None:
+        return str(problem)
     beyond = [cited for cited in trace.citations.indices if cited > len(trace.passages)]
     if beyond:
         return str(TraceViolation("citation_out_of_range", str(beyond[0])))
@@ -271,8 +276,9 @@ def evaluate(
 ) -> EvalReport:
     """Score traces against references, paired by position.
 
-    A row without a trace, or whose trace cites a passage it does not hold,
-    is an error row: it scores as an empty prediction, gets no citation
+    A row without a trace, whose answer or citations disagree with its
+    generator section, or whose trace cites a passage it does not hold, is
+    an error row: it scores as an empty prediction, gets no citation
     precision, and names its fault under "error".
     """
     if task not in KNOWN_TASKS:

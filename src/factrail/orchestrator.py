@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .backends import Backend, BackendError, HEAD_TOKEN_SURFACES, prompt_text, AgentRequest
+from .backends import (
+    LENGTH_LIMIT_MARKER,
+    AgentRequest,
+    Backend,
+    BackendError,
+    HEAD_TOKEN_SURFACES,
+    prompt_text,
+)
 from .corpus import CorpusIndex, EmptyQueryError, Passage, retrieve_multi
 from .fileio import atomic_path, read_jsonl, string_list, typed_field
 from .grammar import (
@@ -56,6 +63,7 @@ __all__ = [
     "stops_for",
     "run_inference",
     "validate_trace",
+    "generator_violation",
     "run_batch",
     "trace_to_dict",
     "trace_from_dict",
@@ -223,6 +231,8 @@ def run_inference(
         except BackendError as exc:
             raise PipelineError(stage.value, str(exc)) from exc
         elapsed = time.perf_counter() - begin
+        if reply.terminated_by == LENGTH_LIMIT_MARKER:
+            flags.append(f"length_limited:{stage.value}")
         body = _strip_premature_heads(reply.body, stage.value, flags)
         if not body:
             raise PipelineError(stage.value, "reply is empty after head truncation")
@@ -348,8 +358,9 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     ranks = [s.kind.rank for s in steps]
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         violations.append(TraceViolation("step_order", f"kinds {[s.kind.value for s in steps]}"))
-    if StepKind.GENERATOR not in {s.kind for s in steps}:
-        violations.append(TraceViolation("generator_missing", "no generator section"))
+    generator = generator_violation(trace)
+    if generator is not None:
+        violations.append(generator)
 
     by_kind = {s.kind: s for s in steps}
     n = len(trace.passages)
@@ -408,20 +419,28 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
                     TraceViolation("locator_mismatch", "judgments do not match the section body")
                 )
 
-    generator_step = by_kind.get(StepKind.GENERATOR)
-    if generator_step is not None:
-        try:
-            answer, citations = parse_citations(generator_step.body)
-        except GrammarError as exc:
-            violations.append(TraceViolation("generator_mismatch", str(exc)))
-        else:
-            if answer != trace.answer or citations != trace.citations:
-                violations.append(
-                    TraceViolation("generator_mismatch", "answer or citations do not match the section body")
-                )
-
     violations.extend(_prompt_violations(trace))
     return violations
+
+
+def generator_violation(trace: InferenceTrace) -> TraceViolation | None:
+    """Why the trace's answer and citations are not those of its generator
+    section, or None: the section is missing (generator_missing), does not
+    parse, or parses to another answer or citation list (generator_mismatch).
+    """
+    # The last generator section: in an ordered trajectory, the last step.
+    step = next((s for s in reversed(trace.trajectory.steps) if s.kind is StepKind.GENERATOR), None)
+    if step is None:
+        return TraceViolation("generator_missing", "no generator section")
+    try:
+        answer, citations = parse_citations(step.body)
+    except GrammarError as exc:
+        return TraceViolation("generator_mismatch", str(exc))
+    if answer != trace.answer or citations != trace.citations:
+        return TraceViolation(
+            "generator_mismatch", "answer or citations do not match the section body"
+        )
+    return None
 
 
 def _prompt_violations(trace: InferenceTrace) -> list[TraceViolation]:

@@ -679,6 +679,37 @@ def test_eval_counts_a_trace_citing_no_passage_as_an_error_row(tmp_path, capsys)
     ]
 
 
+@pytest.mark.parametrize("field, value", [("answer", "the sun"), ("citations", [])])
+def test_eval_counts_a_row_disagreeing_with_its_generator_section_as_an_error_row(
+    tmp_path, index_file, capsys, field, value
+):
+    # The generator section reads "the earth\n[Cite]: [1]"; the row's own
+    # field says otherwise, and is not scored.
+    row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])
+    assert row["trajectory"].endswith("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n")
+    row[field] = value
+    traces = write_jsonl(tmp_path / "traces.jsonl", [row])
+    refs = write_jsonl(
+        tmp_path / "refs.jsonl",
+        [{"task": "popqa", "question": INSTRUCTION, "gold_answers": [row["answer"]]}],
+    )
+    capsys.readouterr()
+    code = main(["eval", "--traces", traces, "--refs", refs, "--task", "popqa", "--out", str(tmp_path / "r")])
+    assert code == EXIT_OK
+    assert "Acc=0.0000" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r").read_text())
+    assert report["citations"]["errors"] == 1.0
+    assert report["citations"]["traces_scored"] == 0.0
+    assert report["rows"] == [
+        {
+            "i": 0,
+            "error": "generator_mismatch: answer or citations do not match the section body",
+            "prediction": "",
+            "acc": 0,
+        }
+    ]
+
+
 @pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])
 def test_eval_trace_row_missing_a_key_exits_with_message(tmp_path, index_file, capsys, key):
     row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])

@@ -5,7 +5,9 @@ import gc
 import json
 import math
 import random
+import re
 import stat
+import string
 from array import array
 
 import pytest
@@ -51,6 +53,52 @@ def test_tokenize_lowercases_and_splits_on_non_word():
     assert tokenize("foo_bar") == ["foo", "bar"]
     assert tokenize("...") == []
     assert tokenize("naïve café") == ["naïve", "café"]
+
+
+# Characters where the ASCII pass or the non-ASCII scan could part from the
+# regex: ASCII separators (punctuation, "_", the whitespace controls \x0b,
+# \x0c and \x1c-\x1f), and non-ASCII text whose lowercasing or letter class
+# differs from ASCII's: NBSP, "ß", "²", the Kelvin sign and "İ", which lowers
+# to "i" plus a combining dot.
+_TOKEN_ALPHABET = (
+    string.ascii_letters[:6] + "XYZ" + string.digits[:4] + string.punctuation
+    + " \t\n\x0b\x0c\x1c\x1d\x1e\x1f" + "\u00a0ß²\u212aİé"
+)
+
+
+# The definition of a term: a maximal run of Unicode letters and digits.
+_TERM_RE = re.compile(r"[^\W_]+")
+
+
+def _regex_tokenize(text):
+    return _TERM_RE.findall(text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=40))
+def test_tokenize_equals_the_unicode_regex(text):
+    assert tokenize(text) == _regex_tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "docs",
+    [
+        [
+            ("C++ & C#: a_b", "it's 3.14 -- e.g. x_y, (foo)[bar]{baz} A/B\tC\x0bD\x1fE!?"),
+            ("Re: RE: re", "don't-stop  __init__ 1,000,000 v2.0-RC1 ~user@host.org"),
+        ],
+        [
+            ("İstanbul", "Straße² \u212aelvin caf\u00e9\u00a0naïve ΣΊΣΥΦΟΣ 東京 ١٢٣"),
+            ("Mixed", "plain ascii words, then Ünïcödé_words and İİ"),
+        ],
+    ],
+    ids=["punctuation-heavy-ascii", "mixed-script"],
+)
+def test_index_bytes_equal_those_of_the_regex_tokenizer(tmp_path, monkeypatch, docs):
+    save_index(index_documents(docs), tmp_path / "fast.idx")
+    monkeypatch.setattr(corpus, "tokenize", _regex_tokenize)
+    save_index(index_documents(docs), tmp_path / "regex.idx")
+    assert (tmp_path / "fast.idx").read_bytes() == (tmp_path / "regex.idx").read_bytes()
 
 
 def test_chunk_document_sizes():

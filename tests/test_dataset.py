@@ -325,6 +325,19 @@ def test_http_critic_judgments(index):
     assert judgment.fact == "Mercury is the smallest planet in the solar system."
 
 
+def test_http_critic_waits_out_a_503_then_judges(index):
+    replies = iter([(503, {"error": "busy"}), (200, chat_reply("Rating: [Irrelevant]"))])
+    waits = []
+    with StubServer(lambda p: next(replies)) as server:
+        critic = HttpCritic(
+            BackendConfig(endpoint_url=server.url, timeout_s=5.0, retries=1), sleep=waits.append
+        )
+        judgment = critic.judge_passage("q", "y", index.passages[0], 1)
+    assert judgment.relevance is Relevance.IRRELEVANT
+    assert server.request_count == 2
+    assert waits == [0.5]
+
+
 def test_http_critic_irrelevant_and_errors(index):
     mercury = index.passages[0]
     with StubServer(lambda p: (200, chat_reply("Rating: [Irrelevant]"))) as server:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,21 @@ def test_evaluate_popqa_accuracy_and_errors():
     assert report.rows[0]["prediction"] == "the earth"
     assert report.rows[1]["prediction"] == ""
     assert "error" in report.rows[1]
+
+
+def test_evaluate_does_not_score_an_answer_without_a_generator_section():
+    trace = replace(
+        fact_trace([], []),
+        answer="mars",
+        trajectory=Trajectory((TrajectoryStep(StepKind.GENERATOR, "mars"),)),
+    )
+    headless = replace(
+        trace, trajectory=Trajectory((TrajectoryStep(StepKind.RECONSTRUCTOR, "Search(mars)"),))
+    )
+    examples = [EvalExample("q", ("mars",), "popqa")] * 2
+    report = evaluate([BatchResult(0, trace=trace), BatchResult(1, trace=headless)], examples, "popqa")
+    assert [row["acc"] for row in report.rows] == [1, 0]
+    assert report.rows[1]["error"] == "generator_missing: no generator section"
 
 
 def test_evaluate_asqa_uses_sets_and_rouge():

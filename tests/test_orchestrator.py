@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from factrail import orchestrator
-from factrail.backends import ScriptedBackend
+from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend
 from factrail.corpus import build_index, chunk_document, index_documents
 from factrail.grammar import (
     CitationList,
@@ -32,7 +32,7 @@ from factrail.orchestrator import (
     write_traces,
 )
 
-from helpers import judge_by_answer, mirror_retrieval, script_scenario
+from helpers import StubServer, chat_reply, judge_by_answer, mirror_retrieval, script_scenario
 
 DOCS = [
     ("Moon", "the moon orbits the earth every month"),
@@ -130,6 +130,21 @@ def test_no_passages_falls_back(index):
         StepKind.RECONSTRUCTOR,
         StepKind.GENERATOR,
     ]
+    assert validate_trace(trace) == []
+
+
+def test_a_reply_cut_at_the_length_limit_flags_its_stage(index):
+    def handler(payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt.endswith("<Reconstructor>\n"):
+            return 200, chat_reply("Search(zebra)")  # retrieves nothing
+        return 200, chat_reply("the sun is", finish_reason="length")
+
+    with StubServer(handler) as server:
+        backend = HttpBackend(BackendConfig(endpoint_url=server.url, retries=0, timeout_s=5.0))
+        trace = run_inference(INSTRUCTION, index, backend)
+    assert trace.answer == "the sun is"
+    assert trace.flags == ("no_passages", "generator_fallback", "length_limited:generator")
     assert validate_trace(trace) == []
 
 
