@@ -198,10 +198,16 @@ class BackendConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("endpoint_url", "model", "api_key_env"):
+            typed_field(vars(self), name, str)
+        for name in ("max_output_tokens", "retries", "max_in_flight"):
+            typed_field(vars(self), name, int)
+        if type(self.timeout_s) not in (int, float):
+            raise ValueError(f"'timeout_s' must be int or float, not {type(self.timeout_s).__name__}")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError("timeout must be positive and finite")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         if self.max_output_tokens < 1:

@@ -38,7 +38,9 @@ class GlobalConfig:
     script: str | None = None
 
 
-def _build_section(cls, data: dict, where: str):
+def _build_section(cls, data: object, where: str):
+    if type(data) is not dict:
+        raise ConfigError(f"the {where} config must be a JSON object")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
@@ -71,8 +73,12 @@ def load_config(path: str | None) -> GlobalConfig:
     if "backend" in data:
         backend_cfg = _build_section(backends.BackendConfig, data["backend"], "backend")
     for key, kind in (("log_level", str), ("concurrency", int), ("script", str)):
-        if key in data and not isinstance(data[key], kind):
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}")
+        if key in data and type(data[key]) is not kind:
+            raise ConfigError(
+                f"bad config: {key!r} must be {kind.__name__}, not {type(data[key]).__name__}"
+            )
+    if data.get("concurrency", 1) < 1:
+        raise ConfigError("bad config: 'concurrency' must be at least 1")
     return GlobalConfig(
         log_level=data.get("log_level", "warning"),
         concurrency=data.get("concurrency", 4),

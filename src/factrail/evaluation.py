@@ -5,7 +5,8 @@ drop the articles a/an/the, collapse whitespace. Accuracy is substring
 containment of a normalized gold in the normalized prediction; str_em
 generalizes that to answer sets; rouge_l is a word-level LCS F1 taken as
 the max over references. Citation precision checks that cited facts
-actually contain a gold answer.
+actually contain a gold answer. A trace is scored only if ``validate_trace``
+finds nothing wrong with it but citations of passages not judged Relevant.
 
 The LCS length comes from the bit-parallel algorithm of Allison and Dix
 (1986) in Hyyrö's (2004) formulation: one match mask per distinct reference
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .fileio import read_jsonl, string_list, typed_field
 from .grammar import Relevance
-from .orchestrator import BatchResult, InferenceTrace, TraceViolation, generator_violation
+from .orchestrator import BatchResult, InferenceTrace, validate_trace
 
 __all__ = [
     "EvaluationError",
@@ -251,23 +252,15 @@ class EvalReport:
 
 
 def _unscorable(result: BatchResult) -> str | None:
-    """Why a row is an error row rather than scored, or None.
-
-    A row is not scored when it holds no trace, when its answer and
-    citations are not those its generator section holds
-    (``generator_violation``), or when its trace cites a passage number
-    beyond its passages (``validate_trace``'s citation_out_of_range;
-    citations are positive by construction).
-    """
+    """Why a row is an error row rather than scored, or None: it holds no
+    trace, or ``validate_trace`` finds a problem in it other than a
+    citation of a passage not judged Relevant (the first such problem)."""
     trace = result.trace
     if trace is None:
         return str(result.error) if result.error else "missing trace"
-    problem = generator_violation(trace)
-    if problem is not None:
-        return str(problem)
-    beyond = [cited for cited in trace.citations.indices if cited > len(trace.passages)]
-    if beyond:
-        return str(TraceViolation("citation_out_of_range", str(beyond[0])))
+    for violation in validate_trace(trace):
+        if violation.code != "citation_unsupported":
+            return str(violation)
     return None
 
 
@@ -276,10 +269,10 @@ def evaluate(
 ) -> EvalReport:
     """Score traces against references, paired by position.
 
-    A row without a trace, whose answer or citations disagree with its
-    generator section, or whose trace cites a passage it does not hold, is
-    an error row: it scores as an empty prediction, gets no citation
-    precision, and names its fault under "error".
+    A row without a trace, or whose trace ``validate_trace`` rejects for
+    anything but an unsupported citation, is an error row: it scores as an
+    empty prediction, gets no citation precision, and names its fault under
+    "error". An unsupported citation lowers the citation precision instead.
     """
     if task not in KNOWN_TASKS:
         raise UnknownTaskError(task)

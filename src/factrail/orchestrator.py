@@ -16,7 +16,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -63,7 +63,6 @@ __all__ = [
     "stops_for",
     "run_inference",
     "validate_trace",
-    "generator_violation",
     "run_batch",
     "trace_to_dict",
     "trace_from_dict",
@@ -84,6 +83,10 @@ class InferenceConfig:
     generator_fallback: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("k", "max_intents", "max_passages"):
+            typed_field(vars(self), name, int)
+        for name in ("locator_required", "generator_fallback"):
+            typed_field(vars(self), name, bool)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.max_intents < 1:
@@ -206,7 +209,8 @@ def run_inference(
     backend: Backend,
     config: InferenceConfig | None = None,
 ) -> InferenceTrace:
-    """Run the staged pipeline for one instruction and return a validated trace."""
+    """Run the staged pipeline for one instruction and return its trace, which
+    breaks ``validate_trace`` only by the citation problems its flags name."""
     cfg = config or InferenceConfig()
     # The instruction opens every prompt; one that cannot go into a prompt
     # fails this item.
@@ -319,8 +323,10 @@ def run_inference(
         raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.GENERATOR, body))
     records.append(StepRecord(StepKind.GENERATOR, prompt, body, elapsed))
+    for violation in _citation_violations(citations, judgments, len(passages)):
+        flags.append(f"{violation.code}:{violation.detail}")
 
-    trace = InferenceTrace(
+    return InferenceTrace(
         instruction=instruction,
         intents=intents,
         passages=tuple(passages),
@@ -331,15 +337,20 @@ def run_inference(
         steps=tuple(records),
         flags=tuple(flags),
     )
-    citation_flags = []
-    for violation in validate_trace(trace):
-        if violation.code in ("citation_out_of_range", "citation_unsupported"):
-            citation_flags.append(f"{violation.code}:{violation.detail}")
-        else:
-            raise PipelineError("validate", str(violation))
-    if citation_flags:
-        trace = replace(trace, flags=tuple(flags) + tuple(citation_flags))
-    return trace
+
+
+def _citation_violations(
+    citations: CitationList, judgments: Sequence[LocatorJudgment], passage_count: int
+) -> list[TraceViolation]:
+    """Each cited number that names no passage, or one not judged Relevant."""
+    relevant = {j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT}
+    violations = []
+    for cited in citations.indices:
+        if cited < 1 or cited > passage_count:
+            violations.append(TraceViolation("citation_out_of_range", str(cited)))
+        elif cited not in relevant:
+            violations.append(TraceViolation("citation_unsupported", str(cited)))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +360,10 @@ def run_inference(
 def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     """Check a trace against the structural contract; total, never raises.
 
-    Prompt-shape checks only run for step records that kept their prompts
-    (traces reloaded from disk have none).
+    Sections come in stage order, each field agrees with its section, and
+    each citation names a passage judged Relevant. ``run_inference``
+    only builds traces that can break the last rule, so this is run on
+    traces read back from disk.
     """
     violations: list[TraceViolation] = []
     steps = trace.trajectory.steps
@@ -358,27 +371,31 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     ranks = [s.kind.rank for s in steps]
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         violations.append(TraceViolation("step_order", f"kinds {[s.kind.value for s in steps]}"))
-    generator = generator_violation(trace)
-    if generator is not None:
-        violations.append(generator)
+    # The last generator section: in an ordered trajectory, the last step.
+    generator_step = next((s for s in reversed(steps) if s.kind is StepKind.GENERATOR), None)
+    if generator_step is None:
+        violations.append(TraceViolation("generator_missing", "no generator section"))
+    else:
+        try:
+            answer, citations = parse_citations(generator_step.body)
+        except GrammarError as exc:
+            violations.append(TraceViolation("generator_mismatch", str(exc)))
+        else:
+            if answer != trace.answer or citations != trace.citations:
+                violations.append(
+                    TraceViolation(
+                        "generator_mismatch", "answer or citations do not match the section body"
+                    )
+                )
 
     by_kind = {s.kind: s for s in steps}
     n = len(trace.passages)
 
-    locator_ran = StepKind.LOCATOR in by_kind or bool(trace.judgments)
-    if locator_ran:
-        indices = sorted(j.passage_index for j in trace.judgments)
-        if indices != list(range(1, n + 1)):
-            violations.append(
-                TraceViolation("judgment_coverage", f"covers {indices} of 1..{n}")
-            )
-
-    relevant = {j.passage_index for j in trace.judgments if j.relevance is Relevance.RELEVANT}
-    for cited in trace.citations.indices:
-        if cited < 1 or cited > n:
-            violations.append(TraceViolation("citation_out_of_range", str(cited)))
-        elif cited not in relevant:
-            violations.append(TraceViolation("citation_unsupported", str(cited)))
+    if StepKind.LOCATOR in by_kind or trace.judgments:
+        problem = _judgment_coverage_problem(trace.judgments, n)
+        if problem:
+            violations.append(TraceViolation("judgment_coverage", problem))
+    violations.extend(_citation_violations(trace.citations, trace.judgments, n))
 
     retrieval_step = by_kind.get(StepKind.RETRIEVAL)
     if trace.passages:
@@ -419,51 +436,6 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
                     TraceViolation("locator_mismatch", "judgments do not match the section body")
                 )
 
-    violations.extend(_prompt_violations(trace))
-    return violations
-
-
-def generator_violation(trace: InferenceTrace) -> TraceViolation | None:
-    """Why the trace's answer and citations are not those of its generator
-    section, or None: the section is missing (generator_missing), does not
-    parse, or parses to another answer or citation list (generator_mismatch).
-    """
-    # The last generator section: in an ordered trajectory, the last step.
-    step = next((s for s in reversed(trace.trajectory.steps) if s.kind is StepKind.GENERATOR), None)
-    if step is None:
-        return TraceViolation("generator_missing", "no generator section")
-    try:
-        answer, citations = parse_citations(step.body)
-    except GrammarError as exc:
-        return TraceViolation("generator_mismatch", str(exc))
-    if answer != trace.answer or citations != trace.citations:
-        return TraceViolation(
-            "generator_mismatch", "answer or citations do not match the section body"
-        )
-    return None
-
-
-def _prompt_violations(trace: InferenceTrace) -> list[TraceViolation]:
-    violations: list[TraceViolation] = []
-    prefix: list[TrajectoryStep] = []
-    has_relevant = any(j.relevance is Relevance.RELEVANT for j in trace.judgments)
-    for record in trace.steps:
-        if record.prompt is not None:
-            prior: Sequence[TrajectoryStep] = prefix
-            if record.kind is StepKind.GENERATOR:
-                code, problem = "branch_mismatch", "generator prompt does not match the relevance branch"
-                if not has_relevant:
-                    prior = []
-            else:
-                code, problem = "prompt_mismatch", f"{record.kind.value} prompt is not cumulative"
-            try:
-                expected = build_step_prompt(trace.instruction, prior, record.kind)
-            except GrammarError as exc:
-                violations.append(TraceViolation(code, str(exc)))
-            else:
-                if record.prompt != expected:
-                    violations.append(TraceViolation(code, problem))
-        prefix.append(TrajectoryStep(record.kind, record.body))
     return violations
 
 

@@ -125,6 +125,50 @@ def test_load_config_sections(tmp_path):
     assert cfg.script == "replies.jsonl"
 
 
+BACKEND = {"endpoint_url": "http://h"}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"inference": {"k": 2.5}}, "bad inference config: 'k' must be int, not float"),
+        ({"inference": {"max_intents": True}}, "bad inference config: 'max_intents' must be int, not bool"),
+        ({"inference": {"max_passages": "12"}}, "bad inference config: 'max_passages' must be int, not str"),
+        (
+            {"inference": {"locator_required": "no"}},
+            "bad inference config: 'locator_required' must be bool, not str",
+        ),
+        ({"backend": {**BACKEND, "retries": 1.5}}, "bad backend config: 'retries' must be int, not float"),
+        (
+            {"backend": {**BACKEND, "max_output_tokens": 512.0}},
+            "bad backend config: 'max_output_tokens' must be int, not float",
+        ),
+        (
+            {"backend": {**BACKEND, "max_in_flight": False}},
+            "bad backend config: 'max_in_flight' must be int, not bool",
+        ),
+        (
+            {"backend": {**BACKEND, "timeout_s": True}},
+            "bad backend config: 'timeout_s' must be int or float, not bool",
+        ),
+        ({"backend": {"endpoint_url": 8000}}, "bad backend config: 'endpoint_url' must be str, not int"),
+        ({"concurrency": True}, "bad config: 'concurrency' must be int, not bool"),
+        ({"concurrency": -2}, "bad config: 'concurrency' must be at least 1"),
+        ({"inference": 3}, "the inference config must be a JSON object"),
+    ],
+)
+def test_mistyped_config_value_exits_with_usage(tmp_path, index_file, capsys, config, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
+    argv = ["--config", str(path), "infer", "--backend", "scripted", "--index", index_file]
+    capsys.readouterr()
+    assert main([*argv, "--in", ins, "--out", str(tmp_path / "t.jsonl")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bad_config_exits_with_usage(tmp_path, corpus_file):
     config = tmp_path / "c.json"
     config.write_text('{"mystery": 1}')
@@ -708,6 +752,41 @@ def test_eval_counts_a_row_disagreeing_with_its_generator_section_as_an_error_ro
             "acc": 0,
         }
     ]
+
+
+def rewrite_first_fact(row):
+    row["judgments"][0]["fact"] = "no gold here"
+
+
+def rewrite_intents(row):
+    row["intents"] = ["something else"]
+
+
+@pytest.mark.parametrize(
+    "rewrite, error",
+    [
+        (rewrite_first_fact, "locator_mismatch: judgments do not match the section body"),
+        (rewrite_intents, "intents_mismatch: intents do not match the section body"),
+    ],
+    ids=["judgments", "intents"],
+)
+def test_eval_scores_no_row_that_validate_rejects(tmp_path, index_file, capsys, rewrite, error):
+    # The row's own field no longer says what its section says; validate
+    # rejects the row, so eval counts it as an error row and scores no
+    # citation precision from the rewritten field.
+    row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])
+    assert row["judgments"][0] == {
+        "passage_index": 1, "relevance": "Relevant", "fact": "the moon orbits the earth every month.",
+    }
+    rewrite(row)
+    traces = write_jsonl(tmp_path / "traces.jsonl", [row])
+    capsys.readouterr()
+    assert main(["validate", "--traces", traces]) == EXIT_FAILURE
+    assert capsys.readouterr().out == f"line 1: {error}\n1 problem(s) found\n"
+    assert eval_traces(tmp_path, traces) == EXIT_OK
+    report = json.loads((tmp_path / "r").read_text())
+    assert report["citations"] == {"errors": 1.0, "precision_mean": 0.0, "traces_scored": 0.0}
+    assert report["rows"] == [{"i": 0, "error": error, "prediction": "", "acc": 0}]
 
 
 @pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])

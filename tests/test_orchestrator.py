@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factrail import orchestrator
 from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend
@@ -32,7 +34,14 @@ from factrail.orchestrator import (
     write_traces,
 )
 
-from helpers import StubServer, chat_reply, judge_by_answer, mirror_retrieval, script_scenario
+from helpers import (
+    StubServer,
+    chat_reply,
+    format_judgment_line,
+    judge_by_answer,
+    mirror_retrieval,
+    script_scenario,
+)
 
 DOCS = [
     ("Moon", "the moon orbits the earth every month"),
@@ -97,6 +106,27 @@ def test_prompts_are_cumulative_prefixes(index):
         head_start = shorter.rindex("<")
         assert longer.startswith(shorter[:head_start])
     assert prompts[0].startswith(INSTRUCTION + "</eoi>\n")
+
+
+def test_one_inference_serializes_once_per_backend_call_and_never_validates(index, monkeypatch):
+    backend, cfg, _ = relevance_setup(index)
+    calls = {"generate": 0, "serialize_steps": 0, "validate_trace": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(backend, "generate")
+    counted(orchestrator, "serialize_steps")
+    counted(orchestrator, "validate_trace")
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    assert len(trace.steps) == 4
+    assert calls == {"generate": 3, "serialize_steps": 3, "validate_trace": 0}
 
 
 def test_fallback_branch_hides_locator_from_generator(index):
@@ -390,17 +420,62 @@ def test_detects_answer_tampering(clean_trace):
     assert codes(replace(clean_trace, answer="wrong")) == ["generator_mismatch"]
 
 
-def test_detects_prompt_tampering(clean_trace):
-    records = list(clean_trace.steps)
-    records[0] = replace(records[0], prompt="tampered")
-    assert codes(replace(clean_trace, steps=tuple(records))) == ["prompt_mismatch"]
+# ---------------------------------------------------------------------------
+# what run_inference guarantees without checking itself
+
+_WORDS = ("moon", "orbit", "earth", "sun", "star", "ocean", "tides", "month", "zebra")
 
 
-def test_detects_branch_tampering(clean_trace):
-    records = list(clean_trace.steps)
-    fallback_prompt = build_step_prompt(clean_trace.instruction, [], StepKind.GENERATOR)
-    records[-1] = replace(records[-1], prompt=fallback_prompt)
-    assert codes(replace(clean_trace, steps=tuple(records))) == ["branch_mismatch"]
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citations(data):
+    index = index_documents(DOCS)
+    intents = data.draw(
+        st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3), min_size=1, max_size=4)
+    )
+    cfg = InferenceConfig(
+        k=data.draw(st.integers(1, 3), label="k"),
+        max_intents=data.draw(st.integers(1, 4), label="max_intents"),
+    )
+    cited = sorted(data.draw(st.sets(st.integers(1, 7), max_size=3), label="cited"))
+    answer = "the earth"
+    if cited:
+        answer += "\n[Cite]: " + " ".join(f"[{c}]" for c in cited)
+    verdicts: list[bool] = []
+
+    def locator_body(passages):
+        verdicts.extend(data.draw(st.lists(st.booleans(), min_size=len(passages), max_size=len(passages))))
+        return "\n".join(
+            format_judgment_line(i, passage.text + ".")
+            if relevant
+            else f"[Irrelevant]: [{i}] Lacking Supporting Facts."
+            for i, (passage, relevant) in enumerate(zip(passages, verdicts), start=1)
+        )
+
+    backend = ScriptedBackend()
+    reconstruction = "Search(" + "; ".join(" ".join(words) for words in intents) + ")"
+    passages = script_scenario(backend, index, cfg, INSTRUCTION, reconstruction, locator_body, answer)
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+
+    relevant = {i for i, verdict in enumerate(verdicts, start=1) if verdict}
+    expected = [
+        f"citation_out_of_range:{c}" if c > len(passages) else f"citation_unsupported:{c}"
+        for c in cited
+        if c not in relevant
+    ]
+    assert [f for f in trace.flags if f.startswith("citation_")] == expected
+    assert [f"{v.code}:{v.detail}" for v in validate_trace(trace)] == expected
+
+    fallback = not relevant
+    assert ("generator_fallback" in trace.flags) == fallback
+    steps = trace.trajectory.steps
+    assert [(r.kind, r.body) for r in trace.steps] == [(s.kind, s.body) for s in steps]
+    for position, record in enumerate(trace.steps):
+        if record.kind is StepKind.RETRIEVAL:
+            assert record.prompt is None
+            continue
+        prior = [] if record.kind is StepKind.GENERATOR and fallback else steps[:position]
+        assert record.prompt == build_step_prompt(INSTRUCTION, prior, record.kind)
 
 
 # ---------------------------------------------------------------------------
