@@ -24,6 +24,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+# The values --log-level and the config's log_level take.
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
 
 class ConfigError(Exception):
     pass
@@ -79,6 +82,11 @@ def load_config(path: str | None) -> GlobalConfig:
             )
     if data.get("concurrency", 1) < 1:
         raise ConfigError("bad config: 'concurrency' must be at least 1")
+    if data.get("log_level", "warning") not in LOG_LEVELS:
+        raise ConfigError(
+            f"bad config: 'log_level' must be one of {', '.join(LOG_LEVELS)}, "
+            f"not {data['log_level']!r}"
+        )
     return GlobalConfig(
         log_level=data.get("log_level", "warning"),
         concurrency=data.get("concurrency", 4),
@@ -225,7 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Retrieval-grounded answer pipelines: index, build, infer, eval.",
     )
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--log-level", help="override the configured log level")
+    parser.add_argument(
+        "--log-level", choices=LOG_LEVELS, help="override the configured log level"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="chunk and index a JSONL corpus")
@@ -286,9 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(
-        level=getattr(logging, (args.log_level or cfg.log_level).upper(), logging.WARNING)
-    )
+    logging.basicConfig(level=(args.log_level or cfg.log_level).upper())
     if args.command == "validate" and not (args.dataset or args.traces):
         print("error: validate needs --dataset or --traces", file=sys.stderr)
         return EXIT_USAGE

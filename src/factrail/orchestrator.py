@@ -97,11 +97,11 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What one stage actually saw and produced. Tool steps have no prompt."""
+    """What one stage saw and how long it took, which its section does not
+    hold. Tool steps have no prompt."""
 
     kind: StepKind
     prompt: str | None
-    body: str
     duration_s: float
 
 
@@ -116,6 +116,11 @@ class TraceViolation:
 
 @dataclass(frozen=True)
 class InferenceTrace:
+    """One inference. The trajectory is the record; intents, judgments,
+    answer and citations are the parses of its sections, and the passages
+    are those its retrieval section lists. ``steps`` holds what only the run
+    itself saw, so a trace read from a file has none."""
+
     instruction: str
     intents: IntentSet | None
     passages: tuple[Passage, ...]
@@ -123,7 +128,7 @@ class InferenceTrace:
     answer: str
     citations: CitationList
     trajectory: Trajectory
-    steps: tuple[StepRecord, ...]
+    steps: tuple[StepRecord, ...] = ()
     flags: tuple[str, ...] = ()
 
 
@@ -260,7 +265,7 @@ def run_inference(
     except GrammarError as exc:
         raise PipelineError(StepKind.RECONSTRUCTOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, body))
-    records.append(StepRecord(StepKind.RECONSTRUCTOR, prompt, body, elapsed))
+    records.append(StepRecord(StepKind.RECONSTRUCTOR, prompt, elapsed))
     intents = proposed
     if proposed.m > cfg.max_intents:
         intents = IntentSet(proposed.intents[: cfg.max_intents])
@@ -280,8 +285,12 @@ def run_inference(
     judgments: tuple[LocatorJudgment, ...] = ()
     if passages:
         body = retrieval_body(passages)
+        # A trace file holds each passage's text only in its line of this
+        # section; a passage spanning lines could not be read back.
+        if body.count("\n") != len(passages) - 1:
+            raise PipelineError(StepKind.RETRIEVAL.value, "a passage spans more than one line")
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
-        records.append(StepRecord(StepKind.RETRIEVAL, None, body, elapsed))
+        records.append(StepRecord(StepKind.RETRIEVAL, None, elapsed))
 
         # Stage 3: fact location.
         prompt, body, elapsed = call(StepKind.LOCATOR, steps)
@@ -301,7 +310,7 @@ def run_inference(
         else:
             judgments = parsed
             steps.append(TrajectoryStep(StepKind.LOCATOR, body))
-            records.append(StepRecord(StepKind.LOCATOR, prompt, body, elapsed))
+            records.append(StepRecord(StepKind.LOCATOR, prompt, elapsed))
     else:
         flags.append("no_passages")
 
@@ -322,7 +331,7 @@ def run_inference(
     except GrammarError as exc:
         raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.GENERATOR, body))
-    records.append(StepRecord(StepKind.GENERATOR, prompt, body, elapsed))
+    records.append(StepRecord(StepKind.GENERATOR, prompt, elapsed))
     for violation in _citation_violations(citations, judgments, len(passages)):
         flags.append(f"{violation.code}:{violation.detail}")
 
@@ -358,84 +367,26 @@ def _citation_violations(
 
 
 def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
-    """Check a trace against the structural contract; total, never raises.
+    """Check what a trace's sections cannot show by their form; total, never
+    raises.
 
-    Sections come in stage order, each field agrees with its section, and
-    each citation names a passage judged Relevant. ``run_inference``
-    only builds traces that can break the last rule, so this is run on
-    traces read back from disk.
+    There is a generator section, the judgments cover the passages, and
+    each citation names a passage judged Relevant. Every other field is a
+    parse of the trajectory, so it agrees with its section by construction,
+    and ``parse_trajectory`` keeps the sections in stage order.
+    ``run_inference`` only builds traces that can break the last rule, so
+    this is run on traces read back from disk.
     """
     violations: list[TraceViolation] = []
-    steps = trace.trajectory.steps
-
-    ranks = [s.kind.rank for s in steps]
-    if any(b <= a for a, b in zip(ranks, ranks[1:])):
-        violations.append(TraceViolation("step_order", f"kinds {[s.kind.value for s in steps]}"))
-    # The last generator section: in an ordered trajectory, the last step.
-    generator_step = next((s for s in reversed(steps) if s.kind is StepKind.GENERATOR), None)
-    if generator_step is None:
+    kinds = {s.kind for s in trace.trajectory.steps}
+    if StepKind.GENERATOR not in kinds:
         violations.append(TraceViolation("generator_missing", "no generator section"))
-    else:
-        try:
-            answer, citations = parse_citations(generator_step.body)
-        except GrammarError as exc:
-            violations.append(TraceViolation("generator_mismatch", str(exc)))
-        else:
-            if answer != trace.answer or citations != trace.citations:
-                violations.append(
-                    TraceViolation(
-                        "generator_mismatch", "answer or citations do not match the section body"
-                    )
-                )
-
-    by_kind = {s.kind: s for s in steps}
     n = len(trace.passages)
-
-    if StepKind.LOCATOR in by_kind or trace.judgments:
+    if StepKind.LOCATOR in kinds or trace.judgments:
         problem = _judgment_coverage_problem(trace.judgments, n)
         if problem:
             violations.append(TraceViolation("judgment_coverage", problem))
     violations.extend(_citation_violations(trace.citations, trace.judgments, n))
-
-    retrieval_step = by_kind.get(StepKind.RETRIEVAL)
-    if trace.passages:
-        expected = retrieval_body(trace.passages)
-        if retrieval_step is None or retrieval_step.body != expected:
-            violations.append(
-                TraceViolation("retrieval_mismatch", "retrieval section does not list the passages")
-            )
-    elif retrieval_step is not None:
-        violations.append(
-            TraceViolation("retrieval_mismatch", "retrieval section present without passages")
-        )
-
-    reconstructor_step = by_kind.get(StepKind.RECONSTRUCTOR)
-    if reconstructor_step is not None and trace.intents is not None:
-        try:
-            raw = parse_intents(reconstructor_step.body)
-        except GrammarError as exc:
-            violations.append(TraceViolation("intents_mismatch", str(exc)))
-        else:
-            kept = trace.intents.intents
-            if raw.intents[: len(kept)] != kept or len(kept) > raw.m:
-                violations.append(
-                    TraceViolation("intents_mismatch", "intents do not match the section body")
-                )
-    elif trace.intents is not None and reconstructor_step is None:
-        violations.append(TraceViolation("intents_mismatch", "intents without a reconstructor section"))
-
-    locator_step = by_kind.get(StepKind.LOCATOR)
-    if locator_step is not None:
-        try:
-            parsed = tuple(parse_locator_body(locator_step.body))
-        except GrammarError as exc:
-            violations.append(TraceViolation("locator_mismatch", str(exc)))
-        else:
-            if parsed != trace.judgments:
-                violations.append(
-                    TraceViolation("locator_mismatch", "judgments do not match the section body")
-                )
-
     return violations
 
 
@@ -468,60 +419,95 @@ def run_batch(
 
 
 def trace_to_dict(trace: InferenceTrace) -> dict:
-    """JSON form of a trace. Per-step timings are volatile and stay out so
-    identical runs serialize to identical bytes."""
+    """JSON form of a trace (format v2): the trajectory and what it cannot
+    hold. Intents, judgments, answer and passage texts are in its sections
+    and are not stored twice; the citations are, as the row's summary.
+    Per-step prompts and timings stay out, so identical runs serialize to
+    identical bytes."""
     return {
         "instruction": trace.instruction,
-        "intents": list(trace.intents.intents) if trace.intents else None,
         "passages": [
-            {"id": p.id, "title": p.title, "text": p.text, "word_count": p.word_count}
-            for p in trace.passages
+            {"id": p.id, "title": p.title, "word_count": p.word_count} for p in trace.passages
         ],
-        "judgments": [
-            {
-                "passage_index": j.passage_index,
-                "relevance": j.relevance.value,
-                "fact": j.fact,
-            }
-            for j in trace.judgments
-        ],
-        "answer": trace.answer,
         "citations": list(trace.citations.indices),
         "trajectory": serialize_trajectory(trace.trajectory),
         "flags": list(trace.flags),
     }
 
 
+# Format v1 rows also held these keys, and each passage's text.
+_V1_KEYS = ("answer", "judgments", "intents")
+_V1_COMPLAINT = (
+    "trace format version 1 is no longer read; re-run `factrail infer` "
+    "on the instructions to rewrite the traces"
+)
+
+
+def _kept_intents(raw: IntentSet, flags: Sequence[str]) -> IntentSet:
+    """The intents retrieval used: all of the section's, or the first n that
+    an ``intents_truncated:m->n`` flag names."""
+    for flag in flags:
+        if flag.startswith("intents_truncated:"):
+            m, n = (int(count) for count in flag[len("intents_truncated:") :].split("->"))
+            if m != raw.m or not 0 < n < m:
+                raise ValueError(f"flag {flag} does not fit the {raw.m} intents of the section")
+            return IntentSet(raw.intents[:n])
+    return raw
+
+
+def _listed_passages(rows: object, body: str | None) -> tuple[Passage, ...]:
+    """The passages a row names, each with its text taken from its line of
+    the retrieval section after the prefix ``[i] {title} -``."""
+    if type(rows) is not list:
+        raise TypeError("'passages' must be a list")
+    lines = body.split("\n") if body is not None else []
+    if len(lines) != len(rows):
+        raise ValueError(f"{len(rows)} passages but {len(lines)} retrieval entries")
+    passages = []
+    for i, (row, line) in enumerate(zip(rows, lines), start=1):
+        if "text" in row:
+            raise ValueError(_V1_COMPLAINT)
+        title = typed_field(row, "title")
+        prefix = f"[{i}] {title} -"
+        if not line.startswith(prefix):
+            raise ValueError(f"retrieval entry {i} does not start with {prefix!r}")
+        text = line[len(prefix) :]
+        passages.append(
+            Passage(typed_field(row, "id", int), title, text, typed_field(row, "word_count", int))
+        )
+    return tuple(passages)
+
+
 def trace_from_dict(data: dict) -> InferenceTrace:
-    """The trace a ``trace_to_dict`` record holds. A malformed record raises
-    KeyError, TypeError, ValueError or (its trajectory) GrammarError."""
-    trajectory = parse_trajectory(data["trajectory"])
-    records = tuple(
-        StepRecord(step.kind, None, step.body, 0.0) for step in trajectory.steps
-    )
-    intents = data.get("intents")
+    """The trace a ``trace_to_dict`` record holds, every field derived from
+    one parse of its trajectory. A record that is malformed, contradicts
+    itself or is of format v1 raises KeyError, TypeError, ValueError or (a
+    section) GrammarError."""
+    if any(key in data for key in _V1_KEYS):
+        raise ValueError(_V1_COMPLAINT)
+    trajectory = parse_trajectory(typed_field(data, "trajectory"))
+    bodies = {step.kind: step.body for step in trajectory.steps}
+    flags = string_list(data.get("flags", []), "flags")
+    intents: IntentSet | None = None
+    judgments: tuple[LocatorJudgment, ...] = ()
+    answer, citations = "", CitationList()
+    if StepKind.RECONSTRUCTOR in bodies:
+        intents = _kept_intents(parse_intents(bodies[StepKind.RECONSTRUCTOR]), flags)
+    if StepKind.LOCATOR in bodies:
+        judgments = tuple(parse_locator_body(bodies[StepKind.LOCATOR]))
+    if StepKind.GENERATOR in bodies:
+        answer, citations = parse_citations(bodies[StepKind.GENERATOR])
+    if data["citations"] != list(citations.indices):
+        raise ValueError("'citations' differ from those of the generator section")
     return InferenceTrace(
         instruction=typed_field(data, "instruction"),
-        intents=IntentSet(string_list(intents, "intents")) if intents else None,
-        passages=tuple(
-            Passage(
-                id=p["id"], title=p["title"], text=p["text"], word_count=p["word_count"]
-            )
-            for p in data["passages"]
-        ),
-        judgments=tuple(
-            LocatorJudgment(
-                passage_index=j["passage_index"],
-                relevance=Relevance(j["relevance"]),
-                fact=j.get("fact"),
-            )
-            for j in data["judgments"]
-        ),
-        answer=typed_field(data, "answer"),
-        citations=CitationList(tuple(data["citations"])),
+        intents=intents,
+        passages=_listed_passages(data["passages"], bodies.get(StepKind.RETRIEVAL)),
+        judgments=judgments,
+        answer=answer,
+        citations=citations,
         trajectory=trajectory,
-        steps=records,
-        flags=tuple(data.get("flags", ())),
+        flags=flags,
     )
 
 

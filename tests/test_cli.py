@@ -3,6 +3,7 @@
 import errno
 import io
 import json
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -104,6 +105,45 @@ def test_load_config_type_and_value_checks(tmp_path):
     path.write_text("not json")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def log_level_argv(tmp_path, where, level):
+    if where == "flag":
+        return ["--log-level", level]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"log_level": level}))
+    return ["--config", str(config)]
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("level", ["basic_format", "loud", "Debug"])
+def test_an_unknown_log_level_is_a_usage_error(tmp_path, capsys, where, level):
+    argv = log_level_argv(tmp_path, where, level)
+    assert exit_code([*argv, "validate", "--traces", os.devnull]) == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    if where == "flag":
+        assert f"argument --log-level: invalid choice: {level!r}" in errors[0]
+    else:
+        assert errors == [
+            "error: bad config: 'log_level' must be one of debug, info, warning, error, "
+            f"critical, not {level!r}"
+        ]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_known_log_level_is_accepted(tmp_path, capsys, where):
+    argv = log_level_argv(tmp_path, where, "error")
+    assert main([*argv, "validate", "--traces", os.devnull]) == EXIT_OK
+    assert capsys.readouterr() == ("clean\n", "")
 
 
 def test_load_config_sections(tmp_path):
@@ -553,7 +593,7 @@ def test_http_reply_with_a_lone_surrogate_fails_only_its_item(tmp_path, index_fi
     assert failed == {
         "error": {"stage": "generator", "message": "the reply holds the lone surrogate '\\udc80'"}
     }
-    assert answered["answer"] == "the sun"
+    assert answered["trajectory"].endswith("<Generator>\nthe sun\n</eog>\n")
 
 
 def test_infer_scripted_writes_traces(tmp_path, index_file, capsys):
@@ -571,7 +611,9 @@ def test_infer_scripted_writes_traces(tmp_path, index_file, capsys):
     assert "wrote 1 traces (0 failures)" in stdout
     assert "stage generator: mean" in stdout
     record = json.loads(out.read_text().splitlines()[0])
-    assert record["answer"] == "the earth"
+    assert sorted(record) == ["citations", "flags", "instruction", "passages", "trajectory"]
+    assert [sorted(p) for p in record["passages"]] == [["id", "title", "word_count"]] * 2
+    assert record["trajectory"].endswith("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n")
     assert record["citations"] == [1]
     assert "duration" not in json.dumps(record)
 
@@ -701,10 +743,7 @@ def test_eval_counts_a_trace_citing_no_passage_as_an_error_row(tmp_path, capsys)
     # The generator cites [99], but the trace holds no passages.
     row = {
         "instruction": INSTRUCTION,
-        "intents": ["moon orbit"],
         "passages": [],
-        "judgments": [],
-        "answer": "the earth",
         "citations": [99],
         "trajectory": (
             "<Reconstructor>\nSearch(moon orbit)\n</eor>\n"
@@ -723,61 +762,63 @@ def test_eval_counts_a_trace_citing_no_passage_as_an_error_row(tmp_path, capsys)
     ]
 
 
-@pytest.mark.parametrize("field, value", [("answer", "the sun"), ("citations", [])])
-def test_eval_counts_a_row_disagreeing_with_its_generator_section_as_an_error_row(
-    tmp_path, index_file, capsys, field, value
-):
-    # The generator section reads "the earth\n[Cite]: [1]"; the row's own
-    # field says otherwise, and is not scored.
+def _set(key, value):
+    def corrupt(row):
+        row[key] = value
+        return row
+
+    return corrupt
+
+
+def _drop(key):
+    def corrupt(row):
+        del row[key]
+        return row
+
+    return corrupt
+
+
+def first_trace_row(tmp_path, index_file):
     row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])
-    assert row["trajectory"].endswith("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n")
-    row[field] = value
-    traces = write_jsonl(tmp_path / "traces.jsonl", [row])
-    refs = write_jsonl(
-        tmp_path / "refs.jsonl",
-        [{"task": "popqa", "question": INSTRUCTION, "gold_answers": [row["answer"]]}],
+    assert row["trajectory"] == (
+        "<Reconstructor>\nSearch(moon orbit; ocean tides)\n</eor>\n"
+        "<retrieval>\n[1] Moon -the moon orbits the earth every month\n"
+        "[2] Tides -ocean tides follow the moon closely\n</retrieval>\n"
+        "<Locator>\n[Relevant]: [1] the moon orbits the earth every month.\n"
+        "[Irrelevant]: [2] Lacking Supporting Facts.\n</eol>\n"
+        "<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n"
     )
-    capsys.readouterr()
-    code = main(["eval", "--traces", traces, "--refs", refs, "--task", "popqa", "--out", str(tmp_path / "r")])
-    assert code == EXIT_OK
-    assert "Acc=0.0000" in capsys.readouterr().out
-    report = json.loads((tmp_path / "r").read_text())
-    assert report["citations"]["errors"] == 1.0
-    assert report["citations"]["traces_scored"] == 0.0
-    assert report["rows"] == [
-        {
-            "i": 0,
-            "error": "generator_mismatch: answer or citations do not match the section body",
-            "prediction": "",
-            "acc": 0,
-        }
-    ]
+    return row
 
 
-def rewrite_first_fact(row):
-    row["judgments"][0]["fact"] = "no gold here"
+def rewrite_section(old, new):
+    def rewrite(row):
+        assert old in row["trajectory"]
+        row["trajectory"] = row["trajectory"].replace(old, new)
+
+    return rewrite
 
 
-def rewrite_intents(row):
-    row["intents"] = ["something else"]
+def drop_generator(row):
+    rewrite_section("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n", "")(row)
+    row["citations"] = []
 
 
 @pytest.mark.parametrize(
     "rewrite, error",
     [
-        (rewrite_first_fact, "locator_mismatch: judgments do not match the section body"),
-        (rewrite_intents, "intents_mismatch: intents do not match the section body"),
+        (
+            rewrite_section("\n[Irrelevant]: [2] Lacking Supporting Facts.", ""),
+            "judgment_coverage: judgments cover [1], expected [1, 2]",
+        ),
+        (drop_generator, "generator_missing: no generator section"),
     ],
-    ids=["judgments", "intents"],
+    ids=["judgments", "generator"],
 )
 def test_eval_scores_no_row_that_validate_rejects(tmp_path, index_file, capsys, rewrite, error):
-    # The row's own field no longer says what its section says; validate
-    # rejects the row, so eval counts it as an error row and scores no
-    # citation precision from the rewritten field.
-    row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])
-    assert row["judgments"][0] == {
-        "passage_index": 1, "relevance": "Relevant", "fact": "the moon orbits the earth every month.",
-    }
+    # The row reads, but validate rejects it, so eval counts it as an error
+    # row and scores no citation precision from it.
+    row = first_trace_row(tmp_path, index_file)
     rewrite(row)
     traces = write_jsonl(tmp_path / "traces.jsonl", [row])
     capsys.readouterr()
@@ -787,6 +828,90 @@ def test_eval_scores_no_row_that_validate_rejects(tmp_path, index_file, capsys, 
     report = json.loads((tmp_path / "r").read_text())
     assert report["citations"] == {"errors": 1.0, "precision_mean": 0.0, "traces_scored": 0.0}
     assert report["rows"] == [{"i": 0, "error": error, "prediction": "", "acc": 0}]
+
+
+def _set_passage(at, key, value):
+    def corrupt(row):
+        row["passages"][at][key] = value
+
+    return corrupt
+
+
+V1_TRACE_COMPLAINT = (
+    "trace format version 1 is no longer read; re-run `factrail infer` "
+    "on the instructions to rewrite the traces"
+)
+
+
+@pytest.mark.parametrize(
+    "corrupt, complaint",
+    [
+        pytest.param(
+            _set("citations", []), "'citations' differ from those of the generator section",
+            id="citations-differ",
+        ),
+        pytest.param(
+            lambda row: row["passages"].pop(), "1 passages but 2 retrieval entries",
+            id="passage-missing",
+        ),
+        pytest.param(
+            _set_passage(1, "title", "Tide"),
+            "retrieval entry 2 does not start with '[2] Tide -'",
+            id="entry-prefix",
+        ),
+        pytest.param(
+            rewrite_section("[Relevant]: [1]", "[Relevant] [1]"),
+            "malformed judgment line (line 1)",
+            id="locator-section",
+        ),
+        pytest.param(
+            rewrite_section("[Cite]: [1]", "[Cite]: one"),
+            "bad citation token 'one'",
+            id="generator-section",
+        ),
+        pytest.param(
+            rewrite_section("Search(moon orbit; ocean tides)", "Search()"),
+            "no search intents remain after parsing",
+            id="reconstructor-section",
+        ),
+        pytest.param(
+            _set("flags", ["intents_truncated:5->2"]),
+            "flag intents_truncated:5->2 does not fit the 2 intents of the section",
+            id="truncation-flag",
+        ),
+        pytest.param(_set("answer", "the earth"), V1_TRACE_COMPLAINT, id="v1-answer"),
+        pytest.param(_set("judgments", []), V1_TRACE_COMPLAINT, id="v1-judgments"),
+        pytest.param(_set("intents", ["moon orbit"]), V1_TRACE_COMPLAINT, id="v1-intents"),
+        pytest.param(
+            _set_passage(0, "text", "the moon orbits the earth every month"),
+            V1_TRACE_COMPLAINT,
+            id="v1-passage-text",
+        ),
+    ],
+)
+def test_eval_and_validate_refuse_a_row_that_is_not_a_v2_trace(
+    tmp_path, index_file, capsys, corrupt, complaint
+):
+    # A row that contradicts itself, or holds a key of format v1, is no
+    # trace: reading it fails and names its line, before anything is scored.
+    row = first_trace_row(tmp_path, index_file)
+    good = json.dumps(row)
+    corrupt(row)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(good + "\n" + json.dumps(row) + "\n")
+    refs = write_jsonl(
+        tmp_path / "refs.jsonl",
+        [{"task": "popqa", "question": INSTRUCTION, "gold_answers": ["the earth"]}] * 2,
+    )
+    capsys.readouterr()
+    for argv in (
+        ["validate", "--traces", str(traces)],
+        ["eval", "--traces", str(traces), "--refs", refs, "--task", "popqa", "--out", str(tmp_path / "r")],
+    ):
+        assert main(argv) == EXIT_FAILURE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad trace record on line 2: {complaint}\n")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])
@@ -823,13 +948,18 @@ def test_validate_clean_traces(tmp_path, index_file, capsys):
 
 
 def test_validate_flags_tampered_traces(tmp_path, index_file, capsys):
-    traces = infer_traces(tmp_path, index_file)
-    rows = [json.loads(l) for l in Path(traces).read_text().splitlines()]
-    rows[0]["answer"] = "tampered"
-    write_jsonl(tmp_path / "bad_traces.jsonl", rows)
+    # The answer cites passage 1; a locator section rewritten to judge it
+    # Irrelevant leaves that citation unsupported.
+    row = first_trace_row(tmp_path, index_file)
+    rewrite_section(
+        "[Relevant]: [1] the moon orbits the earth every month.",
+        "[Irrelevant]: [1] Lacking Supporting Facts.",
+    )(row)
+    write_jsonl(tmp_path / "bad_traces.jsonl", [row])
+    capsys.readouterr()
     code = main(["validate", "--traces", str(tmp_path / "bad_traces.jsonl")])
     assert code == EXIT_FAILURE
-    assert "generator_mismatch" in capsys.readouterr().out
+    assert capsys.readouterr().out == "line 1: citation_unsupported: 1\n1 problem(s) found\n"
 
 
 def test_validate_flags_tampered_dataset(tmp_path, capsys):
@@ -913,7 +1043,7 @@ def test_infer_turns_an_instruction_holding_a_lone_surrogate_into_an_item_error(
     assert rows[0] == {
         "error": {"stage": "instruction", "message": "the instruction holds the lone surrogate '\\udc80'"}
     }
-    assert rows[1]["answer"] == "the earth"
+    assert rows[1]["trajectory"].endswith("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n")
     assert main(base + ["--strict"]) == EXIT_FAILURE
 
 
@@ -946,24 +1076,8 @@ def test_validate_flags_a_dataset_input_with_two_instruction_terminators(tmp_pat
     )
 
 
-def _set(key, value):
-    def corrupt(row):
-        row[key] = value
-        return row
-
-    return corrupt
-
-
-def _drop(key):
-    def corrupt(row):
-        del row[key]
-        return row
-
-    return corrupt
-
-
 def _bogus_judgment(row):
-    row["judgments"][0]["relevance"] = "bogus"
+    row["trajectory"] = row["trajectory"].replace("[Relevant]: [1]", "[Bogus]: [1]")
     return row
 
 
@@ -974,7 +1088,7 @@ def _bogus_judgment(row):
         (lambda row: b"not json", "bad trace record on line 2: Expecting value"),
         (
             lambda row: json.dumps(_bogus_judgment(row)).encode(),
-            "bad trace record on line 2: 'bogus' is not a valid Relevance",
+            "bad trace record on line 2: malformed judgment line (line 1)",
         ),
         (
             lambda row: json.dumps(_set("trajectory", "<Generator>\nthe earth")(row)).encode(),
@@ -1056,8 +1170,8 @@ INPUT_KINDS = {
     "script": (EXIT_FAILURE, [_drop("reply"), _set("fingerprint", 7)]),
     "traces": (
         EXIT_FAILURE,
-        [_drop("trajectory"), _set("answer", 7), _set("intents", "moon"), _bogus_judgment,
-         _set("trajectory", "<Generator>\nthe earth")],
+        [_drop("trajectory"), _set("citations", 7), _set("flags", "moon"), _bogus_judgment,
+         _set("trajectory", "<Generator>\nthe earth"), _set("answer", "the earth")],
     ),
     "refs": (EXIT_USAGE, [_drop("gold_answers"), _set("question", 7), _set("task", "bogus")]),
     "dataset": (EXIT_FAILURE, [_drop("output"), _set("input", 7), _set("kind", "bogus")]),

@@ -1,5 +1,6 @@
 """Staged inference: branch selection, degrade paths, and trace validation."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 
 from factrail import orchestrator
 from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend
-from factrail.corpus import build_index, chunk_document, index_documents
+from factrail.corpus import Passage, build_index, chunk_document, index_documents
 from factrail.grammar import (
     CitationList,
-    IntentSet,
-    LocatorJudgment,
+    OrderViolationError,
     Relevance,
     StepKind,
     Trajectory,
@@ -358,7 +358,7 @@ def test_out_of_range_citation_is_flagged(index):
 
 
 # ---------------------------------------------------------------------------
-# validate_trace mutation suite
+# tampering: what validate_trace reports, and what a trace file cannot hold
 
 
 @pytest.fixture
@@ -374,8 +374,14 @@ def codes(trace):
 
 
 def test_detects_step_disorder(clean_trace):
-    shuffled = Trajectory(tuple(reversed(clean_trace.trajectory.steps)))
-    assert codes(replace(clean_trace, trajectory=shuffled)) == ["step_order"]
+    # Sections out of stage order do not parse, so such a row is not read.
+    row = trace_to_dict(clean_trace)
+    row["trajectory"] = "".join(
+        f"{s.kind.head.value}\n{s.body}\n{s.kind.end.value}\n"
+        for s in reversed(clean_trace.trajectory.steps)
+    )
+    with pytest.raises(OrderViolationError):
+        trace_from_dict(row)
 
 
 def test_detects_missing_generator(clean_trace):
@@ -385,39 +391,45 @@ def test_detects_missing_generator(clean_trace):
 
 def test_detects_coverage_gap(clean_trace):
     mutated = replace(clean_trace, judgments=clean_trace.judgments[:1])
-    assert set(codes(mutated)) == {"judgment_coverage", "locator_mismatch"}
+    assert codes(mutated) == ["judgment_coverage"]
 
 
 def test_detects_out_of_range_citation(clean_trace):
     mutated = replace(clean_trace, citations=CitationList((1, 9)))
-    assert set(codes(mutated)) == {"citation_out_of_range", "generator_mismatch"}
+    assert codes(mutated) == ["citation_out_of_range"]
 
 
 def test_detects_unsupported_citation(clean_trace):
     mutated = replace(clean_trace, citations=CitationList((1, 2)))
-    assert set(codes(mutated)) == {"citation_unsupported", "generator_mismatch"}
+    assert codes(mutated) == ["citation_unsupported"]
 
 
 def test_detects_retrieval_tampering(clean_trace):
-    mutated = replace(clean_trace, passages=tuple(reversed(clean_trace.passages)))
-    assert codes(mutated) == ["retrieval_mismatch"]
+    # A row's passages must be the ones its retrieval section lists, in order.
+    row = trace_to_dict(clean_trace)
+    row["passages"].reverse()
+    with pytest.raises(ValueError, match="retrieval entry 1 does not start with '\\[1\\] Tides -'"):
+        trace_from_dict(row)
 
 
 def test_detects_intent_tampering(clean_trace):
-    mutated = replace(clean_trace, intents=IntentSet(("something else",)))
-    assert codes(mutated) == ["intents_mismatch"]
+    # The kept intents come from the section and the truncation flag, which
+    # must name the section's intent count.
+    row = trace_to_dict(clean_trace)
+    row["flags"] = ["intents_truncated:3->1"]
+    with pytest.raises(ValueError, match="intents_truncated:3->1 does not fit the 2 intents"):
+        trace_from_dict(row)
 
 
 def test_detects_judgment_tampering(clean_trace):
-    flipped = (
-        clean_trace.judgments[0],
-        LocatorJudgment(2, Relevance.RELEVANT, "ocean tides follow the moon closely."),
+    # The answer cites passage 1; judging it Irrelevant leaves the citation
+    # unsupported.
+    row = trace_to_dict(clean_trace)
+    row["trajectory"] = row["trajectory"].replace(
+        "[Relevant]: [1] the moon orbits the earth every month.",
+        "[Irrelevant]: [1] Lacking Supporting Facts.",
     )
-    assert codes(replace(clean_trace, judgments=flipped)) == ["locator_mismatch"]
-
-
-def test_detects_answer_tampering(clean_trace):
-    assert codes(replace(clean_trace, answer="wrong")) == ["generator_mismatch"]
+    assert codes(trace_from_dict(row)) == ["citation_unsupported"]
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +441,21 @@ _WORDS = ("moon", "orbit", "earth", "sun", "star", "ocean", "tides", "month", "z
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citations(data):
+    # Every branch: facts or fallback, no passages, truncated intents or
+    # passages, a locator reply that degrades, a reply cut at a head token.
     index = index_documents(DOCS)
     intents = data.draw(
         st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3), min_size=1, max_size=4)
     )
+    k = data.draw(st.integers(1, 3), label="k")
     cfg = InferenceConfig(
-        k=data.draw(st.integers(1, 3), label="k"),
+        k=k,
         max_intents=data.draw(st.integers(1, 4), label="max_intents"),
+        max_passages=data.draw(st.integers(k, 3), label="max_passages"),
+        locator_required=False,
     )
+    degraded = data.draw(st.booleans(), label="locator judges a passage it was not shown")
+    leaked = data.draw(st.booleans(), label="reconstructor reply runs into a head")
     cited = sorted(data.draw(st.sets(st.integers(1, 7), max_size=3), label="cited"))
     answer = "the earth"
     if cited:
@@ -445,19 +464,29 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
 
     def locator_body(passages):
         verdicts.extend(data.draw(st.lists(st.booleans(), min_size=len(passages), max_size=len(passages))))
-        return "\n".join(
+        lines = [
             format_judgment_line(i, passage.text + ".")
             if relevant
             else f"[Irrelevant]: [{i}] Lacking Supporting Facts."
             for i, (passage, relevant) in enumerate(zip(passages, verdicts), start=1)
-        )
+        ]
+        if degraded:
+            lines.append(f"[Irrelevant]: [{len(passages) + 1}] Lacking Supporting Facts.")
+        return "\n".join(lines)
 
     backend = ScriptedBackend()
     reconstruction = "Search(" + "; ".join(" ".join(words) for words in intents) + ")"
     passages = script_scenario(backend, index, cfg, INSTRUCTION, reconstruction, locator_body, answer)
+    backend.add_reply(build_step_prompt(INSTRUCTION, [], StepKind.GENERATOR), answer)
+    if leaked:
+        backend.add_reply(
+            build_step_prompt(INSTRUCTION, [], StepKind.RECONSTRUCTOR),
+            reconstruction + "\n<Locator>\nleaked",
+        )
     trace = run_inference(INSTRUCTION, index, backend, cfg)
 
-    relevant = {i for i, verdict in enumerate(verdicts, start=1) if verdict}
+    degraded = degraded and bool(passages)
+    relevant = set() if degraded else {i for i, verdict in enumerate(verdicts, start=1) if verdict}
     expected = [
         f"citation_out_of_range:{c}" if c > len(passages) else f"citation_unsupported:{c}"
         for c in cited
@@ -468,14 +497,21 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
 
     fallback = not relevant
     assert ("generator_fallback" in trace.flags) == fallback
+    assert ("locator_degraded:coverage" in trace.flags) == degraded
+    assert ("head_mismatch:reconstructor" in trace.flags) == leaked
     steps = trace.trajectory.steps
-    assert [(r.kind, r.body) for r in trace.steps] == [(s.kind, s.body) for s in steps]
+    assert [r.kind for r in trace.steps] == [s.kind for s in steps]
     for position, record in enumerate(trace.steps):
         if record.kind is StepKind.RETRIEVAL:
             assert record.prompt is None
             continue
         prior = [] if record.kind is StepKind.GENERATOR and fallback else steps[:position]
         assert record.prompt == build_step_prompt(INSTRUCTION, prior, record.kind)
+
+    # The file row gives back every field but the per-step records.
+    read = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
+    assert read.steps == ()
+    assert replace(read, steps=trace.steps) == trace
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +613,11 @@ def test_failed_trace_write_keeps_previous_file_bytes(index, tmp_path, monkeypat
 
 
 def test_trace_dict_mirror(clean_trace):
-    mirrored = trace_from_dict(trace_to_dict(clean_trace))
-    assert mirrored.answer == clean_trace.answer
-    assert mirrored.citations == clean_trace.citations
-    assert mirrored.judgments == clean_trace.judgments
-    assert mirrored.trajectory == clean_trace.trajectory
-    assert all(r.prompt is None for r in mirrored.steps)
+    row = trace_to_dict(clean_trace)
+    assert sorted(row) == ["citations", "flags", "instruction", "passages", "trajectory"]
+    assert row["passages"][0] == {"id": 0, "title": "Moon", "word_count": 7}
+    mirrored = trace_from_dict(row)
+    assert mirrored == replace(clean_trace, steps=())
 
 
 def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
@@ -607,6 +642,27 @@ def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
     assert results[1].trace is None
     assert results[1].error.stage == "locator"
     assert "contains the token <Generator>" in results[1].error.message
+
+
+def test_run_batch_turns_a_passage_spanning_lines_into_an_item_error():
+    # A trace file keeps a passage's text only in its line of the retrieval
+    # section; chunk_document never makes such a passage, a hand-built index can.
+    passages = list(index_documents(DOCS).passages.values())
+    split = Passage(id=len(passages), title="Zebra", text="zebra\nstripes", word_count=2)
+    index = build_index(passages + [split])
+    cfg = InferenceConfig()
+    backend = ScriptedBackend()
+    script_scenario(
+        backend, index, cfg, INSTRUCTION, RECONSTRUCTION,
+        judge_by_answer("earth"), ANSWER_BODY,
+    )
+    zebra = "what do zebra stripes hide?"
+    backend.add_reply(build_step_prompt(zebra, [], StepKind.RECONSTRUCTOR), "Search(zebra stripes)")
+    results = run_batch([INSTRUCTION, zebra], index, backend, cfg, max_workers=2)
+
+    assert results[0].error is None and results[0].trace.answer == "the earth"
+    assert results[1].trace is None
+    assert str(results[1].error) == "retrieval: a passage spans more than one line"
 
 
 def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tmp_path):
