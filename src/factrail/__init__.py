@@ -54,9 +54,6 @@ from .dataset import (
     TrainingExample,
     build_example,
     build_long_example,
-    build_short_generator,
-    build_short_intent,
-    build_short_locator,
     emit_dataset,
 )
 from .evaluation import (

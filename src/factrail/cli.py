@@ -147,7 +147,12 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     kind = dataset.ExampleKind(args.kind)
     index = corpus.load_index(args.index) if kind.needs_index else None
     k = cfg.inference.k
-    examples = [dataset.build_example(kind, raw, critic, index, k) for raw in raws]
+    # The long kind goes through its public name, so tracing that wraps
+    # build_long_example sees one span per long example built.
+    if kind is dataset.ExampleKind.LONG:
+        examples = [dataset.build_long_example(raw, critic, index, k) for raw in raws]
+    else:
+        examples = [dataset.build_example(kind, raw, critic, index, k) for raw in raws]
     fingerprint = _config_fingerprint(
         {"kind": args.kind, "task": args.task, "k": k, "critic": args.critic}
     )
@@ -205,11 +210,11 @@ def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
 def cmd_validate(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     problems: list[str] = []
     if args.dataset:
-        examples = read_jsonl(
-            args.dataset, dataset.example_from_dict, "dataset record", dataset.DatasetError
+        rows = read_jsonl(
+            args.dataset, dataset.check_example_dict, "dataset record", dataset.DatasetError
         )
-        for lineno, example in examples:
-            problems.extend(f"line {lineno}: {p}" for p in dataset.check_training_example(example))
+        for lineno, row_problems in rows:
+            problems.extend(f"line {lineno}: {p}" for p in row_problems)
     if args.traces:
         for lineno, row in orchestrator.iter_traces(args.traces):
             if isinstance(row, orchestrator.InferenceTrace):

@@ -1,10 +1,13 @@
 """Training-example construction with character-level loss masks.
 
-Two families of examples share one wire format. A long example is a full
-four-section trajectory whose loss spans cover the reconstruction, location,
-and generation sections (head through end token) while the retrieval block
-stays unsupervised. A short example isolates one stage: its input replays
-the stage's inference prompt and its whole output is supervised.
+``build_example`` cuts every kind of example from one trajectory per
+record: the critic's intents, the passages retrieved for them, the critic's
+judgment of each, and the gold answer citing the Relevant ones. A long
+example is the whole four-section trajectory; its loss spans cover the
+reconstruction, location, and generation sections (head through end token)
+while the retrieval block stays unsupervised. A short example is one stage
+cut from it: its input replays the stage's inference prompt over the
+sections that stage reads, and its whole output is supervised.
 
 Relevance judgments and search intents come from a critic. The rule-based
 critic is a deterministic oracle (the instruction is the intent; a passage
@@ -69,12 +72,8 @@ __all__ = [
     "normalize_dialogue",
     "build_example",
     "build_long_example",
-    "build_short_intent",
-    "build_short_locator",
-    "build_short_generator",
     "check_training_example",
     "check_example_dict",
-    "example_from_dict",
     "emit_dataset",
     "read_raw_examples",
     "SCHEMA_VERSION",
@@ -312,11 +311,14 @@ class TrainingExample:
     source: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "loss_spans", tuple((int(a), int(b)) for a, b in self.loss_spans)
-        )
+        if type(self.source) is not str:
+            raise ValueError(f"source must be str, not {type(self.source).__name__}")
+        object.__setattr__(self, "loss_spans", tuple((a, b) for a, b in self.loss_spans))
         previous_end = 0
         for start, end in self.loss_spans:
+            for bound in (start, end):
+                if type(bound) is not int:
+                    raise ValueError(f"loss span bounds must be int, not {type(bound).__name__}")
             if start < previous_end or end <= start or end > len(self.output):
                 raise ValueError("loss spans must be sorted, disjoint, and in bounds")
             previous_end = end
@@ -362,88 +364,20 @@ def _serialize_long(
     ]
 
 
-def build_long_example(
-    raw: RawExample, critic: Critic, index: CorpusIndex, k: int = 3
-) -> TrainingExample:
-    """Build a full-trajectory example; supervision skips the retrieval block."""
-    raw = _ensure_flat(raw)
-    intents = critic.propose_intents(raw.x, raw.task)
-    passages = retrieve_multi(index, intents, k)
-    if not passages:
-        raise EmptyRetrievalError()
-    judgments = _judge_all(raw.x, raw.y, passages, critic)
-    relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
-    steps = (
-        TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents)),
-        TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
-        TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments)),
-        TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant)),
-    )
-    output, spans = _serialize_long(steps)
-    return TrainingExample(
-        kind=ExampleKind.LONG,
-        input=render_instruction(raw.x),
-        output=output,
-        loss_spans=tuple(spans),
-        source=raw.source or raw.task.value,
-    )
-
-
 def _short_example(
     kind: ExampleKind,
     raw: RawExample,
     prior: Sequence[TrajectoryStep],
-    stage: StepKind,
-    body: str,
+    step: TrajectoryStep,
 ) -> TrainingExample:
     """One stage's inference prompt in; its body and end token out, all supervised."""
-    output = body + stage.end.value
+    output = step.body + step.kind.end.value
     return TrainingExample(
         kind=kind,
-        input=build_step_prompt(raw.x, prior, stage),
+        input=build_step_prompt(raw.x, prior, step.kind),
         output=output,
         loss_spans=((0, len(output)),),
         source=raw.source or raw.task.value,
-    )
-
-
-def build_short_intent(raw: RawExample, critic: Critic) -> TrainingExample:
-    raw = _ensure_flat(raw)
-    intents = critic.propose_intents(raw.x, raw.task)
-    return _short_example(
-        ExampleKind.SHORT_INTENT, raw, [], StepKind.RECONSTRUCTOR, _intent_body(intents)
-    )
-
-
-def build_short_locator(
-    raw: RawExample, passages: Sequence[Passage], critic: Critic
-) -> TrainingExample:
-    raw = _ensure_flat(raw)
-    if not passages:
-        raise EmptyRetrievalError()
-    judgments = _judge_all(raw.x, raw.y, passages, critic)
-    retrieval = TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))
-    return _short_example(
-        ExampleKind.SHORT_LOCATOR, raw, [retrieval], StepKind.LOCATOR, _locator_body(judgments)
-    )
-
-
-def build_short_generator(
-    raw: RawExample, judgments: Sequence[LocatorJudgment] | None = None
-) -> TrainingExample:
-    """Plain answer imitation, or fact-conditioned answering when judgments given."""
-    raw = _ensure_flat(raw)
-    if judgments is None:
-        return _short_example(
-            ExampleKind.SHORT_GENERATOR_PLAIN, raw, [], StepKind.GENERATOR, raw.y
-        )
-    relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
-    if not relevant:
-        raise NoRelevantFactsError()
-    locator = TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments))
-    return _short_example(
-        ExampleKind.SHORT_GENERATOR_FACTS, raw, [locator], StepKind.GENERATOR,
-        _generator_body(raw.y, relevant),
     )
 
 
@@ -454,25 +388,54 @@ def build_example(
     index: CorpusIndex | None = None,
     k: int = 3,
 ) -> TrainingExample:
-    """Build one example of any kind from a raw record.
+    """Build one example of any kind, cut from the record's long trajectory.
 
-    Kinds with ``needs_index`` retrieve the top k passages per intent the
-    critic proposes; every Relevant judgment they carry passes the
-    fact-containment check.
+    The critic proposes the intents, the top k passages per intent are
+    retrieved and the critic judges each one; every Relevant judgment
+    passes the fact-containment check. A long example is the whole
+    trajectory; a short one is one stage's section, prompted by the
+    sections it reads. Each kind runs only as much of the trajectory as it
+    cuts from, so ``short-generator-plain`` asks the critic nothing.
     """
-    if kind is ExampleKind.SHORT_INTENT:
-        return build_short_intent(raw, critic)
-    if kind is ExampleKind.SHORT_GENERATOR_PLAIN:
-        return build_short_generator(raw)
-    if index is None:
+    if kind.needs_index and index is None:
         raise ValueError(f"{kind.value} examples need an index")
-    if kind is ExampleKind.LONG:
-        return build_long_example(raw, critic, index, k)
     raw = _ensure_flat(raw)
-    passages = retrieve_multi(index, critic.propose_intents(raw.x, raw.task), k)
+    if kind is ExampleKind.SHORT_GENERATOR_PLAIN:
+        return _short_example(kind, raw, [], TrajectoryStep(StepKind.GENERATOR, raw.y))
+    intents = critic.propose_intents(raw.x, raw.task)
+    reconstructor = TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents))
+    if kind is ExampleKind.SHORT_INTENT:
+        return _short_example(kind, raw, [], reconstructor)
+    passages = retrieve_multi(index, intents, k)
+    fact_conditioned = kind is ExampleKind.SHORT_GENERATOR_FACTS
+    if not passages:
+        raise NoRelevantFactsError() if fact_conditioned else EmptyRetrievalError()
+    judgments = _judge_all(raw.x, raw.y, passages, critic)
+    relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
+    if fact_conditioned and not relevant:
+        raise NoRelevantFactsError()
+    retrieval = TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))
+    locator = TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments))
+    generator = TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant))
     if kind is ExampleKind.SHORT_LOCATOR:
-        return build_short_locator(raw, passages, critic)
-    return build_short_generator(raw, _judge_all(raw.x, raw.y, passages, critic))
+        return _short_example(kind, raw, [retrieval], locator)
+    if fact_conditioned:
+        return _short_example(kind, raw, [locator], generator)
+    output, spans = _serialize_long((reconstructor, retrieval, locator, generator))
+    return TrainingExample(
+        kind=kind,
+        input=render_instruction(raw.x),
+        output=output,
+        loss_spans=tuple(spans),
+        source=raw.source or raw.task.value,
+    )
+
+
+def build_long_example(
+    raw: RawExample, critic: Critic, index: CorpusIndex, k: int = 3
+) -> TrainingExample:
+    """``build_example`` of kind long: supervision skips the retrieval block."""
+    return build_example(ExampleKind.LONG, raw, critic, index, k)
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +511,19 @@ def check_training_example(example: TrainingExample) -> list[str]:
     return problems
 
 
-def example_from_dict(record: dict) -> TrainingExample:
-    """The example a dataset row holds; KeyError, TypeError or ValueError if none."""
-    return TrainingExample(
+def check_example_dict(record: dict) -> list[str]:
+    """Every contract violation in one dataset row (empty means clean).
+
+    A row that holds no example raises KeyError, TypeError or ValueError,
+    which ``read_jsonl`` reports with its line.
+    """
+    example = TrainingExample(
         kind=ExampleKind(record["kind"]),
         input=typed_field(record, "input"),
         output=typed_field(record, "output"),
-        loss_spans=tuple((a, b) for a, b in typed_field(record, "loss_spans", list)),
+        loss_spans=typed_field(record, "loss_spans", list),
         source=record.get("source", ""),
     )
-
-
-def check_example_dict(record: dict) -> list[str]:
-    """Validate one JSONL record; schema problems come back as messages too."""
-    try:
-        example = example_from_dict(record)
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"bad record: {exc}"]
     return check_training_example(example)
 
 

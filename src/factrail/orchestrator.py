@@ -403,7 +403,6 @@ def run_batch(
     max_workers: int = 4,
 ) -> list[BatchResult]:
     """Run many instructions with bounded concurrency; failures stay per-item."""
-    results: list[BatchResult | None] = [None] * len(instructions)
 
     def work(position: int) -> BatchResult:
         try:
@@ -413,9 +412,7 @@ def run_batch(
             return BatchResult(index=position, error=exc)
 
     with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        for result in pool.map(work, range(len(instructions))):
-            results[result.index] = result
-    return [r for r in results if r is not None]
+        return list(pool.map(work, range(len(instructions))))
 
 
 def trace_to_dict(trace: InferenceTrace) -> dict:

@@ -974,6 +974,33 @@ def test_validate_flags_tampered_dataset(tmp_path, capsys):
     assert "supervise its whole output" in capsys.readouterr().out
 
 
+PLAIN_ROW = {
+    "kind": "short-generator-plain",
+    "input": "q</eoi>\n<Generator>\n",
+    "output": "a</eog>",
+    "loss_spans": [[0, 7]],
+    "source": "open-qa",
+}
+
+
+@pytest.mark.parametrize(
+    "change, complaint",
+    [
+        ({"loss_spans": [[0, 7.9]]}, "loss span bounds must be int, not float"),
+        ({"loss_spans": [["0", "7"]]}, "loss span bounds must be int, not str"),
+        ({"loss_spans": [[False, 7]]}, "loss span bounds must be int, not bool"),
+        ({"source": 5}, "source must be str, not int"),
+    ],
+    ids=["float-bound", "str-bound", "bool-bound", "int-source"],
+)
+def test_validate_names_a_mistyped_dataset_row(tmp_path, capsys, change, complaint):
+    path = write_jsonl(tmp_path / "train.jsonl", [PLAIN_ROW, dict(PLAIN_ROW, **change)])
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad dataset record on line 2: {complaint}\n"
+
+
 def test_validate_flags_a_short_input_that_is_not_a_stage_prompt(tmp_path, capsys):
     record = {
         "kind": "short-intent",

@@ -19,10 +19,8 @@ from factrail.dataset import (
     RuleBasedCritic,
     TaskTag,
     TrainingExample,
+    build_example,
     build_long_example,
-    build_short_generator,
-    build_short_intent,
-    build_short_locator,
     check_example_dict,
     check_training_example,
     emit_dataset,
@@ -31,6 +29,7 @@ from factrail.dataset import (
 )
 from factrail.grammar import (
     EmptyIntentSetError,
+    EmptyRetrievalError,
     LocatorJudgment,
     Relevance,
     StepKind,
@@ -121,7 +120,7 @@ def test_builders_flatten_dialogue_automatically():
     raw = RawExample(
         task=TaskTag.DIALOGUE, x="what now?", y="answer", history=(("q1", "a1"),)
     )
-    example = build_short_generator(raw)
+    example = build_example(ExampleKind.SHORT_GENERATOR_PLAIN, raw, RuleBasedCritic())
     assert example.input.startswith("q1\n-a1\nwhat now?</eoi>\n")
 
 
@@ -162,6 +161,7 @@ def test_rule_critic_picks_containing_sentence(index):
 def test_long_example_layout_and_spans(index):
     critic = RuleBasedCritic()
     example = build_long_example(planet_example(), critic, index, k=3)
+    assert build_example(ExampleKind.LONG, planet_example(), critic, index, 3) == example
 
     assert example.kind is ExampleKind.LONG
     assert example.input == QUESTION + "</eoi>\n"
@@ -223,10 +223,9 @@ def test_long_example_tampered_spans_are_caught(index):
 
 def test_long_example_requires_hits(index):
     raw = planet_example(x="zebra xylophone quandary", y="Mercury")
-    from factrail.grammar import EmptyRetrievalError
-
-    with pytest.raises(EmptyRetrievalError):
-        build_long_example(raw, RuleBasedCritic(), index)
+    for kind in (ExampleKind.LONG, ExampleKind.SHORT_LOCATOR):
+        with pytest.raises(EmptyRetrievalError):
+            build_example(kind, raw, RuleBasedCritic(), index)
 
 
 class FabricatingCritic(RuleBasedCritic):
@@ -244,8 +243,26 @@ def test_fact_containment_is_enforced(index):
 # short examples
 
 
+class RecordingCritic(RuleBasedCritic):
+    """The rule-based critic, noting each call as ("propose",) or ("judge", position)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def propose_intents(self, x, task):
+        self.calls.append(("propose",))
+        return super().propose_intents(x, task)
+
+    def judge_passage(self, x, y, passage, index=0):
+        self.calls.append(("judge", index))
+        return super().judge_passage(x, y, passage, index)
+
+
+JUDGE_ALL = [("propose",), ("judge", 1), ("judge", 2), ("judge", 3)]
+
+
 def test_short_intent_example():
-    example = build_short_intent(planet_example(), RuleBasedCritic())
+    example = build_example(ExampleKind.SHORT_INTENT, planet_example(), RuleBasedCritic())
     assert example.kind is ExampleKind.SHORT_INTENT
     assert example.input == QUESTION + "</eoi>\n<Reconstructor>\n"
     assert example.output == "Search(which planet is the smallest planet?)</eor>"
@@ -254,8 +271,7 @@ def test_short_intent_example():
 
 
 def test_short_locator_example(index):
-    passages = [index.passages[0], index.passages[2]]
-    example = build_short_locator(planet_example(), passages, RuleBasedCritic())
+    example = build_example(ExampleKind.SHORT_LOCATOR, planet_example(), RuleBasedCritic(), index)
     assert example.kind is ExampleKind.SHORT_LOCATOR
     assert example.input.startswith(QUESTION + "</eoi>\n<retrieval>\n[1] Mercury -")
     assert example.input.endswith("</retrieval>\n<Locator>\n")
@@ -265,35 +281,66 @@ def test_short_locator_example(index):
 
 
 def test_short_generator_plain():
-    example = build_short_generator(planet_example())
+    example = build_example(ExampleKind.SHORT_GENERATOR_PLAIN, planet_example(), RuleBasedCritic())
     assert example.kind is ExampleKind.SHORT_GENERATOR_PLAIN
     assert example.input == QUESTION + "</eoi>\n<Generator>\n"
     assert example.output == "Mercury</eog>"
     assert check_training_example(example) == []
 
 
-def test_short_generator_with_facts():
-    judgments = (
-        LocatorJudgment(1, Relevance.RELEVANT, "Mercury is the smallest planet."),
-        LocatorJudgment(2, Relevance.IRRELEVANT, None),
+def test_short_generator_with_facts(index):
+    example = build_example(
+        ExampleKind.SHORT_GENERATOR_FACTS, planet_example(), RuleBasedCritic(), index
     )
-    example = build_short_generator(planet_example(), judgments)
     assert example.kind is ExampleKind.SHORT_GENERATOR_FACTS
     assert example.input == (
         QUESTION
         + "</eoi>\n<Locator>\n"
-        + "[Relevant]: [1] Mercury is the smallest planet.\n"
+        + "[Relevant]: [1] Mercury is the smallest planet in the solar system.\n"
         + "[Irrelevant]: [2] Lacking Supporting Facts.\n"
+        + "[Irrelevant]: [3] Lacking Supporting Facts.\n"
         + "</eol>\n<Generator>\n"
     )
     assert example.output == "Mercury\n[Cite]: [1]</eog>"
     assert check_training_example(example) == []
 
 
-def test_short_generator_facts_need_a_relevant_judgment():
-    judgments = (LocatorJudgment(1, Relevance.IRRELEVANT, None),)
-    with pytest.raises(NoRelevantFactsError):
-        build_short_generator(planet_example(), judgments)
+def test_short_generator_facts_need_a_relevant_judgment(index):
+    # Passages retrieved and none judged Relevant; then no passages at all.
+    for raw, calls in [
+        (planet_example(y="Pluto"), JUDGE_ALL),
+        (planet_example(x="zebra xylophone quandary"), [("propose",)]),
+    ]:
+        critic = RecordingCritic()
+        with pytest.raises(NoRelevantFactsError):
+            build_example(ExampleKind.SHORT_GENERATOR_FACTS, raw, critic, index)
+        assert critic.calls == calls
+
+
+@pytest.mark.parametrize(
+    "kind, calls",
+    [
+        (ExampleKind.LONG, JUDGE_ALL),
+        (ExampleKind.SHORT_INTENT, [("propose",)]),
+        (ExampleKind.SHORT_LOCATOR, JUDGE_ALL),
+        (ExampleKind.SHORT_GENERATOR_PLAIN, []),
+        (ExampleKind.SHORT_GENERATOR_FACTS, JUDGE_ALL),
+    ],
+)
+def test_each_kind_asks_the_critic_only_what_it_cuts(index, kind, calls):
+    critic = RecordingCritic()
+    build_example(kind, planet_example(), critic, index)
+    assert critic.calls == calls
+
+
+@pytest.mark.parametrize(
+    "kind", [ExampleKind.LONG, ExampleKind.SHORT_LOCATOR, ExampleKind.SHORT_GENERATOR_FACTS]
+)
+def test_passage_kinds_need_an_index(kind):
+    critic = RecordingCritic()
+    with pytest.raises(ValueError, match=f"^{kind.value} examples need an index$"):
+        build_example(kind, planet_example(), critic)
+    assert critic.calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +417,8 @@ def test_loss_span_invariants():
 
 
 def test_check_example_dict_reports_schema_problems():
-    assert check_example_dict({"kind": "nope"})[0].startswith("bad record")
+    with pytest.raises(ValueError):
+        check_example_dict({"kind": "nope"})
     good = {
         "kind": "short-generator-plain",
         "input": "q</eoi>\n<Generator>\n",
@@ -389,10 +437,10 @@ def test_check_example_dict_reports_schema_problems():
 def test_emit_dataset_manifest_and_determinism(index, tmp_path):
     critic = RuleBasedCritic()
     examples = [
-        build_long_example(planet_example(), critic, index),
-        build_short_intent(planet_example(), critic),
-        build_short_intent(planet_example(source="other"), critic),
-        build_short_generator(planet_example()),
+        build_example(ExampleKind.LONG, planet_example(), critic, index),
+        build_example(ExampleKind.SHORT_INTENT, planet_example(), critic),
+        build_example(ExampleKind.SHORT_INTENT, planet_example(source="other"), critic),
+        build_example(ExampleKind.SHORT_GENERATOR_PLAIN, planet_example(), critic),
     ]
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
