@@ -95,8 +95,8 @@ class StepKind(Enum):
         return member
 
 
-_HEAD_TO_KIND = {kind.head: kind for kind in StepKind}
-_END_TO_KIND = {kind.end: kind for kind in StepKind}
+# Keyed by surface: a str hash is cached, an Enum's is a Python-level call.
+_KIND_BY_HEAD_SURFACE = {kind.head.value: kind for kind in StepKind}
 
 _TOKEN_BY_SURFACE = {t.value: t for t in TokenKind}
 
@@ -393,11 +393,10 @@ def parse_trajectory(text: str) -> Trajectory:
         gap = text[pos : match.start()]
         if gap.strip():
             raise TrailingGarbageError(pos + (len(gap) - len(gap.lstrip())))
-        token = _TOKEN_BY_SURFACE[match.group(0)]
-        if token not in _HEAD_TO_KIND:
+        kind = _KIND_BY_HEAD_SURFACE.get(match.group(0))
+        if kind is None:
             # An end token (or the instruction terminator) with no open section.
             raise TrailingGarbageError(match.start())
-        kind = _HEAD_TO_KIND[token]
         if kind.rank <= last_rank:
             raise OrderViolationError(kind, match.start())
         closer = _TOKEN_RE.search(text, match.end())

@@ -97,12 +97,22 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """What one stage saw and how long it took, which its section does not
-    hold. Tool steps have no prompt."""
+    """How long one stage took and what it was shown, which its section does
+    not hold. ``prior`` is the tuple of the trace's own sections the stage
+    saw, ``None`` for the retrieval tool step, which has no prompt."""
 
     kind: StepKind
-    prompt: str | None
     duration_s: float
+    instruction: str
+    prior: tuple[TrajectoryStep, ...] | None
+
+    @property
+    def prompt(self) -> str | None:
+        """The exact prompt the stage was sent, rebuilt on each access: a
+        kept copy of every prompt would outweigh the trace itself."""
+        if self.prior is None:
+            return None
+        return build_step_prompt(self.instruction, self.prior, self.kind)
 
 
 @dataclass(frozen=True)
@@ -226,14 +236,13 @@ def run_inference(
     steps: list[TrajectoryStep] = []
     records: list[StepRecord] = []
 
-    def call(stage: StepKind, prior: Sequence[TrajectoryStep]) -> tuple[str, str, float]:
+    def call(stage: StepKind, prior: tuple[TrajectoryStep, ...]) -> tuple[str, StepRecord]:
         # A prior section (a passage, a reply) may hold a grammar token, so
         # the prompt cannot be serialized; that fails this item, not a batch.
         try:
             request = _step_request(instruction, prior, stage)
         except GrammarError as exc:
             raise PipelineError(stage.value, f"cannot build the prompt: {exc}") from exc
-        prompt = prompt_text(request)
         begin = time.perf_counter()
         try:
             reply = backend.generate(request)
@@ -256,16 +265,16 @@ def run_inference(
                 problem = f"the reply {unclean}"
         if problem:
             raise PipelineError(stage.value, problem)
-        return prompt, body, elapsed
+        return body, StepRecord(stage, elapsed, instruction, prior)
 
     # Stage 1: intent reconstruction.
-    prompt, body, elapsed = call(StepKind.RECONSTRUCTOR, [])
+    body, record = call(StepKind.RECONSTRUCTOR, ())
     try:
         proposed = parse_intents(body)
     except GrammarError as exc:
         raise PipelineError(StepKind.RECONSTRUCTOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, body))
-    records.append(StepRecord(StepKind.RECONSTRUCTOR, prompt, elapsed))
+    records.append(record)
     intents = proposed
     if proposed.m > cfg.max_intents:
         intents = IntentSet(proposed.intents[: cfg.max_intents])
@@ -290,10 +299,10 @@ def run_inference(
         if body.count("\n") != len(passages) - 1:
             raise PipelineError(StepKind.RETRIEVAL.value, "a passage spans more than one line")
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
-        records.append(StepRecord(StepKind.RETRIEVAL, None, elapsed))
+        records.append(StepRecord(StepKind.RETRIEVAL, elapsed, instruction, None))
 
         # Stage 3: fact location.
-        prompt, body, elapsed = call(StepKind.LOCATOR, steps)
+        body, record = call(StepKind.LOCATOR, tuple(steps))
         try:
             parsed = tuple(parse_locator_body(body))
             problem = _judgment_coverage_problem(parsed, len(passages))
@@ -310,14 +319,14 @@ def run_inference(
         else:
             judgments = parsed
             steps.append(TrajectoryStep(StepKind.LOCATOR, body))
-            records.append(StepRecord(StepKind.LOCATOR, prompt, elapsed))
+            records.append(record)
     else:
         flags.append("no_passages")
 
     # Stage 4: answer generation, with facts iff something was judged Relevant.
     relevant = [j for j in judgments if j.relevance is Relevance.RELEVANT]
     if relevant:
-        prompt, body, elapsed = call(StepKind.GENERATOR, steps)
+        body, record = call(StepKind.GENERATOR, tuple(steps))
     else:
         if not cfg.generator_fallback:
             raise PipelineError(
@@ -325,13 +334,13 @@ def run_inference(
                 "no relevant facts and the no-facts fallback is disabled",
             )
         flags.append("generator_fallback")
-        prompt, body, elapsed = call(StepKind.GENERATOR, [])
+        body, record = call(StepKind.GENERATOR, ())
     try:
         answer, citations = parse_citations(body)
     except GrammarError as exc:
         raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.GENERATOR, body))
-    records.append(StepRecord(StepKind.GENERATOR, prompt, elapsed))
+    records.append(record)
     for violation in _citation_violations(citations, judgments, len(passages)):
         flags.append(f"{violation.code}:{violation.detail}")
 
@@ -378,11 +387,11 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     this is run on traces read back from disk.
     """
     violations: list[TraceViolation] = []
-    kinds = {s.kind for s in trace.trajectory.steps}
-    if StepKind.GENERATOR not in kinds:
+    steps = trace.trajectory.steps
+    if not any(s.kind is StepKind.GENERATOR for s in steps):
         violations.append(TraceViolation("generator_missing", "no generator section"))
     n = len(trace.passages)
-    if StepKind.LOCATOR in kinds or trace.judgments:
+    if trace.judgments or any(s.kind is StepKind.LOCATOR for s in steps):
         problem = _judgment_coverage_problem(trace.judgments, n)
         if problem:
             violations.append(TraceViolation("judgment_coverage", problem))
@@ -462,6 +471,8 @@ def _listed_passages(rows: object, body: str | None) -> tuple[Passage, ...]:
         raise ValueError(f"{len(rows)} passages but {len(lines)} retrieval entries")
     passages = []
     for i, (row, line) in enumerate(zip(rows, lines), start=1):
+        if type(row) is not dict:
+            raise ValueError(f"passages[{i - 1}] must be an object, not {type(row).__name__}")
         if "text" in row:
             raise ValueError(_V1_COMPLAINT)
         title = typed_field(row, "title")
@@ -483,23 +494,27 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     if any(key in data for key in _V1_KEYS):
         raise ValueError(_V1_COMPLAINT)
     trajectory = parse_trajectory(typed_field(data, "trajectory"))
-    bodies = {step.kind: step.body for step in trajectory.steps}
     flags = string_list(data.get("flags", []), "flags")
     intents: IntentSet | None = None
+    listed: str | None = None
     judgments: tuple[LocatorJudgment, ...] = ()
     answer, citations = "", CitationList()
-    if StepKind.RECONSTRUCTOR in bodies:
-        intents = _kept_intents(parse_intents(bodies[StepKind.RECONSTRUCTOR]), flags)
-    if StepKind.LOCATOR in bodies:
-        judgments = tuple(parse_locator_body(bodies[StepKind.LOCATOR]))
-    if StepKind.GENERATOR in bodies:
-        answer, citations = parse_citations(bodies[StepKind.GENERATOR])
+    # The sections come in stage order, each kind at most once.
+    for step in trajectory.steps:
+        if step.kind is StepKind.RECONSTRUCTOR:
+            intents = _kept_intents(parse_intents(step.body), flags)
+        elif step.kind is StepKind.RETRIEVAL:
+            listed = step.body
+        elif step.kind is StepKind.LOCATOR:
+            judgments = tuple(parse_locator_body(step.body))
+        else:
+            answer, citations = parse_citations(step.body)
     if data["citations"] != list(citations.indices):
         raise ValueError("'citations' differ from those of the generator section")
     return InferenceTrace(
         instruction=typed_field(data, "instruction"),
         intents=intents,
-        passages=_listed_passages(data["passages"], bodies.get(StepKind.RETRIEVAL)),
+        passages=_listed_passages(data["passages"], listed),
         judgments=judgments,
         answer=answer,
         citations=citations,

@@ -914,6 +914,25 @@ def test_eval_and_validate_refuse_a_row_that_is_not_a_v2_trace(
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "entry, kind",
+    [("a text", "str"), (["text"], "list"), (5, "int"), (None, "NoneType")],
+    ids=["str", "list", "int", "null"],
+)
+def test_validate_names_a_passage_entry_that_is_not_an_object(
+    tmp_path, index_file, capsys, entry, kind
+):
+    row = first_trace_row(tmp_path, index_file)
+    row["passages"][1] = entry
+    traces = write_jsonl(tmp_path / "traces.jsonl", [row])
+    capsys.readouterr()
+    assert main(["validate", "--traces", traces]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", f"error: bad trace record on line 1: passages[1] must be an object, not {kind}\n"
+    )
+
+
 @pytest.mark.parametrize("key", ["trajectory", "instruction", "passages"])
 def test_eval_trace_row_missing_a_key_exits_with_message(tmp_path, index_file, capsys, key):
     row = json.loads(Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0])

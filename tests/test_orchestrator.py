@@ -1,14 +1,17 @@
 """Staged inference: branch selection, degrade paths, and trace validation."""
 
+import gc
 import json
-from dataclasses import replace
+import random
+import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrail import orchestrator
-from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend
+from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend, prompt_text
 from factrail.corpus import Passage, build_index, chunk_document, index_documents
 from factrail.grammar import (
     CitationList,
@@ -18,6 +21,7 @@ from factrail.grammar import (
     Trajectory,
     TrajectoryStep,
     retrieval_body,
+    serialize_trajectory,
 )
 from factrail.orchestrator import (
     BatchResult,
@@ -145,6 +149,99 @@ def test_fallback_branch_hides_locator_from_generator(index):
     assert generator_record.prompt == build_step_prompt(INSTRUCTION, [], StepKind.GENERATOR)
     assert "<Locator>" not in generator_record.prompt
     assert validate_trace(trace) == []
+
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that keeps the exact prompt of every request."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.prompts: list[str] = []
+
+    def generate(self, request):
+        self.prompts.append(prompt_text(request))
+        return super().generate(request)
+
+
+@pytest.mark.parametrize("facts", [True, False], ids=["facts", "no-facts"])
+def test_stage_records_hold_the_trace_sections_not_prompt_text(index, facts):
+    cfg = InferenceConfig()
+    backend = RecordingBackend()
+    script_scenario(
+        backend, index, cfg, INSTRUCTION, RECONSTRUCTION,
+        judge_by_answer("earth" if facts else "pluto"), ANSWER_BODY,
+        fallback_generator_body="cannot tell from these passages",
+    )
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    assert ("generator_fallback" in trace.flags) == (not facts)
+
+    steps = trace.trajectory.steps
+    shown = {
+        StepKind.RECONSTRUCTOR: 0,
+        StepKind.LOCATOR: 2,
+        StepKind.GENERATOR: 3 if facts else 0,
+    }
+    for record in trace.steps:
+        # The only text a record holds is the trace's own instruction.
+        assert record.instruction is trace.instruction
+        values = [getattr(record, f.name) for f in fields(record)]
+        assert [v for v in values if isinstance(v, str)] == [trace.instruction]
+        if record.kind is StepKind.RETRIEVAL:
+            assert record.prior is None and record.prompt is None
+            continue
+        assert len(record.prior) == shown[record.kind]
+        assert all(mine is own for mine, own in zip(record.prior, steps))
+        # Rebuilt on each access, never cached.
+        prompt = record.prompt
+        assert record.prompt == prompt and record.prompt is not prompt
+
+    rebuilt = [r.prompt for r in trace.steps if r.prior is not None]
+    assert rebuilt == backend.prompts
+    assert len(rebuilt) == 3
+
+
+def test_run_batch_results_hold_about_their_trajectories_not_their_prompts():
+    # Full 100-word passages, so each prompt after the first repeats the
+    # retrieval section: kept prompts would cost more than the sections.
+    rng = random.Random(7)
+    vocabulary = [f"w{n}" for n in range(400)]
+    docs = [
+        (f"Doc {d}", " ".join(rng.choice(vocabulary) for _ in range(100))) for d in range(40)
+    ]
+    index = index_documents(docs)
+    cfg = InferenceConfig()
+    backend = ScriptedBackend()
+
+    def judge(passages):
+        fact = " ".join(passages[0].text.split()[:8]) + "."
+        rest = [f"[Irrelevant]: [{i}] Lacking Supporting Facts." for i in range(2, len(passages) + 1)]
+        return "\n".join([format_judgment_line(1, fact), *rest])
+
+    instructions = []
+    for n in range(60):
+        instruction = f"question {n} about the documents?"
+        picks = [rng.choice(docs)[1].split()[:2] for _ in range(3)]
+        reconstruction = "Search(" + "; ".join(" ".join(p) for p in picks) + ")"
+        script_scenario(
+            backend, index, cfg, instruction, reconstruction, judge,
+            f"answer {n}\n[Cite]: [1]",
+        )
+        instructions.append(instruction)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = run_batch(instructions, index, backend, cfg, max_workers=2)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    assert all(r.error is None for r in results)
+    assert all(len(r.trace.trajectory.steps) == 4 for r in results)
+    serialized = sum(len(serialize_trajectory(r.trace.trajectory)) for r in results)
+    assert retained < 2.5 * serialized
 
 
 def test_no_passages_falls_back(index):
