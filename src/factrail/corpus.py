@@ -20,9 +20,10 @@ keeps them whole; it never tokenizes a passage and builds no per-term lists.
 ``retrieve`` prunes exactly (MaxScore): it scans rare terms first and skips
 the spans of common terms once their summed upper bounds can no longer
 lift an unseen passage into the top k. It looks the skipped terms up
-by binary search for the passages still in contention, then rescores the
-survivors adding terms in query order, so scores and ranks equal those of
-an exhaustive scan.
+by binary search within the term's span for the passages still in
+contention (a heap, not a sort, picks the k-th best of many partial
+scores), then rescores the survivors adding terms in query order, so
+scores and ranks equal those of an exhaustive scan.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
 from itertools import accumulate, compress, islice
 from operator import ge
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Collection, Iterable, Sequence
 
 from .fileio import atomic_path, read_jsonl, typed_field
 from .grammar import IntentSet, text_violation
@@ -79,6 +81,9 @@ _POSTING_BYTES = 8 + 4
 
 # Absorbs rounding in the partial sums that decide what retrieve may skip.
 _PRUNE_SLACK = 1e-9
+# From this many partial scores on, retrieve picks the k-th best with a heap,
+# not a sort: the two cost about the same here at k = 3.
+_HEAP_SELECT_FROM = 300
 
 
 class CorpusError(Exception):
@@ -179,6 +184,9 @@ class CorpusIndex:
     that CPython caches, so reading them allocates nothing; the array
     holds 4 bytes per posting where a list holds 8, and it gives the
     garbage collector nothing to traverse.
+
+    ``k1_length_norms`` maps a passage id to k1 times BM25's length norm
+    ``1 - b + b * dl / avgdl``, the value every BM25 denominator adds to tf.
     """
 
     passages: dict[int, Passage]
@@ -186,7 +194,7 @@ class CorpusIndex:
     offsets: list[int]
     ids: list[int]
     tfs: array
-    length_norms: dict[int, float]
+    k1_length_norms: dict[int, float]
     avg_doc_length: float
     total_docs: int
 
@@ -236,9 +244,10 @@ def _corpus_index(
 ) -> CorpusIndex:
     total = len(by_id)
     avg = sum(p.word_count for p in by_id.values()) / total if total else 0.0
-    # BM25's document-length normalisation, 1 - b + b * dl / avgdl.
-    length_norms = {
-        pid: 1.0 - BM25_B + BM25_B * p.word_count / avg for pid, p in by_id.items()
+    # k1 times BM25's document-length normalisation 1 - b + b * dl / avgdl:
+    # the value retrieve adds to tf in every denominator.
+    k1_length_norms = {
+        pid: BM25_K1 * (1.0 - BM25_B + BM25_B * p.word_count / avg) for pid, p in by_id.items()
     }
     return CorpusIndex(
         passages=by_id,
@@ -246,7 +255,7 @@ def _corpus_index(
         offsets=offsets,
         ids=ids,
         tfs=tfs,
-        length_norms=length_norms,
+        k1_length_norms=k1_length_norms,
         avg_doc_length=avg,
         total_docs=total,
     )
@@ -262,20 +271,10 @@ def bm25_idf(total_docs: int, doc_freq: int) -> float:
     return math.log(1.0 + (total_docs - doc_freq + 0.5) / (doc_freq + 0.5))
 
 
-def _kth_largest(values: Iterable[float], k: int) -> float:
-    return sorted(values, reverse=True)[k - 1]
-
-
-def _term_frequency(ids: list[int], tfs: array, start: int, end: int, pid: int) -> int:
-    """The tf of pid in the term whose postings span ids[start:end], 0 when absent.
-
-    Bisects only that span, which every index keeps strictly ascending, so
-    a pid in a neighbouring term's span is never found.
-    """
-    at = bisect_left(ids, pid, start, end)
-    if at < end and ids[at] == pid:
-        return tfs[at]
-    return 0
+def _kth_largest(values: Collection[float], k: int) -> float:
+    if len(values) < _HEAP_SELECT_FROM:
+        return sorted(values, reverse=True)[k - 1]
+    return nlargest(k, values)[-1]
 
 
 def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
@@ -308,7 +307,7 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
         for start, end in map(index.span, terms)
         if end > start
     ]
-    ids, tfs, norms = index.ids, index.tfs, index.length_norms
+    ids, tfs, k1_norms = index.ids, index.tfs, index.k1_length_norms
 
     # (bound, start, end) per matching term, largest bound first.
     # bound_left[i] and postings_left[i] total the bounds and the postings
@@ -317,12 +316,9 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
         ((idf * (BM25_K1 + 1.0), start, end) for idf, start, end in weighted),
         key=lambda item: -item[0],
     )
-    bound_left = [0.0] * (len(scan) + 1)
-    postings_left = [0] * (len(scan) + 1)
-    for i in range(len(scan) - 1, -1, -1):
-        bound, start, end = scan[i]
-        bound_left[i] = bound_left[i + 1] + bound
-        postings_left[i] = postings_left[i + 1] + end - start
+    backwards = scan[::-1]
+    bound_left = [*accumulate((bound for bound, _, _ in backwards), initial=0.0)][::-1]
+    postings_left = [*accumulate((end - start for _, start, end in backwards), initial=0)][::-1]
 
     # Partial sums only steer pruning; the rescoring at the end gives the scores.
     partial: dict[int, float] = {}
@@ -334,36 +330,38 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
         for pid, tf in zip(ids[start:end], tfs[start:end]):
-            partial[pid] = partial.get(pid, 0.0) + bound * tf / (tf + BM25_K1 * norms[pid])
+            partial[pid] = partial.get(pid, 0.0) + bound * tf / (tf + k1_norms[pid])
         scanned += 1
     else:
         if len(partial) >= k:
             threshold = _kth_largest(partial.values(), k)
 
     # A candidate is dropped once even every term it has not been scored
-    # on could not lift it to the k-th best score.
-    candidates = list(partial)
-    for i in range(scanned, len(scan) + 1):
-        floor = threshold - _PRUNE_SLACK - bound_left[i]
-        candidates = [pid for pid in candidates if partial[pid] >= floor]
-        if i == len(scan):
-            break
+    # on could not lift it to the k-th best score. Each probe bisects only
+    # the term's own span, which every index keeps strictly ascending, so a
+    # passage in a neighbouring term's span is never found.
+    floor = threshold - _PRUNE_SLACK - bound_left[scanned]
+    candidates = [pid for pid, score in partial.items() if score >= floor]
+    for i in range(scanned, len(scan)):
         bound, start, end = scan[i]
         for pid in candidates:
-            tf = _term_frequency(ids, tfs, start, end, pid)
-            if tf:
-                partial[pid] += bound * tf / (tf + BM25_K1 * norms[pid])
+            at = bisect_left(ids, pid, start, end)
+            if at < end and ids[at] == pid:
+                tf = tfs[at]
+                partial[pid] += bound * tf / (tf + k1_norms[pid])
         if len(candidates) >= k:
             threshold = _kth_largest([partial[pid] for pid in candidates], k)
+        floor = threshold - _PRUNE_SLACK - bound_left[i + 1]
+        candidates = [pid for pid in candidates if partial[pid] >= floor]
 
     scored = []
     for pid in candidates:
-        norm = norms[pid]
         score = 0.0
         for idf, start, end in weighted:
-            tf = _term_frequency(ids, tfs, start, end, pid)
-            if tf:
-                score += idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
+            at = bisect_left(ids, pid, start, end)
+            if at < end and ids[at] == pid:
+                tf = tfs[at]
+                score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid])
         scored.append((pid, score))
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
     return RetrievalResult(ranked=tuple(ranked))

@@ -464,7 +464,8 @@ def parse_intents(body: str) -> IntentSet:
     return IntentSet(tuple(intents))
 
 
-_JUDGMENT_RE = re.compile(r"^\s*-?\s*\[(Relevant|Irrelevant)\]\s*:\s*\[(\d+)\]\s*(.*?)\s*$")
+# The fact is the rest of the line, right-stripped: a lazy (.*?)\s*$ backtracks.
+_JUDGMENT_RE = re.compile(r"^\s*-?\s*\[(Relevant|Irrelevant)\]\s*:\s*\[(\d+)\]\s*(.*)$")
 
 _IRRELEVANT_ACCEPTED = ("", "Lacking Supporting Facts", IRRELEVANT_PHRASE)
 
@@ -484,6 +485,7 @@ def parse_locator_body(body: str) -> list[LocatorJudgment]:
         if match is None:
             raise LocatorSyntaxError(lineno)
         tag, index_text, rest = match.groups()
+        rest = rest.rstrip()
         index = int(index_text)
         if index < 1:
             raise LocatorSyntaxError(lineno, "passage indices are 1-based")

@@ -301,8 +301,9 @@ def run_inference(
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
         records.append(StepRecord(StepKind.RETRIEVAL, elapsed, instruction, None))
 
-        # Stage 3: fact location.
+        # Stage 3: fact location, recorded even if its reply is dropped below.
         body, record = call(StepKind.LOCATOR, tuple(steps))
+        records.append(record)
         try:
             parsed = tuple(parse_locator_body(body))
             problem = _judgment_coverage_problem(parsed, len(passages))
@@ -319,7 +320,6 @@ def run_inference(
         else:
             judgments = parsed
             steps.append(TrajectoryStep(StepKind.LOCATOR, body))
-            records.append(record)
     else:
         flags.append("no_passages")
 

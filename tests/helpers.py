@@ -40,19 +40,16 @@ def brute_force_bm25(
     total = len(passages)
     lengths = {p.id: p.word_count for p in passages}
     avg = sum(lengths.values()) / total if total else 0.0
+    bags = [tokenize(passage.text) + tokenize(passage.title) for passage in passages]
+    dfs = {term: sum(1 for bag in bags if term in bag) for term in terms}
     scored = []
-    for passage in passages:
-        bag = tokenize(passage.text) + tokenize(passage.title)
+    for passage, bag in zip(passages, bags):
         score = 0.0
         for term in terms:
             tf = bag.count(term)
             if tf == 0:
                 continue
-            df = sum(
-                1
-                for other in passages
-                if term in tokenize(other.text) + tokenize(other.title)
-            )
+            df = dfs[term]
             idf = math.log(1.0 + (total - df + 0.5) / (df + 0.5))
             norm = 1.0 - BM25_B + BM25_B * lengths[passage.id] / avg
             score += idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)

@@ -9,6 +9,7 @@ import re
 import stat
 import string
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,74 @@ def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold():
     assert got[0][0] == 1
 
 
+def _skewed_corpus(rng):
+    """600 short passages and copies of 40 of them: "every" in 95% of them,
+    ten mid terms in about 30% each, twenty rare terms in about 2%, and
+    "scarce" in exactly two."""
+    ids = rng.sample(range(5000), 600)
+    scarce = set(rng.sample(ids[40:], 2))  # never copied
+    passages = []
+    for pid in ids:
+        words = rng.choices(["filler", "pad", "more"], k=rng.randint(1, 12))
+        if rng.random() < 0.95:
+            words += ["every"] * rng.randint(1, 3)
+        words += [f"mid{m}" for m in range(10) if rng.random() < 0.3]
+        words += [f"rare{r}" for r in range(20) if rng.random() < 0.02]
+        if pid in scarce:
+            words.append("scarce")
+        rng.shuffle(words)
+        passages.append(make_passage(pid, "T", " ".join(words)))
+    # Copies tie exactly, so only the id orders them.
+    passages += [replace(p, id=5000 + at) for at, p in enumerate(passages[:40])]
+    return passages
+
+
+_SKEWED_QUERIES = (
+    "rare3 every",  # the rare list sets the threshold; "every" is probed, not scanned
+    "rare1 mid2 mid5 every",
+    "mid0 mid1 mid2 every",  # hundreds of partial scores when the threshold is read
+    "scarce every mid4",  # fewer postings than k: the head list is scanned in full
+    "every mid7 every rare9",
+    "pad every",
+)
+
+
+def test_pruned_retrieve_is_bit_exact_on_long_head_lists(tmp_path, monkeypatch):
+    passages = _skewed_corpus(random.Random(17))
+    built = build_index(passages)
+    save_index(built, tmp_path / "skewed.idx")
+    loaded = load_index(tmp_path / "skewed.idx")
+    calls = {"nlargest": 0, "bisect_left": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(corpus, "nlargest", counted("nlargest", corpus.nlargest))
+    monkeypatch.setattr(corpus, "bisect_left", counted("bisect_left", corpus.bisect_left))
+    for query in _SKEWED_QUERIES:
+        expected = brute_force_bm25(passages, query, 10)
+        for k in (1, 3, 10):
+            for index in (built, loaded):
+                assert list(retrieve(index, query, k).ranked) == expected[:k], (query, k)
+    # Both new paths ran: heap selection and binary-search probes.
+    assert calls["nlargest"] > 0 and calls["bisect_left"] > 1000, calls
+
+
+@pytest.mark.parametrize("size", [1, 7, corpus._HEAP_SELECT_FROM - 1, corpus._HEAP_SELECT_FROM, 2000])
+def test_the_kth_largest_score_is_that_of_a_full_sort(size):
+    rng = random.Random(size)
+    # Few distinct values, so ties are everywhere.
+    values = [rng.choice([0.25, 0.5, 1.5, 2.0, 3.125]) * rng.choice([1, 1, 3]) for _ in range(size)]
+    for k in range(1, min(size, 12) + 1):
+        want = sorted(values, reverse=True)[k - 1]
+        assert corpus._kth_largest(values, k) == want
+        assert corpus._kth_largest(dict(enumerate(values)).values(), k) == want
+
+
 def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
     rng = random.Random(5)
     ids = rng.sample(range(1000), 40)
@@ -351,34 +420,36 @@ def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
 
 
 def test_a_term_frequency_lookup_stays_inside_its_span():
-    # "beta" holds passage 1 and its span follows "alpha"'s, so an unbounded
-    # binary search for passage 1 from inside "alpha"'s span would find it.
-    passages = [
-        make_passage(0, "X", "alpha"),
-        make_passage(1, "X", "beta beta"),
-        make_passage(2, "X", "alpha alpha alpha beta"),
-    ]
+    # Passage 0 holds only "alpha", passage 1 only "beta", and "beta"'s span
+    # follows "alpha"'s: ids == [0, 1]. Probing "alpha" for passage 1 lands
+    # on the first id past its span, which is 1, and a search of "beta"
+    # begun before its span would find passage 0. Either slip would give a
+    # passage a tf it does not have.
+    passages = [make_passage(0, "alpha", "alpha"), make_passage(1, "beta", "beta beta")]
     index = build_index(passages)
-    assert list(index.term_numbers) == ["alpha", "x", "beta"]
-    alpha, beta = index.span("alpha"), index.span("beta")
-    assert index.ids[alpha[0] : alpha[1]] == [0, 2] and index.ids[beta[0] : beta[1]] == [1, 2]
-    assert corpus._term_frequency(index.ids, index.tfs, *alpha, 1) == 0
-    assert corpus._term_frequency(index.ids, index.tfs, *beta, 0) == 0
-    for term in index.term_numbers:
-        for passage in passages:
-            want = tokenize(passage.text + " " + passage.title).count(term)
-            assert corpus._term_frequency(index.ids, index.tfs, *index.span(term), passage.id) == want
+    assert list(index.term_numbers) == ["alpha", "beta"]
+    assert index.ids == [0, 1] and list(index.tfs) == [2, 3]
+    assert index.span("alpha") == (0, 1) and index.span("beta") == (1, 2)
     assert index.span("gamma") == (0, 0)
+    for query in ("alpha", "beta", "alpha beta", "beta alpha"):
+        for k in (1, 2):
+            assert list(retrieve(index, query, k).ranked) == brute_force_bm25(passages, query, k)
 
 
 def _tracked_objects_kept_by_load(path):
-    gc.collect()
-    before = len(gc.get_objects())
+    # The GC-tracked objects reachable from the loaded index, classes aside.
+    # Counting them, not the change in len(gc.get_objects()), leaves out
+    # whatever else the interpreter allocates or frees during the load.
     index = load_index(path)
-    gc.collect()
-    kept = len(gc.get_objects()) - before
-    assert index.total_docs  # keeps the index alive until counted
-    return kept
+    gc.collect()  # untracks the tuples and dicts that hold only atoms
+    seen = {id(index)}
+    todo = [index]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if gc.is_tracked(ref) and not isinstance(ref, type) and id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+    return len(seen)
 
 
 def test_load_keeps_gc_tracked_objects_per_passage_not_per_term(tmp_path):

@@ -1,11 +1,13 @@
 """Grammar oracles: frozen byte layouts, round trips, and rejection checks."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrail import grammar
 from factrail.grammar import (
     CitationList,
     CitationSyntaxError,
@@ -306,6 +308,51 @@ def test_parse_locator_rejects_garbage_line():
     with pytest.raises(LocatorSyntaxError) as err:
         parse_locator_body("[Relevant]: [1] ok\nnot a judgment")
     assert err.value.line == 2
+
+
+# The judgment pattern before its fact group became greedy: the fact was the
+# lazy (.*?) before the trailing \s*$.
+_LAZY_JUDGMENT_RE = re.compile(r"^\s*-?\s*\[(Relevant|Irrelevant)\]\s*:\s*\[(\d+)\]\s*(.*?)\s*$")
+# ASCII and Unicode whitespace, line breaks among them, and look-alikes that
+# are not whitespace (U+200B, U+FEFF).
+_JUDGMENT_SPACES = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u3000"
+    "\u200b\ufeff"
+)
+
+
+@st.composite
+def judgment_like_lines(draw):
+    space = st.text(alphabet=_JUDGMENT_SPACES, max_size=3)
+    rest = st.text(alphabet=_JUDGMENT_SPACES + "ab.[]:-1", max_size=12)
+    if draw(st.booleans()):
+        return draw(rest)
+    return "".join(
+        [
+            draw(space),
+            draw(st.sampled_from(["", "-"])),
+            draw(space),
+            draw(st.sampled_from(["[Relevant]", "[Irrelevant]", "[relevant]"])),
+            draw(space),
+            ":",
+            draw(space),
+            f"[{draw(st.integers(0, 12))}]",
+            draw(rest),
+        ]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(judgment_like_lines(), max_size=4).map("".join))
+def test_the_greedy_judgment_pattern_parses_as_the_lazy_one_did(body):
+    for line in body.splitlines():
+        lazy, greedy = _LAZY_JUDGMENT_RE.match(line), grammar._JUDGMENT_RE.match(line)
+        assert (lazy is None) == (greedy is None), repr(line)
+        if lazy is not None:
+            tag, index, fact = greedy.groups()
+            assert lazy.groups() == (tag, index, fact.rstrip()), repr(line)
+            if tag == "Relevant" and lazy.group(3) and int(index) >= 1:
+                assert parse_locator_body(line)[0].fact == lazy.group(3)
 
 
 def test_format_judgment_round_trip():

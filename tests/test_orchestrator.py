@@ -322,8 +322,8 @@ def test_passage_cap_truncates_and_flags(index):
 # locator failure handling
 
 
-def locator_setup(index, cfg, locator_reply):
-    backend = ScriptedBackend()
+def locator_setup(index, cfg, locator_reply, backend=None):
+    backend = backend or ScriptedBackend()
     backend.add_reply(
         build_step_prompt(INSTRUCTION, [], StepKind.RECONSTRUCTOR), RECONSTRUCTION
     )
@@ -369,6 +369,26 @@ def test_unparseable_locator_degrades_when_optional(index):
     trace = run_inference(INSTRUCTION, index, backend, cfg)
     assert any(f.startswith("locator_degraded:") for f in trace.flags)
     assert trace.judgments == ()
+
+
+def test_a_degraded_locator_call_keeps_its_record(index):
+    cfg = InferenceConfig(locator_required=False)
+    backend = locator_setup(index, cfg, "garbage", RecordingBackend())
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    assert trace.flags == ("locator_degraded:malformed judgment line (line 1)", "generator_fallback")
+    assert [s.kind for s in trace.trajectory.steps] == [
+        StepKind.RECONSTRUCTOR,
+        StepKind.RETRIEVAL,
+        StepKind.GENERATOR,
+    ]
+    assert [r.kind for r in trace.steps] == [
+        StepKind.RECONSTRUCTOR,
+        StepKind.RETRIEVAL,
+        StepKind.LOCATOR,
+        StepKind.GENERATOR,
+    ]
+    assert trace.steps[2].prompt == backend.prompts[1]
+    assert [r.prompt for r in trace.steps if r.prior is not None] == backend.prompts
 
 
 def test_unparseable_locator_fails_when_required(index):
@@ -597,12 +617,17 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
     assert ("locator_degraded:coverage" in trace.flags) == degraded
     assert ("head_mismatch:reconstructor" in trace.flags) == leaked
     steps = trace.trajectory.steps
-    assert [r.kind for r in trace.steps] == [s.kind for s in steps]
-    for position, record in enumerate(trace.steps):
+    # A degraded locator call keeps its record, though its section is dropped.
+    kinds = [s.kind for s in steps]
+    if degraded:
+        kinds.insert(2, StepKind.LOCATOR)
+    assert [r.kind for r in trace.steps] == kinds
+    shown = {StepKind.RECONSTRUCTOR: 0, StepKind.LOCATOR: 2, StepKind.GENERATOR: 0 if fallback else 3}
+    for record in trace.steps:
         if record.kind is StepKind.RETRIEVAL:
             assert record.prompt is None
             continue
-        prior = [] if record.kind is StepKind.GENERATOR and fallback else steps[:position]
+        prior = steps[: shown[record.kind]]
         assert record.prompt == build_step_prompt(INSTRUCTION, prior, record.kind)
 
     # The file row gives back every field but the per-step records.
