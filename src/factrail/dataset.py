@@ -586,12 +586,14 @@ def read_raw_examples(path: str | Path, default_task: TaskTag | None = None) -> 
         task = TaskTag(record["task"]) if "task" in record else default_task
         if task is None:
             raise KeyError("task")
-        history = record.get("history")
+        history = record.get("history") or []
+        if type(history) is not list or any(type(t) is not list or len(t) != 2 for t in history):
+            raise ValueError("'history' must be a list of [question, answer] pairs")
         return RawExample(
             task=task,
             x=record["x"],
             y=record["y"],
-            history=tuple((q, a) for q, a in history) if history else None,
+            history=history or None,
             source=record.get("source", ""),
         )
 

@@ -17,6 +17,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -46,7 +47,6 @@ from .grammar import (
     retrieval_body,
     serialize_steps,
     serialize_trajectory,
-    step_violation,
     parse_trajectory,
     text_violation,
 )
@@ -126,20 +126,44 @@ class TraceViolation:
 
 @dataclass(frozen=True)
 class InferenceTrace:
-    """One inference. The trajectory is the record; intents, judgments,
-    answer and citations are the parses of its sections, and the passages
-    are those its retrieval section lists. ``steps`` holds what only the run
-    itself saw, so a trace read from a file has none."""
+    """One inference. The trajectory is the record: intents, judgments,
+    answer and citations are parsed from its sections on first access (a
+    GrammarError if one does not parse), and the passages are those its
+    retrieval section lists. ``steps`` holds what only the run saw."""
 
     instruction: str
-    intents: IntentSet | None
     passages: tuple[Passage, ...]
-    judgments: tuple[LocatorJudgment, ...]
-    answer: str
-    citations: CitationList
     trajectory: Trajectory
     steps: tuple[StepRecord, ...] = ()
     flags: tuple[str, ...] = ()
+
+    @cached_property
+    def intents(self) -> IntentSet | None:
+        body = _section(self.trajectory, StepKind.RECONSTRUCTOR)
+        return None if body is None else _kept_intents(parse_intents(body), self.flags)
+
+    @cached_property
+    def judgments(self) -> tuple[LocatorJudgment, ...]:
+        body = _section(self.trajectory, StepKind.LOCATOR)
+        return () if body is None else tuple(parse_locator_body(body))
+
+    @cached_property
+    def _generated(self) -> tuple[str, CitationList]:
+        body = _section(self.trajectory, StepKind.GENERATOR)
+        return ("", CitationList()) if body is None else parse_citations(body)
+
+    @property
+    def answer(self) -> str:
+        return self._generated[0]
+
+    @property
+    def citations(self) -> CitationList:
+        return self._generated[1]
+
+
+def _section(trajectory: Trajectory, kind: StepKind) -> str | None:
+    """The body of the trajectory's section of this kind, or None."""
+    return next((step.body for step in trajectory.steps if step.kind is kind), None)
 
 
 class PipelineError(Exception):
@@ -257,14 +281,9 @@ def run_inference(
         # A token left in the body (an end token, </eoi>) would make the
         # trace unserializable when the batch is written, and a lone
         # surrogate unencodable; fail the item now.
-        problem = step_violation(TrajectoryStep(stage, body))
-        if problem is None and not body.isascii():
-            # No token is left, so text_violation can only name a surrogate.
-            unclean = text_violation(body)
-            if unclean is not None:
-                problem = f"the reply {unclean}"
-        if problem:
-            raise PipelineError(stage.value, problem)
+        problem = text_violation(body)
+        if problem is not None:
+            raise PipelineError(stage.value, f"the reply {problem}")
         return body, StepRecord(stage, elapsed, instruction, prior)
 
     # Stage 1: intent reconstruction.
@@ -336,7 +355,7 @@ def run_inference(
         flags.append("generator_fallback")
         body, record = call(StepKind.GENERATOR, ())
     try:
-        answer, citations = parse_citations(body)
+        _, citations = parse_citations(body)
     except GrammarError as exc:
         raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.GENERATOR, body))
@@ -346,11 +365,7 @@ def run_inference(
 
     return InferenceTrace(
         instruction=instruction,
-        intents=intents,
         passages=tuple(passages),
-        judgments=judgments,
-        answer=answer,
-        citations=citations,
         trajectory=Trajectory(tuple(steps)),
         steps=tuple(records),
         flags=tuple(flags),
@@ -376,22 +391,18 @@ def _citation_violations(
 
 
 def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
-    """Check what a trace's sections cannot show by their form; total, never
-    raises.
-
-    There is a generator section, the judgments cover the passages, and
-    each citation names a passage judged Relevant. Every other field is a
-    parse of the trajectory, so it agrees with its section by construction,
-    and ``parse_trajectory`` keeps the sections in stage order.
-    ``run_inference`` only builds traces that can break the last rule, so
-    this is run on traces read back from disk.
+    """What a trace's sections cannot show by their form: a generator
+    section, judgments that cover the passages, and citations that each
+    name a passage judged Relevant. The rest holds by construction, and
+    ``parse_trajectory`` keeps the sections in stage order. Never raises on
+    a trace whose sections parse; ``run_inference`` builds traces that can
+    break only the last rule, so this is run on traces read back from disk.
     """
     violations: list[TraceViolation] = []
-    steps = trace.trajectory.steps
-    if not any(s.kind is StepKind.GENERATOR for s in steps):
+    if _section(trace.trajectory, StepKind.GENERATOR) is None:
         violations.append(TraceViolation("generator_missing", "no generator section"))
     n = len(trace.passages)
-    if trace.judgments or any(s.kind is StepKind.LOCATOR for s in steps):
+    if _section(trace.trajectory, StepKind.LOCATOR) is not None:
         problem = _judgment_coverage_problem(trace.judgments, n)
         if problem:
             violations.append(TraceViolation("judgment_coverage", problem))
@@ -487,40 +498,24 @@ def _listed_passages(rows: object, body: str | None) -> tuple[Passage, ...]:
 
 
 def trace_from_dict(data: dict) -> InferenceTrace:
-    """The trace a ``trace_to_dict`` record holds, every field derived from
-    one parse of its trajectory. A record that is malformed, contradicts
-    itself or is of format v1 raises KeyError, TypeError, ValueError or (a
-    section) GrammarError."""
+    """The trace a ``trace_to_dict`` record holds. Its sections are parsed
+    here once, so a record that is malformed, contradicts itself or is of
+    format v1 raises KeyError, TypeError, ValueError or (a section)
+    GrammarError."""
     if any(key in data for key in _V1_KEYS):
         raise ValueError(_V1_COMPLAINT)
     trajectory = parse_trajectory(typed_field(data, "trajectory"))
-    flags = string_list(data.get("flags", []), "flags")
-    intents: IntentSet | None = None
-    listed: str | None = None
-    judgments: tuple[LocatorJudgment, ...] = ()
-    answer, citations = "", CitationList()
-    # The sections come in stage order, each kind at most once.
-    for step in trajectory.steps:
-        if step.kind is StepKind.RECONSTRUCTOR:
-            intents = _kept_intents(parse_intents(step.body), flags)
-        elif step.kind is StepKind.RETRIEVAL:
-            listed = step.body
-        elif step.kind is StepKind.LOCATOR:
-            judgments = tuple(parse_locator_body(step.body))
-        else:
-            answer, citations = parse_citations(step.body)
-    if data["citations"] != list(citations.indices):
-        raise ValueError("'citations' differ from those of the generator section")
-    return InferenceTrace(
+    trace = InferenceTrace(
         instruction=typed_field(data, "instruction"),
-        intents=intents,
-        passages=_listed_passages(data["passages"], listed),
-        judgments=judgments,
-        answer=answer,
-        citations=citations,
+        passages=_listed_passages(data["passages"], _section(trajectory, StepKind.RETRIEVAL)),
         trajectory=trajectory,
-        flags=flags,
+        flags=string_list(data.get("flags", []), "flags"),
     )
+    # Read every section now, so one that does not parse fails on its line.
+    _ = trace.intents, trace.judgments
+    if data["citations"] != list(trace.citations.indices):
+        raise ValueError("'citations' differ from those of the generator section")
+    return trace
 
 
 def write_traces(results: Sequence[BatchResult], path: str | Path) -> None:

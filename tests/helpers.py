@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
@@ -20,13 +21,14 @@ from factrail.corpus import (
 from factrail.grammar import (
     Relevance,
     StepKind,
+    Trajectory,
     TrajectoryStep,
     format_judgment,
     parse_intents,
     parse_locator_body,
     retrieval_body,
 )
-from factrail.orchestrator import InferenceConfig, build_step_prompt
+from factrail.orchestrator import InferenceConfig, InferenceTrace, build_step_prompt
 
 
 def brute_force_bm25(
@@ -115,6 +117,15 @@ def script_scenario(
             fallback_generator_body or generator_body,
         )
     return passages
+
+
+def with_section(trace: InferenceTrace, kind: StepKind, body: str) -> InferenceTrace:
+    """The trace with the body of its section of this kind replaced."""
+    steps = tuple(
+        TrajectoryStep(kind, body) if step.kind is kind else step
+        for step in trace.trajectory.steps
+    )
+    return replace(trace, trajectory=Trajectory(steps))
 
 
 def judge_by_answer(answer: str) -> Callable[[Sequence[Passage]], str]:

@@ -1105,6 +1105,25 @@ def test_build_dataset_names_a_raw_line_holding_the_instruction_terminator(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "turn", [{"question": "is it?", "answer": "no"}, "ab"], ids=["object", "string"]
+)
+def test_build_dataset_names_a_raw_line_whose_dialogue_turn_is_not_a_pair(
+    tmp_path, capsys, turn
+):
+    # A turn is read as [question, answer]; an object or a string is not
+    # unpacked into its keys or characters.
+    dialogue = {"task": "dialogue", "x": "and now?", "y": "yes", "history": [turn]}
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", [RAWS[0], dialogue])
+    out = tmp_path / "train.jsonl"
+    code = main(["build-dataset", "--kind", "short-intent", "--in", raw_path, "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: bad raw record on line 2: 'history' must be a list of [question, answer] pairs\n"
+    )
+    assert not out.exists()
+
+
 def test_validate_flags_a_dataset_input_with_two_instruction_terminators(tmp_path, capsys):
     x = "which planet is </eoi> the smallest planet?"
     output = f"Search({x})</eor>"

@@ -32,24 +32,26 @@ from factrail.grammar import (
     StepKind,
     Trajectory,
     TrajectoryStep,
+    format_judgment,
 )
 from factrail.orchestrator import BatchResult, InferenceConfig, PipelineError, InferenceTrace, run_inference
 
-from helpers import judge_by_answer, script_scenario
+from helpers import judge_by_answer, script_scenario, with_section
 
 
-def fact_trace(judgments, citations):
-    """Minimal trace carrying just what citation scoring reads."""
-    return InferenceTrace(
-        instruction="q",
-        intents=None,
-        passages=(),
-        judgments=tuple(judgments),
-        answer="a",
-        citations=CitationList(tuple(citations)),
-        trajectory=Trajectory((TrajectoryStep(StepKind.GENERATOR, "a"),)),
-        steps=(),
-    )
+def fact_trace(judgments, citations, answer="a"):
+    """Minimal trace whose locator and generator sections hold just what
+    citation scoring reads."""
+    steps = []
+    if judgments:
+        body = "\n".join(format_judgment(j) for j in judgments)
+        steps.append(TrajectoryStep(StepKind.LOCATOR, body))
+    cited = CitationList(tuple(citations)).render()
+    steps.append(TrajectoryStep(StepKind.GENERATOR, f"{answer}\n{cited}" if cited else answer))
+    trace = InferenceTrace(instruction="q", passages=(), trajectory=Trajectory(tuple(steps)))
+    assert trace.judgments == tuple(judgments)
+    assert (trace.answer, trace.citations.indices) == (answer, tuple(citations))
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +338,7 @@ def test_evaluate_popqa_accuracy_and_errors():
 
 
 def test_evaluate_does_not_score_an_answer_without_a_generator_section():
-    trace = replace(
-        fact_trace([], []),
-        answer="mars",
-        trajectory=Trajectory((TrajectoryStep(StepKind.GENERATOR, "mars"),)),
-    )
+    trace = fact_trace([], [], answer="mars")
     headless = replace(
         trace, trajectory=Trajectory((TrajectoryStep(StepKind.RECONSTRUCTOR, "Search(mars)"),))
     )
@@ -348,6 +346,18 @@ def test_evaluate_does_not_score_an_answer_without_a_generator_section():
     report = evaluate([BatchResult(0, trace=trace), BatchResult(1, trace=headless)], examples, "popqa")
     assert [row["acc"] for row in report.rows] == [1, 0]
     assert report.rows[1]["error"] == "generator_missing: no generator section"
+
+
+def test_evaluate_scores_the_answer_of_an_edited_generator_section():
+    # The answer is the parse of the generator section, so a trace whose
+    # section was edited scores the edited answer.
+    trace = moon_results()[0].trace
+    edited = with_section(trace, StepKind.GENERATOR, "the sun")
+    assert (edited.answer, edited.citations) == ("the sun", CitationList())
+    examples = [EvalExample("what does the moon orbit?", ("the sun",), "popqa")]
+    report = evaluate([BatchResult(0, trace=edited)], examples, "popqa")
+    assert report.metrics == {"acc": 1.0}
+    assert report.rows[0]["prediction"] == "the sun"
 
 
 def test_evaluate_asqa_uses_sets_and_rouge():

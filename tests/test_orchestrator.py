@@ -15,17 +15,21 @@ from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend, promp
 from factrail.corpus import Passage, build_index, chunk_document, index_documents
 from factrail.grammar import (
     CitationList,
+    IntentSet,
+    LocatorJudgment,
     OrderViolationError,
     Relevance,
     StepKind,
     Trajectory,
     TrajectoryStep,
+    format_judgment,
     retrieval_body,
     serialize_trajectory,
 )
 from factrail.orchestrator import (
     BatchResult,
     InferenceConfig,
+    InferenceTrace,
     PipelineError,
     build_step_prompt,
     read_traces,
@@ -45,6 +49,7 @@ from helpers import (
     judge_by_answer,
     mirror_retrieval,
     script_scenario,
+    with_section,
 )
 
 DOCS = [
@@ -507,18 +512,45 @@ def test_detects_missing_generator(clean_trace):
 
 
 def test_detects_coverage_gap(clean_trace):
-    mutated = replace(clean_trace, judgments=clean_trace.judgments[:1])
+    locator = format_judgment(clean_trace.judgments[0])
+    mutated = with_section(clean_trace, StepKind.LOCATOR, locator)
     assert codes(mutated) == ["judgment_coverage"]
 
 
+def cite(trace, indices):
+    """The trace with its answer citing these passages."""
+    body = f"{trace.answer}\n{CitationList(indices).render()}"
+    return with_section(trace, StepKind.GENERATOR, body)
+
+
 def test_detects_out_of_range_citation(clean_trace):
-    mutated = replace(clean_trace, citations=CitationList((1, 9)))
-    assert codes(mutated) == ["citation_out_of_range"]
+    assert codes(cite(clean_trace, (1, 9))) == ["citation_out_of_range"]
 
 
 def test_detects_unsupported_citation(clean_trace):
-    mutated = replace(clean_trace, citations=CitationList((1, 2)))
-    assert codes(mutated) == ["citation_unsupported"]
+    assert codes(cite(clean_trace, (1, 2))) == ["citation_unsupported"]
+
+
+def test_a_trace_holds_no_value_beside_its_sections(clean_trace):
+    names = [f.name for f in fields(InferenceTrace)]
+    assert names == ["instruction", "passages", "trajectory", "steps", "flags"]
+    for name in ("intents", "judgments", "answer", "citations"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            replace(clean_trace, **{name: getattr(clean_trace, name)})
+    # Each value is the parse of its section as the trajectory now reads.
+    edited = with_section(clean_trace, StepKind.RECONSTRUCTOR, "Search(sun star)")
+    edited = with_section(
+        edited, StepKind.LOCATOR, "[Irrelevant]: [1]\n[Relevant]: [2] the sun is a star."
+    )
+    edited = with_section(edited, StepKind.GENERATOR, "a star\n[Cite]: [2]")
+    assert edited.intents == IntentSet(("sun star",))
+    assert edited.judgments == (
+        LocatorJudgment(1, Relevance.IRRELEVANT),
+        LocatorJudgment(2, Relevance.RELEVANT, "the sun is a star."),
+    )
+    assert (edited.answer, edited.citations) == ("a star", CitationList((2,)))
+    assert validate_trace(edited) == []
+    assert trace_to_dict(edited)["citations"] == [2]
 
 
 def test_detects_retrieval_tampering(clean_trace):
@@ -630,10 +662,13 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
         prior = steps[: shown[record.kind]]
         assert record.prompt == build_step_prompt(INSTRUCTION, prior, record.kind)
 
-    # The file row gives back every field but the per-step records.
+    # The file row gives back every field but the per-step records, and the
+    # same parses of its sections.
     read = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
     assert read.steps == ()
     assert replace(read, steps=trace.steps) == trace
+    for name in ("intents", "judgments", "answer", "citations"):
+        assert getattr(read, name) == getattr(trace, name)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +775,8 @@ def test_trace_dict_mirror(clean_trace):
     assert row["passages"][0] == {"id": 0, "title": "Moon", "word_count": 7}
     mirrored = trace_from_dict(row)
     assert mirrored == replace(clean_trace, steps=())
+    for name in ("intents", "judgments", "answer", "citations"):
+        assert getattr(mirrored, name) == getattr(clean_trace, name)
 
 
 def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
@@ -803,7 +840,7 @@ def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tm
 
     assert results[0].trace is None
     assert results[0].error.stage == "generator"
-    assert "contains the token </eoi>" in results[0].error.message
+    assert results[0].error.message == "the reply holds the grammar token </eoi>"
     assert results[1].error is None and results[1].trace.answer == "the earth"
     out = tmp_path / "traces.jsonl"
     write_traces(results, out)
