@@ -58,7 +58,6 @@ from .dataset import (
 )
 from .evaluation import (
     EvalExample,
-    apply_task_instruction,
     citation_precision,
     evaluate,
     match_accuracy,

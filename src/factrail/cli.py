@@ -62,8 +62,12 @@ def load_config(path: str | None) -> GlobalConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests arrays or objects too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(data) - {f.name for f in fields(GlobalConfig)}

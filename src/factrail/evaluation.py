@@ -28,7 +28,6 @@ from .grammar import Relevance
 from .orchestrator import BatchResult, InferenceTrace, validate_trace
 
 __all__ = [
-    "EvaluationError",
     "UnknownTaskError",
     "SchemaMismatchError",
     "EvalExample",
@@ -38,42 +37,23 @@ __all__ = [
     "str_em",
     "rouge_l",
     "citation_precision",
-    "apply_task_instruction",
     "evaluate",
     "read_eval_examples",
-    "TASK_INSTRUCTIONS",
     "KNOWN_TASKS",
 ]
 
 
-class EvaluationError(Exception):
-    pass
-
-
-class UnknownTaskError(EvaluationError):
+class UnknownTaskError(Exception):
     def __init__(self, task: str) -> None:
         super().__init__(f"unknown task tag {task!r}")
 
 
-class SchemaMismatchError(EvaluationError):
+class SchemaMismatchError(Exception):
     pass
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
-
-TASK_INSTRUCTIONS = {
-    "arc-c": "Given four answer candidates, choose the best answer choice.",
-    "pubhealth": (
-        "Is the following statement correct or not? Say true if it's correct; "
-        "otherwise, say false."
-    ),
-    "asqa": (
-        "Answer the following question. The question may be ambiguous and have "
-        "multiple correct answers, and in that case, you have to provide a "
-        "long-form answer including all correct answers."
-    ),
-}
 
 KNOWN_TASKS = ("arc-c", "pubhealth", "asqa", "popqa", "squad")
 
@@ -158,16 +138,6 @@ def citation_precision(trace: InferenceTrace, golds: Sequence[str]) -> float:
         if any(g in fact for g in normalized_golds):
             hits += 1
     return hits / len(trace.citations.indices)
-
-
-def apply_task_instruction(task: str, question: str) -> str:
-    """Prefix the fixed per-task instruction; pass-through tasks stay unchanged."""
-    if task not in KNOWN_TASKS:
-        raise UnknownTaskError(task)
-    instruction = TASK_INSTRUCTIONS.get(task)
-    if instruction is None:
-        return question
-    return f"{instruction}\n{question}"
 
 
 # ---------------------------------------------------------------------------

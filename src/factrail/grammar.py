@@ -42,7 +42,6 @@ __all__ = [
     "RetrievalSyntaxError",
     "first_token",
     "text_violation",
-    "step_violation",
     "serialize_sections",
     "serialize_steps",
     "serialize_trajectory",
@@ -318,14 +317,6 @@ def text_violation(text: str) -> str | None:
     return None
 
 
-def step_violation(step: TrajectoryStep) -> str | None:
-    """Name the first grammar token in a step's body, or None if it is clean."""
-    token = first_token(step.body)
-    if token is None:
-        return None
-    return f"body of {step.kind.value} step contains the token {token.value}"
-
-
 def serialize_sections(
     steps: Sequence[TrajectoryStep],
 ) -> tuple[str, list[tuple[int, int]]]:
@@ -349,9 +340,11 @@ def serialize_sections(
                 step_index=i,
             )
         last_rank = step.kind.rank
-        problem = step_violation(step)
-        if problem:
-            raise TrajectoryInvariantError(problem, step_index=i)
+        token = first_token(step.body)
+        if token is not None:
+            raise TrajectoryInvariantError(
+                f"body of {step.kind.value} step contains the token {token.value}", step_index=i
+            )
         section = f"{step.kind.head.value}\n{step.body}\n{step.kind.end.value}\n"
         parts.append(section)
         spans.append((offset, offset + len(section) - 1))

@@ -127,15 +127,33 @@ class TraceViolation:
 @dataclass(frozen=True)
 class InferenceTrace:
     """One inference. The trajectory is the record: intents, judgments,
-    answer and citations are parsed from its sections on first access (a
-    GrammarError if one does not parse), and the passages are those its
-    retrieval section lists. ``steps`` holds what only the run saw."""
+    answer, citations and passages are parsed from its sections on first
+    access (a GrammarError if one does not parse). ``passage_meta`` holds
+    each passage's (id, title, word_count); its retrieval entry must start
+    ``[i] {title} -`` (a ValueError if not). ``steps`` holds what only the run saw."""
 
     instruction: str
-    passages: tuple[Passage, ...]
     trajectory: Trajectory
+    passage_meta: tuple[tuple[int, str, int], ...]
     steps: tuple[StepRecord, ...] = ()
     flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        body = _section(self.trajectory, StepKind.RETRIEVAL)
+        lines = [] if body is None else body.split("\n")
+        if len(lines) != len(self.passage_meta):
+            raise ValueError(f"{len(self.passage_meta)} passages but {len(lines)} retrieval entries")
+        for i, ((_, title, _), line) in enumerate(zip(self.passage_meta, lines), start=1):
+            if not line.startswith(prefix := f"[{i}] {title} -"):
+                raise ValueError(f"retrieval entry {i} does not start with {prefix!r}")
+
+    @cached_property
+    def passages(self) -> tuple[Passage, ...]:
+        lines = (_section(self.trajectory, StepKind.RETRIEVAL) or "").split("\n")
+        return tuple(
+            Passage(pid, title, lines[i][len(f"[{i + 1}] {title} -") :], words)
+            for i, (pid, title, words) in enumerate(self.passage_meta)
+        )
 
     @cached_property
     def intents(self) -> IntentSet | None:
@@ -365,8 +383,8 @@ def run_inference(
 
     return InferenceTrace(
         instruction=instruction,
-        passages=tuple(passages),
         trajectory=Trajectory(tuple(steps)),
+        passage_meta=tuple((p.id, p.title, p.word_count) for p in passages),
         steps=tuple(records),
         flags=tuple(flags),
     )
@@ -401,7 +419,7 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     violations: list[TraceViolation] = []
     if _section(trace.trajectory, StepKind.GENERATOR) is None:
         violations.append(TraceViolation("generator_missing", "no generator section"))
-    n = len(trace.passages)
+    n = len(trace.passage_meta)
     if _section(trace.trajectory, StepKind.LOCATOR) is not None:
         problem = _judgment_coverage_problem(trace.judgments, n)
         if problem:
@@ -444,7 +462,8 @@ def trace_to_dict(trace: InferenceTrace) -> dict:
     return {
         "instruction": trace.instruction,
         "passages": [
-            {"id": p.id, "title": p.title, "word_count": p.word_count} for p in trace.passages
+            {"id": pid, "title": title, "word_count": words}
+            for pid, title, words in trace.passage_meta
         ],
         "citations": list(trace.citations.indices),
         "trajectory": serialize_trajectory(trace.trajectory),
@@ -472,29 +491,19 @@ def _kept_intents(raw: IntentSet, flags: Sequence[str]) -> IntentSet:
     return raw
 
 
-def _listed_passages(rows: object, body: str | None) -> tuple[Passage, ...]:
-    """The passages a row names, each with its text taken from its line of
-    the retrieval section after the prefix ``[i] {title} -``."""
+def _passage_meta(rows: object) -> tuple[tuple[int, str, int], ...]:
+    """The (id, title, word_count) of each passage a row lists."""
     if type(rows) is not list:
         raise TypeError("'passages' must be a list")
-    lines = body.split("\n") if body is not None else []
-    if len(lines) != len(rows):
-        raise ValueError(f"{len(rows)} passages but {len(lines)} retrieval entries")
-    passages = []
-    for i, (row, line) in enumerate(zip(rows, lines), start=1):
+    meta = []
+    for at, row in enumerate(rows):
         if type(row) is not dict:
-            raise ValueError(f"passages[{i - 1}] must be an object, not {type(row).__name__}")
+            raise ValueError(f"passages[{at}] must be an object, not {type(row).__name__}")
         if "text" in row:
             raise ValueError(_V1_COMPLAINT)
         title = typed_field(row, "title")
-        prefix = f"[{i}] {title} -"
-        if not line.startswith(prefix):
-            raise ValueError(f"retrieval entry {i} does not start with {prefix!r}")
-        text = line[len(prefix) :]
-        passages.append(
-            Passage(typed_field(row, "id", int), title, text, typed_field(row, "word_count", int))
-        )
-    return tuple(passages)
+        meta.append((typed_field(row, "id", int), title, typed_field(row, "word_count", int)))
+    return tuple(meta)
 
 
 def trace_from_dict(data: dict) -> InferenceTrace:
@@ -507,8 +516,8 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     trajectory = parse_trajectory(typed_field(data, "trajectory"))
     trace = InferenceTrace(
         instruction=typed_field(data, "instruction"),
-        passages=_listed_passages(data["passages"], _section(trajectory, StepKind.RETRIEVAL)),
         trajectory=trajectory,
+        passage_meta=_passage_meta(data["passages"]),
         flags=string_list(data.get("flags", []), "flags"),
     )
     # Read every section now, so one that does not parse fails on its line.

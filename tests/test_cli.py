@@ -209,6 +209,25 @@ def test_mistyped_config_value_exits_with_usage(tmp_path, index_file, capsys, co
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "config is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "config nests arrays or objects too deeply to read"),
+    ],
+    ids=["not-utf8", "nested-200k"],
+)
+def test_unreadable_config_exits_with_usage(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["--config", str(path), "validate", "--traces", os.devnull]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_bad_config_exits_with_usage(tmp_path, corpus_file):
     config = tmp_path / "c.json"
     config.write_text('{"mystery": 1}')

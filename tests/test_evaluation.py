@@ -14,9 +14,7 @@ from factrail.evaluation import (
     EvalExample,
     _lcs_length,
     SchemaMismatchError,
-    TASK_INSTRUCTIONS,
     UnknownTaskError,
-    apply_task_instruction,
     citation_precision,
     evaluate,
     match_accuracy,
@@ -48,7 +46,7 @@ def fact_trace(judgments, citations, answer="a"):
         steps.append(TrajectoryStep(StepKind.LOCATOR, body))
     cited = CitationList(tuple(citations)).render()
     steps.append(TrajectoryStep(StepKind.GENERATOR, f"{answer}\n{cited}" if cited else answer))
-    trace = InferenceTrace(instruction="q", passages=(), trajectory=Trajectory(tuple(steps)))
+    trace = InferenceTrace(instruction="q", trajectory=Trajectory(tuple(steps)), passage_meta=())
     assert trace.judgments == tuple(judgments)
     assert (trace.answer, trace.citations.indices) == (answer, tuple(citations))
     return trace
@@ -218,29 +216,6 @@ def test_citation_precision_counts_supporting_facts():
 def test_citation_precision_ignores_unsupported_citations():
     trace = fact_trace([LocatorJudgment(1, Relevance.RELEVANT, "has the gold")], [1, 3])
     assert citation_precision(trace, ["gold"]) == 0.5
-
-
-# ---------------------------------------------------------------------------
-# task instructions
-
-
-def test_instruction_strings_are_pinned():
-    assert TASK_INSTRUCTIONS["arc-c"] == (
-        "Given four answer candidates, choose the best answer choice."
-    )
-    assert TASK_INSTRUCTIONS["pubhealth"] == (
-        "Is the following statement correct or not? Say true if it's correct; "
-        "otherwise, say false."
-    )
-    assert TASK_INSTRUCTIONS["asqa"].startswith("Answer the following question.")
-
-
-def test_apply_task_instruction():
-    assert apply_task_instruction("arc-c", "Q?") == TASK_INSTRUCTIONS["arc-c"] + "\nQ?"
-    assert apply_task_instruction("popqa", "Q?") == "Q?"
-    assert apply_task_instruction("squad", "Q?") == "Q?"
-    with pytest.raises(UnknownTaskError):
-        apply_task_instruction("mystery", "Q?")
 
 
 # ---------------------------------------------------------------------------

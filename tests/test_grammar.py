@@ -39,7 +39,6 @@ from factrail.grammar import (
     retrieval_body,
     serialize_sections,
     serialize_trajectory,
-    step_violation,
     text_violation,
 )
 
@@ -167,7 +166,15 @@ _SURFACE_PIECES = sorted(
 )
 def test_step_violation_matches_the_nine_token_loop(kind, body):
     step = TrajectoryStep(kind, body)
-    assert step_violation(step) == reference_step_violation(step)
+    problem = reference_step_violation(step)
+    if problem is None:
+        text, spans = serialize_sections([step])
+        assert text == f"{kind.head.value}\n{body}\n{kind.end.value}\n"
+        assert spans == [(0, len(text) - 1)]
+    else:
+        with pytest.raises(TrajectoryInvariantError) as caught:
+            serialize_sections([step])
+        assert (caught.value.reason, caught.value.step_index) == (problem, 0)
 
 
 def test_parse_lone_reconstructor_section():

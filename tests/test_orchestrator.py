@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from factrail import orchestrator
 from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend, prompt_text
 from factrail.corpus import Passage, build_index, chunk_document, index_documents
+from factrail.evaluation import EvalExample, evaluate
 from factrail.grammar import (
     CitationList,
     IntentSet,
@@ -533,7 +534,7 @@ def test_detects_unsupported_citation(clean_trace):
 
 def test_a_trace_holds_no_value_beside_its_sections(clean_trace):
     names = [f.name for f in fields(InferenceTrace)]
-    assert names == ["instruction", "passages", "trajectory", "steps", "flags"]
+    assert names == ["instruction", "trajectory", "passage_meta", "steps", "flags"]
     for name in ("intents", "judgments", "answer", "citations"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             replace(clean_trace, **{name: getattr(clean_trace, name)})
@@ -551,6 +552,88 @@ def test_a_trace_holds_no_value_beside_its_sections(clean_trace):
     assert (edited.answer, edited.citations) == ("a star", CitationList((2,)))
     assert validate_trace(edited) == []
     assert trace_to_dict(edited)["citations"] == [2]
+
+
+def test_a_trace_whose_passages_do_not_fit_its_retrieval_section_cannot_be_built(clean_trace):
+    # The passages are derived from the retrieval section: a trace holds only
+    # each passage's id, title and word count, and those must fit the entries.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'passages'"):
+        replace(clean_trace, passages=clean_trace.passages)
+    meta = clean_trace.passage_meta
+    assert len(meta) == 2
+    with pytest.raises(ValueError, match="^1 passages but 2 retrieval entries$"):
+        replace(clean_trace, passage_meta=meta[:1])
+    with pytest.raises(ValueError, match="^3 passages but 2 retrieval entries$"):
+        replace(clean_trace, passage_meta=meta + meta[:1])
+    retitled = (meta[0], (meta[1][0], "Tide", meta[1][2]))
+    with pytest.raises(ValueError, match="^retrieval entry 2 does not start with '\\[2\\] Tide -'$"):
+        replace(clean_trace, passage_meta=retitled)
+    headless = Trajectory(tuple(s for s in clean_trace.trajectory.steps if s.kind is StepKind.GENERATOR))
+    with pytest.raises(ValueError, match="^2 passages but 0 retrieval entries$"):
+        replace(clean_trace, trajectory=headless)
+    assert replace(clean_trace, trajectory=headless, passage_meta=()).passages == ()
+
+
+def test_validate_and_evaluate_never_cut_the_passage_texts(index, tmp_path):
+    backend, cfg, _ = relevance_setup(index)
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    path = tmp_path / "traces.jsonl"
+    write_traces([BatchResult(index=0, trace=trace)], path)
+    results = read_traces(path)
+    read = results[0].trace
+    assert validate_trace(read) == []
+    report = evaluate(results, [EvalExample(INSTRUCTION, ("the earth",), "popqa")], "popqa")
+    assert report.citations["errors"] == 0.0
+    assert "passages" not in read.__dict__
+    # On first access the texts are cut from the section, and kept.
+    assert read.passages == trace.passages
+    assert read.__dict__["passages"] is read.passages
+
+
+_PIECES = (
+    "-", " -", "- ", "a -b", "x - y", "[2]", "[1] Tide -", "Tide", "zeta", "omega",
+    "élan", "naïve", "мир", "Ærø", "日本", "_", "—",
+)
+_PIECE = st.one_of(
+    st.sampled_from(_PIECES),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="<>"), max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derived_passages_are_the_retrieved_passages(data):
+    # Titles may contain " -" and "[2]", so only the stored title fixes where
+    # an entry's text starts.
+    docs = [
+        (
+            " ".join(data.draw(st.lists(_PIECE, max_size=4), label=f"title {n}")),
+            " ".join([*data.draw(st.lists(_PIECE, max_size=6), label=f"text {n}"), "zeta"]),
+        )
+        for n in range(data.draw(st.integers(1, 5), label="documents"))
+    ]
+    index = index_documents(docs)
+    cfg = InferenceConfig(k=3, max_passages=6)
+    relevant = data.draw(st.booleans(), label="first passage judged Relevant")
+
+    def locator_body(passages):
+        return "\n".join(
+            format_judgment_line(i, "a fact.")
+            if relevant and i == 1
+            else f"[Irrelevant]: [{i}] Lacking Supporting Facts."
+            for i in range(1, len(passages) + 1)
+        )
+
+    backend = ScriptedBackend()
+    passages = script_scenario(
+        backend, index, cfg, INSTRUCTION, "Search(zeta; omega)", locator_body, "x\n[Cite]: [1]"
+    )
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    assert passages
+    assert trace.passages == tuple(passages)
+    read = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace), ensure_ascii=False)))
+    assert read == replace(trace, steps=())
+    assert read.passages == trace.passages
 
 
 def test_detects_retrieval_tampering(clean_trace):
