@@ -43,6 +43,7 @@ from .backends import (
 from .orchestrator import (
     InferenceConfig,
     InferenceTrace,
+    iter_batch,
     run_batch,
     run_inference,
     validate_trace,

@@ -154,15 +154,14 @@ def cmd_build_dataset(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     # The long kind goes through its public name, so tracing that wraps
     # build_long_example sees one span per long example built.
     if kind is dataset.ExampleKind.LONG:
-        examples = [dataset.build_long_example(raw, critic, index, k) for raw in raws]
+        examples = (dataset.build_long_example(raw, critic, index, k) for raw in raws)
     else:
-        examples = [dataset.build_example(kind, raw, critic, index, k) for raw in raws]
+        examples = (dataset.build_example(kind, raw, critic, index, k) for raw in raws)
     fingerprint = _config_fingerprint(
         {"kind": args.kind, "task": args.task, "k": k, "critic": args.critic}
     )
     out = Path(args.out)
-    with atomic_path(out) as temp:
-        manifest = dataset.emit_dataset(examples, temp, config_fingerprint=fingerprint)
+    manifest = dataset.emit_dataset(examples, out, config_fingerprint=fingerprint)
     manifest_path = str(out) + ".manifest.json"
     _write_json(manifest_path, manifest.to_dict())
     print(f"wrote {manifest.total} examples -> {out} (manifest {manifest_path})")
@@ -180,32 +179,35 @@ def cmd_infer(args: argparse.Namespace, cfg: GlobalConfig) -> int:
             raise ConfigError("the http backend needs a backend section in the config")
         backend = backends.HttpBackend(cfg.backend)
     instructions = _read_instructions(args.input)
-    results = orchestrator.run_batch(
+    failures = 0
+    totals: dict[str, tuple[float, int]] = {}
+
+    def tally(results):
+        nonlocal failures
+        for result in results:
+            failures += result.trace is None
+            for record in result.trace.steps if result.trace else ():
+                total, count = totals.get(record.kind.value, (0.0, 0))
+                totals[record.kind.value] = (total + record.duration_s, count + 1)
+            yield result
+
+    results = orchestrator.iter_batch(
         instructions, index, backend, cfg.inference, max_workers=cfg.concurrency
     )
-    orchestrator.write_traces(results, args.out)
-
-    failures = sum(1 for r in results if r.error is not None)
-    totals: dict[str, tuple[float, int]] = {}
-    for result in results:
-        if result.trace is None:
-            continue
-        for record in result.trace.steps:
-            total, count = totals.get(record.kind.value, (0.0, 0))
-            totals[record.kind.value] = (total + record.duration_s, count + 1)
+    orchestrator.write_traces(tally(results), args.out)
     for stage in sorted(totals):
         total, count = totals[stage]
         print(f"stage {stage}: mean {total / count * 1000:.2f} ms over {count} calls")
-    print(f"wrote {len(results)} traces ({failures} failures) -> {args.out}")
+    print(f"wrote {len(instructions)} traces ({failures} failures) -> {args.out}")
     if failures and args.strict:
         return EXIT_FAILURE
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
-    results = orchestrator.read_traces(args.traces)
+    # The references are read whole and first; the traces stream past them.
     examples = evaluation.read_eval_examples(args.refs)
-    report = evaluation.evaluate(results, examples, args.task)
+    report = evaluation.evaluate(orchestrator.iter_results(args.traces), examples, args.task)
     _write_json(args.out, report.to_dict())
     print(report.format_table())
     return EXIT_OK

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
@@ -52,7 +52,7 @@ from .grammar import (
     serialize_sections,
     text_violation,
 )
-from .fileio import read_jsonl, typed_field
+from .fileio import atomic_path, drawn_ahead, read_jsonl, typed_field
 from .orchestrator import build_step_prompt
 
 __all__ = [
@@ -550,16 +550,16 @@ class DatasetManifest:
 
 
 def emit_dataset(
-    examples: Sequence[TrainingExample],
+    examples: Iterable[TrainingExample],
     path: str | Path,
     *,
     config_fingerprint: str = "",
 ) -> DatasetManifest:
-    """Write examples as JSONL (deterministic bytes) and return the manifest."""
+    """Write examples atomically as JSONL (deterministic bytes); return the manifest."""
     by_kind: dict[str, int] = {}
     by_source: dict[str, int] = {}
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
+    with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
+        for example in drawn_ahead(examples):
             record = {
                 "kind": example.kind.value,
                 "input": example.input,
@@ -572,7 +572,7 @@ def emit_dataset(
             by_source[example.source] = by_source.get(example.source, 0) + 1
     return DatasetManifest(
         schema_version=SCHEMA_VERSION,
-        total=len(examples),
+        total=sum(by_kind.values()),
         counts_by_kind=by_kind,
         counts_by_source=by_source,
         config_fingerprint=config_fingerprint,

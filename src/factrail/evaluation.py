@@ -21,9 +21,9 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .fileio import read_jsonl, string_list, typed_field
+from .fileio import drawn_ahead, read_jsonl, string_list, typed_field
 from .grammar import Relevance
 from .orchestrator import BatchResult, InferenceTrace, validate_trace
 
@@ -235,9 +235,10 @@ def _unscorable(result: BatchResult) -> str | None:
 
 
 def evaluate(
-    results: Sequence[BatchResult], examples: Sequence[EvalExample], task: str
+    results: Iterable[BatchResult], examples: Sequence[EvalExample], task: str
 ) -> EvalReport:
-    """Score traces against references, paired by position.
+    """Score traces against references, paired by position. The results are
+    streamed once the references are checked, and read to their end.
 
     A row without a trace, or whose trace ``validate_trace`` rejects for
     anything but an unsupported citation, is an error row: it scores as an
@@ -246,10 +247,6 @@ def evaluate(
     """
     if task not in KNOWN_TASKS:
         raise UnknownTaskError(task)
-    if len(results) != len(examples):
-        raise SchemaMismatchError(
-            f"{len(results)} traces but {len(examples)} references"
-        )
     for example in examples:
         if example.task != task:
             raise SchemaMismatchError(
@@ -262,7 +259,9 @@ def evaluate(
     rouge_values: list[float] = []
     precision_values: list[float] = []
     errors = 0
-    for position, (result, example) in enumerate(zip(results, examples)):
+    results = drawn_ahead(results)
+    # References first: zip draws no result once they run out.
+    for position, (example, result) in enumerate(zip(examples, results)):
         row: dict = {"i": position}
         problem = _unscorable(result)
         if problem is not None:
@@ -287,6 +286,9 @@ def evaluate(
             )
             precision_values.append(row["citation_precision"])
         rows.append(row)
+    traces = len(rows) + sum(1 for _ in results)
+    if traces != len(examples):
+        raise SchemaMismatchError(f"{traces} traces but {len(examples)} references")
 
     metrics: dict[str, float] = {}
     if task == "asqa":

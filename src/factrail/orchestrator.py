@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .backends import (
     LENGTH_LIMIT_MARKER,
@@ -30,7 +31,7 @@ from .backends import (
     prompt_text,
 )
 from .corpus import CorpusIndex, EmptyQueryError, Passage, retrieve_multi
-from .fileio import atomic_path, read_jsonl, string_list, typed_field
+from .fileio import atomic_path, drawn_ahead, read_jsonl, string_list, typed_field
 from .grammar import (
     CitationList,
     GrammarError,
@@ -63,11 +64,13 @@ __all__ = [
     "stops_for",
     "run_inference",
     "validate_trace",
+    "iter_batch",
     "run_batch",
     "trace_to_dict",
     "trace_from_dict",
     "write_traces",
     "iter_traces",
+    "iter_results",
     "read_traces",
 ]
 
@@ -432,6 +435,43 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
 # batching and trace files
 
 
+# Instructions started ahead of the one yielded, per worker; 4 read slower in `infer`.
+_WINDOW_PER_WORKER = 16
+
+
+def iter_batch(
+    instructions: Iterable[str],
+    index: CorpusIndex,
+    backend: Backend,
+    config: InferenceConfig | None = None,
+    *,
+    max_workers: int = 4,
+) -> Iterator[BatchResult]:
+    """Yield each instruction's result in input order, failures per-item, with
+    at most ``16 * max_workers`` in flight: memory does not grow with the batch."""
+
+    def work(position: int, instruction: str) -> BatchResult:
+        try:
+            trace = run_inference(instruction, index, backend, config)
+            return BatchResult(index=position, trace=trace)
+        except PipelineError as exc:
+            return BatchResult(index=position, error=exc)
+
+    workers = max(1, max_workers)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending: deque[Future[BatchResult]] = deque()
+    try:
+        for position, instruction in enumerate(instructions):
+            if len(pending) == _WINDOW_PER_WORKER * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, position, instruction))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # A consumer that stops early does not wait for work it will not read.
+        pool.shutdown(cancel_futures=True)
+
+
 def run_batch(
     instructions: Sequence[str],
     index: CorpusIndex,
@@ -440,17 +480,8 @@ def run_batch(
     *,
     max_workers: int = 4,
 ) -> list[BatchResult]:
-    """Run many instructions with bounded concurrency; failures stay per-item."""
-
-    def work(position: int) -> BatchResult:
-        try:
-            trace = run_inference(instructions[position], index, backend, config)
-            return BatchResult(index=position, trace=trace)
-        except PipelineError as exc:
-            return BatchResult(index=position, error=exc)
-
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        return list(pool.map(work, range(len(instructions))))
+    """``iter_batch``'s results as a list."""
+    return list(iter_batch(instructions, index, backend, config, max_workers=max_workers))
 
 
 def trace_to_dict(trace: InferenceTrace) -> dict:
@@ -527,9 +558,10 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     return trace
 
 
-def write_traces(results: Sequence[BatchResult], path: str | Path) -> None:
+def write_traces(results: Iterable[BatchResult], path: str | Path) -> None:
+    """Write a row per result as it arrives; the file appears once all are."""
     with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
-        for result in results:
+        for result in drawn_ahead(results):
             if result.trace is not None:
                 record = trace_to_dict(result.trace)
             else:
@@ -553,10 +585,14 @@ def iter_traces(path: str | Path) -> Iterator[tuple[int, InferenceTrace | Pipeli
     return read_jsonl(path, _trace_row, "trace record", TraceFormatError, (GrammarError,))
 
 
+def iter_results(path: str | Path) -> Iterator[BatchResult]:
+    """Stream a trace file as the results ``write_traces`` wrote, in order."""
+    for position, (_, row) in enumerate(iter_traces(path)):
+        if isinstance(row, PipelineError):
+            yield BatchResult(index=position, error=row)
+        else:
+            yield BatchResult(index=position, trace=row)
+
+
 def read_traces(path: str | Path) -> list[BatchResult]:
-    return [
-        BatchResult(index=i, error=row)
-        if isinstance(row, PipelineError)
-        else BatchResult(index=i, trace=row)
-        for i, (_, row) in enumerate(iter_traces(path))
-    ]
+    return list(iter_results(path))

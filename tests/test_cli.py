@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, config strictness, and file outputs."""
 
 import errno
+import gc
 import io
 import json
 import os
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -715,6 +717,54 @@ def test_eval_schema_mismatch_is_usage_error(tmp_path, index_file):
     assert code == EXIT_USAGE
 
 
+POPQA_REF = {"task": "popqa", "question": INSTRUCTION, "gold_answers": ["the earth"]}
+
+
+def eval_errors(tmp_path, trace_lines, ref_lines):
+    """Run eval on files of these lines; its exit code and error lines."""
+    traces, refs = tmp_path / "t.jsonl", tmp_path / "refs.jsonl"
+    traces.write_text("".join(line + "\n" for line in trace_lines))
+    refs.write_text("".join(line + "\n" for line in ref_lines))
+    out = tmp_path / "report.json"
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(
+            ["eval", "--traces", str(traces), "--refs", str(refs), "--task", "popqa", "--out", str(out)]
+        )
+    assert not out.exists()
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("n_traces, n_refs", [(3, 1), (1, 3), (0, 2), (2, 0)])
+def test_eval_count_mismatch_counts_both_files_whole(tmp_path, index_file, n_traces, n_refs):
+    row = Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0]
+    code, errors = eval_errors(tmp_path, [row] * n_traces, [json.dumps(POPQA_REF)] * n_refs)
+    assert (code, errors) == (EXIT_USAGE, [f"error: {n_traces} traces but {n_refs} references"])
+
+
+@pytest.mark.parametrize("good_rows", [1, 2])
+def test_eval_names_a_bad_trace_row_beyond_the_last_reference(tmp_path, index_file, good_rows):
+    row = Path(infer_traces(tmp_path, index_file)).read_text().splitlines()[0]
+    code, errors = eval_errors(tmp_path, [row] * good_rows + ["{not json"], [json.dumps(POPQA_REF)])
+    assert code == EXIT_FAILURE
+    assert len(errors) == 1 and f"line {good_rows + 1}" in errors[0], errors
+
+
+@pytest.mark.parametrize(
+    "bad_ref, complaint",
+    [
+        ("{not json", "bad reference on line 1"),
+        (json.dumps(dict(POPQA_REF, task="squad")), "reference task 'squad' does not match 'popqa'"),
+    ],
+    ids=["malformed", "other-task"],
+)
+def test_eval_reads_the_references_before_the_traces(tmp_path, bad_ref, complaint):
+    # Both files are bad: the references' error wins.
+    code, errors = eval_errors(tmp_path, ["{not a trace"], [bad_ref])
+    assert code == EXIT_USAGE
+    assert len(errors) == 1 and complaint in errors[0], errors
+
+
 def test_failed_eval_report_write_keeps_previous_report_bytes(
     tmp_path, index_file, monkeypatch
 ):
@@ -1054,6 +1104,76 @@ def test_validate_flags_a_short_input_that_is_not_a_stage_prompt(tmp_path, capsy
         "line 1: short input must end with the <Reconstructor> head\n"
         "2 problem(s) found\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# memory: infer and eval hold one item at a time, not the batch
+
+
+@pytest.fixture(scope="module")
+def long_passage_setup(tmp_path_factory):
+    """An index whose one scripted instruction retrieves twelve 100-word
+    passages, so each trace outweighs what a command holds for the batch."""
+    tmp = tmp_path_factory.mktemp("memory")
+    docs = [
+        (f"Doc {d}", " ".join(f"t{d // 3}" if j % 10 == 0 else f"w{d}x{j}" for j in range(100)))
+        for d in range(12)
+    ]
+    index = str(tmp / "corpus.index")
+    corpus_file = write_jsonl(tmp / "docs.jsonl", [{"title": t, "text": x} for t, x in docs])
+    assert main(["index", "--corpus", corpus_file, "--out", index]) == EXIT_OK
+    backend = ScriptedBackend()
+    passages = script_scenario(
+        backend, load_index(index), InferenceConfig(), INSTRUCTION, "Search(t0; t1; t2; t3)",
+        judge_by_answer("w0x1"), "w0x1\n[Cite]: [1]",
+    )
+    assert len(passages) == 12
+    save_script(backend._script, tmp / "replies.jsonl")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"script": str(tmp / "replies.jsonl"), "concurrency": 1}))
+    return tmp, index, str(config)
+
+
+def peak_bytes(argv):
+    """The tracemalloc peak of one cli.main call, which must succeed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def infer_argv(setup, n):
+    tmp, index, config = setup
+    ins = write_jsonl(tmp / f"ins{n}.jsonl", [{"instruction": INSTRUCTION}] * n)
+    out = str(tmp / f"traces{n}.jsonl")
+    return [
+        "--config", config, "infer", "--backend", "scripted",
+        "--index", index, "--in", ins, "--out", out,
+    ]
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_peak_memory_does_not_grow_with_the_item_count(long_passage_setup, command):
+    # Held whole, 4n traces weigh about 4 times n. Streamed, at most the
+    # 16 in flight and the 32 drawn ahead are held (n is above both), and
+    # the eval report's rows are what grows.
+    tmp = long_passage_setup[0]
+    ref = {"task": "popqa", "question": INSTRUCTION, "gold_answers": ["w0x1"]}
+    n = 64
+    peaks = []
+    for items in (n, 4 * n):
+        argv = infer_argv(long_passage_setup, items)
+        if command == "eval":
+            assert main(argv) == EXIT_OK
+            refs = write_jsonl(tmp / f"refs{items}.jsonl", [ref] * items)
+            out = str(tmp / "report.json")
+            argv = ["eval", "--traces", argv[-1], "--refs", refs, "--task", "popqa", "--out", out]
+        peaks.append(peak_bytes(argv))
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Training-example builders, loss masks, critics, and dataset emission."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -460,6 +461,24 @@ def test_emit_dataset_manifest_and_determinism(index, tmp_path):
 
     for line in first.read_text().splitlines():
         assert check_example_dict(json.loads(line)) == []
+
+
+def test_emit_dataset_leaves_no_file_when_its_examples_fail_midway(index, tmp_path):
+    critic = RuleBasedCritic()
+
+    def examples():
+        yield build_example(ExampleKind.SHORT_INTENT, planet_example(), critic)
+        yield build_example(ExampleKind.SHORT_GENERATOR_PLAIN, planet_example(), critic)
+        raise DatasetError("the third example cannot be built")
+
+    path = tmp_path / "train.jsonl"
+    with pytest.raises(DatasetError, match="third example"):
+        emit_dataset(examples(), path)
+    assert list(tmp_path.iterdir()) == []
+
+    # A generator is written as it is drawn, and counted the same way.
+    manifest = emit_dataset(itertools.islice(examples(), 2), path)
+    assert manifest.total == 2 and len(path.read_text().splitlines()) == 2
 
 
 def test_read_raw_examples(tmp_path):

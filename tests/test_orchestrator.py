@@ -3,7 +3,10 @@
 import gc
 import json
 import random
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import pytest
@@ -24,6 +27,7 @@ from factrail.grammar import (
     Trajectory,
     TrajectoryStep,
     format_judgment,
+    render_instruction,
     retrieval_body,
     serialize_trajectory,
 )
@@ -799,6 +803,68 @@ def test_run_batch_keeps_order_and_isolates_failures(index):
 
     solo = run_inference(INSTRUCTION, index, backend, cfg)
     assert trace_to_dict(results[0].trace) == trace_to_dict(solo)
+
+
+class GatedBackend:
+    """Records which instructions reached the backend; one instruction waits
+    at a gate until the test opens it."""
+
+    def __init__(self, inner, gated_instruction):
+        self.inner = inner
+        self.gated_prompt = render_instruction(gated_instruction)
+        self.gate = threading.Event()
+        self.started = set()
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        with self.lock:
+            self.started.add(request.instruction)
+        if request.instruction == self.gated_prompt:
+            assert self.gate.wait(timeout=30)
+        return self.inner.generate(request)
+
+
+@pytest.mark.parametrize("consumer", ["iter_batch", "run_batch"])
+def test_a_batch_starts_no_more_than_its_window_ahead(index, consumer):
+    backend, cfg, _ = relevance_setup(index)
+    gated = GatedBackend(backend, INSTRUCTION)
+    instructions = [INSTRUCTION] + [f"unscripted {n}" for n in range(79)]
+    window = orchestrator._WINDOW_PER_WORKER * 2
+    results = orchestrator.iter_batch(instructions, index, gated, cfg, max_workers=2)
+    consume = {
+        "iter_batch": lambda: [next(results)],
+        "run_batch": lambda: run_batch(instructions, index, gated, cfg, max_workers=2),
+    }[consumer]
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        first = reader.submit(consume)  # waits on the gated first instruction
+        deadline = time.monotonic() + 10
+        while len(gated.started) < window and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # time enough for any start beyond the window to show
+        assert len(gated.started) == window
+        gated.gate.set()
+        got = first.result(timeout=30)
+    if consumer == "iter_batch":
+        got += list(results)
+    assert [r.index for r in got] == list(range(80))
+    assert got[0].trace is not None
+    assert {r.error.stage for r in got[1:]} == {"reconstructor"}
+
+
+def test_iter_batch_and_run_batch_give_the_same_results_in_order(index):
+    backend, cfg, _ = relevance_setup(index)
+    instructions = [INSTRUCTION if n % 3 else f"unscripted {n}" for n in range(30)]
+
+    def rows(results):
+        return [
+            (r.index, trace_to_dict(r.trace) if r.trace else (r.error.stage, r.error.message))
+            for r in results
+        ]
+
+    batch = run_batch(instructions, index, backend, cfg, max_workers=3)
+    assert rows(batch) == rows(orchestrator.iter_batch(instructions, index, backend, cfg, max_workers=3))
+    assert [r.index for r in batch] == list(range(30))
+    assert [r.trace is None for r in batch] == [n % 3 == 0 for n in range(30)]
 
 
 def test_trace_jsonl_round_trip(index, tmp_path):
