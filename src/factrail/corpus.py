@@ -438,10 +438,11 @@ def load_index(path: str | Path) -> CorpusIndex:
     """Read an index that ``save_index`` wrote, checking every part of it.
 
     Raises IndexFormatError, naming the fault, for anything else: a header
-    that is not JSON or has missing or mistyped entries, a version 1 file,
-    a duplicate passage id or term, a document frequency below 1, columns
-    whose length disagrees with the frequencies, a tf below 1, or a term
-    whose ids name an unknown passage or are not strictly ascending.
+    that is not JSON, nests too deeply or has missing or mistyped entries,
+    a version 1 file, a passage title or text that ``index_documents``
+    refuses, a duplicate passage id or term, a document frequency below 1,
+    columns whose length disagrees with the frequencies, a tf below 1, or a
+    term whose ids name an unknown passage or are not strictly ascending.
     """
     with open(path, "rb") as handle:
         header = _read_header(handle)
@@ -486,12 +487,14 @@ def _read_header(handle: BinaryIO) -> dict:
     line = handle.readline()
     try:
         header = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        raise IndexFormatError("the index header nests arrays or objects too deeply") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         # A version 1 index is one JSON document, pretty-printed by default,
         # so its first line alone does not parse.
         try:
             header = json.loads((line + handle.read()).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             header = None
         if not (isinstance(header, dict) and header.get("version") == 1):
             raise IndexFormatError(f"not an index file: {exc}") from exc
@@ -556,6 +559,11 @@ def _passage_from_entry(at: int, entry: object) -> Passage:
     # pruning bounds, valid.
     if entry["word_count"] < 1:
         raise IndexFormatError(f"passages[{at}] 'word_count' must be at least 1")
+    # index_documents' own rule: no passage may hold what no prompt may.
+    for name in ("title", "text"):
+        problem = text_violation(entry[name])
+        if problem is not None:
+            raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
     return Passage(
         id=entry["id"], title=entry["title"], text=entry["text"], word_count=entry["word_count"]
     )

@@ -46,6 +46,7 @@ from .grammar import (
     parse_citations,
     parse_intents,
     parse_locator_body,
+    parse_retrieval_body,
     parse_trajectory,
     render_instruction,
     retrieval_body,
@@ -53,7 +54,7 @@ from .grammar import (
     text_violation,
 )
 from .fileio import atomic_path, drawn_ahead, read_jsonl, typed_field
-from .orchestrator import build_step_prompt
+from .orchestrator import build_step_prompt, section_violations
 
 __all__ = [
     "DatasetError",
@@ -286,18 +287,28 @@ class HttpCritic:
 
 
 class ExampleKind(Enum):
-    LONG = "long"
-    SHORT_INTENT = "short-intent"
-    SHORT_LOCATOR = "short-locator"
-    SHORT_GENERATOR_PLAIN = "short-generator-plain"
-    SHORT_GENERATOR_FACTS = "short-generator-facts"
+    """``.value`` is the kind's name; ``sections`` lists, in stage order, the
+    trajectory sections an example of the kind holds. A long example's
+    output is all four; a short one's output is the last section's body,
+    and its input is that stage's prompt over the sections before it."""
+
+    LONG = ("long", tuple(StepKind))
+    SHORT_INTENT = ("short-intent", (StepKind.RECONSTRUCTOR,))
+    SHORT_LOCATOR = ("short-locator", (StepKind.RETRIEVAL, StepKind.LOCATOR))
+    SHORT_GENERATOR_PLAIN = ("short-generator-plain", (StepKind.GENERATOR,))
+    SHORT_GENERATOR_FACTS = ("short-generator-facts", (StepKind.LOCATOR, StepKind.GENERATOR))
+
+    def __new__(cls, value: str, sections: tuple[StepKind, ...]) -> "ExampleKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.sections = sections
+        return member
 
     @property
     def needs_index(self) -> bool:
-        """Whether building this kind retrieves passages from a corpus index."""
-        return self in (
-            ExampleKind.LONG, ExampleKind.SHORT_LOCATOR, ExampleKind.SHORT_GENERATOR_FACTS
-        )
+        """Whether building this kind retrieves passages from a corpus index:
+        it holds their retrieval section or the judgments of them."""
+        return StepKind.RETRIEVAL in self.sections or StepKind.LOCATOR in self.sections
 
 
 @dataclass(frozen=True)
@@ -354,31 +365,20 @@ def _generator_body(y: str, relevant_indices: Sequence[int]) -> str:
     return f"{y}\n{CitationList(tuple(relevant_indices)).render()}"
 
 
-def _serialize_long(
-    steps: Sequence[TrajectoryStep],
-) -> tuple[str, list[tuple[int, int]]]:
-    """A long output and its loss spans: every section but the retrieval block."""
-    output, spans = serialize_sections(steps)
-    return output, [
-        span for step, span in zip(steps, spans) if step.kind is not StepKind.RETRIEVAL
-    ]
-
-
-def _short_example(
-    kind: ExampleKind,
-    raw: RawExample,
-    prior: Sequence[TrajectoryStep],
-    step: TrajectoryStep,
-) -> TrainingExample:
-    """One stage's inference prompt in; its body and end token out, all supervised."""
-    output = step.body + step.kind.end.value
-    return TrainingExample(
-        kind=kind,
-        input=build_step_prompt(raw.x, prior, step.kind),
-        output=output,
-        loss_spans=((0, len(output)),),
-        source=raw.source or raw.task.value,
-    )
+def _cut(
+    kind: ExampleKind, instruction: str, steps: Sequence[TrajectoryStep]
+) -> tuple[str, str, tuple[tuple[int, int], ...]]:
+    """The input, output and loss spans of a ``kind`` example made of these
+    sections. A long output is all of them, supervised but for the retrieval
+    block; a short one is the last section's body and end token, all
+    supervised, prompted by the sections before it."""
+    if kind is ExampleKind.LONG:
+        output, spans = serialize_sections(steps)
+        kept = (span for step, span in zip(steps, spans) if step.kind is not StepKind.RETRIEVAL)
+        return render_instruction(instruction), output, tuple(kept)
+    *prior, last = steps
+    output = last.body + last.kind.end.value
+    return build_step_prompt(instruction, prior, last.kind), output, ((0, len(output)),)
 
 
 def build_example(
@@ -400,35 +400,25 @@ def build_example(
     if kind.needs_index and index is None:
         raise ValueError(f"{kind.value} examples need an index")
     raw = _ensure_flat(raw)
-    if kind is ExampleKind.SHORT_GENERATOR_PLAIN:
-        return _short_example(kind, raw, [], TrajectoryStep(StepKind.GENERATOR, raw.y))
-    intents = critic.propose_intents(raw.x, raw.task)
-    reconstructor = TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents))
-    if kind is ExampleKind.SHORT_INTENT:
-        return _short_example(kind, raw, [], reconstructor)
-    passages = retrieve_multi(index, intents, k)
-    fact_conditioned = kind is ExampleKind.SHORT_GENERATOR_FACTS
-    if not passages:
-        raise NoRelevantFactsError() if fact_conditioned else EmptyRetrievalError()
-    judgments = _judge_all(raw.x, raw.y, passages, critic)
-    relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
-    if fact_conditioned and not relevant:
-        raise NoRelevantFactsError()
-    retrieval = TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))
-    locator = TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments))
-    generator = TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant))
-    if kind is ExampleKind.SHORT_LOCATOR:
-        return _short_example(kind, raw, [retrieval], locator)
-    if fact_conditioned:
-        return _short_example(kind, raw, [locator], generator)
-    output, spans = _serialize_long((reconstructor, retrieval, locator, generator))
-    return TrainingExample(
-        kind=kind,
-        input=render_instruction(raw.x),
-        output=output,
-        loss_spans=tuple(spans),
-        source=raw.source or raw.task.value,
-    )
+    steps: list[TrajectoryStep] = []
+    relevant: list[int] = []
+    if kind.needs_index or StepKind.RECONSTRUCTOR in kind.sections:
+        intents = critic.propose_intents(raw.x, raw.task)
+        steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents)))
+    if kind.needs_index:
+        passages = retrieve_multi(index, intents, k)
+        fact_conditioned = kind is ExampleKind.SHORT_GENERATOR_FACTS
+        if not passages:
+            raise NoRelevantFactsError() if fact_conditioned else EmptyRetrievalError()
+        judgments = _judge_all(raw.x, raw.y, passages, critic)
+        relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
+        if fact_conditioned and not relevant:
+            raise NoRelevantFactsError()
+        steps.append(TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)))
+        steps.append(TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments)))
+    steps.append(TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant)))
+    cut = _cut(kind, raw.x, [step for step in steps if step.kind in kind.sections])
+    return TrainingExample(kind, *cut, source=raw.source or raw.task.value)
 
 
 def build_long_example(
@@ -442,72 +432,74 @@ def build_long_example(
 # validation
 
 
-def _expected_long_spans(output: str) -> list[tuple[int, int]] | None:
-    """Recompute the supervised spans of a long output from its parse.
-
-    None unless the output is a canonical four-section trajectory, i.e.
-    re-serializing its parse gives back the same text.
-    """
-    try:
-        steps = parse_trajectory(output).steps
-    except GrammarError:
-        return None
-    if [s.kind for s in steps] != list(StepKind):
-        return None
-    text, spans = _serialize_long(steps)
-    return spans if text == output else None
-
-
-_SHORT_STAGES = {
-    ExampleKind.SHORT_INTENT: StepKind.RECONSTRUCTOR,
-    ExampleKind.SHORT_LOCATOR: StepKind.LOCATOR,
-    ExampleKind.SHORT_GENERATOR_PLAIN: StepKind.GENERATOR,
-    ExampleKind.SHORT_GENERATOR_FACTS: StepKind.GENERATOR,
+# How each section's body is read; a body that is not raises GrammarError.
+_BODY_PARSERS = {
+    StepKind.RECONSTRUCTOR: parse_intents,
+    StepKind.RETRIEVAL: parse_retrieval_body,
+    StepKind.LOCATOR: parse_locator_body,
+    StepKind.GENERATOR: parse_citations,
 }
 
 
 def check_training_example(example: TrainingExample) -> list[str]:
-    """Return every contract violation in a built example (empty means clean)."""
-    problems: list[str] = []
-    terminators = example.input.count(TokenKind.INSTRUCTION_END.value)
-    if terminators > 1:
-        problems.append(f"input holds {terminators} instruction terminators, not one")
-    if example.kind is ExampleKind.LONG:
-        expected = _expected_long_spans(example.output)
-        if expected is None:
-            problems.append(
-                "long output is not a canonical four-section trajectory"
-                " (re-serializing its parse differs)"
-            )
-        elif list(example.loss_spans) != expected:
-            problems.append("loss spans do not match the supervised sections")
-        if not example.input.rstrip("\n").endswith(TokenKind.INSTRUCTION_END.value):
-            problems.append("long input lacks the instruction terminator")
-        return problems
+    """Return every contract violation in a built example (empty means clean).
 
-    if example.loss_spans != ((0, len(example.output)),):
-        problems.append("short example must supervise its whole output")
-    # A short input is its stage's inference prompt: the framed instruction,
-    # any prior sections, then the stage's head on a line of its own.
-    stage = _SHORT_STAGES[example.kind]
-    if f"{TokenKind.INSTRUCTION_END.value}\n" not in example.input:
-        problems.append("short input lacks the instruction terminator")
-    if not example.input.endswith(f"{stage.head.value}\n"):
-        problems.append(f"short input must end with the {stage.head.value} head")
-    end = stage.end
-    if not example.output.endswith(end.value):
-        problems.append(f"short output must end with {end.value}")
+    An example is read back as the trajectory it was cut from: its input
+    after the instruction terminator, then its output, a short output's end
+    token on a line of its own. That text must parse into exactly the
+    kind's sections and cut back to the same input, output and loss spans,
+    and its sections must keep the rules a trace keeps
+    (``section_violations``), over as many passages as the retrieval
+    section lists, or the locator judges when there is none.
+    """
+    terminator = TokenKind.INSTRUCTION_END.value
+    count = example.input.count(terminator)
+    if count > 1:
+        return [f"input holds {count} instruction terminators, not one"]
+    long = example.kind is ExampleKind.LONG
+    side = "long" if long else "short"
+    head, end = example.kind.sections[-1].head.value, example.kind.sections[-1].end.value
+    instruction, framed, text = example.input.partition(f"{terminator}\n")
+    problems: list[str] = []
+    if not framed:
+        problems.append(f"{side} input lacks the instruction terminator")
+    if not long and not example.input.endswith(f"{head}\n"):
+        problems.append(f"short input must end with the {head} head")
+    if not long and not example.output.endswith(end):
+        problems.append(f"short output must end with {end}")
+    if problems:
         return problems
-    body = example.output[: -len(end.value)]
+    text += example.output if long else f"{example.output[: -len(end)]}\n{end}\n"
     try:
-        if example.kind is ExampleKind.SHORT_INTENT:
-            parse_intents(body)
-        elif example.kind is ExampleKind.SHORT_LOCATOR:
-            parse_locator_body(body)
-        else:
-            parse_citations(body)
-    except GrammarError as exc:
-        problems.append(f"short output body does not parse: {exc}")
+        steps = parse_trajectory(text).steps
+        kinds = tuple(step.kind for step in steps)
+        cut = _cut(example.kind, instruction, steps) if kinds == example.kind.sections else None
+    except GrammarError:
+        cut = None
+    if cut is None or cut[:2] != (example.input, example.output):
+        what = "output" if long else "example"
+        shape = "four-section" if long else "-".join(s.value for s in example.kind.sections)
+        return [
+            f"{side} {what} is not a canonical {shape} trajectory"
+            " (re-serializing its parse differs)"
+        ]
+    if cut[2] != example.loss_spans:
+        problems.append(
+            "loss spans do not match the supervised sections"
+            if long else "short example must supervise its whole output"
+        )
+    parsed = {}
+    for step in steps:
+        try:
+            parsed[step.kind] = _BODY_PARSERS[step.kind](step.body)
+        except GrammarError as exc:
+            problems.append(f"the {step.kind.value} section does not parse: {exc}")
+    if len(parsed) < len(steps):
+        return problems
+    judgments = parsed.get(StepKind.LOCATOR)
+    passage_count = len(parsed.get(StepKind.RETRIEVAL, judgments or ()))
+    _, citations = parsed.get(StepKind.GENERATOR, ("", CitationList()))
+    problems.extend(map(str, section_violations(passage_count, judgments, citations)))
     return problems
 
 
@@ -586,7 +578,7 @@ def read_raw_examples(path: str | Path, default_task: TaskTag | None = None) -> 
         task = TaskTag(record["task"]) if "task" in record else default_task
         if task is None:
             raise KeyError("task")
-        history = record.get("history") or []
+        history = [] if record.get("history") is None else record["history"]
         if type(history) is not list or any(type(t) is not list or len(t) != 2 for t in history):
             raise ValueError("'history' must be a list of [question, answer] pairs")
         return RawExample(

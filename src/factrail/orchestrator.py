@@ -63,6 +63,7 @@ __all__ = [
     "build_step_prompt",
     "stops_for",
     "run_inference",
+    "section_violations",
     "validate_trace",
     "iter_batch",
     "run_batch",
@@ -253,16 +254,6 @@ def _strip_premature_heads(body: str, stage: str, flags: list[str]) -> str:
     return trimmed
 
 
-def _judgment_coverage_problem(
-    judgments: Sequence[LocatorJudgment], passage_count: int
-) -> str | None:
-    indices = sorted(j.passage_index for j in judgments)
-    expected = list(range(1, passage_count + 1))
-    if indices != expected:
-        return f"judgments cover {indices}, expected {expected}"
-    return None
-
-
 def run_inference(
     instruction: str,
     index: CorpusIndex,
@@ -331,7 +322,7 @@ def run_inference(
         flags.append(f"passages_truncated:{len(passages)}->{cfg.max_passages}")
         passages = passages[: cfg.max_passages]
 
-    judgments: tuple[LocatorJudgment, ...] = ()
+    judgments: tuple[LocatorJudgment, ...] | None = None
     if passages:
         body = retrieval_body(passages)
         # A trace file holds each passage's text only in its line of this
@@ -346,9 +337,9 @@ def run_inference(
         records.append(record)
         try:
             parsed = tuple(parse_locator_body(body))
-            problem = _judgment_coverage_problem(parsed, len(passages))
-            if problem:
-                raise PipelineError(StepKind.LOCATOR.value, problem)
+            uncovered = section_violations(len(passages), parsed, CitationList())
+            if uncovered:
+                raise PipelineError(StepKind.LOCATOR.value, uncovered[0].detail)
         except GrammarError as exc:
             if cfg.locator_required:
                 raise PipelineError(StepKind.LOCATOR.value, str(exc)) from exc
@@ -364,7 +355,7 @@ def run_inference(
         flags.append("no_passages")
 
     # Stage 4: answer generation, with facts iff something was judged Relevant.
-    relevant = [j for j in judgments if j.relevance is Relevance.RELEVANT]
+    relevant = [j for j in judgments or () if j.relevance is Relevance.RELEVANT]
     if relevant:
         body, record = call(StepKind.GENERATOR, tuple(steps))
     else:
@@ -381,7 +372,7 @@ def run_inference(
         raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
     steps.append(TrajectoryStep(StepKind.GENERATOR, body))
     records.append(record)
-    for violation in _citation_violations(citations, judgments, len(passages)):
+    for violation in section_violations(len(passages), judgments, citations):
         flags.append(f"{violation.code}:{violation.detail}")
 
     return InferenceTrace(
@@ -393,12 +384,28 @@ def run_inference(
     )
 
 
-def _citation_violations(
-    citations: CitationList, judgments: Sequence[LocatorJudgment], passage_count: int
+# ---------------------------------------------------------------------------
+# trace validation
+
+
+def section_violations(
+    passage_count: int,
+    judgments: Sequence[LocatorJudgment] | None,
+    citations: CitationList,
 ) -> list[TraceViolation]:
-    """Each cited number that names no passage, or one not judged Relevant."""
-    relevant = {j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT}
+    """The rules a trajectory's sections keep between them, which no one
+    section's form shows, over ``passage_count`` passages: the judgments
+    (None when there is no locator section) cover each passage once, and
+    each citation names a passage judged Relevant. Traces and training
+    examples are both checked by it."""
     violations = []
+    if judgments is not None:
+        indices = sorted(j.passage_index for j in judgments)
+        expected = list(range(1, passage_count + 1))
+        if indices != expected:
+            detail = f"judgments cover {indices}, expected {expected}"
+            violations.append(TraceViolation("judgment_coverage", detail))
+    relevant = {j.passage_index for j in judgments or () if j.relevance is Relevance.RELEVANT}
     for cited in citations.indices:
         if cited < 1 or cited > passage_count:
             violations.append(TraceViolation("citation_out_of_range", str(cited)))
@@ -407,27 +414,19 @@ def _citation_violations(
     return violations
 
 
-# ---------------------------------------------------------------------------
-# trace validation
-
-
 def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
-    """What a trace's sections cannot show by their form: a generator
-    section, judgments that cover the passages, and citations that each
-    name a passage judged Relevant. The rest holds by construction, and
-    ``parse_trajectory`` keeps the sections in stage order. Never raises on
-    a trace whose sections parse; ``run_inference`` builds traces that can
-    break only the last rule, so this is run on traces read back from disk.
+    """A generator section, then ``section_violations`` over the trace's
+    passages. The rest holds by construction, and ``parse_trajectory``
+    keeps the sections in stage order. Never raises on a trace whose
+    sections parse; ``run_inference`` builds traces that can break only the
+    citation rules, so this is run on traces read back from disk.
     """
     violations: list[TraceViolation] = []
     if _section(trace.trajectory, StepKind.GENERATOR) is None:
         violations.append(TraceViolation("generator_missing", "no generator section"))
-    n = len(trace.passage_meta)
-    if _section(trace.trajectory, StepKind.LOCATOR) is not None:
-        problem = _judgment_coverage_problem(trace.judgments, n)
-        if problem:
-            violations.append(TraceViolation("judgment_coverage", problem))
-    violations.extend(_citation_violations(trace.citations, trace.judgments, n))
+    located = _section(trace.trajectory, StepKind.LOCATOR) is not None
+    judgments = trace.judgments if located else None
+    violations.extend(section_violations(len(trace.passage_meta), judgments, trace.citations))
     return violations
 
 
@@ -553,7 +552,10 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     )
     # Read every section now, so one that does not parse fails on its line.
     _ = trace.intents, trace.judgments
-    if data["citations"] != list(trace.citations.indices):
+    citations = typed_field(data, "citations", list)
+    if any(type(cited) is not int for cited in citations):
+        raise ValueError("'citations' must be a list of int")
+    if citations != list(trace.citations.indices):
         raise ValueError("'citations' differ from those of the generator section")
     return trace
 

@@ -1425,3 +1425,128 @@ def test_one_bad_line_in_any_input_file_is_named(good_inputs, kind, good, data):
         assert len(errors) == 1, err.getvalue()
         assert re.search(rf"\bline {at + 1}\b", errors[0]), errors[0]
         assert not (good_inputs["dir"] / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# a training example keeps the rules a trace keeps
+
+RETRIEVED = "<retrieval>\n[1] Moon -the moon orbits\n[2] Sun -the sun shines\n</retrieval>\n"
+LOCATED = (
+    "<Locator>\n[Relevant]: [1] the moon orbits\n"
+    "[Irrelevant]: [2] Lacking Supporting Facts.\n</eol>\n"
+)
+
+
+def _long_row(output):
+    ends = (("<Reconstructor>", "</eor>"), ("<Locator>", "</eol>"), ("<Generator>", "</eog>"))
+    spans = [[output.index(head), output.index(end) + len(end)] for head, end in ends]
+    return {"kind": "long", "input": "q</eoi>\n", "output": output, "loss_spans": spans}
+
+
+def _short_row(kind, prompt, output):
+    return {"kind": kind, "input": f"q</eoi>\n{prompt}", "output": output,
+            "loss_spans": [[0, len(output)]]}
+
+
+@pytest.mark.parametrize(
+    "row, problems",
+    [
+        pytest.param(
+            # One of two passages judged, an Irrelevant one cited, and one
+            # cited that the retrieval section does not list.
+            _long_row(
+                "<Reconstructor>\nSearch(q)\n</eor>\n" + RETRIEVED
+                + "<Locator>\n[Irrelevant]: [1] Lacking Supporting Facts.\n</eol>\n"
+                + "<Generator>\nthe earth\n[Cite]: [1] [7]\n</eog>\n"
+            ),
+            ["judgment_coverage: judgments cover [1], expected [1, 2]",
+             "citation_unsupported: 1", "citation_out_of_range: 7"],
+            id="long",
+        ),
+        pytest.param(
+            _short_row(
+                "short-locator", RETRIEVED + "<Locator>\n",
+                "[Relevant]: [2] the sun shines</eol>",
+            ),
+            ["judgment_coverage: judgments cover [2], expected [1, 2]"],
+            id="short-locator-coverage",
+        ),
+        pytest.param(
+            _short_row(
+                "short-generator-facts", LOCATED + "<Generator>\n", "the sun\n[Cite]: [2]</eog>"
+            ),
+            ["citation_unsupported: 2"],
+            id="short-generator-facts-unsupported",
+        ),
+        pytest.param(
+            _short_row("short-generator-plain", "<Generator>\n", "the earth\n[Cite]: [1]</eog>"),
+            ["citation_out_of_range: 1"],
+            id="short-generator-plain-out-of-range",
+        ),
+        pytest.param(
+            _short_row("short-intent", "<Reconstructor>\n", "Search()</eor>"),
+            ["the reconstructor section does not parse: no search intents remain after parsing"],
+            id="short-intent-body",
+        ),
+        pytest.param(
+            _short_row("short-locator", "<Locator>\n", "[Irrelevant]: [1]</eol>"),
+            ["short example is not a canonical retrieval-locator trajectory"
+             " (re-serializing its parse differs)"],
+            id="short-locator-without-its-retrieval-section",
+        ),
+    ],
+)
+def test_validate_checks_a_dataset_row_by_the_rules_of_a_trace(tmp_path, capsys, row, problems):
+    path = write_jsonl(tmp_path / "train.jsonl", [row])
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == "".join(
+        f"line 1: {p}\n" for p in problems
+    ) + f"{len(problems)} problem(s) found\n"
+
+
+@pytest.mark.parametrize("command", ["infer", "build-dataset"])
+def test_an_index_header_nested_too_deeply_is_an_index_error(tmp_path, capsys, command):
+    index = tmp_path / "deep.index"
+    index.write_bytes(b"[" * 200_000 + b"\n")
+    out = tmp_path / "out.jsonl"
+    instructions = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
+    inputs = {
+        "infer": ["--backend", "scripted", "--in", instructions],
+        "build-dataset": ["--kind", "long", "--in", write_jsonl(tmp_path / "raw.jsonl", RAWS)],
+    }[command]
+    assert main([command, *inputs, "--index", str(index), "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: the index header nests arrays or objects too deeply\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("text", "the moon orbits \udc80", "holds the lone surrogate '\\udc80'"),
+        ("title", "Moon <Generator>", "holds the grammar token <Generator>"),
+    ],
+    ids=["surrogate-text", "token-title"],
+)
+def test_infer_refuses_an_index_holding_a_passage_no_prompt_may_hold(
+    tmp_path, capsys, field, value, problem
+):
+    # Refused as the index loads: at inference, a lone surrogate would abort
+    # the batch (exit 2, no traces), and a token fail each item retrieving it.
+    config = scripted_setup(tmp_path, [(INSTRUCTION, "the earth\n[Cite]: [1]")])
+    clean = tmp_path / "clean.index"
+    main(["index", "--corpus", write_jsonl(tmp_path / "docs.jsonl", DOCS), "--out", str(clean)])
+    header_line, columns = clean.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["passages"][0][field] = value
+    index = tmp_path / "unclean.index"
+    index.write_bytes(json.dumps(header).encode() + b"\n" + columns)
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}] * 2)
+    out = tmp_path / "traces.jsonl"
+    capsys.readouterr()
+    code = main(["--config", config, "infer", "--backend", "scripted", "--index", str(index),
+                 "--in", ins, "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: passages[0] {field!r} {problem}\n"
+    assert not out.exists()

@@ -502,6 +502,29 @@ def test_read_raw_examples_requires_task_without_default(tmp_path):
         read_raw_examples(path)
 
 
+@pytest.mark.parametrize(
+    "history", [0, False, "", {}], ids=["zero", "false", "empty-str", "empty-object"]
+)
+def test_read_raw_examples_refuses_a_history_that_is_not_a_list(tmp_path, history):
+    # Absent and null mean no history; a falsy value of another type is no list.
+    path = tmp_path / "raw.jsonl"
+    row = {"task": "dialogue", "x": "and now?", "y": "yes", "history": history}
+    path.write_text(json.dumps(row) + "\n")
+    complaint = r"line 1: 'history' must be a list of \[question, answer\] pairs"
+    with pytest.raises(DatasetError, match=complaint):
+        read_raw_examples(path)
+
+
+def test_read_raw_examples_reads_an_absent_or_null_history_as_none(tmp_path):
+    path = tmp_path / "raw.jsonl"
+    rows = [
+        {"task": "dialogue", "x": "and now?", "y": "yes"},
+        {"task": "dialogue", "x": "q", "y": "a", "history": None},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert [raw.history for raw in read_raw_examples(path)] == [None, None]
+
+
 def test_non_canonical_long_output_is_rejected():
     # Extra blank lines between sections still parse, but the first span
     # would end on "\n\n" instead of on </eor>.

@@ -536,6 +536,15 @@ def test_detects_unsupported_citation(clean_trace):
     assert codes(cite(clean_trace, (1, 2))) == ["citation_unsupported"]
 
 
+@pytest.mark.parametrize("citations", [[True], [1.0], 1], ids=["bool", "float", "not-a-list"])
+def test_trace_from_dict_requires_citations_as_a_list_of_int(clean_trace, citations):
+    row = trace_to_dict(clean_trace)
+    assert row["citations"] == [1]
+    row["citations"] = citations
+    with pytest.raises(ValueError, match="'citations' must be"):
+        trace_from_dict(row)
+
+
 def test_a_trace_holds_no_value_beside_its_sections(clean_trace):
     names = [f.name for f in fields(InferenceTrace)]
     assert names == ["instruction", "trajectory", "passage_meta", "steps", "flags"]
