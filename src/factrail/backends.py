@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,12 +194,11 @@ class BackendConfig:
     max_output_tokens: int = 512
     timeout_s: float = 30.0
     retries: int = 2
-    max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         for name in ("endpoint_url", "model", "api_key_env"):
             typed_field(vars(self), name, str)
-        for name in ("max_output_tokens", "retries", "max_in_flight"):
+        for name in ("max_output_tokens", "retries"):
             typed_field(vars(self), name, int)
         if type(self.timeout_s) not in (int, float):
             raise ValueError(f"'timeout_s' must be int or float, not {type(self.timeout_s).__name__}")
@@ -208,8 +206,6 @@ class BackendConfig:
             raise ValueError("retries must be non-negative")
         if not 0 < self.timeout_s < math.inf:
             raise ValueError("timeout must be positive and finite")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be at least 1")
 
@@ -303,7 +299,7 @@ def chat_completion(
 
 
 class HttpBackend:
-    """Chat-completion client with retries and a bound on in-flight requests.
+    """Chat-completion client with retries.
 
     ``sleep`` waits out the backoff between attempts (see ``chat_completion``).
     """
@@ -311,15 +307,13 @@ class HttpBackend:
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
         self._config = config
         self._sleep = sleep
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._session = requests.Session()
 
     def generate(self, request: AgentRequest) -> AgentReply:
         prompt = prompt_text(request)
-        with self._semaphore:
-            content, finish_reason = chat_completion(
-                self._config, prompt, request.stop, session=self._session, sleep=self._sleep
-            )
+        content, finish_reason = chat_completion(
+            self._config, prompt, request.stop, session=self._session, sleep=self._sleep
+        )
         body, fired = _finalize(content, request.stop)
         if not body:
             raise EmptyGenerationError()

@@ -392,7 +392,8 @@ def build_example(
 
     The critic proposes the intents, the top k passages per intent are
     retrieved and the critic judges each one; every Relevant judgment
-    passes the fact-containment check. A long example is the whole
+    passes the fact-containment check; an intent that ``text_violation``
+    rejects is a CriticResponseError. A long example is the whole
     trajectory; a short one is one stage's section, prompted by the
     sections it reads. Each kind runs only as much of the trajectory as it
     cuts from, so ``short-generator-plain`` asks the critic nothing.
@@ -404,6 +405,9 @@ def build_example(
     relevant: list[int] = []
     if kind.needs_index or StepKind.RECONSTRUCTOR in kind.sections:
         intents = critic.propose_intents(raw.x, raw.task)
+        for intent in intents.intents:
+            if (problem := text_violation(intent)) is not None:
+                raise CriticResponseError(f"the critic's intent {ascii(intent)} {problem}")
         steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents)))
     if kind.needs_index:
         passages = retrieve_multi(index, intents, k)
@@ -496,8 +500,8 @@ def check_training_example(example: TrainingExample) -> list[str]:
             problems.append(f"the {step.kind.value} section does not parse: {exc}")
     if len(parsed) < len(steps):
         return problems
-    judgments = parsed.get(StepKind.LOCATOR)
-    passage_count = len(parsed.get(StepKind.RETRIEVAL, judgments or ()))
+    judgments = parsed.get(StepKind.LOCATOR, ())
+    passage_count = len(parsed.get(StepKind.RETRIEVAL, judgments))
     _, citations = parsed.get(StepKind.GENERATOR, ("", CitationList()))
     problems.extend(map(str, section_violations(passage_count, judgments, citations)))
     return problems

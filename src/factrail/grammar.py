@@ -554,12 +554,16 @@ _RETRIEVAL_ENTRY_RE = re.compile(r"^\[(\d+)\] (.*?) -(.*)$")
 def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
     """Recover (title, text) pairs from a retrieval section interior.
 
-    Entries must be numbered 1..n in order. Titles containing the literal
-    separator `` -`` will not survive the split; corpus titles are
-    whitespace-normalized single lines and do not use it.
+    Entries are the body's ``\n``-separated lines, as ``retrieval_body``
+    joins them (a passage text may hold a form feed or U+2028), numbered
+    1..n in order. Titles containing the literal separator `` -`` will not
+    survive the split; corpus titles are whitespace-normalized single lines
+    and do not use it.
     """
+    if not body:
+        raise EmptyRetrievalError()
     entries: list[tuple[str, str]] = []
-    for lineno, line in enumerate(body.splitlines(), start=1):
+    for lineno, line in enumerate(body.split("\n"), start=1):
         match = _RETRIEVAL_ENTRY_RE.match(line)
         if match is None:
             raise RetrievalSyntaxError(lineno)
@@ -567,8 +571,6 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
         if number != len(entries) + 1:
             raise RetrievalSyntaxError(lineno, f"entry numbered {number}, expected {len(entries) + 1}")
         entries.append((match.group(2), match.group(3)))
-    if not entries:
-        raise EmptyRetrievalError()
     return entries
 
 

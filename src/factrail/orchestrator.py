@@ -83,14 +83,10 @@ class InferenceConfig:
     k: int = 3
     max_intents: int = 4
     max_passages: int = 12
-    locator_required: bool = True
-    generator_fallback: bool = True
 
     def __post_init__(self) -> None:
         for name in ("k", "max_intents", "max_passages"):
             typed_field(vars(self), name, int)
-        for name in ("locator_required", "generator_fallback"):
-            typed_field(vars(self), name, bool)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.max_intents < 1:
@@ -322,7 +318,7 @@ def run_inference(
         flags.append(f"passages_truncated:{len(passages)}->{cfg.max_passages}")
         passages = passages[: cfg.max_passages]
 
-    judgments: tuple[LocatorJudgment, ...] | None = None
+    judgments: tuple[LocatorJudgment, ...] = ()
     if passages:
         body = retrieval_body(passages)
         # A trace file holds each passage's text only in its line of this
@@ -332,38 +328,25 @@ def run_inference(
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
         records.append(StepRecord(StepKind.RETRIEVAL, elapsed, instruction, None))
 
-        # Stage 3: fact location, recorded even if its reply is dropped below.
+        # Stage 3: fact location; a reply that does not judge every passage fails the item.
         body, record = call(StepKind.LOCATOR, tuple(steps))
-        records.append(record)
         try:
-            parsed = tuple(parse_locator_body(body))
-            uncovered = section_violations(len(passages), parsed, CitationList())
-            if uncovered:
-                raise PipelineError(StepKind.LOCATOR.value, uncovered[0].detail)
+            judgments = tuple(parse_locator_body(body))
         except GrammarError as exc:
-            if cfg.locator_required:
-                raise PipelineError(StepKind.LOCATOR.value, str(exc)) from exc
-            flags.append(f"locator_degraded:{exc}")
-        except PipelineError:
-            if cfg.locator_required:
-                raise
-            flags.append("locator_degraded:coverage")
-        else:
-            judgments = parsed
-            steps.append(TrajectoryStep(StepKind.LOCATOR, body))
+            raise PipelineError(StepKind.LOCATOR.value, str(exc)) from exc
+        uncovered = section_violations(len(passages), judgments, CitationList())
+        if uncovered:
+            raise PipelineError(StepKind.LOCATOR.value, uncovered[0].detail)
+        steps.append(TrajectoryStep(StepKind.LOCATOR, body))
+        records.append(record)
     else:
         flags.append("no_passages")
 
     # Stage 4: answer generation, with facts iff something was judged Relevant.
-    relevant = [j for j in judgments or () if j.relevance is Relevance.RELEVANT]
+    relevant = [j for j in judgments if j.relevance is Relevance.RELEVANT]
     if relevant:
         body, record = call(StepKind.GENERATOR, tuple(steps))
     else:
-        if not cfg.generator_fallback:
-            raise PipelineError(
-                StepKind.GENERATOR.value,
-                "no relevant facts and the no-facts fallback is disabled",
-            )
         flags.append("generator_fallback")
         body, record = call(StepKind.GENERATOR, ())
     try:
@@ -390,22 +373,21 @@ def run_inference(
 
 def section_violations(
     passage_count: int,
-    judgments: Sequence[LocatorJudgment] | None,
+    judgments: Sequence[LocatorJudgment],
     citations: CitationList,
 ) -> list[TraceViolation]:
     """The rules a trajectory's sections keep between them, which no one
     section's form shows, over ``passage_count`` passages: the judgments
-    (None when there is no locator section) cover each passage once, and
+    (none when there is no locator section) cover each passage once, and
     each citation names a passage judged Relevant. Traces and training
     examples are both checked by it."""
     violations = []
-    if judgments is not None:
-        indices = sorted(j.passage_index for j in judgments)
-        expected = list(range(1, passage_count + 1))
-        if indices != expected:
-            detail = f"judgments cover {indices}, expected {expected}"
-            violations.append(TraceViolation("judgment_coverage", detail))
-    relevant = {j.passage_index for j in judgments or () if j.relevance is Relevance.RELEVANT}
+    indices = sorted(j.passage_index for j in judgments)
+    expected = list(range(1, passage_count + 1))
+    if indices != expected:
+        detail = f"judgments cover {indices}, expected {expected}"
+        violations.append(TraceViolation("judgment_coverage", detail))
+    relevant = {j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT}
     for cited in citations.indices:
         if cited < 1 or cited > passage_count:
             violations.append(TraceViolation("citation_out_of_range", str(cited)))
@@ -424,9 +406,7 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
     violations: list[TraceViolation] = []
     if _section(trace.trajectory, StepKind.GENERATOR) is None:
         violations.append(TraceViolation("generator_missing", "no generator section"))
-    located = _section(trace.trajectory, StepKind.LOCATOR) is not None
-    judgments = trace.judgments if located else None
-    violations.extend(section_violations(len(trace.passage_meta), judgments, trace.citations))
+    violations.extend(section_violations(len(trace.passage_meta), trace.judgments, trace.citations))
     return violations
 
 

@@ -28,7 +28,9 @@ from factrail.backends import (
     _MAX_BACKOFF_S,
     _finalize,
 )
+from factrail.corpus import index_documents
 from factrail.grammar import TokenKind
+from factrail.orchestrator import run_batch
 
 from helpers import StubServer, chat_reply
 
@@ -182,8 +184,6 @@ def test_backend_config_validation():
         BackendConfig(endpoint_url="http://x", retries=-1)
     with pytest.raises(ValueError):
         BackendConfig(endpoint_url="http://x", timeout_s=0)
-    with pytest.raises(ValueError):
-        BackendConfig(endpoint_url="http://x", max_in_flight=0)
     with pytest.raises(ValueError):
         BackendConfig(endpoint_url="http://x", max_output_tokens=0)
 
@@ -343,6 +343,8 @@ def test_chat_completion_reports_finish_reason():
 
 
 def test_http_in_flight_bound_is_respected():
+    # Each batch worker holds one request at a time, so max_workers bounds
+    # the requests in flight.
     active = {"now": 0, "peak": 0}
     gate = threading.Lock()
 
@@ -353,17 +355,14 @@ def test_http_in_flight_bound_is_respected():
         time.sleep(0.05)
         with gate:
             active["now"] -= 1
-        return 200, chat_reply("ok")
+        prompt = payload["messages"][0]["content"]
+        # Search(zebra) retrieves nothing, so each item asks twice.
+        return 200, chat_reply("Search(zebra)" if prompt.endswith("<Reconstructor>\n") else "ok")
 
+    index = index_documents([("Moon", "the moon orbits the earth")])
     with StubServer(handler) as server:
-        backend = HttpBackend(config_for(server, max_in_flight=2))
-        threads = [
-            threading.Thread(target=backend.generate, args=(request_for(),))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert server.request_count == 8
-    assert active["peak"] <= 2
+        backend = HttpBackend(config_for(server))
+        results = run_batch([f"question {i}?" for i in range(6)], index, backend, max_workers=2)
+    assert [r.trace.answer for r in results] == ["ok"] * 6
+    assert server.request_count == 12
+    assert active["peak"] == 2

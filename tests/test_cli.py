@@ -8,14 +8,23 @@ import os
 import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factrail.backends import ScriptedBackend, save_script
-from factrail.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, ConfigError, load_config, main
+from factrail.backends import BackendConfig, ScriptedBackend, save_script
+from factrail.cli import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    ConfigError,
+    GlobalConfig,
+    load_config,
+    main,
+)
 from factrail.corpus import index_documents, load_index
 from factrail.dataset import (
     ExampleKind,
@@ -176,19 +185,13 @@ BACKEND = {"endpoint_url": "http://h"}
         ({"inference": {"k": 2.5}}, "bad inference config: 'k' must be int, not float"),
         ({"inference": {"max_intents": True}}, "bad inference config: 'max_intents' must be int, not bool"),
         ({"inference": {"max_passages": "12"}}, "bad inference config: 'max_passages' must be int, not str"),
-        (
-            {"inference": {"locator_required": "no"}},
-            "bad inference config: 'locator_required' must be bool, not str",
-        ),
+        ({"backend": {**BACKEND, "model": 7}}, "bad backend config: 'model' must be str, not int"),
         ({"backend": {**BACKEND, "retries": 1.5}}, "bad backend config: 'retries' must be int, not float"),
         (
             {"backend": {**BACKEND, "max_output_tokens": 512.0}},
             "bad backend config: 'max_output_tokens' must be int, not float",
         ),
-        (
-            {"backend": {**BACKEND, "max_in_flight": False}},
-            "bad backend config: 'max_in_flight' must be int, not bool",
-        ),
+        ({"script": ["replies.jsonl"]}, "bad config: 'script' must be str, not list"),
         (
             {"backend": {**BACKEND, "timeout_s": True}},
             "bad backend config: 'timeout_s' must be int or float, not bool",
@@ -209,6 +212,45 @@ def test_mistyped_config_value_exits_with_usage(tmp_path, index_file, capsys, co
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"inference": {"locator_required": True}}, "unknown inference config keys: locator_required"),
+        ({"inference": {"generator_fallback": True}}, "unknown inference config keys: generator_fallback"),
+        ({"backend": {**BACKEND, "max_in_flight": 4}}, "unknown backend config keys: max_in_flight"),
+    ],
+    ids=["locator_required", "generator_fallback", "max_in_flight"],
+)
+def test_a_removed_config_key_is_an_unknown_key(tmp_path, capsys, config, message):
+    # The locator is always required, the no-facts fallback always on, and
+    # the batch workers bound the requests in flight.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["--config", str(path), "validate", "--traces", os.devnull]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_readme_config_block_holds_every_key_at_its_default(tmp_path):
+    # The config README.md documents is the whole config: every key of every
+    # section, each at its default but for the deployment values.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file\n\n```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "c.json"
+    path.write_text(block)
+    load_config(str(path))
+    documented = json.loads(block)
+    for cls, values in (
+        (GlobalConfig, documented),
+        (InferenceConfig, documented["inference"]),
+        (BackendConfig, documented["backend"]),
+    ):
+        assert set(values) == {f.name for f in fields(cls)}, cls.__name__
+        for f in fields(cls):
+            if f.name not in ("inference", "backend", "endpoint_url", "script"):
+                assert values[f.name] == f.default, f.name
 
 
 @pytest.mark.parametrize(
@@ -567,6 +609,30 @@ def test_http_critic_fact_outside_its_passage_fails_the_build(tmp_path, index_fi
     assert not list(tmp_path.glob("*.part"))
 
 
+@pytest.mark.parametrize(
+    "intent, problem",
+    [("smallest \ud800 planet", "holds the lone surrogate '\\ud800'"),
+     ("smallest </eoi> planet", "holds the grammar token </eoi>")],
+    ids=["surrogate", "token"],
+)
+def test_a_critic_intent_no_prompt_may_hold_fails_the_build(
+    tmp_path, capsys, monkeypatch, intent, problem
+):
+    monkeypatch.setattr(
+        "factrail.dataset.chat_completion",
+        lambda *args, **kwargs: (f"Search Intent: {intent}", "stop"),
+    )
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"backend": {"endpoint_url": "http://127.0.0.1:9/"}}))
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", RAWS[:1])
+    out = tmp_path / "train.jsonl"
+    argv = ["--config", str(config), "build-dataset", "--kind", "short-intent", "--critic", "http"]
+    capsys.readouterr()
+    assert main([*argv, "--in", raw_path, "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: the critic's intent {ascii(intent)} {problem}\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json", tmp_path / "raw.jsonl"]
+
+
 def test_build_dataset_failure_leaves_no_partial_output(tmp_path, index_file):
     bad = [{"task": "open-qa", "x": "zebra xylophone", "y": "nothing matches"}]
     raw_path = write_jsonl(tmp_path / "raw.jsonl", bad)
@@ -873,6 +939,18 @@ def drop_generator(row):
     row["citations"] = []
 
 
+def drop_locator(row):
+    # Without its locator section the trace judges none of its passages;
+    # the citation goes too, so coverage is the one problem.
+    rewrite_section(
+        "<Locator>\n[Relevant]: [1] the moon orbits the earth every month.\n"
+        "[Irrelevant]: [2] Lacking Supporting Facts.\n</eol>\n",
+        "",
+    )(row)
+    rewrite_section("the earth\n[Cite]: [1]", "the earth")(row)
+    row["citations"] = []
+
+
 @pytest.mark.parametrize(
     "rewrite, error",
     [
@@ -881,8 +959,9 @@ def drop_generator(row):
             "judgment_coverage: judgments cover [1], expected [1, 2]",
         ),
         (drop_generator, "generator_missing: no generator section"),
+        (drop_locator, "judgment_coverage: judgments cover [], expected [1, 2]"),
     ],
-    ids=["judgments", "generator"],
+    ids=["judgments", "generator", "locator"],
 )
 def test_eval_scores_no_row_that_validate_rejects(tmp_path, index_file, capsys, rewrite, error):
     # The row reads, but validate rejects it, so eval counts it as an error
@@ -1502,6 +1581,26 @@ def test_validate_checks_a_dataset_row_by_the_rules_of_a_trace(tmp_path, capsys,
     assert capsys.readouterr().out == "".join(
         f"line 1: {p}\n" for p in problems
     ) + f"{len(problems)} problem(s) found\n"
+
+
+def test_a_passage_holding_a_form_feed_survives_build_dataset_and_validate(tmp_path, capsys):
+    # A retrieval section's entries are its "\n"-separated lines; a form
+    # feed in a passage text (a hand-edited index) breaks no entry.
+    data = Path(__file__).parent / "data"
+    index = tmp_path / "toy.index"
+    assert main(["index", "--corpus", str(data / "toy_corpus.jsonl"), "--out", str(index)]) == EXIT_OK
+    head, _, columns = index.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    for passage in header["passages"]:
+        passage["text"] = passage["text"].replace(" ", "\x0c", 1)
+    index.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + columns)
+    out = tmp_path / "train.jsonl"
+    argv = ["build-dataset", "--kind", "long", "--in", str(data / "toy_raw.jsonl")]
+    assert main([*argv, "--index", str(index), "--out", str(out)]) == EXIT_OK
+    assert "\\f" in out.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "--dataset", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "clean\n"
 
 
 @pytest.mark.parametrize("command", ["infer", "build-dataset"])

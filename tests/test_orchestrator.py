@@ -285,18 +285,6 @@ def test_a_reply_cut_at_the_length_limit_flags_its_stage(index):
     assert validate_trace(trace) == []
 
 
-def test_fallback_disabled_raises(index):
-    cfg = InferenceConfig(generator_fallback=False)
-    backend = ScriptedBackend()
-    script_scenario(
-        backend, index, cfg, INSTRUCTION, RECONSTRUCTION,
-        judge_by_answer("pluto"), "unused",
-    )
-    with pytest.raises(PipelineError) as err:
-        run_inference(INSTRUCTION, index, backend, cfg)
-    assert err.value.stage == "generator"
-
-
 # ---------------------------------------------------------------------------
 # caps and truncation flags
 
@@ -332,8 +320,8 @@ def test_passage_cap_truncates_and_flags(index):
 # locator failure handling
 
 
-def locator_setup(index, cfg, locator_reply, backend=None):
-    backend = backend or ScriptedBackend()
+def locator_setup(index, cfg, locator_reply):
+    backend = ScriptedBackend()
     backend.add_reply(
         build_step_prompt(INSTRUCTION, [], StepKind.RECONSTRUCTOR), RECONSTRUCTION
     )
@@ -343,9 +331,6 @@ def locator_setup(index, cfg, locator_reply, backend=None):
         TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
     ]
     backend.add_reply(build_step_prompt(INSTRUCTION, steps, StepKind.LOCATOR), locator_reply)
-    backend.add_reply(
-        build_step_prompt(INSTRUCTION, [], StepKind.GENERATOR), "cannot tell"
-    )
     return backend
 
 
@@ -356,49 +341,6 @@ def test_incomplete_coverage_fails_when_required(index):
         run_inference(INSTRUCTION, index, backend, cfg)
     assert err.value.stage == "locator"
     assert "expected" in err.value.message
-
-
-def test_incomplete_coverage_degrades_when_optional(index):
-    cfg = InferenceConfig(locator_required=False)
-    backend = locator_setup(index, cfg, "[Relevant]: [1] the moon orbits the earth.")
-    trace = run_inference(INSTRUCTION, index, backend, cfg)
-    assert "locator_degraded:coverage" in trace.flags
-    assert "generator_fallback" in trace.flags
-    assert trace.judgments == ()
-    assert [s.kind for s in trace.trajectory.steps] == [
-        StepKind.RECONSTRUCTOR,
-        StepKind.RETRIEVAL,
-        StepKind.GENERATOR,
-    ]
-    assert validate_trace(trace) == []
-
-
-def test_unparseable_locator_degrades_when_optional(index):
-    cfg = InferenceConfig(locator_required=False)
-    backend = locator_setup(index, cfg, "this is not a judgment line")
-    trace = run_inference(INSTRUCTION, index, backend, cfg)
-    assert any(f.startswith("locator_degraded:") for f in trace.flags)
-    assert trace.judgments == ()
-
-
-def test_a_degraded_locator_call_keeps_its_record(index):
-    cfg = InferenceConfig(locator_required=False)
-    backend = locator_setup(index, cfg, "garbage", RecordingBackend())
-    trace = run_inference(INSTRUCTION, index, backend, cfg)
-    assert trace.flags == ("locator_degraded:malformed judgment line (line 1)", "generator_fallback")
-    assert [s.kind for s in trace.trajectory.steps] == [
-        StepKind.RECONSTRUCTOR,
-        StepKind.RETRIEVAL,
-        StepKind.GENERATOR,
-    ]
-    assert [r.kind for r in trace.steps] == [
-        StepKind.RECONSTRUCTOR,
-        StepKind.RETRIEVAL,
-        StepKind.LOCATOR,
-        StepKind.GENERATOR,
-    ]
-    assert trace.steps[2].prompt == backend.prompts[1]
-    assert [r.prompt for r in trace.steps if r.prior is not None] == backend.prompts
 
 
 def test_unparseable_locator_fails_when_required(index):
@@ -687,7 +629,7 @@ _WORDS = ("moon", "orbit", "earth", "sun", "star", "ocean", "tides", "month", "z
 @given(st.data())
 def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citations(data):
     # Every branch: facts or fallback, no passages, truncated intents or
-    # passages, a locator reply that degrades, a reply cut at a head token.
+    # passages, a locator reply that fails the item, a reply cut at a head token.
     index = index_documents(DOCS)
     intents = data.draw(
         st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3), min_size=1, max_size=4)
@@ -697,7 +639,6 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
         k=k,
         max_intents=data.draw(st.integers(1, 4), label="max_intents"),
         max_passages=data.draw(st.integers(k, 3), label="max_passages"),
-        locator_required=False,
     )
     degraded = data.draw(st.booleans(), label="locator judges a passage it was not shown")
     leaked = data.draw(st.booleans(), label="reconstructor reply runs into a head")
@@ -722,16 +663,19 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
     backend = ScriptedBackend()
     reconstruction = "Search(" + "; ".join(" ".join(words) for words in intents) + ")"
     passages = script_scenario(backend, index, cfg, INSTRUCTION, reconstruction, locator_body, answer)
-    backend.add_reply(build_step_prompt(INSTRUCTION, [], StepKind.GENERATOR), answer)
     if leaked:
         backend.add_reply(
             build_step_prompt(INSTRUCTION, [], StepKind.RECONSTRUCTOR),
             reconstruction + "\n<Locator>\nleaked",
         )
+    if degraded and passages:
+        with pytest.raises(PipelineError) as err:
+            run_inference(INSTRUCTION, index, backend, cfg)
+        assert err.value.stage == "locator"
+        return
     trace = run_inference(INSTRUCTION, index, backend, cfg)
 
-    degraded = degraded and bool(passages)
-    relevant = set() if degraded else {i for i, verdict in enumerate(verdicts, start=1) if verdict}
+    relevant = {i for i, verdict in enumerate(verdicts, start=1) if verdict}
     expected = [
         f"citation_out_of_range:{c}" if c > len(passages) else f"citation_unsupported:{c}"
         for c in cited
@@ -742,14 +686,9 @@ def test_run_inference_traces_break_validate_trace_only_by_their_flagged_citatio
 
     fallback = not relevant
     assert ("generator_fallback" in trace.flags) == fallback
-    assert ("locator_degraded:coverage" in trace.flags) == degraded
     assert ("head_mismatch:reconstructor" in trace.flags) == leaked
     steps = trace.trajectory.steps
-    # A degraded locator call keeps its record, though its section is dropped.
-    kinds = [s.kind for s in steps]
-    if degraded:
-        kinds.insert(2, StepKind.LOCATOR)
-    assert [r.kind for r in trace.steps] == kinds
+    assert [r.kind for r in trace.steps] == [s.kind for s in steps]
     shown = {StepKind.RECONSTRUCTOR: 0, StepKind.LOCATOR: 2, StepKind.GENERATOR: 0 if fallback else 3}
     for record in trace.steps:
         if record.kind is StepKind.RETRIEVAL:
