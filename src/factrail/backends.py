@@ -3,8 +3,9 @@
 Two implementations: a scripted backend that replays canned continuations
 keyed by a SHA-256 fingerprint of the exact prompt (deterministic tests and
 offline replay), and an HTTP client speaking the common chat-completion JSON
-shape. Both truncate at stop strings, so a reply body never contains an end
-token.
+shape. Both cut a reply at its earliest stop string or section token, head
+or end, so a reply body never holds a section token, and ``terminated_by``
+names the one it ended at.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ __all__ = [
 
 END_TOKEN_SURFACES = tuple(kind.end.value for kind in StepKind)
 HEAD_TOKEN_SURFACES = tuple(kind.head.value for kind in StepKind)
+# No surface is a prefix of another, so at most one starts at any position.
+_SECTION_TOKEN_SURFACES = END_TOKEN_SURFACES + HEAD_TOKEN_SURFACES
 
 LENGTH_LIMIT_MARKER = "length"
 
@@ -104,6 +107,10 @@ class AgentReply:
 
 
 class Backend(Protocol):
+    """Replies with a non-empty body cut before the reply's first stop string
+    or section token, head or end, and names in ``terminated_by`` the one it
+    was cut at (a head the model wrote early), or ``LENGTH_LIMIT_MARKER``."""
+
     def generate(self, request: AgentRequest) -> AgentReply: ...
 
 
@@ -117,12 +124,10 @@ def fingerprint(prompt: str) -> str:
 
 
 def _finalize(raw: str, stop: tuple[str, ...]) -> tuple[str, str | None]:
-    """Truncate at the earliest stop (any end token counts) and trim framing newlines.
-
-    The body is the text before the earliest occurrence of any end token, so
-    it never holds one.
-    """
-    candidates = list(stop) + [t for t in END_TOKEN_SURFACES if t not in stop]
+    """Cut at the earliest stop string or section token, head or end, and trim
+    framing newlines; return the body, which holds no section token, and
+    the string it was cut at."""
+    candidates = list(stop) + [t for t in _SECTION_TOKEN_SURFACES if t not in stop]
     found = [(at, c) for c in candidates if (at := raw.find(c)) != -1]
     # min keeps the first of equal positions, so stop order breaks ties.
     cut, fired = min(found, key=lambda hit: hit[0], default=(len(raw), None))

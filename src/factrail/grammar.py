@@ -479,7 +479,11 @@ def parse_locator_body(body: str) -> list[LocatorJudgment]:
             raise LocatorSyntaxError(lineno)
         tag, index_text, rest = match.groups()
         rest = rest.rstrip()
-        index = int(index_text)
+        try:
+            index = int(index_text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            message = f"passage index of {len(index_text)} digits is too long"
+            raise LocatorSyntaxError(lineno, message) from None
         if index < 1:
             raise LocatorSyntaxError(lineno, "passage indices are 1-based")
         if index in seen:
@@ -526,7 +530,12 @@ def parse_citations(body: str) -> tuple[str, CitationList]:
         match = _CITE_TOKEN_RE.fullmatch(token)
         if match is None:
             raise CitationSyntaxError(f"bad citation token {token!r}")
-        indices.append(int(match.group(1)))
+        try:
+            indices.append(int(match.group(1)))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            line = body.count("\n", 0, body.index(token, pos)) + 1
+            message = f"citation index of {len(token) - 2} digits is too long (line {line})"
+            raise CitationSyntaxError(message) from None
     try:
         citations = CitationList(tuple(indices))
     except ValueError as exc:
@@ -567,7 +576,11 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
         match = _RETRIEVAL_ENTRY_RE.match(line)
         if match is None:
             raise RetrievalSyntaxError(lineno)
-        number = int(match.group(1))
+        try:
+            number = int(match.group(1))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            message = f"entry number of {len(match.group(1))} digits is too long"
+            raise RetrievalSyntaxError(lineno, message) from None
         if number != len(entries) + 1:
             raise RetrievalSyntaxError(lineno, f"entry numbered {number}, expected {len(entries) + 1}")
         entries.append((match.group(2), match.group(3)))

@@ -7,7 +7,9 @@ judged facts exactly when at least one passage was judged Relevant;
 otherwise the generator sees the instruction alone and cites nothing.
 Prompts grow cumulatively, each one a prefix of the next, and the orchestrator
 itself inserts every section head so the token skeleton is never left to the
-model.
+model. A backend's reply body holds no section token: the backend cuts the
+reply at its first one, and a reply whose ``terminated_by`` names a head the
+model wrote early is flagged ``head_mismatch:<stage>``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import (
     LENGTH_LIMIT_MARKER,
@@ -76,6 +78,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -233,23 +237,6 @@ def build_step_prompt(
     return prompt_text(_step_request(instruction, prior, head))
 
 
-def _strip_premature_heads(body: str, stage: str, flags: list[str]) -> str:
-    """Cut the reply at any head token the model emitted early; heads are ours to insert."""
-    earliest = -1
-    for surface in HEAD_TOKEN_SURFACES:
-        at = body.find(surface)
-        if at != -1 and (earliest == -1 or at < earliest):
-            earliest = at
-    if earliest == -1:
-        return body
-    flags.append(f"head_mismatch:{stage}")
-    logger.warning("backend emitted a head token during the %s stage; truncating", stage)
-    trimmed = body[:earliest]
-    if trimmed.endswith("\n"):
-        trimmed = trimmed[:-1]
-    return trimmed
-
-
 def run_inference(
     instruction: str,
     index: CorpusIndex,
@@ -268,7 +255,8 @@ def run_inference(
     steps: list[TrajectoryStep] = []
     records: list[StepRecord] = []
 
-    def call(stage: StepKind, prior: tuple[TrajectoryStep, ...]) -> tuple[str, StepRecord]:
+    def run(stage: StepKind, prior: tuple[TrajectoryStep, ...], parse: Callable[[str], T]) -> T:
+        """One backend stage: call, flag, check and parse the reply, record its section."""
         # A prior section (a passage, a reply) may hold a grammar token, so
         # the prompt cannot be serialized; that fails this item, not a batch.
         try:
@@ -283,25 +271,26 @@ def run_inference(
         elapsed = time.perf_counter() - begin
         if reply.terminated_by == LENGTH_LIMIT_MARKER:
             flags.append(f"length_limited:{stage.value}")
-        body = _strip_premature_heads(reply.body, stage.value, flags)
-        if not body:
-            raise PipelineError(stage.value, "reply is empty after head truncation")
-        # A token left in the body (an end token, </eoi>) would make the
-        # trace unserializable when the batch is written, and a lone
-        # surrogate unencodable; fail the item now.
-        problem = text_violation(body)
+        elif reply.terminated_by in HEAD_TOKEN_SURFACES:
+            flags.append(f"head_mismatch:{stage.value}")
+            logger.warning("backend emitted a head token during the %s stage; truncating", stage.value)
+        # A grammar token in the body (</eoi>, which no backend cuts at, or a
+        # section token a third-party backend left) would make the trace
+        # unserializable when the batch is written, and a lone surrogate
+        # unencodable; fail the item now.
+        problem = text_violation(reply.body)
         if problem is not None:
             raise PipelineError(stage.value, f"the reply {problem}")
-        return body, StepRecord(stage, elapsed, instruction, prior)
+        try:
+            parsed = parse(reply.body)
+        except GrammarError as exc:
+            raise PipelineError(stage.value, str(exc)) from exc
+        steps.append(TrajectoryStep(stage, reply.body))
+        records.append(StepRecord(stage, elapsed, instruction, prior))
+        return parsed
 
     # Stage 1: intent reconstruction.
-    body, record = call(StepKind.RECONSTRUCTOR, ())
-    try:
-        proposed = parse_intents(body)
-    except GrammarError as exc:
-        raise PipelineError(StepKind.RECONSTRUCTOR.value, str(exc)) from exc
-    steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, body))
-    records.append(record)
+    proposed = run(StepKind.RECONSTRUCTOR, (), parse_intents)
     intents = proposed
     if proposed.m > cfg.max_intents:
         intents = IntentSet(proposed.intents[: cfg.max_intents])
@@ -329,32 +318,18 @@ def run_inference(
         records.append(StepRecord(StepKind.RETRIEVAL, elapsed, instruction, None))
 
         # Stage 3: fact location; a reply that does not judge every passage fails the item.
-        body, record = call(StepKind.LOCATOR, tuple(steps))
-        try:
-            judgments = tuple(parse_locator_body(body))
-        except GrammarError as exc:
-            raise PipelineError(StepKind.LOCATOR.value, str(exc)) from exc
+        judgments = tuple(run(StepKind.LOCATOR, tuple(steps), parse_locator_body))
         uncovered = section_violations(len(passages), judgments, CitationList())
         if uncovered:
             raise PipelineError(StepKind.LOCATOR.value, uncovered[0].detail)
-        steps.append(TrajectoryStep(StepKind.LOCATOR, body))
-        records.append(record)
     else:
         flags.append("no_passages")
 
     # Stage 4: answer generation, with facts iff something was judged Relevant.
-    relevant = [j for j in judgments if j.relevance is Relevance.RELEVANT]
-    if relevant:
-        body, record = call(StepKind.GENERATOR, tuple(steps))
-    else:
+    relevant = any(j.relevance is Relevance.RELEVANT for j in judgments)
+    if not relevant:
         flags.append("generator_fallback")
-        body, record = call(StepKind.GENERATOR, ())
-    try:
-        _, citations = parse_citations(body)
-    except GrammarError as exc:
-        raise PipelineError(StepKind.GENERATOR.value, str(exc)) from exc
-    steps.append(TrajectoryStep(StepKind.GENERATOR, body))
-    records.append(record)
+    _, citations = run(StepKind.GENERATOR, tuple(steps) if relevant else (), parse_citations)
     for violation in section_violations(len(passages), judgments, citations):
         flags.append(f"{violation.code}:{violation.detail}")
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from factrail.backends import (
     END_TOKEN_SURFACES,
+    HEAD_TOKEN_SURFACES,
     AgentReply,
     AgentRequest,
     BackendConfig,
@@ -108,6 +109,13 @@ def test_scripted_truncates_at_any_end_token():
     assert reply.terminated_by == "</eog>"
 
 
+def test_scripted_ends_a_reply_at_a_head_the_model_wrote_early():
+    backend = ScriptedBackend()
+    req = request_for(TokenKind.RECONSTRUCTOR_HEAD)
+    backend.add_reply(prompt_text(req), "Search(q)\n<Locator>\n[Relevant]: [1] f\n</eor>")
+    assert backend.generate(req) == AgentReply("Search(q)", "<Locator>")
+
+
 def test_scripted_trims_one_framing_newline_each_side():
     backend = ScriptedBackend()
     req = request_for()
@@ -116,18 +124,23 @@ def test_scripted_trims_one_framing_newline_each_side():
 
 
 def test_scripted_empty_reply_raises():
-    backend = ScriptedBackend()
-    req = request_for()
-    backend.add_reply(prompt_text(req), "\n</eog>\n")
-    with pytest.raises(EmptyGenerationError):
-        backend.generate(req)
+    # Empty before its end token, or before a head the model wrote early.
+    for raw in ("\n</eog>\n", "\n<Generator>\nleaked"):
+        backend = ScriptedBackend()
+        req = request_for()
+        backend.add_reply(prompt_text(req), raw)
+        with pytest.raises(EmptyGenerationError):
+            backend.generate(req)
 
 
-# Whole end-token surfaces, their proper prefixes (such as "</eo"), head
-# tokens, newlines and plain characters: raw replies full of near misses.
+SECTION_SURFACES = END_TOKEN_SURFACES + HEAD_TOKEN_SURFACES
+
+# Whole token surfaces, proper prefixes of the section tokens (such as
+# "</eo" or "<Loc"), newlines and plain characters: raw replies full of
+# near misses.
 _REPLY_PIECES = sorted(
     {t.value for t in TokenKind}
-    | {s[:i] for s in END_TOKEN_SURFACES for i in range(1, len(s))}
+    | {s[:i] for s in SECTION_SURFACES for i in range(1, len(s))}
     | set("\n <>/ab")
 )
 
@@ -138,11 +151,17 @@ _REPLY_PIECES = sorted(
     st.lists(st.sampled_from(END_TOKEN_SURFACES), unique=True, max_size=4).map(tuple),
 )
 def test_finalize_body_never_holds_an_end_token(raw, stop):
+    # Nor a head token: the body ends at the earliest section token.
     body, fired = _finalize(raw, stop)
-    assert not any(token in body for token in END_TOKEN_SURFACES)
+    assert not any(token in body for token in SECTION_SURFACES)
     assert raw.startswith(body) or raw.startswith("\n" + body)
-    if fired is not None:
-        assert fired in raw
+    positions = [raw.find(token) for token in SECTION_SURFACES if token in raw]
+    if fired is None:
+        assert positions == []
+    else:
+        assert fired in SECTION_SURFACES
+        assert raw.find(fired) == min(positions)
+        assert raw[: raw.find(fired)].removeprefix("\n").removesuffix("\n") == body
 
 
 def test_script_file_round_trip(tmp_path):
@@ -290,6 +309,12 @@ def test_http_length_finish_reason():
     with StubServer(lambda payload: (200, chat_reply("cut off mid", "length"))) as server:
         reply = HttpBackend(config_for(server)).generate(request_for())
     assert reply.terminated_by == LENGTH_LIMIT_MARKER
+
+
+def test_http_reply_cut_at_a_head_names_the_head_not_the_length_limit():
+    with StubServer(lambda payload: (200, chat_reply("cut\n<Locator>\nleaked", "length"))) as server:
+        reply = HttpBackend(config_for(server)).generate(request_for())
+    assert reply == AgentReply("cut", "<Locator>")
 
 
 def test_http_empty_content_raises():

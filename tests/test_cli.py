@@ -33,9 +33,10 @@ from factrail.dataset import (
     emit_dataset,
     read_raw_examples,
 )
-from factrail.orchestrator import InferenceConfig
+from factrail.grammar import StepKind, TrajectoryStep, retrieval_body
+from factrail.orchestrator import InferenceConfig, build_step_prompt
 
-from helpers import StubServer, chat_reply, judge_by_answer, script_scenario
+from helpers import StubServer, chat_reply, judge_by_answer, mirror_retrieval, script_scenario
 
 DOCS = [
     {"title": "Moon", "text": "the moon orbits the earth every month"},
@@ -63,8 +64,9 @@ def index_file(tmp_path, corpus_file):
     return str(out)
 
 
-def scripted_setup(tmp_path, instructions_and_answers):
-    """Create a replay script plus config file covering the given instructions."""
+def scripted_setup(tmp_path, instructions_and_answers, replies=()):
+    """Create a replay script plus config file covering the given
+    instructions; ``replies`` are (prompt, reply) pairs that replace theirs."""
     docs = [(d["title"], d["text"]) for d in DOCS]
     index = index_documents(docs)
     backend = ScriptedBackend()
@@ -74,6 +76,8 @@ def scripted_setup(tmp_path, instructions_and_answers):
             "Search(moon orbit; ocean tides)",
             judge_by_answer(answer.split("\n")[0]), answer,
         )
+    for prompt, reply in replies:
+        backend.add_reply(prompt, reply)
     script_path = tmp_path / "replies.jsonl"
     save_script(backend._script, script_path)
     config_path = tmp_path / "config.json"
@@ -722,6 +726,41 @@ def test_infer_strict_fails_on_unscripted_items(tmp_path, index_file):
     assert main(base + ["--strict"]) == EXIT_FAILURE
 
 
+def test_infer_writes_an_error_row_for_a_number_int_refuses(tmp_path, index_file, capsys):
+    bad = "which body does the moon orbit?"
+    reconstruction = "Search(moon orbit; ocean tides)"
+    passages = mirror_retrieval(load_index(index_file), reconstruction, InferenceConfig())
+    prior = [
+        TrajectoryStep(StepKind.RECONSTRUCTOR, reconstruction),
+        TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
+    ]
+    # int() reads at most 4300 digits by default.
+    locator_reply = f"[Relevant]: [{'1' * 5000}] the moon orbits the earth."
+    config = scripted_setup(
+        tmp_path,
+        [(bad, "the earth\n[Cite]: [1]"), (INSTRUCTION, "the earth\n[Cite]: [1]")],
+        [(build_step_prompt(bad, prior, StepKind.LOCATOR), locator_reply)],
+    )
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": bad}, {"instruction": INSTRUCTION}])
+    out = tmp_path / "traces.jsonl"
+    code = main(
+        [
+            "--config", config, "infer", "--backend", "scripted",
+            "--index", index_file, "--in", ins, "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    assert "wrote 2 traces (1 failures)" in capsys.readouterr().out
+    first, second = (json.loads(line) for line in out.read_text().splitlines())
+    assert first == {
+        "error": {
+            "stage": "locator",
+            "message": "passage index of 5000 digits is too long (line 1)",
+        }
+    }
+    assert second["citations"] == [1]
+
+
 def test_infer_scripted_needs_script_config(tmp_path, index_file):
     ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}])
     code = main(
@@ -1166,6 +1205,32 @@ def test_validate_names_a_mistyped_dataset_row(tmp_path, capsys, change, complai
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad dataset record on line 2: {complaint}\n"
+
+
+def test_validate_reports_a_number_int_refuses_and_checks_the_rows_after_it(tmp_path, capsys):
+    huge = "1" * 5000  # int() reads at most 4300 digits by default
+    located = f"[Relevant]: [{huge}] a fact</eol>"
+    cited = f"a\n[Cite]: [{huge}]</eog>"
+    rows = [
+        {
+            "kind": "short-locator",
+            "input": "q</eoi>\n<retrieval>\n[1] T -x\n</retrieval>\n<Locator>\n",
+            "output": located,
+            "loss_spans": [[0, len(located)]],
+            "source": "open-qa",
+        },
+        dict(PLAIN_ROW, output=cited, loss_spans=[[0, len(cited)]]),
+        PLAIN_ROW,
+    ]
+    path = write_jsonl(tmp_path / "train.jsonl", rows)
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        "line 1: the locator section does not parse:"
+        " passage index of 5000 digits is too long (line 1)\n"
+        "line 2: the generator section does not parse:"
+        " citation index of 5000 digits is too long (line 2)\n"
+        "2 problem(s) found\n"
+    )
 
 
 def test_validate_flags_a_short_input_that_is_not_a_stage_prompt(tmp_path, capsys):

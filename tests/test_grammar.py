@@ -21,6 +21,7 @@ from factrail.grammar import (
     MismatchedEndError,
     OrderViolationError,
     Relevance,
+    RetrievalSyntaxError,
     StepKind,
     TokenKind,
     TrailingGarbageError,
@@ -411,6 +412,24 @@ def test_parse_citations_rejects_empty_and_disorder():
         parse_citations("x\n[Cite]: [1] oops")
 
 
+def test_a_number_int_refuses_is_a_syntax_error_naming_its_line():
+    huge = "1" * 5000  # int() reads at most 4300 digits by default
+    with pytest.raises(LocatorSyntaxError) as err:
+        parse_locator_body(f"[Irrelevant]: [1]\n[Relevant]: [{huge}] a fact")
+    assert str(err.value) == "passage index of 5000 digits is too long (line 2)"
+    with pytest.raises(CitationSyntaxError) as err:
+        parse_citations(f"a\nb [Cite]: [1]\n[{huge}]")
+    assert str(err.value) == "citation index of 5000 digits is too long (line 3)"
+
+
+def test_every_number_int_reads_keeps_its_meaning():
+    longest = "9" * 4300
+    assert parse_locator_body(f"[Irrelevant]: [{longest}]")[0].passage_index == int(longest)
+    assert parse_citations(f"a [Cite]: [{longest}]")[1].indices == (int(longest),)
+    # \d matches every decimal digit, and int() reads each of them.
+    assert parse_locator_body("[Relevant]: [\u0661\u0662] f")[0].passage_index == 12
+
+
 def test_citation_list_invariant():
     with pytest.raises(ValueError):
         CitationList((0,))
@@ -437,6 +456,33 @@ def test_retrieval_body_round_trip():
     passages = [FakePassage("Alpha", "first text"), FakePassage("Beta (b)", "second text")]
     entries = parse_retrieval_body(retrieval_body(passages))
     assert entries == [("Alpha", "first text"), ("Beta (b)", "second text")]
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("T -x", 1, "malformed retrieval entry"),
+        ("[1] T without the separator", 1, "malformed retrieval entry"),
+        ("[1]T -x", 1, "malformed retrieval entry"),
+        ("[one] T -x", 1, "malformed retrieval entry"),
+        ("[1] A -x\n\n[2] B -y", 2, "malformed retrieval entry"),
+        ("[1] A -x\n", 2, "malformed retrieval entry"),
+        ("[2] A -x", 1, "entry numbered 2, expected 1"),
+        ("[0] A -x", 1, "entry numbered 0, expected 1"),
+        ("[1] A -x\n[3] B -y", 2, "entry numbered 3, expected 2"),
+        ("[1] A -x\n[1] B -y", 2, "entry numbered 1, expected 2"),
+        (f"[{'1' * 5000}] A -x", 1, "entry number of 5000 digits is too long"),
+    ],
+    ids=[
+        "no-number", "no-separator", "no-space", "word-number", "blank-line",
+        "trailing-newline", "starts-at-2", "starts-at-0", "gap", "repeat", "too-long",
+    ],
+)
+def test_parse_retrieval_body_rejects_a_malformed_or_misnumbered_entry(body, line, message):
+    with pytest.raises(RetrievalSyntaxError) as err:
+        parse_retrieval_body(body)
+    assert err.value.line == line
+    assert str(err.value) == f"{message} (line {line})"
 
 
 # ---------------------------------------------------------------------------

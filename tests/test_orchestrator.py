@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrail import orchestrator
-from factrail.backends import BackendConfig, HttpBackend, ScriptedBackend, prompt_text
+from factrail.backends import (
+    AgentReply,
+    BackendConfig,
+    HttpBackend,
+    ScriptedBackend,
+    prompt_text,
+)
 from factrail.corpus import Passage, build_index, chunk_document, index_documents
 from factrail.evaluation import EvalExample, evaluate
 from factrail.grammar import (
@@ -24,6 +30,7 @@ from factrail.grammar import (
     OrderViolationError,
     Relevance,
     StepKind,
+    TokenKind,
     Trajectory,
     TrajectoryStep,
     format_judgment,
@@ -381,6 +388,86 @@ def test_reply_empty_after_head_truncation_fails(index):
     with pytest.raises(PipelineError) as err:
         run_inference(INSTRUCTION, index, backend)
     assert err.value.stage == "reconstructor"
+    assert err.value.message == "backend produced an empty continuation"
+
+
+def test_a_reply_cut_at_a_head_and_at_the_length_limit_is_flagged_head_mismatch_only(
+    index, caplog
+):
+    def handler(payload):
+        prompt = payload["messages"][0]["content"]
+        if prompt.endswith("<Reconstructor>\n"):
+            # retrieves nothing
+            return 200, chat_reply("Search(zebra)\n<Locator>\n[Relevant]: [1] f", "length")
+        return 200, chat_reply("no idea")
+
+    with StubServer(handler) as server, caplog.at_level("WARNING", "factrail.orchestrator"):
+        backend = HttpBackend(BackendConfig(endpoint_url=server.url, retries=0, timeout_s=5.0))
+        trace = run_inference(INSTRUCTION, index, backend)
+    assert trace.trajectory.steps[0].body == "Search(zebra)"
+    assert trace.flags == ("head_mismatch:reconstructor", "no_passages", "generator_fallback")
+    assert caplog.messages == [
+        "backend emitted a head token during the reconstructor stage; truncating"
+    ]
+
+
+class HeadLeavingBackend:
+    """A third-party backend that does not cut its replies at head tokens:
+    the reconstructor reply for one instruction keeps the head it wrote."""
+
+    def __init__(self, inner, instruction):
+        self.inner = inner
+        self.prompt = render_instruction(instruction)
+
+    def generate(self, request):
+        reply = self.inner.generate(request)
+        if request.head is TokenKind.RECONSTRUCTOR_HEAD and request.instruction == self.prompt:
+            return AgentReply(reply.body + "\n<Locator>\nleaked", reply.terminated_by)
+        return reply
+
+
+def test_run_batch_turns_a_head_a_backend_left_in_a_reply_into_an_item_error(index):
+    backend, cfg, _ = relevance_setup(index)
+    leaky = "what orbits the earth?"
+    script_scenario(
+        backend, index, cfg, leaky, RECONSTRUCTION, judge_by_answer("earth"), ANSWER_BODY,
+    )
+    results = run_batch(
+        [leaky, INSTRUCTION], index, HeadLeavingBackend(backend, leaky), cfg, max_workers=2
+    )
+    assert results[0].trace is None
+    assert str(results[0].error) == "reconstructor: the reply holds the grammar token <Locator>"
+    assert results[1].trace.answer == "the earth" and results[1].trace.flags == ()
+
+
+@pytest.mark.parametrize("stage", ["locator", "generator"])
+def test_run_batch_turns_a_number_int_refuses_into_an_item_error(index, stage):
+    huge = "1" * 5000  # int() reads at most 4300 digits by default
+    backend, cfg, passages = relevance_setup(index)
+    bad = "which body does the moon orbit?"
+    if stage == "locator":
+        script_scenario(
+            backend, index, cfg, bad, RECONSTRUCTION, judge_by_answer("earth"), ANSWER_BODY,
+        )
+        prior = [
+            TrajectoryStep(StepKind.RECONSTRUCTOR, RECONSTRUCTION),
+            TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
+        ]
+        backend.add_reply(
+            build_step_prompt(bad, prior, StepKind.LOCATOR),
+            f"[Relevant]: [{huge}] the moon orbits the earth.",
+        )
+        message = "passage index of 5000 digits is too long (line 1)"
+    else:
+        script_scenario(
+            backend, index, cfg, bad, RECONSTRUCTION,
+            judge_by_answer("earth"), f"the earth\n[Cite]: [{huge}]",
+        )
+        message = "citation index of 5000 digits is too long (line 2)"
+    results = run_batch([bad, INSTRUCTION], index, backend, cfg, max_workers=2)
+    assert results[0].trace is None
+    assert (results[0].error.stage, results[0].error.message) == (stage, message)
+    assert results[1].trace.answer == "the earth"
 
 
 def test_unscripted_backend_surfaces_stage(index):
