@@ -11,6 +11,7 @@ names the one it ended at.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
@@ -18,8 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .fileio import atomic_path, read_jsonl, typed_field
 from .grammar import StepKind, TokenKind
@@ -189,6 +189,34 @@ def save_script(script: Mapping[str, str], path: str | Path) -> None:
             )
 
 
+# The connection class, host, port and request target of an endpoint URL.
+_Endpoint = tuple[type[http.client.HTTPConnection], str, int | None, str]
+
+
+def _endpoint(url: str) -> _Endpoint:
+    """Where to send a request for an http or https endpoint URL; a
+    ValueError names what is wrong with the URL."""
+    if not url.isascii() or not url.isprintable() or " " in url:
+        raise ValueError(f"endpoint_url must be printable ASCII with no spaces, not {url!r}")
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"endpoint_url must be an http or https URL, not {url!r}")
+    if not parts.hostname:
+        raise ValueError(f"endpoint_url names no host: {url!r}")
+    if parts.scheme == "https":
+        connection_type = http.client.HTTPSConnection
+    else:
+        connection_type = http.client.HTTPConnection
+    try:
+        port = parts.port
+    except ValueError:  # not a number in 0-65535
+        raise ValueError(f"endpoint_url names a bad port: {url!r}") from None
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    return connection_type, parts.hostname, port, target
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Connection settings for the HTTP chat-completion backend."""
@@ -207,6 +235,7 @@ class BackendConfig:
             typed_field(vars(self), name, int)
         if type(self.timeout_s) not in (int, float):
             raise ValueError(f"'timeout_s' must be int or float, not {type(self.timeout_s).__name__}")
+        _endpoint(self.endpoint_url)
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
         if not 0 < self.timeout_s < math.inf:
@@ -215,17 +244,18 @@ class BackendConfig:
             raise ValueError("max_output_tokens must be at least 1")
 
 
-def _retry_delay(retry: int, response: requests.Response | None) -> float:
-    """Seconds to wait before retry number ``retry`` (from 0).
+def _retry_delay(retry: int, status: int | None, retry_after: str | None) -> float:
+    """Seconds to wait before retry number ``retry`` (from 0), given the
+    status and Retry-After header of the attempt before it, if it got one.
 
     A 429 or 503 response's Retry-After, given in seconds, sets the wait;
     otherwise it is _BACKOFF_S doubled per earlier retry. Either way it is
     at most _MAX_BACKOFF_S.
     """
     delay = _BACKOFF_S * 2.0 ** min(retry, 16)
-    if response is not None and response.status_code in _RETRY_AFTER_STATUSES:
+    if status in _RETRY_AFTER_STATUSES:
         try:
-            asked = float(response.headers.get("Retry-After", ""))
+            asked = float(retry_after or "")
         except ValueError:
             asked = math.nan
         if math.isfinite(asked):
@@ -233,24 +263,42 @@ def _retry_delay(retry: int, response: requests.Response | None) -> float:
     return min(delay, _MAX_BACKOFF_S)
 
 
+def _post(
+    endpoint: _Endpoint, body: bytes, headers: dict[str, str], timeout_s: float
+) -> tuple[int, str | None, bytes]:
+    """POST ``body`` over a connection of its own, closed before returning;
+    return the status, the Retry-After header and the whole response body."""
+    connection_type, host, port, target = endpoint
+    connection = connection_type(host, port, timeout=timeout_s)
+    try:
+        connection.request("POST", target, body, headers)
+        response = connection.getresponse()
+        return response.status, response.getheader("Retry-After"), response.read()
+    finally:
+        connection.close()
+
+
 def chat_completion(
     config: BackendConfig,
     prompt: str,
     stop: tuple[str, ...] = (),
-    session: requests.Session | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[str, str | None]:
     """POST one chat-completion request; return (content, finish_reason).
 
-    Transport failures, 5xx statuses, 408 and 429 are retried until the
-    attempt budget (retries + 1) is spent, then surface as unavailability.
-    Before each retry it calls ``sleep`` with a capped exponential backoff
-    that honours Retry-After (see ``_retry_delay``); it never sleeps after
-    the last attempt, and tests pass a ``sleep`` that only records. Any
-    other 4xx status cannot succeed on a retry, so it surfaces after one
-    request. A 2xx response missing the text field is malformed and not
-    retried.
+    Each attempt opens its own connection and closes it once the body is
+    read, so worker threads share nothing. Transport failures (``OSError``,
+    timeouts included, and ``http.client.HTTPException``), 5xx statuses,
+    408 and 429 are retried until the attempt budget (retries + 1) is
+    spent, then surface as unavailability. Before each retry it calls
+    ``sleep`` with a capped exponential backoff that honours Retry-After
+    (see ``_retry_delay``); it never sleeps after the last attempt, and
+    tests pass a ``sleep`` that only records. Any other status outside 2xx,
+    redirects included, cannot succeed on a retry, so it surfaces after one
+    request. A 2xx body that is not UTF-8 JSON, or lacks the text field,
+    is malformed and not retried.
     """
+    endpoint = _endpoint(config.endpoint_url)
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
@@ -258,36 +306,38 @@ def chat_completion(
         "temperature": 0,
         "max_tokens": config.max_output_tokens,
     }
-    headers = {}
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env)
     if api_key:
+        if not api_key.isascii() or not api_key.isprintable():
+            raise BackendUnavailableError(
+                f"{config.api_key_env} holds a character an HTTP header cannot carry"
+            )
         headers["Authorization"] = f"Bearer {api_key}"
-    post = (session or requests).post
     last_error: BackendUnavailableError | None = None
-    response: requests.Response | None = None  # the last attempt's, if any
+    status: int | None = None  # the last attempt's status and Retry-After, if any
+    retry_after: str | None = None
     for attempt in range(config.retries + 1):
         if attempt:
-            sleep(_retry_delay(attempt - 1, response))
+            sleep(_retry_delay(attempt - 1, status, retry_after))
         try:
-            response = post(
-                config.endpoint_url, json=payload, headers=headers, timeout=config.timeout_s
-            )
-        except requests.RequestException as exc:
+            status, retry_after, raw = _post(endpoint, body, headers, config.timeout_s)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = BackendUnavailableError(f"transport failure: {exc}")
-            response = None
+            status = retry_after = None
             continue
-        status = response.status_code
         if status < 200 or status >= 300:
             last_error = BackendUnavailableError(
                 f"upstream returned status {status}", status=status
             )
-            if 400 <= status < 500 and status not in _RETRYABLE_CLIENT_STATUSES:
+            if 300 <= status < 500 and status not in _RETRYABLE_CLIENT_STATUSES:
                 raise last_error
             continue
         try:
-            document = response.json()
-        except ValueError as exc:
-            raise MalformedUpstreamResponseError(f"response is not JSON: {exc}") from exc
+            document = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise MalformedUpstreamResponseError(f"response is not UTF-8 JSON: {exc}") from exc
         try:
             choice = document["choices"][0]
             content = choice["message"]["content"]
@@ -312,13 +362,10 @@ class HttpBackend:
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
         self._config = config
         self._sleep = sleep
-        self._session = requests.Session()
 
     def generate(self, request: AgentRequest) -> AgentReply:
         prompt = prompt_text(request)
-        content, finish_reason = chat_completion(
-            self._config, prompt, request.stop, session=self._session, sleep=self._sleep
-        )
+        content, finish_reason = chat_completion(self._config, prompt, request.stop, sleep=self._sleep)
         body, fired = _finalize(content, request.stop)
         if not body:
             raise EmptyGenerationError()

@@ -27,8 +27,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-import requests
-
 from .backends import BackendConfig, chat_completion
 from .corpus import CorpusIndex, Passage, retrieve_multi
 from .grammar import (
@@ -228,9 +226,9 @@ _RATING_RE = re.compile(r"\[(Relevant|Irrelevant)\]")
 class HttpCritic:
     """Critic that asks a chat-completion service for intents and judgments.
 
-    Like ``HttpBackend``, it sends every request over one connection
-    (a ``requests.Session``), and ``sleep`` waits out the backoff between
-    attempts (see ``chat_completion``).
+    Like ``HttpBackend``, it sends each request through ``chat_completion``,
+    which opens one connection per attempt, and ``sleep`` waits out the
+    backoff between attempts.
     """
 
     INTENT_PROMPT = (
@@ -249,17 +247,14 @@ class HttpCritic:
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep) -> None:
         self._config = config
         self._sleep = sleep
-        self._session = requests.Session()
 
     def _ask(self, prompt: str) -> str:
-        content, _reason = chat_completion(
-            self._config, prompt, session=self._session, sleep=self._sleep
-        )
+        content, _reason = chat_completion(self._config, prompt, sleep=self._sleep)
         return content
 
     def propose_intents(self, x: str, task: TaskTag) -> IntentSet:
         content = self._ask(self.INTENT_PROMPT.format(x=x))
-        for line in content.splitlines():
+        for line in content.split("\n"):
             if line.strip().startswith("Search Intent:"):
                 return parse_intents(line.split(":", 1)[1])
         raise CriticResponseError("no Search Intent line in critic reply")
@@ -274,7 +269,7 @@ class HttpCritic:
             raise CriticResponseError("no Rating in critic reply")
         if rating.group(1) == "Irrelevant":
             return LocatorJudgment(max(index, 1), Relevance.IRRELEVANT, None)
-        for line in content.splitlines():
+        for line in content.split("\n"):
             if line.strip().startswith("Extracted span:"):
                 span = line.split(":", 1)[1].strip()
                 if span:

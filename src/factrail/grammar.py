@@ -466,12 +466,14 @@ _IRRELEVANT_ACCEPTED = ("", "Lacking Supporting Facts", IRRELEVANT_PHRASE)
 def parse_locator_body(body: str) -> list[LocatorJudgment]:
     """Parse judgment lines of the form ``[Relevant]: [n] fact``.
 
-    Indices must be unique but need not be contiguous. An Irrelevant line
-    carries the fixed no-facts phrase (period optional) or nothing at all.
+    Lines are separated by ``\n`` alone, as in a retrieval body, so a fact
+    may hold a form feed or U+2028. Indices must be unique but need not be
+    contiguous. An Irrelevant line carries the fixed no-facts phrase (period
+    optional) or nothing at all.
     """
     judgments: list[LocatorJudgment] = []
     seen: set[int] = set()
-    for lineno, line in enumerate(body.splitlines(), start=1):
+    for lineno, line in enumerate(body.split("\n"), start=1):
         if not line.strip():
             continue
         match = _JUDGMENT_RE.match(line)

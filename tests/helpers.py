@@ -246,32 +246,46 @@ class StubServer:
 
     The handler receives the parsed request payload and returns
     (status_code, response_object) or (status_code, response_object,
-    headers); a string response object is sent as-is, anything else is
-    JSON-encoded. Requests are counted and recorded.
+    headers); a bytes response object is sent as-is, a string UTF-8
+    encoded, anything else JSON-encoded. The headers replace the defaults,
+    so a Content-Length beyond the body makes a response that the server
+    cuts short when it closes the connection. Requests are counted, and
+    each one's payload, raw body bytes and headers are recorded.
     """
 
     def __init__(self, handler: Callable[[dict], tuple]) -> None:
         self._handler = handler
         self.requests: list[dict] = []
+        self.bodies: list[bytes] = []
         self.header_log: list[dict] = []
         self.request_count = 0
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            # Keep-alive by default, as real endpoints are, but each
+            # connection serves one request: a client that does not close
+            # its socket leaks it, and -X dev reports the leak.
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self) -> None:
+                self.close_connection = True
                 length = int(self.headers.get("Content-Length", "0"))
-                payload = json.loads(self.rfile.read(length) or b"{}")
+                raw_body = self.rfile.read(length)
+                payload = json.loads(raw_body or b"{}")
                 stub.requests.append(payload)
+                stub.bodies.append(raw_body)
                 stub.header_log.append({k.lower(): v for k, v in self.headers.items()})
                 stub.request_count += 1
                 status, body, *extra = stub._handler(payload)
-                raw = body if isinstance(body, str) else json.dumps(body)
-                data = raw.encode("utf-8")
+                if isinstance(body, bytes):
+                    data = body
+                else:
+                    data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+                headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
+                headers.update(extra[0] if extra else {})
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                for name, value in (extra[0] if extra else {}).items():
+                for name, value in headers.items():
                     self.send_header(name, value)
-                self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
 

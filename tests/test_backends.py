@@ -1,5 +1,6 @@
 """Backend contract: scripted replay, stop discipline, and the HTTP client."""
 
+import json
 import threading
 import time
 
@@ -205,6 +206,20 @@ def test_backend_config_validation():
         BackendConfig(endpoint_url="http://x", timeout_s=0)
     with pytest.raises(ValueError):
         BackendConfig(endpoint_url="http://x", max_output_tokens=0)
+    assert BackendConfig(endpoint_url="HTTPS://x:8443/v1?api-version=2").retries == 2
+    for url, fault in (
+        ("ftp://x/v1", "must be an http or https URL"),
+        ("x:8000/v1", "must be an http or https URL"),
+        ("http:///v1", "names no host"),
+        ("http://:8000/v1", "names no host"),
+        ("http://x:99999/v1", "names a bad port"),
+        ("http://x:port/v1", "names a bad port"),
+        ("http://x/v1 chat", "must be printable ASCII"),
+        ("http://x/v1/\u00e9", "must be printable ASCII"),
+        ("http://x/v1\n", "must be printable ASCII"),
+    ):
+        with pytest.raises(ValueError, match=f"^endpoint_url {fault}"):
+            BackendConfig(endpoint_url=url)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +261,32 @@ def test_http_omits_auth_header_without_key(monkeypatch):
     with StubServer(lambda payload: (200, chat_reply("ok"))) as server:
         HttpBackend(config_for(server)).generate(request_for())
     assert "authorization" not in server.header_log[0]
+
+
+def test_http_body_is_the_json_requests_sends_under_a_json_content_type():
+    # Default separators and ensure_ascii, UTF-8 encoded: the bytes
+    # requests' json= sends.
+    prompt = "Qu'est-ce que « la lune » ? Луна 月 \u2028 \U0001f319</eoi>\n"
+    with StubServer(lambda payload: (200, chat_reply("ok"))) as server:
+        chat_completion(config_for(server, model="m", max_output_tokens=7), prompt, ("</eog>",))
+    sent = {
+        "model": "m",
+        "messages": [{"role": "user", "content": prompt}],
+        "stop": ["</eog>"],
+        "temperature": 0,
+        "max_tokens": 7,
+    }
+    assert server.bodies == [json.dumps(sent).encode("utf-8")]
+    assert server.header_log[0]["content-type"] == "application/json"
+
+
+def test_http_api_key_a_header_cannot_carry_fails_before_sending(monkeypatch):
+    monkeypatch.setenv("FACTRAIL_TEST_KEY", "sek\nrit")
+    with StubServer(lambda payload: (200, chat_reply("ok"))) as server:
+        backend = HttpBackend(config_for(server, api_key_env="FACTRAIL_TEST_KEY"))
+        with pytest.raises(BackendUnavailableError, match="FACTRAIL_TEST_KEY"):
+            backend.generate(request_for())
+    assert server.request_count == 0
 
 
 def test_http_retry_exhaustion_counts_attempts():
@@ -302,6 +343,50 @@ def test_http_non_json_body_is_malformed():
     with StubServer(lambda payload: (200, "plain text, not json")) as server:
         with pytest.raises(MalformedUpstreamResponseError):
             HttpBackend(config_for(server)).generate(request_for())
+    assert server.request_count == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"choices": [{"message": {"content": "caf\xe9"}}]}',
+        json.dumps(chat_reply("ok")).encode("utf-16"),
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["latin-1", "utf-16", "nested-too-deep"],
+)
+def test_http_2xx_body_that_is_not_utf8_json_is_malformed_and_not_retried(body):
+    with StubServer(lambda payload: (200, body)) as server:
+        with pytest.raises(MalformedUpstreamResponseError):
+            HttpBackend(config_for(server, retries=2)).generate(request_for())
+    assert server.request_count == 1
+
+
+def test_http_response_cut_short_is_a_retried_transport_failure():
+    # The server closes the connection 990 bytes before the promised end.
+    cut = (200, b'{"choices"', {"Content-Length": "1000"})
+    waits = []
+    with StubServer(lambda payload: cut) as server:
+        with pytest.raises(BackendUnavailableError, match="transport failure") as err:
+            chat_completion(config_for(server, retries=1), "p", sleep=waits.append)
+    assert err.value.status is None
+    assert server.request_count == 2
+    assert waits == [_BACKOFF_S]
+
+
+def test_http_body_of_several_megabytes_is_read_whole():
+    content = "the moon orbits the earth; " * 200_000
+    with StubServer(lambda payload: (200, chat_reply(content))) as server:
+        got, _ = chat_completion(config_for(server), "p")
+    assert len(got) > 5_000_000
+    assert got == content
+
+
+def test_http_redirect_is_a_status_error_and_not_followed():
+    with StubServer(lambda payload: (307, "", {"Location": "/elsewhere"})) as server:
+        with pytest.raises(BackendUnavailableError) as err:
+            chat_completion(config_for(server, retries=2), "p")
+    assert err.value.status == 307
     assert server.request_count == 1
 
 

@@ -204,6 +204,14 @@ BACKEND = {"endpoint_url": "http://h"}
         ({"concurrency": True}, "bad config: 'concurrency' must be int, not bool"),
         ({"concurrency": -2}, "bad config: 'concurrency' must be at least 1"),
         ({"inference": 3}, "the inference config must be a JSON object"),
+        (
+            {"backend": {"endpoint_url": "ftp://h/v1"}},
+            "bad backend config: endpoint_url must be an http or https URL, not 'ftp://h/v1'",
+        ),
+        (
+            {"backend": {"endpoint_url": "http:///v1/chat/completions"}},
+            "bad backend config: endpoint_url names no host: 'http:///v1/chat/completions'",
+        ),
     ],
 )
 def test_mistyped_config_value_exits_with_usage(tmp_path, index_file, capsys, config, message):
@@ -1230,6 +1238,34 @@ def test_validate_reports_a_number_int_refuses_and_checks_the_rows_after_it(tmp_
         "line 2: the generator section does not parse:"
         " citation index of 5000 digits is too long (line 2)\n"
         "2 problem(s) found\n"
+    )
+
+
+def test_validate_reports_a_judgment_or_citation_its_parser_refuses(tmp_path, capsys):
+    def row(kind, retrieval, head, output):
+        return {
+            "kind": kind,
+            "input": f"q</eoi>\n{retrieval}{head}\n",
+            "output": output,
+            "loss_spans": [[0, len(output)]],
+            "source": "open-qa",
+        }
+
+    retrieval = "<retrieval>\n[1] T -x\n</retrieval>\n"
+    rows = [
+        row("short-locator", retrieval, "<Locator>", "[Relevant]: [0] a fact</eol>"),
+        row("short-locator", retrieval, "<Locator>", "[Irrelevant]: [1] a fact</eol>"),
+        row("short-generator-plain", "", "<Generator>", "a\n[Cite]:</eog>"),
+        PLAIN_ROW,
+    ]
+    path = write_jsonl(tmp_path / "train.jsonl", rows)
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        "line 1: the locator section does not parse: passage indices are 1-based (line 1)\n"
+        "line 2: the locator section does not parse:"
+        " an Irrelevant judgment must not carry a fact (line 1)\n"
+        "line 3: the generator section does not parse: no indices follow the citation marker\n"
+        "3 problem(s) found\n"
     )
 
 

@@ -386,6 +386,26 @@ def test_http_critic_waits_out_a_503_then_judges(index):
     assert waits == [0.5]
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\x0c", "\r"], ids=["u2028", "form-feed", "cr"]
+)
+def test_http_critic_reads_a_reply_line_by_line_at_newlines_only(index, separator):
+    replies = {
+        "Decompose": f"Search Intent: alpha{separator}beta; gamma\nnot an intent",
+        "Decide": f"Rating: [Relevant]\nExtracted span: Mercury is{separator}small.\nnot a span",
+    }
+
+    def handler(payload):
+        return 200, chat_reply(replies[payload["messages"][0]["content"].split()[0]])
+
+    with StubServer(handler) as server:
+        critic = HttpCritic(BackendConfig(endpoint_url=server.url, timeout_s=5.0))
+        intents = critic.propose_intents("anything", TaskTag.GENERAL)
+        judgment = critic.judge_passage("q", "Mercury", index.passages[0], 1)
+    assert intents.intents == (f"alpha{separator}beta", "gamma")
+    assert judgment.fact == f"Mercury is{separator}small."
+
+
 def test_http_critic_irrelevant_and_errors(index):
     mercury = index.passages[0]
     with StubServer(lambda p: (200, chat_reply("Rating: [Irrelevant]"))) as server:

@@ -318,6 +318,36 @@ def test_parse_locator_rejects_garbage_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\x0c", "\r", "\x85"], ids=["u2028", "form-feed", "cr", "nel"]
+)
+def test_parse_locator_body_ends_a_line_only_at_a_newline(separator):
+    # Like a retrieval body: a fact may hold any other break str.splitlines
+    # knows, and a line number counts the lines an editor shows.
+    fact = f"the moon{separator}orbits the earth"
+    assert parse_locator_body(f"[Relevant]: [1] {fact}\n[Irrelevant]: [2]") == [
+        LocatorJudgment(1, Relevance.RELEVANT, fact),
+        LocatorJudgment(2, Relevance.IRRELEVANT, None),
+    ]
+    with pytest.raises(LocatorSyntaxError) as err:
+        parse_locator_body(f"[Relevant]: [1] {fact}\nnot a judgment")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("[Relevant]: [1] f\n[Relevant]: [0] a fact", 2, "passage indices are 1-based"),
+        ("[Irrelevant]: [1] a fact", 1, "an Irrelevant judgment must not carry a fact"),
+    ],
+    ids=["relevant-index-0", "irrelevant-with-fact"],
+)
+def test_parse_locator_rejects_a_judgment_its_fields_forbid(body, line, message):
+    with pytest.raises(LocatorSyntaxError) as err:
+        parse_locator_body(body)
+    assert str(err.value) == f"{message} (line {line})"
+
+
 # The judgment pattern before its fact group became greedy: the fact was the
 # lazy (.*?) before the trailing \s*$.
 _LAZY_JUDGMENT_RE = re.compile(r"^\s*-?\s*\[(Relevant|Irrelevant)\]\s*:\s*\[(\d+)\]\s*(.*?)\s*$")
@@ -410,6 +440,14 @@ def test_parse_citations_rejects_empty_and_disorder():
         parse_citations("x\n[Cite]: [2] [1]")
     with pytest.raises(CitationSyntaxError):
         parse_citations("x\n[Cite]: [1] oops")
+
+
+@pytest.mark.parametrize(
+    "body", ["x\n[Cite]:", "x [Cite]: \t", "x\n[Cite]:\n"], ids=["own-line", "inline", "newline"]
+)
+def test_parse_citations_rejects_a_marker_with_no_indices(body):
+    with pytest.raises(CitationSyntaxError, match="^no indices follow the citation marker$"):
+        parse_citations(body)
 
 
 def test_a_number_int_refuses_is_a_syntax_error_naming_its_line():

@@ -470,6 +470,38 @@ def test_run_batch_turns_a_number_int_refuses_into_an_item_error(index, stage):
     assert results[1].trace.answer == "the earth"
 
 
+@pytest.mark.parametrize(
+    "stage, reply, message",
+    [
+        ("locator", "[Relevant]: [0] the moon orbits the earth.", "passage indices are 1-based (line 1)"),
+        (
+            "locator",
+            "[Irrelevant]: [1] the moon orbits the earth.",
+            "an Irrelevant judgment must not carry a fact (line 1)",
+        ),
+        ("generator", "the earth\n[Cite]:", "no indices follow the citation marker"),
+    ],
+    ids=["relevant-index-0", "irrelevant-with-fact", "cite-without-indices"],
+)
+def test_run_batch_turns_a_reply_its_parser_refuses_into_an_item_error(index, stage, reply, message):
+    # Without the parser's check, passage index 0 raises LocatorJudgment's
+    # own ValueError out of the batch, and the other two replies pass.
+    backend, cfg, passages = relevance_setup(index)
+    bad = "which body does the moon orbit?"
+    answer = reply if stage == "generator" else ANSWER_BODY
+    script_scenario(backend, index, cfg, bad, RECONSTRUCTION, judge_by_answer("earth"), answer)
+    if stage == "locator":
+        prior = [
+            TrajectoryStep(StepKind.RECONSTRUCTOR, RECONSTRUCTION),
+            TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)),
+        ]
+        backend.add_reply(build_step_prompt(bad, prior, StepKind.LOCATOR), reply)
+    results = run_batch([bad, INSTRUCTION], index, backend, cfg, max_workers=2)
+    assert results[0].trace is None
+    assert (results[0].error.stage, results[0].error.message) == (stage, message)
+    assert results[1].trace.answer == "the earth"
+
+
 def test_unscripted_backend_surfaces_stage(index):
     with pytest.raises(PipelineError) as err:
         run_inference(INSTRUCTION, index, ScriptedBackend())
