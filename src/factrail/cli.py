@@ -127,10 +127,12 @@ def _read_instructions(path: str) -> list[str]:
 
 def cmd_index(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     docs = corpus.read_documents(args.corpus)
+    document_count = len(docs)
     index = corpus.index_documents(docs)
+    del docs  # the passages hold their own text; the save need not hold both
     corpus.save_index(index, args.out)
     print(
-        f"indexed {len(docs)} documents into {index.total_docs} passages "
+        f"indexed {document_count} documents into {index.total_docs} passages "
         f"(avg length {index.avg_doc_length:.1f} words) -> {args.out}"
     )
     return EXIT_OK

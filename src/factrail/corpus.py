@@ -23,7 +23,9 @@ lift an unseen passage into the top k. It looks the skipped terms up
 by binary search within the term's span for the passages still in
 contention (a heap, not a sort, picks the k-th best of many partial
 scores), then rescores the survivors adding terms in query order, so
-scores and ranks equal those of an exhaustive scan.
+scores and ranks equal those of an exhaustive scan. The first scan of a term
+keeps the BM25 weight of each of its postings in the index, and later scans
+add those weights instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import nlargest
 from itertools import accumulate, compress, islice
 from operator import ge
@@ -78,6 +80,8 @@ INDEX_VERSION = 2
 # Column element types on disk: int64 passage ids, uint32 term frequencies.
 _ID_TYPE, _TF_TYPE = "q", "I"
 _POSTING_BYTES = 8 + 4
+# save_index converts a column to its file type this many postings at a time.
+_WRITE_SLICE = 1 << 16
 
 # Absorbs rounding in the partial sums that decide what retrieve may skip.
 _PRUNE_SLACK = 1e-9
@@ -187,6 +191,13 @@ class CorpusIndex:
 
     ``k1_length_norms`` maps a passage id to k1 times BM25's length norm
     ``1 - b + b * dl / avgdl``, the value every BM25 denominator adds to tf.
+
+    ``weights`` caches, per term that ``retrieve`` has scanned, the BM25
+    weight of each of its postings, keyed by the start of the term's span
+    (spans are never empty, so no two terms share a start). It is filled
+    lazily on a term's first scan and holds 8 bytes per posting of the
+    terms scanned so far; saving, loading and comparing ignore it, and a
+    copy made with ``dataclasses.replace`` starts with an empty cache.
     """
 
     passages: dict[int, Passage]
@@ -197,6 +208,7 @@ class CorpusIndex:
     k1_length_norms: dict[int, float]
     avg_doc_length: float
     total_docs: int
+    weights: dict[int, array] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def span(self, term: str) -> tuple[int, int]:
         """The (start, end) of term's postings in ids and tfs; empty if unknown."""
@@ -294,6 +306,8 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     span for the passages that could still reach the k-th best score, and
     the survivors are rescored in full: terms added in query order with the
     exhaustive expression, so scores are bit-identical to a full scan.
+    The scan reads a term's posting weights from ``index.weights``, filling
+    them on the term's first scan; a skipped term's list is never read.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -329,8 +343,16 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
             threshold = _kth_largest(partial.values(), k)
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
-        for pid, tf in zip(ids[start:end], tfs[start:end]):
-            partial[pid] = partial.get(pid, 0.0) + bound * tf / (tf + k1_norms[pid])
+        # A posting's weight depends on nothing but the index, so a term's
+        # first scan computes them and every later scan reads them back.
+        pids = ids[start:end]
+        weights = index.weights.get(start)
+        if weights is None:
+            weights = index.weights[start] = array(
+                "d", [bound * tf / (tf + k1_norms[pid]) for pid, tf in zip(pids, tfs[start:end])]
+            )
+        for pid, weight in zip(pids, weights):
+            partial[pid] = partial.get(pid, 0.0) + weight
         scanned += 1
     else:
         if len(partial) >= k:
@@ -422,16 +444,23 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "terms": list(index.term_numbers),
         "doc_freqs": [end - start for start, end in zip(offsets, islice(offsets, 1, None))],
     }
-    pids, tfs = array(_ID_TYPE, index.ids), array(_TF_TYPE, index.tfs)
-    if sys.byteorder != "little":
-        pids.byteswap()
-        tfs.byteswap()
     line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    del header
     with atomic_path(path) as temp, open(temp, "wb") as handle:
         handle.write(line.encode("utf-8"))
         handle.write(b"\n")
-        pids.tofile(handle)
-        tfs.tofile(handle)
+        _write_column(handle, _ID_TYPE, index.ids)
+        _write_column(handle, _TF_TYPE, index.tfs)
+
+
+def _write_column(handle: BinaryIO, typecode: str, values: Sequence[int]) -> None:
+    """Write values as a little-endian column of typecode, a slice at a time,
+    so no copy of the whole column is ever held."""
+    for at in range(0, len(values), _WRITE_SLICE):
+        column = array(typecode, values[at : at + _WRITE_SLICE])
+        if sys.byteorder != "little":
+            column.byteswap()
+        column.tofile(handle)
 
 
 def load_index(path: str | Path) -> CorpusIndex:

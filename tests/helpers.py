@@ -293,7 +293,10 @@ class StubServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll, since shutdown() waits for serve_forever to see it.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self) -> str:

@@ -1,6 +1,8 @@
 """Backend contract: scripted replay, stop discipline, and the HTTP client."""
 
+import http.client
 import json
+import ssl
 import threading
 import time
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrail import backends
 from factrail.backends import (
     END_TOKEN_SURFACES,
     HEAD_TOKEN_SURFACES,
@@ -414,6 +417,40 @@ def test_http_transport_failure_is_unavailable():
     with pytest.raises(BackendUnavailableError):
         HttpBackend(config, sleep=waits.append).generate(request_for())
     assert waits == [_BACKOFF_S]
+
+
+def test_https_attempts_share_one_tls_context_and_http_makes_none(monkeypatch):
+    made, passed = [], []
+    default_context = ssl._create_default_https_context
+
+    def counted_default_context():
+        made.append(default_context())
+        return made[-1]
+
+    class RefusedHTTPSConnection:
+        def __init__(self, host, port, *, timeout, context):
+            passed.append(context)
+
+        def request(self, *args):
+            raise ConnectionRefusedError("refused")
+
+        def close(self):
+            pass
+
+    backends._tls_context.cache_clear()
+    monkeypatch.setattr(ssl, "_create_default_https_context", counted_default_context)
+    monkeypatch.setattr(http.client, "HTTPSConnection", RefusedHTTPSConnection)
+    with StubServer(lambda payload: (200, chat_reply("plain"))) as server:
+        assert chat_completion(config_for(server), "p") == ("plain", "stop")
+    assert made == []
+    config = BackendConfig(endpoint_url="https://127.0.0.1:9/v1", timeout_s=0.2, retries=1)
+    with pytest.raises(BackendUnavailableError, match="transport failure: refused"):
+        chat_completion(config, "p", sleep=NO_WAIT)
+    # Two attempts, one context: the retry reuses the first attempt's.
+    assert len(made) == 1 and len(passed) == 2
+    assert passed[0] is passed[1] is made[0]
+    assert made[0].verify_mode == ssl.CERT_REQUIRED and made[0].check_hostname
+    backends._tls_context.cache_clear()
 
 
 def test_http_503_waits_the_retry_after_seconds_then_succeeds():

@@ -1286,6 +1286,17 @@ def test_validate_flags_a_short_input_that_is_not_a_stage_prompt(tmp_path, capsy
     )
 
 
+def test_validate_flags_a_short_output_that_lacks_its_end_token(tmp_path, capsys):
+    path = write_jsonl(
+        tmp_path / "train.jsonl", [PLAIN_ROW, dict(PLAIN_ROW, output="a", loss_spans=[[0, 1]])]
+    )
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr().out == (
+        "line 2: short output must end with </eog>\n"
+        "1 problem(s) found\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # memory: infer and eval hold one item at a time, not the batch
 

@@ -8,7 +8,9 @@ import random
 import re
 import stat
 import string
+import sys
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -302,11 +304,15 @@ class ScanRecordingList(list):
         return super().__iter__()
 
 
-def test_pruning_skips_the_head_term_list():
-    passages = [
+def _common_and_rare_passages():
+    return [
         make_passage(pid, "T", "common " + ("rare " if pid % 50 == 7 else "") + "filler " * (pid % 9))
         for pid in range(200)
     ]
+
+
+def test_pruning_skips_the_head_term_list():
+    passages = _common_and_rare_passages()
     index = build_index(passages)
     start, end = index.span("common")
     index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
@@ -316,6 +322,24 @@ def test_pruning_skips_the_head_term_list():
         assert hi <= start or end <= lo
     # The skipped term still counts in the exact scores.
     assert list(got) == brute_force_bm25(passages, "common rare", 2)
+
+
+def test_a_warm_scan_reads_kept_weights_and_still_skips_the_head_term_list():
+    passages = _common_and_rare_passages()
+    index = build_index(passages)
+    head_start = index.span("common")[0]
+    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
+    cold = retrieve(index, "common rare", k=2).ranked
+    index.ids.scanned.clear()
+    index.tfs.scanned.clear()
+    warm = retrieve(index, "common rare", k=2).ranked
+    # The warm scan reads the rare term's ids and its kept weights, no tf.
+    assert index.ids.scanned == [index.span("rare")]
+    assert index.tfs.scanned == []
+    assert list(index.weights) == [index.span("rare")[0]]
+    assert head_start not in index.weights
+    assert warm == cold
+    assert list(warm) == brute_force_bm25(passages, "common rare", 2)
 
 
 def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold():
@@ -384,8 +408,48 @@ def test_pruned_retrieve_is_bit_exact_on_long_head_lists(tmp_path, monkeypatch):
         for k in (1, 3, 10):
             for index in (built, loaded):
                 assert list(retrieve(index, query, k).ranked) == expected[:k], (query, k)
+                # A run on an empty weight cache, then one on the cache it filled.
+                fresh = replace(index)
+                cold = list(retrieve(fresh, query, k).ranked)
+                assert fresh.weights
+                assert cold == list(retrieve(fresh, query, k).ranked) == expected[:k], (query, k)
     # Both new paths ran: heap selection and binary-search probes.
     assert calls["nlargest"] > 0 and calls["bisect_left"] > 1000, calls
+
+
+def test_a_term_weight_array_is_built_once():
+    index = build_index(_skewed_corpus(random.Random(17)))
+    start, end = index.span("scarce")
+    assert end - start == 2
+    retrieve(index, "scarce mid4", 3)
+    kept = index.weights[start]
+    retrieve(index, "pad scarce", 3)
+    assert index.weights[start] is kept
+    # Each weight is the scan's own expression for its posting.
+    bound = corpus.bm25_idf(index.total_docs, 2) * (BM25_K1 + 1.0)
+    assert list(kept) == [
+        bound * tf / (tf + index.k1_length_norms[pid])
+        for pid, tf in zip(index.ids[start:end], index.tfs[start:end])
+    ]
+    # The cache is no part of the index's value, and a copy starts empty.
+    copy = replace(index)
+    assert copy == index and copy.weights == {}
+
+
+def test_threads_that_fill_the_weight_cache_at_once_rank_exactly():
+    passages = _skewed_corpus(random.Random(17))
+    index = build_index(passages)
+    queries = list(_SKEWED_QUERIES) * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(retrieve, index, query, 3) for query in queries]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for query, result in zip(queries, got):
+        assert list(result.ranked) == brute_force_bm25(passages, query, 3), query
 
 
 @pytest.mark.parametrize("size", [1, 7, corpus._HEAP_SELECT_FROM - 1, corpus._HEAP_SELECT_FROM, 2000])
@@ -572,6 +636,15 @@ def test_saves_of_one_index_are_byte_identical(tmp_path):
     save_index(load_index(first), again)
     save_index(build_index(passages), rebuilt)
     assert first.read_bytes() == second.read_bytes() == again.read_bytes() == rebuilt.read_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_an_id_column_written_in_slices_has_the_bytes_of_one_write(tmp_path, monkeypatch, size):
+    index = build_index(_random_corpus(random.Random(7), 8))
+    save_index(index, tmp_path / "whole.idx")
+    monkeypatch.setattr(corpus, "_WRITE_SLICE", size)
+    save_index(index, tmp_path / "sliced.idx")
+    assert (tmp_path / "sliced.idx").read_bytes() == (tmp_path / "whole.idx").read_bytes()
 
 
 def test_loaded_postings_share_the_passage_id_objects(tmp_path):

@@ -575,6 +575,26 @@ def test_short_input_must_be_its_stage_prompt():
     ) == ["short input lacks the instruction terminator"]
 
 
+@pytest.mark.parametrize(
+    "kind, input, output, end",
+    [
+        ("short-generator-plain", "q</eoi>\n<Generator>\n", "a", "</eog>"),
+        ("short-generator-plain", "q</eoi>\n<Generator>\n", "a</eol>", "</eog>"),
+        ("short-generator-plain", "q</eoi>\n<Generator>\n", "a</eog>\n", "</eog>"),
+        (
+            "short-locator",
+            "q</eoi>\n<retrieval>\n[1] T -x\n</retrieval>\n<Locator>\n",
+            "[Irrelevant]: [1]",
+            "</eol>",
+        ),
+    ],
+    ids=["no-end", "another-end", "end-then-newline", "locator"],
+)
+def test_a_short_output_that_lacks_its_end_token_is_named(kind, input, output, end):
+    row = {"kind": kind, "input": input, "output": output, "loss_spans": [[0, len(output)]]}
+    assert check_example_dict(row) == [f"short output must end with {end}"]
+
+
 def test_long_input_must_hold_exactly_one_instruction_terminator(index):
     # The short-input case is checked through `factrail validate` in test_cli.
     long = build_long_example(planet_example(), RuleBasedCritic(), index)
