@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,9 +23,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-# The values --log-level and the config's log_level take.
-LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
-
 
 class ConfigError(Exception):
     pass
@@ -34,24 +30,41 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class GlobalConfig:
-    log_level: str = "warning"
     concurrency: int = 4
     inference: orchestrator.InferenceConfig = orchestrator.InferenceConfig()
     backend: backends.BackendConfig | None = None
     script: str | None = None
 
+    def __post_init__(self) -> None:
+        typed_field(vars(self), "concurrency", int)
+        if self.script is not None:
+            typed_field(vars(self), "script")
+        if self.concurrency < 1:
+            raise ValueError("'concurrency' must be at least 1")
 
-def _build_section(cls, data: object, where: str):
+
+# The config's sections: each key names the class its JSON object builds.
+_SECTIONS = {"inference": orchestrator.InferenceConfig, "backend": backends.BackendConfig}
+
+
+def _build_section(cls, data: object, where: str, sections: dict):
+    """``cls`` built from the JSON object ``data``, its keys in ``sections``
+    built first as sections of their own; any fault is a ConfigError, and
+    unknown keys are reported before the values are checked."""
     if type(data) is not dict:
-        raise ConfigError(f"the {where} config must be a JSON object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+        raise ConfigError(f"{'the ' if where else ''}{where}config must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {where} config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {where}config keys: {', '.join(sorted(unknown))}")
+    built = {
+        key: _build_section(section, data[key], f"{key} ", {})
+        for key, section in sections.items()
+        if key in data
+    }
     try:
-        return cls(**data)
+        return cls(**{**data, **built})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where} config: {exc}") from exc
+        raise ConfigError(f"bad {where}config: {exc}") from exc
 
 
 def load_config(path: str | None) -> GlobalConfig:
@@ -68,36 +81,7 @@ def load_config(path: str | None) -> GlobalConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("config nests arrays or objects too deeply to read") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(GlobalConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    inference = _build_section(
-        orchestrator.InferenceConfig, data.get("inference", {}), "inference"
-    )
-    backend_cfg = None
-    if "backend" in data:
-        backend_cfg = _build_section(backends.BackendConfig, data["backend"], "backend")
-    for key, kind in (("log_level", str), ("concurrency", int), ("script", str)):
-        if key in data and type(data[key]) is not kind:
-            raise ConfigError(
-                f"bad config: {key!r} must be {kind.__name__}, not {type(data[key]).__name__}"
-            )
-    if data.get("concurrency", 1) < 1:
-        raise ConfigError("bad config: 'concurrency' must be at least 1")
-    if data.get("log_level", "warning") not in LOG_LEVELS:
-        raise ConfigError(
-            f"bad config: 'log_level' must be one of {', '.join(LOG_LEVELS)}, "
-            f"not {data['log_level']!r}"
-        )
-    return GlobalConfig(
-        log_level=data.get("log_level", "warning"),
-        concurrency=data.get("concurrency", 4),
-        inference=inference,
-        backend=backend_cfg,
-        script=data.get("script"),
-    )
+    return _build_section(GlobalConfig, data, "", _SECTIONS)
 
 
 def _config_fingerprint(parts: dict) -> str:
@@ -246,9 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Retrieval-grounded answer pipelines: index, build, infer, eval.",
     )
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument(
-        "--log-level", choices=LOG_LEVELS, help="override the configured log level"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="chunk and index a JSONL corpus")
@@ -309,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=(args.log_level or cfg.log_level).upper())
     if args.command == "validate" and not (args.dataset or args.traces):
         print("error: validate needs --dataset or --traces", file=sys.stderr)
         return EXIT_USAGE

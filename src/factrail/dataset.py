@@ -172,9 +172,7 @@ def _ensure_flat(raw: RawExample) -> RawExample:
 class Critic(Protocol):
     def propose_intents(self, x: str, task: TaskTag) -> IntentSet: ...
 
-    def judge_passage(
-        self, x: str, y: str, passage: Passage, index: int = 0
-    ) -> LocatorJudgment: ...
+    def judge_passage(self, x: str, y: str, passage: Passage, index: int) -> LocatorJudgment: ...
 
 
 def _collapse(text: str) -> str:
@@ -208,16 +206,14 @@ class RuleBasedCritic:
             raise EmptyIntentSetError("instruction collapses to nothing")
         return IntentSet((intent,))
 
-    def judge_passage(
-        self, x: str, y: str, passage: Passage, index: int = 0
-    ) -> LocatorJudgment:
+    def judge_passage(self, x: str, y: str, passage: Passage, index: int) -> LocatorJudgment:
         text = _collapse(passage.text)
         needle = _collapse(y).casefold()
         position = text.casefold().find(needle) if needle else -1
         if position == -1:
-            return LocatorJudgment(max(index, 1), Relevance.IRRELEVANT, None)
+            return LocatorJudgment(index, Relevance.IRRELEVANT, None)
         fact = _containing_sentence(text, position).strip()
-        return LocatorJudgment(max(index, 1), Relevance.RELEVANT, fact)
+        return LocatorJudgment(index, Relevance.RELEVANT, fact)
 
 
 _RATING_RE = re.compile(r"\[(Relevant|Irrelevant)\]")
@@ -259,21 +255,19 @@ class HttpCritic:
                 return parse_intents(line.split(":", 1)[1])
         raise CriticResponseError("no Search Intent line in critic reply")
 
-    def judge_passage(
-        self, x: str, y: str, passage: Passage, index: int = 0
-    ) -> LocatorJudgment:
+    def judge_passage(self, x: str, y: str, passage: Passage, index: int) -> LocatorJudgment:
         prompt = self.JUDGE_PROMPT.format(x=x, y=y, p=f"{passage.title} -{passage.text}")
         content = self._ask(prompt)
         rating = _RATING_RE.search(content)
         if rating is None:
             raise CriticResponseError("no Rating in critic reply")
         if rating.group(1) == "Irrelevant":
-            return LocatorJudgment(max(index, 1), Relevance.IRRELEVANT, None)
+            return LocatorJudgment(index, Relevance.IRRELEVANT, None)
         for line in content.split("\n"):
             if line.strip().startswith("Extracted span:"):
                 span = line.split(":", 1)[1].strip()
                 if span:
-                    return LocatorJudgment(max(index, 1), Relevance.RELEVANT, span)
+                    return LocatorJudgment(index, Relevance.RELEVANT, span)
         raise CriticResponseError("Relevant rating without an extracted span")
 
 

@@ -234,6 +234,19 @@ def _unscorable(result: BatchResult) -> str | None:
     return None
 
 
+# The metrics each task reports, by name, each scoring a prediction
+# against its reference example.
+_ASQA_METRICS = {
+    "str_em": lambda prediction, example: str_em(prediction, example.answer_sets),
+    "rouge_l": lambda prediction, example: rouge_l(prediction, example.long_form_refs),
+}
+_ACCURACY = {"acc": lambda prediction, example: match_accuracy(prediction, example.gold_answers)}
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def evaluate(
     results: Iterable[BatchResult], examples: Sequence[EvalExample], task: str
 ) -> EvalReport:
@@ -253,10 +266,8 @@ def evaluate(
                 f"reference task {example.task!r} does not match {task!r}"
             )
 
+    scorers = _ASQA_METRICS if task == "asqa" else _ACCURACY
     rows: list[dict] = []
-    acc_values: list[int] = []
-    str_em_values: list[float] = []
-    rouge_values: list[float] = []
     precision_values: list[float] = []
     errors = 0
     results = drawn_ahead(results)
@@ -271,15 +282,8 @@ def evaluate(
         else:
             prediction = result.trace.answer
         row["prediction"] = prediction
-        if task == "asqa":
-            assert example.answer_sets is not None and example.long_form_refs is not None
-            row["str_em"] = str_em(prediction, example.answer_sets)
-            row["rouge_l"] = rouge_l(prediction, example.long_form_refs)
-            str_em_values.append(row["str_em"])
-            rouge_values.append(row["rouge_l"])
-        else:
-            row["acc"] = match_accuracy(prediction, example.gold_answers)
-            acc_values.append(row["acc"])
+        for name, score in scorers.items():
+            row[name] = score(prediction, example)
         if problem is None:
             row["citation_precision"] = citation_precision(
                 result.trace, example.gold_answers
@@ -290,16 +294,9 @@ def evaluate(
     if traces != len(examples):
         raise SchemaMismatchError(f"{traces} traces but {len(examples)} references")
 
-    metrics: dict[str, float] = {}
-    if task == "asqa":
-        metrics["str_em"] = sum(str_em_values) / len(str_em_values) if str_em_values else 0.0
-        metrics["rouge_l"] = sum(rouge_values) / len(rouge_values) if rouge_values else 0.0
-    else:
-        metrics["acc"] = sum(acc_values) / len(acc_values) if acc_values else 0.0
+    metrics = {name: _mean([row[name] for row in rows]) for name in scorers}
     citations = {
-        "precision_mean": (
-            sum(precision_values) / len(precision_values) if precision_values else 0.0
-        ),
+        "precision_mean": _mean(precision_values),
         "traces_scored": float(len(precision_values)),
         "errors": float(errors),
     }

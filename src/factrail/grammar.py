@@ -418,14 +418,6 @@ def parse_trajectory(text: str) -> Trajectory:
 _SEARCH_WRAPPER_RE = re.compile(r"^Search\((.*)\)$", re.DOTALL)
 
 
-def _unwrap_search(text: str) -> str:
-    text = text.strip()
-    match = _SEARCH_WRAPPER_RE.match(text)
-    if match:
-        return match.group(1).strip()
-    return text
-
-
 def parse_intents(body: str) -> IntentSet:
     """Split a reconstruction body into individual search intents.
 
@@ -434,27 +426,22 @@ def parse_intents(body: str) -> IntentSet:
     instead, so both ``Search(a; b)`` and ``Search(a); Search(b)`` yield the
     same two intents. Blank items are dropped.
     """
-    unwrapped_any = False
-    intents: list[str] = []
+    items: list[str] = []
+    wrapped = False
     for raw in body.split(";"):
         item = raw.strip()
-        match = _SEARCH_WRAPPER_RE.match(item)
-        if match:
-            unwrapped_any = True
+        if match := _SEARCH_WRAPPER_RE.match(item):
+            wrapped = True
             item = match.group(1).strip()
-        if item:
-            intents.append(item)
-    if not unwrapped_any:
-        whole = _SEARCH_WRAPPER_RE.match(body.strip())
-        if whole:
-            intents = []
-            for raw in whole.group(1).split(";"):
-                item = _unwrap_search(raw)
-                if item:
-                    intents.append(item)
+        items.append(item)
+    if not wrapped and (whole := _SEARCH_WRAPPER_RE.match(body.strip())):
+        # No item inside the wrapper carries one either: had the first or
+        # last, the body's first or last item would itself be wrapped.
+        items = [raw.strip() for raw in whole.group(1).split(";")]
+    intents = tuple(filter(None, items))
     if not intents:
         raise EmptyIntentSetError()
-    return IntentSet(tuple(intents))
+    return IntentSet(intents)
 
 
 # The fact is the rest of the line, right-stripped: a lazy (.*?)\s*$ backtracks.

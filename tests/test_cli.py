@@ -122,43 +122,18 @@ def test_load_config_type_and_value_checks(tmp_path):
         load_config(str(path))
 
 
-def log_level_argv(tmp_path, where, level):
-    if where == "flag":
-        return ["--log-level", level]
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"log_level": level}))
-    return ["--config", str(config)]
-
-
-def exit_code(argv):
-    """main's return value, or the code argparse exits with."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
-@pytest.mark.parametrize("where", ["flag", "config"])
-@pytest.mark.parametrize("level", ["basic_format", "loud", "Debug"])
-def test_an_unknown_log_level_is_a_usage_error(tmp_path, capsys, where, level):
-    argv = log_level_argv(tmp_path, where, level)
-    assert exit_code([*argv, "validate", "--traces", os.devnull]) == EXIT_USAGE
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1
-    if where == "flag":
-        assert f"argument --log-level: invalid choice: {level!r}" in errors[0]
-    else:
-        assert errors == [
-            "error: bad config: 'log_level' must be one of debug, info, warning, error, "
-            f"critical, not {level!r}"
-        ]
-
-
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_a_known_log_level_is_accepted(tmp_path, capsys, where):
-    argv = log_level_argv(tmp_path, where, "error")
-    assert main([*argv, "validate", "--traces", os.devnull]) == EXIT_OK
-    assert capsys.readouterr() == ("clean\n", "")
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"concurrency": 0}, "'concurrency' must be at least 1"),
+        ({"concurrency": 2.0}, "'concurrency' must be int, not float"),
+        ({"script": 3}, "'script' must be str, not int"),
+    ],
+    ids=["concurrency-0", "concurrency-float", "script-int"],
+)
+def test_a_global_config_checks_its_own_fields(field, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GlobalConfig(**field)
 
 
 def test_load_config_sections(tmp_path):
@@ -232,12 +207,14 @@ def test_mistyped_config_value_exits_with_usage(tmp_path, index_file, capsys, co
         ({"inference": {"locator_required": True}}, "unknown inference config keys: locator_required"),
         ({"inference": {"generator_fallback": True}}, "unknown inference config keys: generator_fallback"),
         ({"backend": {**BACKEND, "max_in_flight": 4}}, "unknown backend config keys: max_in_flight"),
+        ({"log_level": "warning"}, "unknown config keys: log_level"),
     ],
-    ids=["locator_required", "generator_fallback", "max_in_flight"],
+    ids=["locator_required", "generator_fallback", "max_in_flight", "log_level"],
 )
 def test_a_removed_config_key_is_an_unknown_key(tmp_path, capsys, config, message):
-    # The locator is always required, the no-facts fallback always on, and
-    # the batch workers bound the requests in flight.
+    # The locator is always required, the no-facts fallback always on, the
+    # batch workers bound the requests in flight, and log handlers are the
+    # caller's to set up.
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()

@@ -28,14 +28,8 @@ def test_every_exported_name_exists_and_is_listed_once(name):
     assert sorted({n for n in exported if exported.count(n) > 1}) == []
 
 
-def test_importing_the_package_and_its_cli_loads_only_the_standard_library():
-    # A fresh interpreter, so no other test's imports count.
-    probe = (
-        "import sys; before = set(sys.modules); import factrail, factrail.cli; "
-        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
-        "loaded |= {'requests', 'urllib3'} & set(sys.modules); "
-        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'factrail'})))"
-    )
+def fresh_interpreter(probe: str) -> list[str]:
+    """The words ``probe`` prints in a new interpreter, so no other test's imports count."""
     src = str(Path(factrail.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -46,7 +40,28 @@ def test_importing_the_package_and_its_cli_loads_only_the_standard_library():
         timeout=60,
         check=True,
     )
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_importing_the_package_and_its_cli_loads_only_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); import factrail, factrail.cli; "
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "loaded |= {'requests', 'urllib3'} & set(sys.modules); "
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'factrail'})))"
+    )
+    assert fresh_interpreter(probe) == []
+
+
+def test_importing_one_module_loads_no_other_and_no_network_stack():
+    # The package itself imports none of its modules, so a caller of the
+    # grammar alone does not pay for the HTTP client.
+    probe = (
+        "import sys; import factrail.grammar; "
+        "print(' '.join(sorted(name for name in sys.modules "
+        "if name.startswith('factrail.') or name in ('ssl', 'http.client'))))"
+    )
+    assert fresh_interpreter(probe) == ["factrail.grammar"]
 
 
 def test_the_package_declares_no_runtime_dependency():

@@ -455,9 +455,10 @@ def test_a_number_int_refuses_is_a_syntax_error_naming_its_line():
     with pytest.raises(LocatorSyntaxError) as err:
         parse_locator_body(f"[Irrelevant]: [1]\n[Relevant]: [{huge}] a fact")
     assert str(err.value) == "passage index of 5000 digits is too long (line 2)"
-    with pytest.raises(CitationSyntaxError) as err:
-        parse_citations(f"a\nb [Cite]: [1]\n[{huge}]")
-    assert str(err.value) == "citation index of 5000 digits is too long (line 3)"
+    for body, line in ((f"a\nb [Cite]: [1]\n[{huge}]", 3), (f"\n[Cite]: [{huge}]", 2)):
+        with pytest.raises(CitationSyntaxError) as err:
+            parse_citations(body)
+        assert str(err.value) == f"citation index of 5000 digits is too long (line {line})"
 
 
 def test_every_number_int_reads_keeps_its_meaning():
