@@ -16,6 +16,8 @@ the columns as they are: one JSON header line with the passages, the terms
 and their document frequencies, then the id column as little-endian int64
 and the tf column as little-endian uint32. Loading checks the columns and
 keeps them whole; it never tokenizes a passage and builds no per-term lists.
+Each of its checks is one pass at C speed, or one quick test per passage
+entry; the per-item code that names a fault runs only once a pass finds one.
 
 ``retrieve`` prunes exactly (MaxScore): it scans rare terms first and skips
 the spans of common terms once their summed upper bounds can no longer
@@ -472,6 +474,11 @@ def load_index(path: str | Path) -> CorpusIndex:
     refuses, a duplicate passage id or term, a document frequency below 1,
     columns whose length disagrees with the frequencies, a tf below 1, or a
     term whose ids name an unknown passage or are not strictly ascending.
+
+    Each check is one pass at C speed (one quick test per passage entry),
+    and the per-item code that names the fault runs only when that pass
+    finds one, so a file with several faults reports the first in file
+    order of the first check it fails.
     """
     with open(path, "rb") as handle:
         header = _read_header(handle)
@@ -490,7 +497,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     if sys.byteorder != "little":
         pids.byteswap()
         tfs.byteswap()
-    if total and min(tfs) < 1:
+    if 0 in tfs:  # unsigned, so the only tf below 1
         raise IndexFormatError("a term frequency in the index is below 1")
     # The id column reuses the passage table's own int objects, so a loaded
     # index holds one int object per passage rather than one per posting.
@@ -504,11 +511,18 @@ def load_index(path: str | Path) -> CorpusIndex:
     del pids  # freed as soon as the list holds the ids
     offsets = [0, *accumulate(doc_freqs)]
     # Within a term the ids must rise; they may fall only where a term ends.
-    term_ends = {end - 1 for end in islice(offsets, 1, None)}
-    for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
-        if at not in term_ends:
-            term = terms[bisect_right(offsets, at) - 1]
-            raise IndexFormatError(f"the passage ids of term {term!r} are not strictly ascending")
+    # So in a valid file every fall is one at a term's start, and only a file
+    # with more falls than that is scanned to name the term.
+    drops = sum(map(ge, ids, islice(ids, 1, None)))
+    starts = islice(offsets, 1, len(offsets) - 1)
+    if drops != sum(1 for start in starts if ids[start - 1] >= ids[start]):
+        term_ends = {end - 1 for end in islice(offsets, 1, None)}
+        for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
+            if at not in term_ends:
+                term = terms[bisect_right(offsets, at) - 1]
+                raise IndexFormatError(
+                    f"the passage ids of term {term!r} are not strictly ascending"
+                )
     return _corpus_index(by_id, terms, offsets, ids, tfs)
 
 
@@ -546,7 +560,25 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
         raise IndexFormatError("index has no 'passages' list")
     by_id: dict[int, Passage] = {}
     for at, entry in enumerate(entries):
-        passage = _passage_from_entry(at, entry)
+        # One test covers what the file that save_index wrote holds: JSON
+        # gives no subclass of int or str, and ASCII text without a token's
+        # first character holds neither a token nor a lone surrogate. An
+        # entry that fails it is checked field by field, which names the fault.
+        try:
+            pid, title, text, words = entry["id"], entry["title"], entry["text"], entry["word_count"]
+        except (KeyError, TypeError):
+            clean = False
+        else:
+            clean = (
+                type(pid) is type(words) is int
+                and words >= 1
+                and type(title) is type(text) is str
+                and title.isascii()
+                and text.isascii()
+                and _TOKEN_START not in title
+                and _TOKEN_START not in text
+            )
+        passage = Passage(pid, title, text, words) if clean else _passage_from_entry(at, entry)
         if passage.id in by_id:
             raise IndexFormatError(f"passages[{at}] repeats passage id {passage.id}")
         by_id[passage.id] = passage
@@ -555,20 +587,26 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
 
 def _terms_from_header(header: dict) -> tuple[list[str], list[int]]:
     terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
-    if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
+    if not isinstance(terms, list) or not set(map(type, terms)) <= {str}:
         raise IndexFormatError("index has no 'terms' list of strings")
     if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
         raise IndexFormatError("index has no 'doc_freqs' list as long as 'terms'")
     if len(set(terms)) != len(terms):
         repeated = next(term for term, count in Counter(terms).items() if count > 1)
         raise IndexFormatError(f"'terms' lists {repeated!r} twice")
-    for at, freq in enumerate(doc_freqs):
+    if set(map(type, doc_freqs)) <= {int} and (not doc_freqs or min(doc_freqs) >= 1):
+        return terms, doc_freqs
+    for at, freq in enumerate(doc_freqs):  # names the first bad frequency
         if not isinstance(freq, int) or isinstance(freq, bool):
             raise IndexFormatError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
         if freq < 1:
             raise IndexFormatError(f"doc_freqs[{at}] must be at least 1")
     return terms, doc_freqs
 
+
+# The first character of every grammar token, so text without it holds none
+# (tests pin this against grammar.TokenKind).
+_TOKEN_START = "<"
 
 _ENTRY_FIELDS = (("id", int), ("title", str), ("text", str), ("word_count", int))
 

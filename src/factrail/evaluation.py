@@ -146,6 +146,9 @@ def citation_precision(trace: InferenceTrace, golds: Sequence[str]) -> float:
 
 @dataclass(frozen=True)
 class EvalExample:
+    """A reference. An asqa example given no answer sets scores each gold
+    answer as a set of its own; no answer set may be empty."""
+
     question: str
     gold_answers: tuple[str, ...]
     task: str
@@ -166,6 +169,11 @@ class EvalExample:
             raise ValueError("gold answers must be non-empty")
         if (self.task == "asqa") != (self.long_form_refs is not None):
             raise ValueError("long-form references are for asqa examples exactly")
+        if self.task == "asqa" and not self.answer_sets:
+            # Without sets of its own, each gold answer is a set of one.
+            object.__setattr__(self, "answer_sets", tuple((g,) for g in self.gold_answers))
+        if self.answer_sets is not None and not all(self.answer_sets):
+            raise ValueError("every answer set must be non-empty")
 
 
 def _eval_example(record: dict) -> EvalExample:
@@ -173,11 +181,8 @@ def _eval_example(record: dict) -> EvalExample:
     gold_answers = string_list(record["gold_answers"], "gold_answers")
     answer_sets = long_form = None
     if task == "asqa":
-        raw_sets = record.get("gold_answer_sets")
-        if raw_sets:
-            answer_sets = tuple(string_list(s, "gold_answer_sets entry") for s in raw_sets)
-        else:
-            answer_sets = tuple((g,) for g in gold_answers)
+        raw_sets = record.get("gold_answer_sets") or ()
+        answer_sets = tuple(string_list(s, "gold_answer_sets entry") for s in raw_sets)
         long_form = string_list(record["long_form_refs"], "long_form_refs")
     return EvalExample(
         question=typed_field(record, "question"),

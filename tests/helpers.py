@@ -1,4 +1,5 @@
-"""Shared test machinery: scenario scripting, oracles, and a stub HTTP server."""
+"""Shared test machinery: scenario scripting, oracles, a reference index
+loader, and a stub HTTP server."""
 
 from __future__ import annotations
 
@@ -6,15 +7,19 @@ import json
 import math
 import random
 import threading
+from array import array
+from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
+from factrail import corpus
 from factrail.backends import ScriptedBackend
 from factrail.corpus import (
     BM25_B,
     BM25_K1,
     CorpusIndex,
+    IndexFormatError,
     Passage,
     tokenize,
 )
@@ -27,6 +32,7 @@ from factrail.grammar import (
     parse_intents,
     parse_locator_body,
     retrieval_body,
+    text_violation,
 )
 from factrail.orchestrator import InferenceConfig, InferenceTrace, build_step_prompt
 
@@ -59,6 +65,86 @@ def brute_force_bm25(
             scored.append((passage.id, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
+
+
+def reference_load_index(path) -> CorpusIndex:
+    """``load_index`` as plain loops: each passage entry checked field by
+    field, each posting one at a time, in the order and with the messages of
+    ``load_index``. Only reading the header and assembling the index are
+    ``load_index``'s own code."""
+    with open(path, "rb") as handle:
+        header = corpus._read_header(handle)
+        columns = handle.read()
+
+    entries = header.get("passages")
+    if not isinstance(entries, list):
+        raise IndexFormatError("index has no 'passages' list")
+    by_id = {}
+    for at, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise IndexFormatError(f"passages[{at}] is not an object")
+        for name, kind in (("id", int), ("title", str), ("text", str), ("word_count", int)):
+            if name not in entry:
+                raise IndexFormatError(f"passages[{at}] has no {name!r}")
+            value = entry[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise IndexFormatError(
+                    f"passages[{at}] {name!r} must be {kind.__name__}, not {type(value).__name__}"
+                )
+        if entry["word_count"] < 1:
+            raise IndexFormatError(f"passages[{at}] 'word_count' must be at least 1")
+        for name in ("title", "text"):
+            problem = text_violation(entry[name])
+            if problem is not None:
+                raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
+        if entry["id"] in by_id:
+            raise IndexFormatError(f"passages[{at}] repeats passage id {entry['id']}")
+        by_id[entry["id"]] = Passage(entry["id"], entry["title"], entry["text"], entry["word_count"])
+
+    terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
+    if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
+        raise IndexFormatError("index has no 'terms' list of strings")
+    if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
+        raise IndexFormatError("index has no 'doc_freqs' list as long as 'terms'")
+    counts = Counter(terms)
+    for term in terms:
+        if counts[term] > 1:
+            raise IndexFormatError(f"'terms' lists {term!r} twice")
+    for at, freq in enumerate(doc_freqs):
+        if not isinstance(freq, int) or isinstance(freq, bool):
+            raise IndexFormatError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
+        if freq < 1:
+            raise IndexFormatError(f"doc_freqs[{at}] must be at least 1")
+
+    total = sum(doc_freqs)
+    if len(columns) != total * 12:
+        raise IndexFormatError(
+            f"index columns hold {len(columns)} bytes, but sum(doc_freqs) = {total} "
+            f"postings need {total * 12}"
+        )
+    ids = [
+        int.from_bytes(columns[8 * at : 8 * at + 8], "little", signed=True) for at in range(total)
+    ]
+    tfs = [
+        int.from_bytes(columns[8 * total + 4 * at : 8 * total + 4 * at + 4], "little")
+        for at in range(total)
+    ]
+    for tf in tfs:
+        if tf < 1:
+            raise IndexFormatError("a term frequency in the index is below 1")
+    for pid in ids:
+        if pid not in by_id:
+            raise IndexFormatError(
+                f"the postings name passage id {pid}, which is not in 'passages'"
+            )
+    offsets = [0]
+    for term, freq in zip(terms, doc_freqs):
+        start = offsets[-1]
+        for at in range(start + 1, start + freq):
+            if ids[at] <= ids[at - 1]:
+                raise IndexFormatError(f"the passage ids of term {term!r} are not strictly ascending")
+        offsets.append(start + freq)
+    return corpus._corpus_index(by_id, terms, offsets, ids, array("I", tfs))
 
 
 def mirror_retrieval(

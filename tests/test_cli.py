@@ -845,8 +845,14 @@ def test_eval_names_a_bad_trace_row_beyond_the_last_reference(tmp_path, index_fi
     [
         ("{not json", "bad reference on line 1"),
         (json.dumps(dict(POPQA_REF, task="squad")), "reference task 'squad' does not match 'popqa'"),
+        (
+            json.dumps(
+                dict(POPQA_REF, task="asqa", long_form_refs=["r"], gold_answer_sets=[[], ["a"]])
+            ),
+            "bad reference on line 1: every answer set must be non-empty",
+        ),
     ],
-    ids=["malformed", "other-task"],
+    ids=["malformed", "other-task", "empty-answer-set"],
 )
 def test_eval_reads_the_references_before_the_traces(tmp_path, bad_ref, complaint):
     # Both files are bad: the references' error wins.

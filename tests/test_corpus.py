@@ -656,6 +656,8 @@ def test_loaded_postings_share_the_passage_id_objects(tmp_path):
     own = {id(pid) for pid in loaded.passages}
     assert len(loaded.ids) == 3 * len(passages)  # alpha, beta and the title t
     assert all(id(pid) in own for pid in loaded.ids)
+    # The very object each passage holds as its id: one int per passage.
+    assert all(pid is loaded.passages[pid].id for pid in loaded.ids)
 
 
 def test_load_rejects_foreign_json(tmp_path):

@@ -233,6 +233,35 @@ def test_eval_example_validation():
         EvalExample("q", ("a",), "asqa")
 
 
+@pytest.mark.parametrize("answer_sets", [None, ()])
+def test_an_asqa_example_without_answer_sets_scores_each_gold_as_a_set(answer_sets):
+    example = EvalExample(
+        "what does the moon orbit?", ("the earth", "luna"), "asqa",
+        long_form_refs=("the moon orbits the earth",), answer_sets=answer_sets,
+    )
+    assert example.answer_sets == (("the earth",), ("luna",))
+    report = evaluate(moon_results(), [example, replace(example, question="unanswered")], "asqa")
+    assert [row["str_em"] for row in report.rows] == [0.5, 0.0]
+    assert report.rows[1]["error"] == "locator: boom"
+
+
+@pytest.mark.parametrize("answer_sets", [((), ("a",)), (("a",), ())])
+def test_an_empty_answer_set_is_refused(answer_sets):
+    with pytest.raises(ValueError, match="every answer set must be non-empty"):
+        EvalExample("q", ("a",), "asqa", long_form_refs=("r",), answer_sets=answer_sets)
+
+
+def test_read_eval_examples_names_the_line_of_an_empty_answer_set(tmp_path):
+    good = {"task": "asqa", "question": "q", "gold_answers": ["a"], "long_form_refs": ["r"]}
+    path = tmp_path / "refs.jsonl"
+    rows = [good, dict(good, gold_answer_sets=[[], ["a"]])]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(
+        SchemaMismatchError, match="^bad reference on line 2: every answer set must be non-empty$"
+    ):
+        read_eval_examples(path)
+
+
 def test_read_eval_examples(tmp_path):
     rows = [
         {"task": "popqa", "question": "q1", "gold_answers": ["a1", "a2"]},

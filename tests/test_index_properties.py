@@ -1,0 +1,198 @@
+"""Differential tests of ``load_index`` over corrupted index files: every
+file loads to the index that ``helpers.reference_load_index`` (plain loops
+over every entry and posting) loads, or fails with the same message.
+
+The number of examples is the Hypothesis profile's (see conftest.py);
+``HYPOTHESIS_PROFILE=ci`` runs more. Generation is derandomized, so a run
+corrupts the same files every time.
+"""
+
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factrail import corpus
+from factrail.corpus import IndexFormatError, index_documents, load_index, save_index
+from factrail.grammar import TokenKind
+from helpers import reference_load_index
+
+_DOCS = [
+    ("Moon", "the moon orbits the earth and the moon pulls the tide " * 3),
+    ("Sun", "the sun lights the earth by day"),
+    ("Tide", "the tide rises twice a day as the moon pulls the sea " * 2),
+    ("Earth", "the earth turns and the sun sets and the moon rises"),
+]
+# Values that a corrupted header field may take: other JSON types, ints out
+# of range, a grammar token, non-ASCII text and a lone surrogate.
+_VALUES = [
+    None, True, False, 0, -1, 1, 3, 2**40, 1.5, "", "x", "a < b", "<Locator>", "Zoë",
+    "\udc80", [], [1], {}, {"id": 0},
+]
+
+
+def _saved_index() -> tuple[dict, bytes, bytes]:
+    """The header, id column and tf column of the saved index of ``_DOCS``."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "base.idx"
+        save_index(index_documents(_DOCS), path)
+        line, _, columns = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    return header, columns[: 8 * len(columns) // 12], columns[8 * len(columns) // 12 :]
+
+
+_HEADER, _ID_BYTES, _TF_BYTES = _saved_index()
+_POSTINGS = len(_TF_BYTES) // 4
+
+
+def _corrupt_header(rng: random.Random, header: dict) -> None:
+    """Retype or remove one field of header: a top-level key, a passage
+    entry or one of its keys, a term or a document frequency."""
+    where = rng.choice(["top", "entry", "entry field", "term", "doc freq"])
+    if where == "top":
+        container, key = header, rng.choice(sorted(header))
+    elif where == "entry field":
+        entries = header.get("passages")
+        container = rng.choice(entries) if isinstance(entries, list) and entries else None
+        if not isinstance(container, dict) or not container:
+            return
+        key = rng.choice(sorted(container))
+    else:
+        name = {"entry": "passages", "term": "terms", "doc freq": "doc_freqs"}[where]
+        container = header.get(name)
+        if not isinstance(container, list) or not container:
+            return
+        key = rng.randrange(len(container))
+    if rng.random() < 0.3:
+        del container[key]
+    else:
+        container[key] = rng.choice(_VALUES)
+
+
+def _set_int(column: bytearray, width: int, at: int, value: int, signed: bool) -> None:
+    column[width * at : width * (at + 1)] = value.to_bytes(width, "little", signed=signed)
+
+
+def _corrupted(kind: str, rng: random.Random) -> bytes:
+    header = json.loads(json.dumps(_HEADER))
+    ids, tfs = bytearray(_ID_BYTES), bytearray(_TF_BYTES)
+    at = rng.randrange(_POSTINGS)
+    if kind in ("header", "two in header"):
+        for _ in range(1 + (kind == "two in header")):
+            _corrupt_header(rng, header)
+    elif kind == "bit flip":
+        columns = rng.choice([ids, tfs])
+        bit = rng.randrange(8 * len(columns))
+        columns[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "id":
+        value = rng.choice([-1, len(_HEADER["passages"]), 2**40, -rng.randint(2, 10**6)])
+        _set_int(ids, 8, at, value, signed=True)
+    elif kind == "swap":
+        at = rng.randrange(_POSTINGS - 1)
+        ids[8 * at : 8 * at + 16] = ids[8 * at + 8 : 8 * at + 16] + ids[8 * at : 8 * at + 8]
+    elif kind == "tf 0":
+        _set_int(tfs, 4, at, 0, signed=False)
+    return _file(header, ids, tfs)
+
+
+def _file(header: dict, ids: bytes = _ID_BYTES, tfs: bytes = _TF_BYTES) -> bytes:
+    # ASCII JSON, which escapes what UTF-8 cannot encode (a lone surrogate).
+    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return line.encode() + b"\n" + bytes(ids) + bytes(tfs)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except IndexFormatError as exc:
+        return f"IndexFormatError: {exc}"
+
+
+def _assert_loads_as_the_reference(data: bytes) -> object:
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "corrupted.idx"
+        path.write_bytes(data)
+        want = _outcome(reference_load_index, path)
+        assert _outcome(load_index, path) == want
+    return want
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["header", "two in header", "bit flip", "id", "swap", "tf 0"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_a_corrupted_index_loads_as_the_reference_loads_it(kind, rng):
+    _assert_loads_as_the_reference(_corrupted(kind, rng))
+
+
+def test_the_uncorrupted_index_loads_as_the_reference_loads_it():
+    loaded = _assert_loads_as_the_reference(_file(_HEADER))
+    assert loaded == index_documents(_DOCS)
+
+
+def _edited(edit) -> dict:
+    header = json.loads(json.dumps(_HEADER))
+    edit(header)
+    return header
+
+
+@pytest.mark.parametrize("name", ["title", "text"])
+@pytest.mark.parametrize("value", ["<Locator>", "a </eog>", "a < b", "\udc80", "Zoë", "", 7])
+def test_each_text_field_of_an_entry_is_checked_as_the_reference_checks_it(name, value):
+    header = _edited(lambda header: header["passages"][3].update({name: value}))
+    _assert_loads_as_the_reference(_file(header))
+
+
+@pytest.mark.parametrize("value", [0, -3, 1, True, 2.0, "9"])
+def test_a_word_count_is_checked_as_the_reference_checks_it(value):
+    header = _edited(lambda header: header["passages"][2].update(word_count=value))
+    _assert_loads_as_the_reference(_file(header))
+
+
+def test_a_negative_id_inside_a_term_is_named_before_the_order():
+    # The id falls below the term's valid first id, so the span is out of
+    # order too, but an unknown passage is the fault named first.
+    start, end = index_documents(_DOCS).span("moon")
+    assert end - start >= 3
+    ids = bytearray(_ID_BYTES)
+    _set_int(ids, 8, start + 1, -7, signed=True)
+    outcome = _assert_loads_as_the_reference(_file(_HEADER, ids))
+    assert outcome == (
+        "IndexFormatError: the postings name passage id -7, which is not in 'passages'"
+    )
+
+
+def test_the_first_faulty_entry_is_named_when_a_clean_looking_one_follows():
+    def edit(header):
+        header["passages"][0]["title"] = "The <Locator> stone"
+        header["passages"][2]["word_count"] = "100"
+
+    outcome = _assert_loads_as_the_reference(_file(_edited(edit)))
+    assert outcome == "IndexFormatError: passages[0] 'title' holds the grammar token <Locator>"
+
+
+def test_a_non_ascii_title_takes_the_exact_check_and_loads(monkeypatch):
+    checked = []
+    exact = corpus._passage_from_entry
+
+    def spy(at, entry):
+        checked.append(at)
+        return exact(at, entry)
+
+    monkeypatch.setattr(corpus, "_passage_from_entry", spy)
+
+    def edit(header):
+        header["passages"][1]["title"] = "Zoë"
+
+    loaded = _assert_loads_as_the_reference(_file(_edited(edit)))
+    assert checked == [1]
+    assert loaded.passages[1].title == "Zoë"
+
+
+def test_every_grammar_token_starts_with_the_character_the_quick_check_looks_for():
+    assert all(token.value.startswith(corpus._TOKEN_START) for token in TokenKind)
