@@ -168,19 +168,21 @@ def cmd_infer(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     failures = 0
     totals: dict[str, tuple[float, int]] = {}
 
-    def tally(results):
+    def tally(items):
         nonlocal failures
-        for result in results:
-            failures += result.trace is None
-            for record in result.trace.steps if result.trace else ():
-                total, count = totals.get(record.kind.value, (0.0, 0))
-                totals[record.kind.value] = (total + record.duration_s, count + 1)
-            yield result
+        for item in items:
+            if isinstance(item, orchestrator.PipelineError):
+                failures += 1
+            else:
+                for record in item.steps:
+                    total, count = totals.get(record.kind.value, (0.0, 0))
+                    totals[record.kind.value] = (total + record.duration_s, count + 1)
+            yield item
 
-    results = orchestrator.iter_batch(
+    items = orchestrator.iter_batch(
         instructions, index, backend, cfg.inference, max_workers=cfg.concurrency
     )
-    orchestrator.write_traces(tally(results), args.out)
+    orchestrator.write_traces(tally(items), args.out)
     for stage in sorted(totals):
         total, count = totals[stage]
         print(f"stage {stage}: mean {total / count * 1000:.2f} ms over {count} calls")
@@ -193,7 +195,8 @@ def cmd_infer(args: argparse.Namespace, cfg: GlobalConfig) -> int:
 def cmd_eval(args: argparse.Namespace, cfg: GlobalConfig) -> int:
     # The references are read whole and first; the traces stream past them.
     examples = evaluation.read_eval_examples(args.refs)
-    report = evaluation.evaluate(orchestrator.iter_results(args.traces), examples, args.task)
+    items = (row for _, row in orchestrator.iter_traces(args.traces))
+    report = evaluation.evaluate(items, examples, args.task)
     _write_json(args.out, report.to_dict())
     print(report.format_table())
     return EXIT_OK

@@ -471,9 +471,10 @@ def load_index(path: str | Path) -> CorpusIndex:
     Raises IndexFormatError, naming the fault, for anything else: a header
     that is not JSON, nests too deeply or has missing or mistyped entries,
     a version 1 file, a passage title or text that ``index_documents``
-    refuses, a duplicate passage id or term, a document frequency below 1,
-    columns whose length disagrees with the frequencies, a tf below 1, or a
-    term whose ids name an unknown passage or are not strictly ascending.
+    refuses or that holds a line break, a duplicate passage id or term, a
+    document frequency below 1, columns whose length disagrees with the
+    frequencies, a tf below 1, or a term whose ids name an unknown passage
+    or are not strictly ascending.
 
     Each check is one pass at C speed (one quick test per passage entry),
     and the per-item code that names the fault runs only when that pass
@@ -562,8 +563,9 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
     for at, entry in enumerate(entries):
         # One test covers what the file that save_index wrote holds: JSON
         # gives no subclass of int or str, and ASCII text without a token's
-        # first character holds neither a token nor a lone surrogate. An
-        # entry that fails it is checked field by field, which names the fault.
+        # first character holds neither a token nor a lone surrogate; no
+        # passage spans lines. An entry that fails it is checked field by
+        # field, which names the fault.
         try:
             pid, title, text, words = entry["id"], entry["title"], entry["text"], entry["word_count"]
         except (KeyError, TypeError):
@@ -577,6 +579,8 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
                 and text.isascii()
                 and _TOKEN_START not in title
                 and _TOKEN_START not in text
+                and "\n" not in title
+                and "\n" not in text
             )
         passage = Passage(pid, title, text, words) if clean else _passage_from_entry(at, entry)
         if passage.id in by_id:
@@ -627,8 +631,11 @@ def _passage_from_entry(at: int, entry: object) -> Passage:
     if entry["word_count"] < 1:
         raise IndexFormatError(f"passages[{at}] 'word_count' must be at least 1")
     # index_documents' own rule: no passage may hold what no prompt may.
+    # Nor may it span lines: a trace holds it as one line of its retrieval section.
     for name in ("title", "text"):
         problem = text_violation(entry[name])
+        if problem is None and "\n" in entry[name]:
+            problem = "holds a line break"
         if problem is not None:
             raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
     return Passage(

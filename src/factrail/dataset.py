@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 from .backends import BackendConfig, chat_completion
 from .corpus import CorpusIndex, Passage, retrieve_multi
 from .grammar import (
+    CITE_PREFIX,
     CitationList,
     EmptyIntentSetError,
     EmptyRetrievalError,
@@ -136,6 +137,9 @@ class RawExample:
                 raise ValueError(f"{name} {problem}")
         if not self.y.strip():
             raise ValueError("gold answer must be non-empty")
+        # The answer opens the generator section, where the last marker starts the citations.
+        if CITE_PREFIX in self.y:
+            raise ValueError(f"y holds the citation marker {CITE_PREFIX}")
         if self.task is not TaskTag.DIALOGUE:
             if not self.x.strip():
                 raise ValueError("instruction must be non-empty")
@@ -382,10 +386,12 @@ def build_example(
     The critic proposes the intents, the top k passages per intent are
     retrieved and the critic judges each one; every Relevant judgment
     passes the fact-containment check; an intent that ``text_violation``
-    rejects is a CriticResponseError. A long example is the whole
-    trajectory; a short one is one stage's section, prompted by the
-    sections it reads. Each kind runs only as much of the trajectory as it
-    cuts from, so ``short-generator-plain`` asks the critic nothing.
+    rejects is a CriticResponseError, and a passage that spans lines (only
+    an index built in code can hold one) a MultilinePassageError. A long
+    example is the whole trajectory; a short one is one stage's section,
+    prompted by the sections it reads. Each kind runs only as much of the
+    trajectory as it cuts from, so ``short-generator-plain`` asks the
+    critic nothing.
     """
     if kind.needs_index and index is None:
         raise ValueError(f"{kind.value} examples need an index")
@@ -403,11 +409,12 @@ def build_example(
         fact_conditioned = kind is ExampleKind.SHORT_GENERATOR_FACTS
         if not passages:
             raise NoRelevantFactsError() if fact_conditioned else EmptyRetrievalError()
+        body = retrieval_body(passages)
         judgments = _judge_all(raw.x, raw.y, passages, critic)
         relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
         if fact_conditioned and not relevant:
             raise NoRelevantFactsError()
-        steps.append(TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages)))
+        steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
         steps.append(TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments)))
     steps.append(TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant)))
     cut = _cut(kind, raw.x, [step for step in steps if step.kind in kind.sections])

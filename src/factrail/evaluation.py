@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .fileio import drawn_ahead, read_jsonl, string_list, typed_field
 from .grammar import Relevance
-from .orchestrator import BatchResult, InferenceTrace, validate_trace
+from .orchestrator import InferenceTrace, PipelineError, validate_trace
 
 __all__ = [
     "UnknownTaskError",
@@ -226,14 +226,13 @@ class EvalReport:
         return header + "\n" + "  ".join(parts)
 
 
-def _unscorable(result: BatchResult) -> str | None:
-    """Why a row is an error row rather than scored, or None: it holds no
-    trace, or ``validate_trace`` finds a problem in it other than a
-    citation of a passage not judged Relevant (the first such problem)."""
-    trace = result.trace
-    if trace is None:
-        return str(result.error) if result.error else "missing trace"
-    for violation in validate_trace(trace):
+def _unscorable(item: InferenceTrace | PipelineError) -> str | None:
+    """Why a row is an error row rather than scored, or None: its item is a
+    PipelineError, or ``validate_trace`` finds a problem in its trace other
+    than a citation of a passage not judged Relevant (the first such problem)."""
+    if isinstance(item, PipelineError):
+        return str(item)
+    for violation in validate_trace(item):
         if violation.code != "citation_unsupported":
             return str(violation)
     return None
@@ -253,12 +252,13 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def evaluate(
-    results: Iterable[BatchResult], examples: Sequence[EvalExample], task: str
+    items: Iterable[InferenceTrace | PipelineError], examples: Sequence[EvalExample], task: str
 ) -> EvalReport:
-    """Score traces against references, paired by position. The results are
-    streamed once the references are checked, and read to their end.
+    """Score traces against references, paired by position. The items (each a
+    trace or the PipelineError that failed it) are streamed once the
+    references are checked, and read to their end.
 
-    A row without a trace, or whose trace ``validate_trace`` rejects for
+    A PipelineError, or a trace that ``validate_trace`` rejects for
     anything but an unsupported citation, is an error row: it scores as an
     empty prediction, gets no citation precision, and names its fault under
     "error". An unsupported citation lowers the citation precision instead.
@@ -275,27 +275,25 @@ def evaluate(
     rows: list[dict] = []
     precision_values: list[float] = []
     errors = 0
-    results = drawn_ahead(results)
-    # References first: zip draws no result once they run out.
-    for position, (example, result) in enumerate(zip(examples, results)):
+    items = drawn_ahead(items)
+    # References first: zip draws no item once they run out.
+    for position, (example, item) in enumerate(zip(examples, items)):
         row: dict = {"i": position}
-        problem = _unscorable(result)
+        problem = _unscorable(item)
         if problem is not None:
             errors += 1
             prediction = ""
             row["error"] = problem
         else:
-            prediction = result.trace.answer
+            prediction = item.answer
         row["prediction"] = prediction
         for name, score in scorers.items():
             row[name] = score(prediction, example)
         if problem is None:
-            row["citation_precision"] = citation_precision(
-                result.trace, example.gold_answers
-            )
+            row["citation_precision"] = citation_precision(item, example.gold_answers)
             precision_values.append(row["citation_precision"])
         rows.append(row)
-    traces = len(rows) + sum(1 for _ in results)
+    traces = len(rows) + sum(1 for _ in items)
     if traces != len(examples):
         raise SchemaMismatchError(f"{traces} traces but {len(examples)} references")
 

@@ -40,6 +40,7 @@ __all__ = [
     "CitationSyntaxError",
     "EmptyRetrievalError",
     "RetrievalSyntaxError",
+    "MultilinePassageError",
     "first_token",
     "text_violation",
     "serialize_sections",
@@ -190,6 +191,11 @@ class RetrievalSyntaxError(GrammarError):
     def __init__(self, line: int, message: str = "malformed retrieval entry") -> None:
         self.line = line
         super().__init__(f"{message} (line {line})")
+
+
+class MultilinePassageError(GrammarError):
+    def __init__(self) -> None:
+        super().__init__("a passage spans more than one line")
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +539,17 @@ def parse_citations(body: str) -> tuple[str, CitationList]:
 
 
 def retrieval_body(passages: Sequence[TitledText]) -> str:
-    """Render the interior of a retrieval section: one numbered entry per passage."""
-    return "\n".join(
+    """Render the interior of a retrieval section: one numbered line per passage.
+
+    A title or text holding a line break, which no reader could split back
+    out, raises MultilinePassageError.
+    """
+    body = "\n".join(
         f"[{i}] {p.title} -{p.text}" for i, p in enumerate(passages, start=1)
     )
+    if body.count("\n") != len(passages) - 1:
+        raise MultilinePassageError()
+    return body
 
 
 def render_retrieval_block(passages: Sequence[TitledText]) -> str:

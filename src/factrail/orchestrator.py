@@ -39,6 +39,7 @@ from .grammar import (
     GrammarError,
     IntentSet,
     LocatorJudgment,
+    MultilinePassageError,
     Relevance,
     StepKind,
     Trajectory,
@@ -61,7 +62,6 @@ __all__ = [
     "TraceViolation",
     "PipelineError",
     "TraceFormatError",
-    "BatchResult",
     "build_step_prompt",
     "stops_for",
     "run_inference",
@@ -73,7 +73,6 @@ __all__ = [
     "trace_from_dict",
     "write_traces",
     "iter_traces",
-    "iter_results",
     "read_traces",
 ]
 
@@ -201,13 +200,6 @@ class TraceFormatError(Exception):
     """A line of a trace file is not a trace or error record."""
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    index: int
-    trace: InferenceTrace | None = None
-    error: PipelineError | None = None
-
-
 _STOPS = {
     kind: (kind.end.value,) + tuple(k.end.value for k in StepKind if k is not kind)
     for kind in StepKind
@@ -309,11 +301,10 @@ def run_inference(
 
     judgments: tuple[LocatorJudgment, ...] = ()
     if passages:
-        body = retrieval_body(passages)
-        # A trace file holds each passage's text only in its line of this
-        # section; a passage spanning lines could not be read back.
-        if body.count("\n") != len(passages) - 1:
-            raise PipelineError(StepKind.RETRIEVAL.value, "a passage spans more than one line")
+        try:
+            body = retrieval_body(passages)
+        except MultilinePassageError as exc:
+            raise PipelineError(StepKind.RETRIEVAL.value, str(exc)) from exc
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
         records.append(StepRecord(StepKind.RETRIEVAL, elapsed, instruction, None))
 
@@ -400,25 +391,25 @@ def iter_batch(
     config: InferenceConfig | None = None,
     *,
     max_workers: int = 4,
-) -> Iterator[BatchResult]:
-    """Yield each instruction's result in input order, failures per-item, with
-    at most ``16 * max_workers`` in flight: memory does not grow with the batch."""
+) -> Iterator[InferenceTrace | PipelineError]:
+    """Yield each instruction's trace, or the PipelineError that failed it, in
+    input order, with at most ``16 * max_workers`` in flight: memory does not
+    grow with the batch."""
 
-    def work(position: int, instruction: str) -> BatchResult:
+    def work(instruction: str) -> InferenceTrace | PipelineError:
         try:
-            trace = run_inference(instruction, index, backend, config)
-            return BatchResult(index=position, trace=trace)
+            return run_inference(instruction, index, backend, config)
         except PipelineError as exc:
-            return BatchResult(index=position, error=exc)
+            return exc
 
     workers = max(1, max_workers)
     pool = ThreadPoolExecutor(max_workers=workers)
-    pending: deque[Future[BatchResult]] = deque()
+    pending: deque[Future[InferenceTrace | PipelineError]] = deque()
     try:
-        for position, instruction in enumerate(instructions):
+        for instruction in instructions:
             if len(pending) == _WINDOW_PER_WORKER * workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(work, position, instruction))
+            pending.append(pool.submit(work, instruction))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -433,8 +424,8 @@ def run_batch(
     config: InferenceConfig | None = None,
     *,
     max_workers: int = 4,
-) -> list[BatchResult]:
-    """``iter_batch``'s results as a list."""
+) -> list[InferenceTrace | PipelineError]:
+    """``iter_batch``'s items as a list."""
     return list(iter_batch(instructions, index, backend, config, max_workers=max_workers))
 
 
@@ -515,17 +506,14 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     return trace
 
 
-def write_traces(results: Iterable[BatchResult], path: str | Path) -> None:
-    """Write a row per result as it arrives; the file appears once all are."""
+def write_traces(items: Iterable[InferenceTrace | PipelineError], path: str | Path) -> None:
+    """Write a row per trace or error as it arrives; the file appears once all are."""
     with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
-        for result in drawn_ahead(results):
-            if result.trace is not None:
-                record = trace_to_dict(result.trace)
+        for item in drawn_ahead(items):
+            if isinstance(item, PipelineError):
+                record = {"error": {"stage": item.stage, "message": item.message}}
             else:
-                assert result.error is not None
-                record = {
-                    "error": {"stage": result.error.stage, "message": result.error.message}
-                }
+                record = trace_to_dict(item)
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
@@ -542,14 +530,6 @@ def iter_traces(path: str | Path) -> Iterator[tuple[int, InferenceTrace | Pipeli
     return read_jsonl(path, _trace_row, "trace record", TraceFormatError, (GrammarError,))
 
 
-def iter_results(path: str | Path) -> Iterator[BatchResult]:
-    """Stream a trace file as the results ``write_traces`` wrote, in order."""
-    for position, (_, row) in enumerate(iter_traces(path)):
-        if isinstance(row, PipelineError):
-            yield BatchResult(index=position, error=row)
-        else:
-            yield BatchResult(index=position, trace=row)
-
-
-def read_traces(path: str | Path) -> list[BatchResult]:
-    return list(iter_results(path))
+def read_traces(path: str | Path) -> list[InferenceTrace | PipelineError]:
+    """The items ``write_traces`` wrote, in order."""
+    return [row for _, row in iter_traces(path)]

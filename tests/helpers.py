@@ -97,6 +97,8 @@ def reference_load_index(path) -> CorpusIndex:
             problem = text_violation(entry[name])
             if problem is not None:
                 raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
+            if "\n" in entry[name]:
+                raise IndexFormatError(f"passages[{at}] {name!r} holds a line break")
         if entry["id"] in by_id:
             raise IndexFormatError(f"passages[{at}] repeats passage id {entry['id']}")
         by_id[entry["id"]] = Passage(entry["id"], entry["title"], entry["text"], entry["word_count"])

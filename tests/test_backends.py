@@ -510,6 +510,6 @@ def test_http_in_flight_bound_is_respected():
     with StubServer(handler) as server:
         backend = HttpBackend(config_for(server))
         results = run_batch([f"question {i}?" for i in range(6)], index, backend, max_workers=2)
-    assert [r.trace.answer for r in results] == ["ok"] * 6
+    assert [r.answer for r in results] == ["ok"] * 6
     assert server.request_count == 12
     assert active["peak"] == 2

@@ -1419,6 +1419,30 @@ def test_build_dataset_names_a_raw_line_holding_the_instruction_terminator(tmp_p
 
 
 @pytest.mark.parametrize(
+    "kind, index", [("short-generator-plain", False), ("long", True)], ids=["plain", "long"]
+)
+@pytest.mark.parametrize("y", ["see [Cite]: here", "the moon [Cite]: [7]"], ids=["word", "index"])
+def test_build_dataset_names_a_raw_line_whose_answer_holds_the_citation_marker(
+    tmp_path, capsys, corpus_file, kind, index, y
+):
+    # The answer opens the generator section, whose last marker starts its
+    # citations: a row holding such an answer is one validate refuses.
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", [dict(RAWS[0], y=y)])
+    out = tmp_path / "train.jsonl"
+    argv = ["build-dataset", "--kind", kind, "--in", raw_path, "--out", str(out)]
+    if index:
+        index_path = str(tmp_path / "corpus.index")
+        assert main(["index", "--corpus", corpus_file, "--out", index_path]) == EXIT_OK
+        argv += ["--index", index_path]
+    capsys.readouterr()
+    assert main(argv) == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: bad raw record on line 1: y holds the citation marker [Cite]:\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "turn", [{"question": "is it?", "answer": "no"}, "ab"], ids=["object", "string"]
 )
 def test_build_dataset_names_a_raw_line_whose_dialogue_turn_is_not_a_pair(
@@ -1698,6 +1722,25 @@ def test_a_passage_holding_a_form_feed_survives_build_dataset_and_validate(tmp_p
     assert capsys.readouterr().out == "clean\n"
 
 
+@pytest.mark.parametrize("kind", ["long", "short-locator"])
+def test_build_dataset_refuses_an_index_holding_a_passage_that_spans_lines(tmp_path, capsys, kind):
+    # A row holds each passage as one line of its retrieval section, so one
+    # built over such a passage would not parse: it is refused as the index loads.
+    data = Path(__file__).parent / "data"
+    index = tmp_path / "toy.index"
+    assert main(["index", "--corpus", str(data / "toy_corpus.jsonl"), "--out", str(index)]) == EXIT_OK
+    head, _, columns = index.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["passages"][1]["text"] = header["passages"][1]["text"].replace(" ", "\n", 1)
+    index.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + columns)
+    out = tmp_path / "train.jsonl"
+    argv = ["build-dataset", "--kind", kind, "--in", str(data / "toy_raw.jsonl")]
+    capsys.readouterr()
+    assert main([*argv, "--index", str(index), "--out", str(out)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: passages[1] 'text' holds a line break\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["infer", "build-dataset"])
 def test_an_index_header_nested_too_deeply_is_an_index_error(tmp_path, capsys, command):
     index = tmp_path / "deep.index"
@@ -1720,8 +1763,10 @@ def test_an_index_header_nested_too_deeply_is_an_index_error(tmp_path, capsys, c
     [
         ("text", "the moon orbits \udc80", "holds the lone surrogate '\\udc80'"),
         ("title", "Moon <Generator>", "holds the grammar token <Generator>"),
+        ("text", "the moon\norbits the earth", "holds a line break"),
+        ("title", "Mo\non", "holds a line break"),
     ],
-    ids=["surrogate-text", "token-title"],
+    ids=["surrogate-text", "token-title", "line-break-text", "line-break-title"],
 )
 def test_infer_refuses_an_index_holding_a_passage_no_prompt_may_hold(
     tmp_path, capsys, field, value, problem

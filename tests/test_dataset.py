@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from factrail.backends import BackendConfig
-from factrail.corpus import index_documents, retrieve_multi
+from factrail.corpus import Passage, build_index, index_documents, retrieve_multi
 from factrail.dataset import (
     CriticResponseError,
     DatasetError,
@@ -32,6 +32,7 @@ from factrail.grammar import (
     EmptyIntentSetError,
     EmptyRetrievalError,
     LocatorJudgment,
+    MultilinePassageError,
     Relevance,
     StepKind,
     parse_trajectory,
@@ -77,6 +78,8 @@ def test_raw_example_invariants():
     [
         ({"x": "which planet is </eoi> the smallest planet?"}, "x holds the grammar token </eoi>"),
         ({"y": "Mercury <Generator>"}, "y holds the grammar token <Generator>"),
+        ({"y": "Mercury [Cite]: [1]"}, "y holds the citation marker [Cite]:"),
+        ({"y": "see [Cite]: here"}, "y holds the citation marker [Cite]:"),
         ({"x": "which \ud800 planet?"}, "x holds the lone surrogate '\\ud800'"),
         ({"source": "planets \udc80"}, "source holds the lone surrogate '\\udc80'"),
         (
@@ -316,6 +319,18 @@ def test_short_generator_facts_need_a_relevant_judgment(index):
         with pytest.raises(NoRelevantFactsError):
             build_example(ExampleKind.SHORT_GENERATOR_FACTS, raw, critic, index)
         assert critic.calls == calls
+
+
+@pytest.mark.parametrize(
+    "kind", [ExampleKind.LONG, ExampleKind.SHORT_LOCATOR, ExampleKind.SHORT_GENERATOR_FACTS]
+)
+def test_a_retrieved_passage_that_spans_lines_is_refused(kind):
+    # load_index refuses such a passage; an index built from passages can hold one.
+    split = Passage(0, "Mercury", "Mercury is the smallest\nplanet.", 5)
+    critic = RecordingCritic()
+    with pytest.raises(MultilinePassageError, match="^a passage spans more than one line$"):
+        build_example(kind, planet_example(), critic, build_index([split]))
+    assert critic.calls == [("propose",)]
 
 
 @pytest.mark.parametrize(

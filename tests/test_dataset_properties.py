@@ -1,6 +1,7 @@
 """Property tests of ``check_training_example`` over random records and a
-small random corpus: every example ``build_example`` makes is clean, and a
-trace rule broken in one is reported by exactly its code.
+small random corpus: every record ends as a typed refusal or as clean
+examples of every kind, and a trace rule broken in one is reported by
+exactly its code.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
 ``HYPOTHESIS_PROFILE=ci`` runs more.
@@ -9,10 +10,10 @@ The number of examples is the Hypothesis profile's (see conftest.py);
 import json
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factrail.corpus import index_documents
+from factrail.corpus import EmptyQueryError, index_documents
 from factrail.dataset import (
     ExampleKind,
     NoRelevantFactsError,
@@ -37,40 +38,66 @@ from factrail.grammar import (
 )
 
 WORDS = ["moon", "sun", "earth", "star", "tide", "orbit", "planet", "light", "ocean", "night"]
+# Pieces of the grammar and of other text that records may hold: the
+# citation marker, an index, the title separator, the intent wrapper and
+# separator, a line break, and non-ASCII letters.
+AWKWARD = ["[Cite]:", "[1]", " -", "Search(", ";", ")", "\n", "é", "мир"]
+# Titles holding the title separator or an index.
+AWKWARD_TITLES = ["Tide - Pool", "Moon [2]"]
 
 sentences = st.lists(st.sampled_from(WORDS), min_size=2, max_size=6).map(
     lambda words: " ".join(words) + "."
 )
+titles = st.one_of(st.sampled_from(WORDS).map(str.title), st.sampled_from(AWKWARD_TITLES))
 documents = st.lists(
-    st.tuples(st.sampled_from(WORDS).map(str.title), st.lists(sentences, min_size=1, max_size=3)),
+    st.tuples(titles, st.lists(sentences, min_size=1, max_size=3)),
     min_size=1,
     max_size=6,
 )
 
 
 @st.composite
-def records(draw):
-    """A corpus index and a record whose instruction uses the corpus' words;
-    its answer is a phrase of one document or any words."""
+def fields(draw):
+    """A corpus index and the fields of a record whose instruction uses the
+    corpus' words, or any pieces; its answer is a phrase of one document,
+    or any words or pieces."""
     docs = [(title, " ".join(body)) for title, body in draw(documents)]
     sentences = [sentence.rstrip(".").split() for _, body in docs for sentence in body.split(". ")]
     words = [word for sentence in sentences for word in sentence]
-    x = " ".join(draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))) + "?"
+    awkward = st.sampled_from(AWKWARD)
+    x_pieces = st.lists(st.one_of(st.sampled_from(words), awkward), min_size=1, max_size=3)
+    x = " ".join(draw(x_pieces)) + "?"
     sentence = draw(st.sampled_from(sentences))
     start = draw(st.integers(0, len(sentence) - 1))
     phrase = " ".join(sentence[start : draw(st.integers(start + 1, len(sentence)))])
-    any_words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
-    y = draw(st.one_of(st.just(phrase), any_words))
-    return index_documents(docs), RawExample(TaskTag.OPEN_QA, x, y, source="prop")
+    any_pieces = st.lists(st.one_of(st.sampled_from(WORDS), awkward), min_size=1, max_size=3)
+    y = draw(st.one_of(st.just(phrase), any_pieces.map(" ".join)))
+    return index_documents(docs), x, y
+
+
+def as_record(drawn):
+    """The corpus index and the record of these ``fields``, or None when
+    ``RawExample`` refuses them (``read_raw_examples`` reports that as a
+    DatasetError naming the line)."""
+    index, x, y = drawn
+    try:
+        return index, RawExample(TaskTag.OPEN_QA, x, y, source="prop")
+    except ValueError:
+        return None
+
+
+def records():
+    return fields().map(as_record).filter(lambda record: record is not None)
 
 
 def build(kind, record):
-    """The example of this kind, or None when the record has no passages
-    (or, for the fact-conditioned kind, no Relevant one) to cut it from."""
+    """The example of this kind, or None when the record has no passages (or,
+    for the fact-conditioned kind, no Relevant one) to cut it from, or its
+    instruction has no indexable term to search for."""
     index, raw = record
     try:
         return build_example(kind, raw, RuleBasedCritic(), index)
-    except (EmptyRetrievalError, NoRelevantFactsError):
+    except (EmptyRetrievalError, NoRelevantFactsError, EmptyQueryError):
         return None
 
 
@@ -85,9 +112,19 @@ def as_row(example):
     return json.loads(json.dumps(row))
 
 
+MOON = index_documents([("Moon", "the moon orbits the earth.")])
+
+
 @settings(deadline=None)
-@given(record=records())
-def test_every_example_built_is_clean(record):
+@given(drawn=fields())
+@example(drawn=(MOON, "what does the moon orbit?", "see [Cite]: here"))
+@example(drawn=(MOON, "what does the moon orbit?", "the moon [Cite]: [7]"))
+def test_every_example_built_is_clean(drawn):
+    # A record or an example is refused by a typed error, which
+    # ``build-dataset`` reports with exit 1, or it is clean.
+    record = as_record(drawn)
+    if record is None:
+        return
     for kind in ExampleKind:
         example = build(kind, record)
         if example is not None:

@@ -32,7 +32,7 @@ from factrail.grammar import (
     TrajectoryStep,
     format_judgment,
 )
-from factrail.orchestrator import BatchResult, InferenceConfig, PipelineError, InferenceTrace, run_inference
+from factrail.orchestrator import InferenceConfig, PipelineError, InferenceTrace, run_inference
 
 from helpers import judge_by_answer, script_scenario, with_section
 
@@ -316,10 +316,7 @@ def moon_results():
         judge_by_answer("earth"), "the earth\n[Cite]: [1]",
     )
     trace = run_inference("what does the moon orbit?", index, backend, cfg)
-    return [
-        BatchResult(index=0, trace=trace),
-        BatchResult(index=1, error=PipelineError("locator", "boom")),
-    ]
+    return [trace, PipelineError("locator", "boom")]
 
 
 def popqa_examples():
@@ -347,7 +344,7 @@ def test_evaluate_does_not_score_an_answer_without_a_generator_section():
         trace, trajectory=Trajectory((TrajectoryStep(StepKind.RECONSTRUCTOR, "Search(mars)"),))
     )
     examples = [EvalExample("q", ("mars",), "popqa")] * 2
-    report = evaluate([BatchResult(0, trace=trace), BatchResult(1, trace=headless)], examples, "popqa")
+    report = evaluate([trace, headless], examples, "popqa")
     assert [row["acc"] for row in report.rows] == [1, 0]
     assert report.rows[1]["error"] == "generator_missing: no generator section"
 
@@ -355,11 +352,11 @@ def test_evaluate_does_not_score_an_answer_without_a_generator_section():
 def test_evaluate_scores_the_answer_of_an_edited_generator_section():
     # The answer is the parse of the generator section, so a trace whose
     # section was edited scores the edited answer.
-    trace = moon_results()[0].trace
+    trace = moon_results()[0]
     edited = with_section(trace, StepKind.GENERATOR, "the sun")
     assert (edited.answer, edited.citations) == ("the sun", CitationList())
     examples = [EvalExample("what does the moon orbit?", ("the sun",), "popqa")]
-    report = evaluate([BatchResult(0, trace=edited)], examples, "popqa")
+    report = evaluate([edited], examples, "popqa")
     assert report.metrics == {"acc": 1.0}
     assert report.rows[0]["prediction"] == "the sun"
 

@@ -18,6 +18,7 @@ from factrail.grammar import (
     IntentSet,
     LocatorJudgment,
     LocatorSyntaxError,
+    MultilinePassageError,
     MismatchedEndError,
     OrderViolationError,
     Relevance,
@@ -495,6 +496,16 @@ def test_retrieval_body_round_trip():
     passages = [FakePassage("Alpha", "first text"), FakePassage("Beta (b)", "second text")]
     entries = parse_retrieval_body(retrieval_body(passages))
     assert entries == [("Alpha", "first text"), ("Beta (b)", "second text")]
+    # A form feed or U+2028 stays inside its entry: entries split on "\n" only.
+    spaced = [FakePassage("A\fB", "x\u2028y")]
+    assert parse_retrieval_body(retrieval_body(spaced)) == [("A\fB", "x\u2028y")]
+
+
+@pytest.mark.parametrize("title, text", [("Al\npha", "text"), ("Alpha", "te\nxt"), ("Alpha", "text\n")])
+def test_retrieval_body_refuses_a_passage_that_spans_lines(title, text):
+    passages = [FakePassage("Beta", "second text"), FakePassage(title, text)]
+    with pytest.raises(MultilinePassageError, match="^a passage spans more than one line$"):
+        retrieval_body(passages)
 
 
 @pytest.mark.parametrize(

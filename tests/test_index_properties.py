@@ -28,10 +28,10 @@ _DOCS = [
     ("Earth", "the earth turns and the sun sets and the moon rises"),
 ]
 # Values that a corrupted header field may take: other JSON types, ints out
-# of range, a grammar token, non-ASCII text and a lone surrogate.
+# of range, a grammar token, non-ASCII text, a lone surrogate and a line break.
 _VALUES = [
     None, True, False, 0, -1, 1, 3, 2**40, 1.5, "", "x", "a < b", "<Locator>", "Zoë",
-    "\udc80", [], [1], {}, {"id": 0},
+    "\udc80", "a\nb", [], [1], {}, {"id": 0},
 ]
 
 
@@ -142,7 +142,9 @@ def _edited(edit) -> dict:
 
 
 @pytest.mark.parametrize("name", ["title", "text"])
-@pytest.mark.parametrize("value", ["<Locator>", "a </eog>", "a < b", "\udc80", "Zoë", "", 7])
+@pytest.mark.parametrize(
+    "value", ["<Locator>", "a </eog>", "a < b", "\udc80", "Zoë", "", 7, "a\nb", "Zoë\n", "<Locator>\n"]
+)
 def test_each_text_field_of_an_entry_is_checked_as_the_reference_checks_it(name, value):
     header = _edited(lambda header: header["passages"][3].update({name: value}))
     _assert_loads_as_the_reference(_file(header))

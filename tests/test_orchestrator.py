@@ -39,7 +39,6 @@ from factrail.grammar import (
     serialize_trajectory,
 )
 from factrail.orchestrator import (
-    BatchResult,
     InferenceConfig,
     InferenceTrace,
     PipelineError,
@@ -255,9 +254,9 @@ def test_run_batch_results_hold_about_their_trajectories_not_their_prompts():
     finally:
         tracemalloc.stop()
 
-    assert all(r.error is None for r in results)
-    assert all(len(r.trace.trajectory.steps) == 4 for r in results)
-    serialized = sum(len(serialize_trajectory(r.trace.trajectory)) for r in results)
+    assert all(isinstance(r, InferenceTrace) for r in results)
+    assert all(len(r.trajectory.steps) == 4 for r in results)
+    serialized = sum(len(serialize_trajectory(r.trajectory)) for r in results)
     assert retained < 2.5 * serialized
 
 
@@ -435,9 +434,9 @@ def test_run_batch_turns_a_head_a_backend_left_in_a_reply_into_an_item_error(ind
     results = run_batch(
         [leaky, INSTRUCTION], index, HeadLeavingBackend(backend, leaky), cfg, max_workers=2
     )
-    assert results[0].trace is None
-    assert str(results[0].error) == "reconstructor: the reply holds the grammar token <Locator>"
-    assert results[1].trace.answer == "the earth" and results[1].trace.flags == ()
+    assert isinstance(results[0], PipelineError)
+    assert str(results[0]) == "reconstructor: the reply holds the grammar token <Locator>"
+    assert results[1].answer == "the earth" and results[1].flags == ()
 
 
 @pytest.mark.parametrize("stage", ["locator", "generator"])
@@ -465,9 +464,9 @@ def test_run_batch_turns_a_number_int_refuses_into_an_item_error(index, stage):
         )
         message = "citation index of 5000 digits is too long (line 2)"
     results = run_batch([bad, INSTRUCTION], index, backend, cfg, max_workers=2)
-    assert results[0].trace is None
-    assert (results[0].error.stage, results[0].error.message) == (stage, message)
-    assert results[1].trace.answer == "the earth"
+    assert isinstance(results[0], PipelineError)
+    assert (results[0].stage, results[0].message) == (stage, message)
+    assert results[1].answer == "the earth"
 
 
 @pytest.mark.parametrize(
@@ -497,9 +496,9 @@ def test_run_batch_turns_a_reply_its_parser_refuses_into_an_item_error(index, st
         ]
         backend.add_reply(build_step_prompt(bad, prior, StepKind.LOCATOR), reply)
     results = run_batch([bad, INSTRUCTION], index, backend, cfg, max_workers=2)
-    assert results[0].trace is None
-    assert (results[0].error.stage, results[0].error.message) == (stage, message)
-    assert results[1].trace.answer == "the earth"
+    assert isinstance(results[0], PipelineError)
+    assert (results[0].stage, results[0].message) == (stage, message)
+    assert results[1].answer == "the earth"
 
 
 def test_unscripted_backend_surfaces_stage(index):
@@ -652,9 +651,9 @@ def test_validate_and_evaluate_never_cut_the_passage_texts(index, tmp_path):
     backend, cfg, _ = relevance_setup(index)
     trace = run_inference(INSTRUCTION, index, backend, cfg)
     path = tmp_path / "traces.jsonl"
-    write_traces([BatchResult(index=0, trace=trace)], path)
+    write_traces([trace], path)
     results = read_traces(path)
-    read = results[0].trace
+    read = results[0]
     assert validate_trace(read) == []
     report = evaluate(results, [EvalExample(INSTRUCTION, ("the earth",), "popqa")], "popqa")
     assert report.citations["errors"] == 0.0
@@ -863,13 +862,12 @@ def test_run_batch_keeps_order_and_isolates_failures(index):
     instructions = [INSTRUCTION, "totally unscripted", other]
     results = run_batch(instructions, index, backend, cfg, max_workers=3)
 
-    assert [r.index for r in results] == [0, 1, 2]
-    assert results[0].trace is not None and results[2].trace is not None
-    assert results[1].error is not None
-    assert results[1].error.stage == "reconstructor"
+    assert [type(r) for r in results] == [InferenceTrace, PipelineError, InferenceTrace]
+    assert [r.instruction for r in (results[0], results[2])] == [INSTRUCTION, other]
+    assert results[1].stage == "reconstructor"
 
     solo = run_inference(INSTRUCTION, index, backend, cfg)
-    assert trace_to_dict(results[0].trace) == trace_to_dict(solo)
+    assert trace_to_dict(results[0]) == trace_to_dict(solo)
 
 
 class GatedBackend:
@@ -913,48 +911,54 @@ def test_a_batch_starts_no_more_than_its_window_ahead(index, consumer):
         got = first.result(timeout=30)
     if consumer == "iter_batch":
         got += list(results)
-    assert [r.index for r in got] == list(range(80))
-    assert got[0].trace is not None
-    assert {r.error.stage for r in got[1:]} == {"reconstructor"}
+    assert got[0].instruction == INSTRUCTION
+    # Each failure names its own prompt's fingerprint, so this pins the input order.
+    assert [str(r) for r in got[1:]] == [serial_failure(f"unscripted {n}", index, backend, cfg) for n in range(79)]
+
+
+def serial_failure(instruction, index, backend, cfg):
+    """The message of the PipelineError that run_inference raises for ``instruction``."""
+    with pytest.raises(PipelineError) as caught:
+        run_inference(instruction, index, backend, cfg)
+    return str(caught.value)
 
 
 def test_iter_batch_and_run_batch_give_the_same_results_in_order(index):
     backend, cfg, _ = relevance_setup(index)
     instructions = [INSTRUCTION if n % 3 else f"unscripted {n}" for n in range(30)]
 
-    def rows(results):
+    def rows(items):
         return [
-            (r.index, trace_to_dict(r.trace) if r.trace else (r.error.stage, r.error.message))
-            for r in results
+            (r.stage, r.message) if isinstance(r, PipelineError) else trace_to_dict(r)
+            for r in items
         ]
 
     batch = run_batch(instructions, index, backend, cfg, max_workers=3)
     assert rows(batch) == rows(orchestrator.iter_batch(instructions, index, backend, cfg, max_workers=3))
-    assert [r.index for r in batch] == list(range(30))
-    assert [r.trace is None for r in batch] == [n % 3 == 0 for n in range(30)]
+    assert [isinstance(r, PipelineError) for r in batch] == [n % 3 == 0 for n in range(30)]
+    # Each failure names its own prompt's fingerprint, so this pins the input order.
+    failures = [serial_failure(f"unscripted {n}", index, backend, cfg) for n in range(0, 30, 3)]
+    assert [str(r) for r in batch[::3]] == failures
 
 
 def test_trace_jsonl_round_trip(index, tmp_path):
     backend, cfg, _ = relevance_setup(index)
     trace = run_inference(INSTRUCTION, index, backend, cfg)
-    results = [
-        BatchResult(index=0, trace=trace),
-        BatchResult(index=1, error=PipelineError("locator", "gave up")),
-    ]
+    results = [trace, PipelineError("locator", "gave up")]
     path = tmp_path / "traces.jsonl"
     write_traces(results, path)
     loaded = read_traces(path)
 
-    assert trace_to_dict(loaded[0].trace) == trace_to_dict(trace)
-    assert loaded[1].error.stage == "locator"
-    assert loaded[1].error.message == "gave up"
-    assert validate_trace(loaded[0].trace) == []
+    assert trace_to_dict(loaded[0]) == trace_to_dict(trace)
+    assert loaded[1].stage == "locator"
+    assert loaded[1].message == "gave up"
+    assert validate_trace(loaded[0]) == []
 
 
 def test_trace_files_are_byte_identical_across_writes(index, tmp_path):
     backend, cfg, _ = relevance_setup(index)
     trace = run_inference(INSTRUCTION, index, backend, cfg)
-    results = [BatchResult(index=0, trace=trace)]
+    results = [trace]
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     write_traces(results, first)
@@ -966,7 +970,7 @@ def test_failed_trace_write_keeps_previous_file_bytes(index, tmp_path, monkeypat
     backend, cfg, _ = relevance_setup(index)
     trace = run_inference(INSTRUCTION, index, backend, cfg)
     path = tmp_path / "traces.jsonl"
-    write_traces([BatchResult(index=0, error=PipelineError("locator", "gave up"))], path)
+    write_traces([PipelineError("locator", "gave up")], path)
     before = path.read_bytes()
 
     calls = []
@@ -979,7 +983,7 @@ def test_failed_trace_write_keeps_previous_file_bytes(index, tmp_path, monkeypat
 
     monkeypatch.setattr(orchestrator, "trace_to_dict", fail_on_second)
     with pytest.raises(RuntimeError):
-        write_traces([BatchResult(index=i, trace=trace) for i in range(3)], path)
+        write_traces([trace] * 3, path)
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
@@ -1013,10 +1017,10 @@ def test_run_batch_turns_a_grammar_token_in_a_passage_into_an_item_error():
     backend.add_reply(build_step_prompt(zebra, [], StepKind.RECONSTRUCTOR), "Search(zebra stripes)")
     results = run_batch([INSTRUCTION, zebra], index, backend, cfg, max_workers=2)
 
-    assert results[0].error is None and results[0].trace.answer == "the earth"
-    assert results[1].trace is None
-    assert results[1].error.stage == "locator"
-    assert "contains the token <Generator>" in results[1].error.message
+    assert results[0].answer == "the earth"
+    assert isinstance(results[1], PipelineError)
+    assert results[1].stage == "locator"
+    assert "contains the token <Generator>" in results[1].message
 
 
 def test_run_batch_turns_a_passage_spanning_lines_into_an_item_error():
@@ -1035,9 +1039,9 @@ def test_run_batch_turns_a_passage_spanning_lines_into_an_item_error():
     backend.add_reply(build_step_prompt(zebra, [], StepKind.RECONSTRUCTOR), "Search(zebra stripes)")
     results = run_batch([INSTRUCTION, zebra], index, backend, cfg, max_workers=2)
 
-    assert results[0].error is None and results[0].trace.answer == "the earth"
-    assert results[1].trace is None
-    assert str(results[1].error) == "retrieval: a passage spans more than one line"
+    assert results[0].answer == "the earth"
+    assert isinstance(results[1], PipelineError)
+    assert str(results[1]) == "retrieval: a passage spans more than one line"
 
 
 def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tmp_path):
@@ -1054,15 +1058,15 @@ def test_run_batch_turns_a_grammar_token_in_a_reply_into_an_item_error(index, tm
     )
     results = run_batch([leaky, INSTRUCTION], index, backend, cfg, max_workers=2)
 
-    assert results[0].trace is None
-    assert results[0].error.stage == "generator"
-    assert results[0].error.message == "the reply holds the grammar token </eoi>"
-    assert results[1].error is None and results[1].trace.answer == "the earth"
+    assert isinstance(results[0], PipelineError)
+    assert results[0].stage == "generator"
+    assert results[0].message == "the reply holds the grammar token </eoi>"
+    assert results[1].answer == "the earth"
     out = tmp_path / "traces.jsonl"
     write_traces(results, out)
     reread = read_traces(out)
-    assert reread[0].error.stage == "generator"
-    assert validate_trace(reread[1].trace) == []
+    assert reread[0].stage == "generator"
+    assert validate_trace(reread[1]) == []
 
 
 @pytest.mark.parametrize(
@@ -1078,25 +1082,25 @@ def test_run_batch_turns_an_unclean_instruction_into_an_item_error(
     backend, cfg, _ = relevance_setup(index)
     results = run_batch([instruction, INSTRUCTION], index, backend, cfg, max_workers=2)
 
-    assert results[0].trace is None
-    assert results[0].error.stage == "instruction"
-    assert results[0].error.message == f"the instruction {problem}"
-    assert results[1].trace.answer == "the earth"
+    assert isinstance(results[0], PipelineError)
+    assert results[0].stage == "instruction"
+    assert results[0].message == f"the instruction {problem}"
+    assert results[1].answer == "the earth"
     out = tmp_path / "traces.jsonl"
     write_traces(results, out)
-    assert read_traces(out)[0].error.message == f"the instruction {problem}"
+    assert read_traces(out)[0].message == f"the instruction {problem}"
 
 
 def test_iter_traces_streams_rows_with_their_line_numbers(index, tmp_path):
     backend, cfg, _ = relevance_setup(index)
     trace = run_inference(INSTRUCTION, index, backend, cfg)
     path = tmp_path / "traces.jsonl"
-    write_traces([BatchResult(0, error=PipelineError("locator", "gave up"))], path)
+    write_traces([PipelineError("locator", "gave up")], path)
     row = path.read_text()
-    write_traces([BatchResult(0, trace=trace)], path)
+    write_traces([trace], path)
     path.write_text("\n" + row + path.read_text())
     rows = list(orchestrator.iter_traces(path))
     assert [lineno for lineno, _ in rows] == [2, 3]
     assert str(rows[0][1]) == "locator: gave up"
     assert trace_to_dict(rows[1][1]) == trace_to_dict(trace)
-    assert [r.index for r in read_traces(path)] == [0, 1]
+    assert [type(r) for r in read_traces(path)] == [PipelineError, InferenceTrace]
