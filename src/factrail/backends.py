@@ -30,7 +30,6 @@ __all__ = [
     "BackendError",
     "BackendUnavailableError",
     "MalformedUpstreamResponseError",
-    "EmptyGenerationError",
     "AgentRequest",
     "AgentReply",
     "Backend",
@@ -78,11 +77,6 @@ class BackendUnavailableError(BackendError):
 
 class MalformedUpstreamResponseError(BackendError):
     pass
-
-
-class EmptyGenerationError(BackendError):
-    def __init__(self) -> None:
-        super().__init__("backend produced an empty continuation")
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,7 @@ class ScriptedBackend:
             )
         body, fired = _finalize(raw, request.stop)
         if not body:
-            raise EmptyGenerationError()
+            raise BackendError("backend produced an empty continuation")
         return AgentReply(body, fired or _MATCHING_END[request.head].value)
 
 
@@ -388,7 +382,7 @@ class HttpBackend:
         content, finish_reason = chat_completion(self._config, prompt, request.stop, sleep=self._sleep)
         body, fired = _finalize(content, request.stop)
         if not body:
-            raise EmptyGenerationError()
+            raise BackendError("backend produced an empty continuation")
         if fired is not None:
             terminated_by = fired
         elif finish_reason == "length":

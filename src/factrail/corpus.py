@@ -55,10 +55,7 @@ __all__ = [
     "BM25_K1",
     "BM25_B",
     "CorpusError",
-    "EmptyDocumentError",
-    "DuplicatePassageError",
     "EmptyQueryError",
-    "IndexFormatError",
     "Passage",
     "CorpusIndex",
     "RetrievalResult",
@@ -96,24 +93,9 @@ class CorpusError(Exception):
     pass
 
 
-class EmptyDocumentError(CorpusError):
-    def __init__(self, title: str) -> None:
-        super().__init__(f"document {title!r} has no words")
-
-
-class DuplicatePassageError(CorpusError):
-    def __init__(self, passage_id: int) -> None:
-        self.passage_id = passage_id
-        super().__init__(f"duplicate passage id {passage_id}")
-
-
 class EmptyQueryError(CorpusError):
     def __init__(self, query: str) -> None:
         super().__init__(f"query {query!r} contains no indexable terms")
-
-
-class IndexFormatError(CorpusError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -156,7 +138,7 @@ def chunk_document(title: str, body: str, *, start_id: int = 0) -> list[Passage]
     title = " ".join(title.split())
     words = body.split()
     if not words:
-        raise EmptyDocumentError(title)
+        raise CorpusError(f"document {title!r} has no words")
     passages = []
     for offset, begin in enumerate(range(0, len(words), CHUNK_WORDS)):
         piece = words[begin : begin + CHUNK_WORDS]
@@ -224,7 +206,7 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
     by_id: dict[int, Passage] = {}
     for passage in passages:
         if passage.id in by_id:
-            raise DuplicatePassageError(passage.id)
+            raise CorpusError(f"duplicate passage id {passage.id}")
         by_id[passage.id] = passage
     # Each term's postings as one list, pid, tf, pid, tf, ... by ascending pid.
     postings: dict[str, list[int]] = {}
@@ -468,7 +450,7 @@ def _write_column(handle: BinaryIO, typecode: str, values: Sequence[int]) -> Non
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index that ``save_index`` wrote, checking every part of it.
 
-    Raises IndexFormatError, naming the fault, for anything else: a header
+    Raises CorpusError, naming the fault, for anything else: a header
     that is not JSON, nests too deeply or has missing or mistyped entries,
     a version 1 file, a passage title or text that ``index_documents``
     refuses or that holds a line break, a duplicate passage id or term, a
@@ -488,7 +470,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         total = sum(doc_freqs)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size != total * _POSTING_BYTES:
-            raise IndexFormatError(
+            raise CorpusError(
                 f"index columns hold {size} bytes, but sum(doc_freqs) = {total} "
                 f"postings need {total * _POSTING_BYTES}"
             )
@@ -499,14 +481,14 @@ def load_index(path: str | Path) -> CorpusIndex:
         pids.byteswap()
         tfs.byteswap()
     if 0 in tfs:  # unsigned, so the only tf below 1
-        raise IndexFormatError("a term frequency in the index is below 1")
+        raise CorpusError("a term frequency in the index is below 1")
     # The id column reuses the passage table's own int objects, so a loaded
     # index holds one int object per passage rather than one per posting.
     shared = {pid: pid for pid in by_id}
     try:
         ids = list(map(shared.__getitem__, pids))
     except KeyError as exc:
-        raise IndexFormatError(
+        raise CorpusError(
             f"the postings name passage id {exc.args[0]}, which is not in 'passages'"
         ) from None
     del pids  # freed as soon as the list holds the ids
@@ -521,7 +503,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
             if at not in term_ends:
                 term = terms[bisect_right(offsets, at) - 1]
-                raise IndexFormatError(
+                raise CorpusError(
                     f"the passage ids of term {term!r} are not strictly ascending"
                 )
     return _corpus_index(by_id, terms, offsets, ids, tfs)
@@ -532,7 +514,7 @@ def _read_header(handle: BinaryIO) -> dict:
     try:
         header = json.loads(line.decode("utf-8"))
     except RecursionError:
-        raise IndexFormatError("the index header nests arrays or objects too deeply") from None
+        raise CorpusError("the index header nests arrays or objects too deeply") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         # A version 1 index is one JSON document, pretty-printed by default,
         # so its first line alone does not parse.
@@ -541,24 +523,24 @@ def _read_header(handle: BinaryIO) -> dict:
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             header = None
         if not (isinstance(header, dict) and header.get("version") == 1):
-            raise IndexFormatError(f"not an index file: {exc}") from exc
+            raise CorpusError(f"not an index file: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
-        raise IndexFormatError("missing or wrong format header")
+        raise CorpusError("missing or wrong format header")
     version = header.get("version")
     if version == 1:
-        raise IndexFormatError(
+        raise CorpusError(
             "index format version 1 is no longer read; re-run `factrail index` "
             "on the corpus to rebuild the index"
         )
     if version != INDEX_VERSION:
-        raise IndexFormatError(f"unsupported index version {version!r}")
+        raise CorpusError(f"unsupported index version {version!r}")
     return header
 
 
 def _passages_from_header(header: dict) -> dict[int, Passage]:
     entries = header.get("passages")
     if not isinstance(entries, list):
-        raise IndexFormatError("index has no 'passages' list")
+        raise CorpusError("index has no 'passages' list")
     by_id: dict[int, Passage] = {}
     for at, entry in enumerate(entries):
         # One test covers what the file that save_index wrote holds: JSON
@@ -584,7 +566,7 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
             )
         passage = Passage(pid, title, text, words) if clean else _passage_from_entry(at, entry)
         if passage.id in by_id:
-            raise IndexFormatError(f"passages[{at}] repeats passage id {passage.id}")
+            raise CorpusError(f"passages[{at}] repeats passage id {passage.id}")
         by_id[passage.id] = passage
     return by_id
 
@@ -592,19 +574,19 @@ def _passages_from_header(header: dict) -> dict[int, Passage]:
 def _terms_from_header(header: dict) -> tuple[list[str], list[int]]:
     terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
     if not isinstance(terms, list) or not set(map(type, terms)) <= {str}:
-        raise IndexFormatError("index has no 'terms' list of strings")
+        raise CorpusError("index has no 'terms' list of strings")
     if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
-        raise IndexFormatError("index has no 'doc_freqs' list as long as 'terms'")
+        raise CorpusError("index has no 'doc_freqs' list as long as 'terms'")
     if len(set(terms)) != len(terms):
         repeated = next(term for term, count in Counter(terms).items() if count > 1)
-        raise IndexFormatError(f"'terms' lists {repeated!r} twice")
+        raise CorpusError(f"'terms' lists {repeated!r} twice")
     if set(map(type, doc_freqs)) <= {int} and (not doc_freqs or min(doc_freqs) >= 1):
         return terms, doc_freqs
     for at, freq in enumerate(doc_freqs):  # names the first bad frequency
         if not isinstance(freq, int) or isinstance(freq, bool):
-            raise IndexFormatError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
+            raise CorpusError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
         if freq < 1:
-            raise IndexFormatError(f"doc_freqs[{at}] must be at least 1")
+            raise CorpusError(f"doc_freqs[{at}] must be at least 1")
     return terms, doc_freqs
 
 
@@ -617,19 +599,19 @@ _ENTRY_FIELDS = (("id", int), ("title", str), ("text", str), ("word_count", int)
 
 def _passage_from_entry(at: int, entry: object) -> Passage:
     if not isinstance(entry, dict):
-        raise IndexFormatError(f"passages[{at}] is not an object")
+        raise CorpusError(f"passages[{at}] is not an object")
     for name, kind in _ENTRY_FIELDS:
         if name not in entry:
-            raise IndexFormatError(f"passages[{at}] has no {name!r}")
+            raise CorpusError(f"passages[{at}] has no {name!r}")
         value = entry[name]
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise IndexFormatError(
+            raise CorpusError(
                 f"passages[{at}] {name!r} must be {kind.__name__}, not {type(value).__name__}"
             )
     # A positive length keeps every BM25 length norm, and so retrieve's
     # pruning bounds, valid.
     if entry["word_count"] < 1:
-        raise IndexFormatError(f"passages[{at}] 'word_count' must be at least 1")
+        raise CorpusError(f"passages[{at}] 'word_count' must be at least 1")
     # index_documents' own rule: no passage may hold what no prompt may.
     # Nor may it span lines: a trace holds it as one line of its retrieval section.
     for name in ("title", "text"):
@@ -637,7 +619,7 @@ def _passage_from_entry(at: int, entry: object) -> Passage:
         if problem is None and "\n" in entry[name]:
             problem = "holds a line break"
         if problem is not None:
-            raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
+            raise CorpusError(f"passages[{at}] {name!r} {problem}")
     return Passage(
         id=entry["id"], title=entry["title"], text=entry["text"], word_count=entry["word_count"]
     )

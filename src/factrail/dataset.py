@@ -32,8 +32,6 @@ from .corpus import CorpusIndex, Passage, retrieve_multi
 from .grammar import (
     CITE_PREFIX,
     CitationList,
-    EmptyIntentSetError,
-    EmptyRetrievalError,
     GrammarError,
     IntentSet,
     LocatorJudgment,
@@ -57,10 +55,6 @@ from .orchestrator import build_step_prompt, section_violations
 
 __all__ = [
     "DatasetError",
-    "InvalidDialogueError",
-    "FactContainmentError",
-    "NoRelevantFactsError",
-    "CriticResponseError",
     "TaskTag",
     "RawExample",
     "ExampleKind",
@@ -83,27 +77,6 @@ SCHEMA_VERSION = 1
 
 
 class DatasetError(Exception):
-    pass
-
-
-class InvalidDialogueError(DatasetError):
-    pass
-
-
-class FactContainmentError(DatasetError):
-    def __init__(self, passage_index: int) -> None:
-        self.passage_index = passage_index
-        super().__init__(
-            f"extracted fact for passage {passage_index} does not appear in the passage"
-        )
-
-
-class NoRelevantFactsError(DatasetError):
-    def __init__(self) -> None:
-        super().__init__("a fact-conditioned example needs at least one Relevant judgment")
-
-
-class CriticResponseError(DatasetError):
     pass
 
 
@@ -145,6 +118,8 @@ class RawExample:
                 raise ValueError("instruction must be non-empty")
             if self.history is not None:
                 raise ValueError("history is only meaningful for dialogue records")
+        elif not self.history and not self.x.strip():
+            raise ValueError("a dialogue record needs history or a current question")
 
 
 def normalize_dialogue(raw: RawExample) -> RawExample:
@@ -155,18 +130,8 @@ def normalize_dialogue(raw: RawExample) -> RawExample:
     """
     if raw.task is not TaskTag.DIALOGUE:
         raise ValueError("only dialogue records need flattening")
-    if not raw.history and not raw.x.strip():
-        raise InvalidDialogueError("a dialogue record needs history or a current question")
     turns = "".join(f"{q}\n-{a}\n" for q, a in raw.history or ())
     return replace(raw, x=turns + raw.x, history=None)
-
-
-def _ensure_flat(raw: RawExample) -> RawExample:
-    if raw.task is TaskTag.DIALOGUE and raw.history is not None:
-        return normalize_dialogue(raw)
-    if not raw.x.strip():
-        raise InvalidDialogueError("instruction is empty")
-    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +172,7 @@ class RuleBasedCritic:
     def propose_intents(self, x: str, task: TaskTag) -> IntentSet:
         intent = _collapse(x).replace(";", ",")
         if not intent:
-            raise EmptyIntentSetError("instruction collapses to nothing")
+            raise GrammarError("instruction collapses to nothing")
         return IntentSet((intent,))
 
     def judge_passage(self, x: str, y: str, passage: Passage, index: int) -> LocatorJudgment:
@@ -257,14 +222,14 @@ class HttpCritic:
         for line in content.split("\n"):
             if line.strip().startswith("Search Intent:"):
                 return parse_intents(line.split(":", 1)[1])
-        raise CriticResponseError("no Search Intent line in critic reply")
+        raise DatasetError("no Search Intent line in critic reply")
 
     def judge_passage(self, x: str, y: str, passage: Passage, index: int) -> LocatorJudgment:
         prompt = self.JUDGE_PROMPT.format(x=x, y=y, p=f"{passage.title} -{passage.text}")
         content = self._ask(prompt)
         rating = _RATING_RE.search(content)
         if rating is None:
-            raise CriticResponseError("no Rating in critic reply")
+            raise DatasetError("no Rating in critic reply")
         if rating.group(1) == "Irrelevant":
             return LocatorJudgment(index, Relevance.IRRELEVANT, None)
         for line in content.split("\n"):
@@ -272,7 +237,7 @@ class HttpCritic:
                 span = line.split(":", 1)[1].strip()
                 if span:
                     return LocatorJudgment(index, Relevance.RELEVANT, span)
-        raise CriticResponseError("Relevant rating without an extracted span")
+        raise DatasetError("Relevant rating without an extracted span")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +304,9 @@ def _judge_all(
         if judgment.relevance is Relevance.RELEVANT:
             assert judgment.fact is not None
             if _collapse(judgment.fact) not in _collapse(passage.text):
-                raise FactContainmentError(position)
+                raise DatasetError(
+                    f"extracted fact for passage {position} does not appear in the passage"
+                )
         judgments.append(judgment)
     return judgments
 
@@ -386,7 +353,7 @@ def build_example(
     The critic proposes the intents, the top k passages per intent are
     retrieved and the critic judges each one; every Relevant judgment
     passes the fact-containment check; an intent that ``text_violation``
-    rejects is a CriticResponseError, and a passage that spans lines (only
+    rejects is a DatasetError, and a passage that spans lines (only
     an index built in code can hold one) a MultilinePassageError. A long
     example is the whole trajectory; a short one is one stage's section,
     prompted by the sections it reads. Each kind runs only as much of the
@@ -395,25 +362,26 @@ def build_example(
     """
     if kind.needs_index and index is None:
         raise ValueError(f"{kind.value} examples need an index")
-    raw = _ensure_flat(raw)
+    if raw.history is not None:
+        raw = normalize_dialogue(raw)
     steps: list[TrajectoryStep] = []
     relevant: list[int] = []
     if kind.needs_index or StepKind.RECONSTRUCTOR in kind.sections:
         intents = critic.propose_intents(raw.x, raw.task)
         for intent in intents.intents:
             if (problem := text_violation(intent)) is not None:
-                raise CriticResponseError(f"the critic's intent {ascii(intent)} {problem}")
+                raise DatasetError(f"the critic's intent {ascii(intent)} {problem}")
         steps.append(TrajectoryStep(StepKind.RECONSTRUCTOR, _intent_body(intents)))
     if kind.needs_index:
         passages = retrieve_multi(index, intents, k)
         fact_conditioned = kind is ExampleKind.SHORT_GENERATOR_FACTS
-        if not passages:
-            raise NoRelevantFactsError() if fact_conditioned else EmptyRetrievalError()
-        body = retrieval_body(passages)
+        if not passages and not fact_conditioned:
+            raise GrammarError("a retrieval block must contain at least one passage")
+        body = retrieval_body(passages) if passages else ""
         judgments = _judge_all(raw.x, raw.y, passages, critic)
         relevant = [j.passage_index for j in judgments if j.relevance is Relevance.RELEVANT]
         if fact_conditioned and not relevant:
-            raise NoRelevantFactsError()
+            raise DatasetError("a fact-conditioned example needs at least one Relevant judgment")
         steps.append(TrajectoryStep(StepKind.RETRIEVAL, body))
         steps.append(TrajectoryStep(StepKind.LOCATOR, _locator_body(judgments)))
     steps.append(TrajectoryStep(StepKind.GENERATOR, _generator_body(raw.y, relevant)))

@@ -29,17 +29,6 @@ __all__ = [
     "LocatorJudgment",
     "CitationList",
     "GrammarError",
-    "TrajectoryInvariantError",
-    "UnclosedHeadError",
-    "MismatchedEndError",
-    "OrderViolationError",
-    "TrailingGarbageError",
-    "EmptyIntentSetError",
-    "LocatorSyntaxError",
-    "DuplicateJudgmentError",
-    "CitationSyntaxError",
-    "EmptyRetrievalError",
-    "RetrievalSyntaxError",
     "MultilinePassageError",
     "first_token",
     "text_violation",
@@ -118,79 +107,13 @@ CITE_PREFIX = "[Cite]:"
 
 
 class GrammarError(Exception):
-    """Base class for every trajectory-grammar rejection."""
+    """Base class for every trajectory-grammar rejection. One that
+    ``parse_trajectory`` raises carries the ``offset`` in the text where the
+    problem sits; any other carries None."""
 
-
-class TrajectoryInvariantError(GrammarError):
-    """A trajectory value violates the structural invariants (serialization refused)."""
-
-    def __init__(self, reason: str, step_index: int | None = None) -> None:
-        self.reason = reason
-        self.step_index = step_index
-        where = "" if step_index is None else f" (step {step_index})"
-        super().__init__(f"{reason}{where}")
-
-
-class UnclosedHeadError(GrammarError):
-    def __init__(self, kind: StepKind, offset: int) -> None:
-        self.kind = kind
-        self.offset = offset
-        super().__init__(f"{kind.head.value} at offset {offset} is never closed")
-
-
-class MismatchedEndError(GrammarError):
-    def __init__(self, expected: TokenKind, found: TokenKind, offset: int) -> None:
-        self.expected = expected
-        self.found = found
-        self.offset = offset
-        super().__init__(
-            f"expected {expected.value} but found {found.value} at offset {offset}"
-        )
-
-
-class OrderViolationError(GrammarError):
-    def __init__(self, kind: StepKind, offset: int) -> None:
-        self.kind = kind
-        self.offset = offset
-        super().__init__(f"{kind.head.value} at offset {offset} breaks the section order")
-
-
-class TrailingGarbageError(GrammarError):
-    def __init__(self, offset: int) -> None:
-        self.offset = offset
-        super().__init__(f"unexpected text outside any section at offset {offset}")
-
-
-class EmptyIntentSetError(GrammarError):
-    def __init__(self, message: str = "no search intents remain after parsing") -> None:
+    def __init__(self, message: str, offset: int | None = None) -> None:
         super().__init__(message)
-
-
-class LocatorSyntaxError(GrammarError):
-    def __init__(self, line: int, message: str = "malformed judgment line") -> None:
-        self.line = line
-        super().__init__(f"{message} (line {line})")
-
-
-class DuplicateJudgmentError(GrammarError):
-    def __init__(self, passage_index: int) -> None:
-        self.passage_index = passage_index
-        super().__init__(f"passage index {passage_index} judged more than once")
-
-
-class CitationSyntaxError(GrammarError):
-    pass
-
-
-class EmptyRetrievalError(GrammarError):
-    def __init__(self) -> None:
-        super().__init__("a retrieval block must contain at least one passage")
-
-
-class RetrievalSyntaxError(GrammarError):
-    def __init__(self, line: int, message: str = "malformed retrieval entry") -> None:
-        self.line = line
-        super().__init__(f"{message} (line {line})")
+        self.offset = offset
 
 
 class MultilinePassageError(GrammarError):
@@ -229,10 +152,10 @@ class IntentSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intents", tuple(self.intents))
         if not self.intents:
-            raise EmptyIntentSetError()
+            raise GrammarError("no search intents remain after parsing")
         for item in self.intents:
             if not item.strip():
-                raise EmptyIntentSetError("an intent is blank after trimming")
+                raise GrammarError("an intent is blank after trimming")
 
     @property
     def m(self) -> int:
@@ -341,15 +264,15 @@ def serialize_sections(
     offset = 0
     for i, step in enumerate(steps):
         if step.kind.rank <= last_rank:
-            raise TrajectoryInvariantError(
-                f"step kinds must be strictly ordered, {step.kind.value} repeats or regresses",
-                step_index=i,
+            raise GrammarError(
+                f"step kinds must be strictly ordered, {step.kind.value} repeats or regresses"
+                f" (step {i})"
             )
         last_rank = step.kind.rank
         token = first_token(step.body)
         if token is not None:
-            raise TrajectoryInvariantError(
-                f"body of {step.kind.value} step contains the token {token.value}", step_index=i
+            raise GrammarError(
+                f"body of {step.kind.value} step contains the token {token.value} (step {i})"
             )
         section = f"{step.kind.head.value}\n{step.body}\n{step.kind.end.value}\n"
         parts.append(section)
@@ -366,7 +289,7 @@ def serialize_steps(steps: Sequence[TrajectoryStep]) -> str:
 def serialize_trajectory(trajectory: Trajectory) -> str:
     """Serialize a complete trajectory; the generator section is mandatory."""
     if not any(s.kind is StepKind.GENERATOR for s in trajectory.steps):
-        raise TrajectoryInvariantError("generator step is mandatory")
+        raise GrammarError("generator step is mandatory")
     return serialize_steps(trajectory.steps)
 
 
@@ -384,26 +307,27 @@ def parse_trajectory(text: str) -> Trajectory:
     n = len(text)
     while True:
         match = _TOKEN_RE.search(text, pos)
-        if match is None:
-            rest = text[pos:]
-            if rest.strip():
-                raise TrailingGarbageError(pos + (len(rest) - len(rest.lstrip())))
-            break
-        gap = text[pos : match.start()]
+        gap = text[pos : n if match is None else match.start()]
         if gap.strip():
-            raise TrailingGarbageError(pos + (len(gap) - len(gap.lstrip())))
+            at = pos + len(gap) - len(gap.lstrip())
+            raise GrammarError(f"unexpected text outside any section at offset {at}", at)
+        if match is None:
+            break
+        at = match.start()
         kind = _KIND_BY_HEAD_SURFACE.get(match.group(0))
         if kind is None:
             # An end token (or the instruction terminator) with no open section.
-            raise TrailingGarbageError(match.start())
+            raise GrammarError(f"unexpected text outside any section at offset {at}", at)
         if kind.rank <= last_rank:
-            raise OrderViolationError(kind, match.start())
+            raise GrammarError(f"{kind.head.value} at offset {at} breaks the section order", at)
         closer = _TOKEN_RE.search(text, match.end())
         if closer is None:
-            raise UnclosedHeadError(kind, match.start())
+            raise GrammarError(f"{kind.head.value} at offset {at} is never closed", at)
         closing_token = _TOKEN_BY_SURFACE[closer.group(0)]
         if closing_token is not kind.end:
-            raise MismatchedEndError(kind.end, closing_token, closer.start())
+            at = closer.start()
+            message = f"expected {kind.end.value} but found {closing_token.value} at offset {at}"
+            raise GrammarError(message, at)
         interior = text[match.end() : closer.start()]
         if interior.startswith("\n"):
             interior = interior[1:]
@@ -444,10 +368,7 @@ def parse_intents(body: str) -> IntentSet:
         # No item inside the wrapper carries one either: had the first or
         # last, the body's first or last item would itself be wrapped.
         items = [raw.strip() for raw in whole.group(1).split(";")]
-    intents = tuple(filter(None, items))
-    if not intents:
-        raise EmptyIntentSetError()
-    return IntentSet(intents)
+    return IntentSet(tuple(filter(None, items)))
 
 
 # The fact is the rest of the line, right-stripped: a lazy (.*?)\s*$ backtracks.
@@ -471,28 +392,26 @@ def parse_locator_body(body: str) -> list[LocatorJudgment]:
             continue
         match = _JUDGMENT_RE.match(line)
         if match is None:
-            raise LocatorSyntaxError(lineno)
+            raise GrammarError(f"malformed judgment line (line {lineno})")
         tag, index_text, rest = match.groups()
         rest = rest.rstrip()
         try:
             index = int(index_text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            message = f"passage index of {len(index_text)} digits is too long"
-            raise LocatorSyntaxError(lineno, message) from None
+            message = f"passage index of {len(index_text)} digits is too long (line {lineno})"
+            raise GrammarError(message) from None
         if index < 1:
-            raise LocatorSyntaxError(lineno, "passage indices are 1-based")
+            raise GrammarError(f"passage indices are 1-based (line {lineno})")
         if index in seen:
-            raise DuplicateJudgmentError(index)
+            raise GrammarError(f"passage index {index} judged more than once")
         seen.add(index)
         if tag == "Relevant":
             if not rest:
-                raise LocatorSyntaxError(lineno, "a Relevant judgment must carry a fact")
+                raise GrammarError(f"a Relevant judgment must carry a fact (line {lineno})")
             judgments.append(LocatorJudgment(index, Relevance.RELEVANT, rest))
         else:
             if rest not in _IRRELEVANT_ACCEPTED:
-                raise LocatorSyntaxError(
-                    lineno, "an Irrelevant judgment must not carry a fact"
-                )
+                raise GrammarError(f"an Irrelevant judgment must not carry a fact (line {lineno})")
             judgments.append(LocatorJudgment(index, Relevance.IRRELEVANT, None))
     return judgments
 
@@ -519,22 +438,22 @@ def parse_citations(body: str) -> tuple[str, CitationList]:
     tail = body[pos + len(CITE_PREFIX) :]
     tokens = tail.split()
     if not tokens:
-        raise CitationSyntaxError("no indices follow the citation marker")
+        raise GrammarError("no indices follow the citation marker")
     indices: list[int] = []
     for token in tokens:
         match = _CITE_TOKEN_RE.fullmatch(token)
         if match is None:
-            raise CitationSyntaxError(f"bad citation token {token!r}")
+            raise GrammarError(f"bad citation token {token!r}")
         try:
             indices.append(int(match.group(1)))
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             line = body.count("\n", 0, body.index(token, pos)) + 1
             message = f"citation index of {len(token) - 2} digits is too long (line {line})"
-            raise CitationSyntaxError(message) from None
+            raise GrammarError(message) from None
     try:
         citations = CitationList(tuple(indices))
     except ValueError as exc:
-        raise CitationSyntaxError(str(exc)) from exc
+        raise GrammarError(str(exc)) from exc
     return body[:pos].rstrip(), citations
 
 
@@ -555,7 +474,7 @@ def retrieval_body(passages: Sequence[TitledText]) -> str:
 def render_retrieval_block(passages: Sequence[TitledText]) -> str:
     """Render a full retrieval section, head and end tokens included."""
     if not passages:
-        raise EmptyRetrievalError()
+        raise GrammarError("a retrieval block must contain at least one passage")
     return serialize_steps([TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))])
 
 
@@ -572,19 +491,19 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
     and do not use it.
     """
     if not body:
-        raise EmptyRetrievalError()
+        raise GrammarError("a retrieval block must contain at least one passage")
     entries: list[tuple[str, str]] = []
     for lineno, line in enumerate(body.split("\n"), start=1):
         match = _RETRIEVAL_ENTRY_RE.match(line)
         if match is None:
-            raise RetrievalSyntaxError(lineno)
+            raise GrammarError(f"malformed retrieval entry (line {lineno})")
         try:
             number = int(match.group(1))
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            message = f"entry number of {len(match.group(1))} digits is too long"
-            raise RetrievalSyntaxError(lineno, message) from None
-        if number != len(entries) + 1:
-            raise RetrievalSyntaxError(lineno, f"entry numbered {number}, expected {len(entries) + 1}")
+            message = f"entry number of {len(match.group(1))} digits is too long (line {lineno})"
+            raise GrammarError(message) from None
+        if number != (expected := len(entries) + 1):
+            raise GrammarError(f"entry numbered {number}, expected {expected} (line {lineno})")
         entries.append((match.group(2), match.group(3)))
     return entries
 

@@ -400,7 +400,9 @@ def iter_batch(
         try:
             return run_inference(instruction, index, backend, config)
         except PipelineError as exc:
-            return exc
+            # Without its frames, which would keep the failed run's locals alive.
+            exc.__cause__ = exc.__context__ = None
+            return exc.with_traceback(None)
 
     workers = max(1, max_workers)
     pool = ThreadPoolExecutor(max_workers=workers)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import threading
 from array import array
 from collections import Counter
@@ -18,8 +19,8 @@ from factrail.backends import ScriptedBackend
 from factrail.corpus import (
     BM25_B,
     BM25_K1,
+    CorpusError,
     CorpusIndex,
-    IndexFormatError,
     Passage,
     tokenize,
 )
@@ -35,6 +36,11 @@ from factrail.grammar import (
     text_violation,
 )
 from factrail.orchestrator import InferenceConfig, InferenceTrace, build_step_prompt
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches this message and nothing else."""
+    return "^" + re.escape(message) + "$"
 
 
 def brute_force_bm25(
@@ -78,49 +84,49 @@ def reference_load_index(path) -> CorpusIndex:
 
     entries = header.get("passages")
     if not isinstance(entries, list):
-        raise IndexFormatError("index has no 'passages' list")
+        raise CorpusError("index has no 'passages' list")
     by_id = {}
     for at, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise IndexFormatError(f"passages[{at}] is not an object")
+            raise CorpusError(f"passages[{at}] is not an object")
         for name, kind in (("id", int), ("title", str), ("text", str), ("word_count", int)):
             if name not in entry:
-                raise IndexFormatError(f"passages[{at}] has no {name!r}")
+                raise CorpusError(f"passages[{at}] has no {name!r}")
             value = entry[name]
             if not isinstance(value, kind) or isinstance(value, bool):
-                raise IndexFormatError(
+                raise CorpusError(
                     f"passages[{at}] {name!r} must be {kind.__name__}, not {type(value).__name__}"
                 )
         if entry["word_count"] < 1:
-            raise IndexFormatError(f"passages[{at}] 'word_count' must be at least 1")
+            raise CorpusError(f"passages[{at}] 'word_count' must be at least 1")
         for name in ("title", "text"):
             problem = text_violation(entry[name])
             if problem is not None:
-                raise IndexFormatError(f"passages[{at}] {name!r} {problem}")
+                raise CorpusError(f"passages[{at}] {name!r} {problem}")
             if "\n" in entry[name]:
-                raise IndexFormatError(f"passages[{at}] {name!r} holds a line break")
+                raise CorpusError(f"passages[{at}] {name!r} holds a line break")
         if entry["id"] in by_id:
-            raise IndexFormatError(f"passages[{at}] repeats passage id {entry['id']}")
+            raise CorpusError(f"passages[{at}] repeats passage id {entry['id']}")
         by_id[entry["id"]] = Passage(entry["id"], entry["title"], entry["text"], entry["word_count"])
 
     terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
     if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
-        raise IndexFormatError("index has no 'terms' list of strings")
+        raise CorpusError("index has no 'terms' list of strings")
     if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
-        raise IndexFormatError("index has no 'doc_freqs' list as long as 'terms'")
+        raise CorpusError("index has no 'doc_freqs' list as long as 'terms'")
     counts = Counter(terms)
     for term in terms:
         if counts[term] > 1:
-            raise IndexFormatError(f"'terms' lists {term!r} twice")
+            raise CorpusError(f"'terms' lists {term!r} twice")
     for at, freq in enumerate(doc_freqs):
         if not isinstance(freq, int) or isinstance(freq, bool):
-            raise IndexFormatError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
+            raise CorpusError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
         if freq < 1:
-            raise IndexFormatError(f"doc_freqs[{at}] must be at least 1")
+            raise CorpusError(f"doc_freqs[{at}] must be at least 1")
 
     total = sum(doc_freqs)
     if len(columns) != total * 12:
-        raise IndexFormatError(
+        raise CorpusError(
             f"index columns hold {len(columns)} bytes, but sum(doc_freqs) = {total} "
             f"postings need {total * 12}"
         )
@@ -133,10 +139,10 @@ def reference_load_index(path) -> CorpusIndex:
     ]
     for tf in tfs:
         if tf < 1:
-            raise IndexFormatError("a term frequency in the index is below 1")
+            raise CorpusError("a term frequency in the index is below 1")
     for pid in ids:
         if pid not in by_id:
-            raise IndexFormatError(
+            raise CorpusError(
                 f"the postings name passage id {pid}, which is not in 'passages'"
             )
     offsets = [0]
@@ -144,7 +150,7 @@ def reference_load_index(path) -> CorpusIndex:
         start = offsets[-1]
         for at in range(start + 1, start + freq):
             if ids[at] <= ids[at - 1]:
-                raise IndexFormatError(f"the passage ids of term {term!r} are not strictly ascending")
+                raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
         offsets.append(start + freq)
     return corpus._corpus_index(by_id, terms, offsets, ids, array("I", tfs))
 

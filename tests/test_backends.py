@@ -19,7 +19,6 @@ from factrail.backends import (
     BackendConfig,
     BackendError,
     BackendUnavailableError,
-    EmptyGenerationError,
     HttpBackend,
     LENGTH_LIMIT_MARKER,
     MalformedUpstreamResponseError,
@@ -37,7 +36,7 @@ from factrail.corpus import index_documents
 from factrail.grammar import TokenKind
 from factrail.orchestrator import run_batch
 
-from helpers import StubServer, chat_reply
+from helpers import StubServer, chat_reply, exactly
 
 
 def NO_WAIT(_seconds):
@@ -133,7 +132,7 @@ def test_scripted_empty_reply_raises():
         backend = ScriptedBackend()
         req = request_for()
         backend.add_reply(prompt_text(req), raw)
-        with pytest.raises(EmptyGenerationError):
+        with pytest.raises(BackendError, match=exactly("backend produced an empty continuation")):
             backend.generate(req)
 
 
@@ -407,7 +406,7 @@ def test_http_reply_cut_at_a_head_names_the_head_not_the_length_limit():
 
 def test_http_empty_content_raises():
     with StubServer(lambda payload: (200, chat_reply(""))) as server:
-        with pytest.raises(EmptyGenerationError):
+        with pytest.raises(BackendError, match=exactly("backend produced an empty continuation")):
             HttpBackend(config_for(server)).generate(request_for())
 
 

@@ -1461,6 +1461,20 @@ def test_build_dataset_names_a_raw_line_whose_dialogue_turn_is_not_a_pair(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("turns", [{}, {"history": []}], ids=["no-history", "empty-history"])
+def test_build_dataset_names_a_raw_line_whose_dialogue_has_no_question(tmp_path, capsys, turns):
+    # Refused where the record is read, so the error names its line.
+    dialogue = {"task": "dialogue", "x": "  ", "y": "a", **turns}
+    raw_path = write_jsonl(tmp_path / "raw.jsonl", [RAWS[0], dialogue])
+    out = tmp_path / "train.jsonl"
+    code = main(["build-dataset", "--kind", "short-intent", "--in", raw_path, "--out", str(out)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: bad raw record on line 2: a dialogue record needs history or a current question\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["raw.jsonl"]
+
+
 def test_validate_flags_a_dataset_input_with_two_instruction_terminators(tmp_path, capsys):
     x = "which planet is </eoi> the smallest planet?"
     output = f"Search({x})</eor>"

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from factrail.corpus import EmptyQueryError, index_documents
 from factrail.dataset import (
+    DatasetError,
     ExampleKind,
-    NoRelevantFactsError,
     RawExample,
     RuleBasedCritic,
     TaskTag,
@@ -26,7 +26,7 @@ from factrail.dataset import (
 )
 from factrail.grammar import (
     CitationList,
-    EmptyRetrievalError,
+    GrammarError,
     Relevance,
     StepKind,
     TrajectoryStep,
@@ -90,6 +90,13 @@ def records():
     return fields().map(as_record).filter(lambda record: record is not None)
 
 
+# What build_example says when the record has nothing to cut its example from.
+_NO_PASSAGES = (
+    "a retrieval block must contain at least one passage",
+    "a fact-conditioned example needs at least one Relevant judgment",
+)
+
+
 def build(kind, record):
     """The example of this kind, or None when the record has no passages (or,
     for the fact-conditioned kind, no Relevant one) to cut it from, or its
@@ -97,7 +104,11 @@ def build(kind, record):
     index, raw = record
     try:
         return build_example(kind, raw, RuleBasedCritic(), index)
-    except (EmptyRetrievalError, NoRelevantFactsError, EmptyQueryError):
+    except EmptyQueryError:
+        return None
+    except (GrammarError, DatasetError) as exc:
+        if str(exc) not in _NO_PASSAGES:
+            raise
         return None
 
 

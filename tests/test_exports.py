@@ -28,6 +28,35 @@ def test_every_exported_name_exists_and_is_listed_once(name):
     assert sorted({n for n in exported if exported.count(n) > 1}) == []
 
 
+# The error classes some code or the acceptance tests catch by name. Every
+# other fault raises its module's base class with a message naming it.
+ERROR_CLASSES = {
+    "factrail.backends": {"BackendError", "BackendUnavailableError", "MalformedUpstreamResponseError"},
+    "factrail.cli": {"ConfigError"},
+    "factrail.corpus": {"CorpusError", "EmptyQueryError"},
+    "factrail.dataset": {"DatasetError"},
+    "factrail.evaluation": {"SchemaMismatchError", "UnknownTaskError"},
+    "factrail.grammar": {"GrammarError", "MultilinePassageError"},
+    "factrail.orchestrator": {"PipelineError", "TraceFormatError"},
+}
+
+
+def test_the_package_defines_only_the_error_classes_code_tells_apart():
+    defined = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        classes = {
+            attr
+            for attr, value in vars(module).items()
+            if isinstance(value, type)
+            and issubclass(value, Exception)
+            and value.__module__ == name
+        }
+        if classes:
+            defined[name] = classes
+    assert defined == ERROR_CLASSES
+
+
 def fresh_interpreter(probe: str) -> list[str]:
     """The words ``probe`` prints in a new interpreter, so no other test's imports count."""
     src = str(Path(factrail.__file__).parents[1])

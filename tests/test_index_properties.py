@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrail import corpus
-from factrail.corpus import IndexFormatError, index_documents, load_index, save_index
+from factrail.corpus import CorpusError, index_documents, load_index, save_index
 from factrail.grammar import TokenKind
 from helpers import reference_load_index
 
@@ -108,8 +108,8 @@ def _file(header: dict, ids: bytes = _ID_BYTES, tfs: bytes = _TF_BYTES) -> bytes
 def _outcome(load, path):
     try:
         return load(path)
-    except IndexFormatError as exc:
-        return f"IndexFormatError: {exc}"
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
 
 
 def _assert_loads_as_the_reference(data: bytes) -> object:
@@ -165,7 +165,7 @@ def test_a_negative_id_inside_a_term_is_named_before_the_order():
     _set_int(ids, 8, start + 1, -7, signed=True)
     outcome = _assert_loads_as_the_reference(_file(_HEADER, ids))
     assert outcome == (
-        "IndexFormatError: the postings name passage id -7, which is not in 'passages'"
+        "CorpusError: the postings name passage id -7, which is not in 'passages'"
     )
 
 
@@ -175,7 +175,7 @@ def test_the_first_faulty_entry_is_named_when_a_clean_looking_one_follows():
         header["passages"][2]["word_count"] = "100"
 
     outcome = _assert_loads_as_the_reference(_file(_edited(edit)))
-    assert outcome == "IndexFormatError: passages[0] 'title' holds the grammar token <Locator>"
+    assert outcome == "CorpusError: passages[0] 'title' holds the grammar token <Locator>"
 
 
 def test_a_non_ascii_title_takes_the_exact_check_and_loads(monkeypatch):

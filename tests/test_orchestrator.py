@@ -26,8 +26,8 @@ from factrail.evaluation import EvalExample, evaluate
 from factrail.grammar import (
     CitationList,
     IntentSet,
+    GrammarError,
     LocatorJudgment,
-    OrderViolationError,
     Relevance,
     StepKind,
     TokenKind,
@@ -56,6 +56,7 @@ from factrail.orchestrator import (
 from helpers import (
     StubServer,
     chat_reply,
+    exactly,
     format_judgment_line,
     judge_by_answer,
     mirror_retrieval,
@@ -567,7 +568,7 @@ def test_detects_step_disorder(clean_trace):
         f"{s.kind.head.value}\n{s.body}\n{s.kind.end.value}\n"
         for s in reversed(clean_trace.trajectory.steps)
     )
-    with pytest.raises(OrderViolationError):
+    with pytest.raises(GrammarError, match=exactly("<Locator> at offset 41 breaks the section order")):
         trace_from_dict(row)
 
 
@@ -868,6 +869,17 @@ def test_run_batch_keeps_order_and_isolates_failures(index):
 
     solo = run_inference(INSTRUCTION, index, backend, cfg)
     assert trace_to_dict(results[0]) == trace_to_dict(solo)
+
+
+def test_a_failed_batch_item_keeps_no_frames(index):
+    # Its traceback, or its cause's, would keep the failed run's locals alive
+    # for as long as the caller keeps the item.
+    backend, cfg = ScriptedBackend(), InferenceConfig()
+    [error] = run_batch(["totally unscripted"], index, backend, cfg)
+    assert isinstance(error, PipelineError)
+    assert (error.__traceback__, error.__cause__, error.__context__) == (None, None, None)
+    assert error.stage == "reconstructor"
+    assert str(error) == serial_failure("totally unscripted", index, backend, cfg)
 
 
 class GatedBackend:
