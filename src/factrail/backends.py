@@ -12,19 +12,26 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
 import math
 import os
-import ssl
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 from urllib.parse import urlsplit
 
 from .fileio import atomic_path, read_jsonl, typed_field
 from .grammar import StepKind, TokenKind
+
+# The HTTP stack loads on the first request, so a process that sends none
+# never pays for it.
+if TYPE_CHECKING:
+    import http.client
+    import ssl
+
+    # The connection factory, host, port and request target of an endpoint URL.
+    _Endpoint = tuple[Callable[..., http.client.HTTPConnection], str, int | None, str]
 
 __all__ = [
     "BackendError",
@@ -185,16 +192,14 @@ def save_script(script: Mapping[str, str], path: str | Path) -> None:
             )
 
 
-# The connection factory, host, port and request target of an endpoint URL.
-_Endpoint = tuple[Callable[..., http.client.HTTPConnection], str, int | None, str]
-
-
 @functools.cache
 def _tls_context() -> ssl.SSLContext:
     """The process's one TLS context, made on the first https request and
     configured as ``HTTPSConnection`` configures its own default. Making one
     loads the CA store (about 27 ms on a 2-vCPU Xeon VM), which a context per
     connection would pay on every attempt."""
+    import ssl
+
     context = ssl._create_default_https_context()
     context.set_alpn_protocols(["http/1.1"])
     if context.post_handshake_auth is not None:
@@ -203,6 +208,8 @@ def _tls_context() -> ssl.SSLContext:
 
 
 def _https_connection(host: str, port: int | None, timeout: float) -> http.client.HTTPSConnection:
+    import http.client
+
     return http.client.HTTPSConnection(host, port, timeout=timeout, context=_tls_context())
 
 
@@ -219,6 +226,8 @@ def _endpoint(url: str) -> _Endpoint:
     if parts.scheme == "https":
         connect = _https_connection
     else:
+        import http.client
+
         connect = http.client.HTTPConnection
     try:
         port = parts.port
@@ -312,6 +321,8 @@ def chat_completion(
     request. A 2xx body that is not UTF-8 JSON, or lacks the text field,
     is malformed and not retried.
     """
+    import http.client
+
     endpoint = _endpoint(config.endpoint_url)
     payload = {
         "model": config.model,

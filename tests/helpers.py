@@ -8,6 +8,7 @@ import math
 import random
 import re
 import threading
+import zlib
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -125,26 +126,24 @@ def reference_load_index(path) -> CorpusIndex:
             raise CorpusError(f"doc_freqs[{at}] must be at least 1")
 
     total = sum(doc_freqs)
-    if len(columns) != total * 12:
+    if len(columns) != total * 8:
         raise CorpusError(
             f"index columns hold {len(columns)} bytes, but sum(doc_freqs) = {total} "
-            f"postings need {total * 12}"
+            f"postings need {total * 8}"
         )
-    ids = [
-        int.from_bytes(columns[8 * at : 8 * at + 8], "little", signed=True) for at in range(total)
-    ]
-    tfs = [
-        int.from_bytes(columns[8 * total + 4 * at : 8 * total + 4 * at + 4], "little")
-        for at in range(total)
-    ]
+    row_column, tf_column = columns[: 4 * total], columns[4 * total :]
+    rows = [int.from_bytes(row_column[4 * at : 4 * at + 4], "little") for at in range(total)]
+    tfs = [int.from_bytes(tf_column[4 * at : 4 * at + 4], "little") for at in range(total)]
     for tf in tfs:
         if tf < 1:
             raise CorpusError("a term frequency in the index is below 1")
-    for pid in ids:
-        if pid not in by_id:
+    row_ids = sorted(by_id)
+    for row in rows:
+        if row >= len(row_ids):
             raise CorpusError(
-                f"the postings name passage id {pid}, which is not in 'passages'"
+                f"the postings name passage row {row}, but len(passages) = {len(row_ids)}"
             )
+    ids = [row_ids[row] for row in rows]
     offsets = [0]
     for term, freq in zip(terms, doc_freqs):
         start = offsets[-1]
@@ -152,6 +151,8 @@ def reference_load_index(path) -> CorpusIndex:
             if ids[at] <= ids[at - 1]:
                 raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
         offsets.append(start + freq)
+    if header.get("crc32") != {"rows": zlib.crc32(row_column), "tfs": zlib.crc32(tf_column)}:
+        raise CorpusError("the index columns do not match their checksum")
     return corpus._corpus_index(by_id, terms, offsets, ids, array("I", tfs))
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import zlib
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -311,24 +312,27 @@ def test_index_missing_corpus_fails(tmp_path):
 
 
 GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
-V1_COMPLAINT = (
-    "index format version 1 is no longer read; re-run `factrail index` "
-    "on the corpus to rebuild the index"
-)
 
 
-def index_bytes(header, pids=(), tfs=()):
-    """A version 2 index file: a JSON header line, then the two columns."""
+def rebuild_complaint(version):
     return (
-        json.dumps(header).encode() + b"\n"
-        + b"".join(pid.to_bytes(8, "little", signed=True) for pid in pids)
-        + b"".join(tf.to_bytes(4, "little") for tf in tfs)
+        f"index format version {version} is no longer read; re-run `factrail index` "
+        "on the corpus to rebuild the index"
     )
 
 
-def v2_header(passages=(GOOD_ENTRY,), terms=(), doc_freqs=()):
+def index_bytes(header, rows=(), tfs=()):
+    """A version 3 index file: a JSON header line carrying the columns' true
+    CRC-32s, then the two columns."""
+    row_column = b"".join(row.to_bytes(4, "little") for row in rows)
+    tf_column = b"".join(tf.to_bytes(4, "little") for tf in tfs)
+    header = {**header, "crc32": {"rows": zlib.crc32(row_column), "tfs": zlib.crc32(tf_column)}}
+    return json.dumps(header).encode() + b"\n" + row_column + tf_column
+
+
+def v3_header(passages=(GOOD_ENTRY,), terms=(), doc_freqs=()):
     return {
-        "format": "factrail-index", "version": 2, "passages": list(passages),
+        "format": "factrail-index", "version": 3, "passages": list(passages),
         "terms": list(terms), "doc_freqs": list(doc_freqs),
     }
 
@@ -368,7 +372,7 @@ def assert_infer_fails_with(tmp_path, capsys, index_data, complaint):
     ],
 )
 def test_malformed_index_exits_with_message(tmp_path, capsys, passages, complaint):
-    header = v2_header()
+    header = v3_header()
     del header["passages"]
     if passages is not None:
         header["passages"] = passages
@@ -377,6 +381,12 @@ def test_malformed_index_exits_with_message(tmp_path, capsys, passages, complain
 
 MOON_TERMS = {"terms": ["the", "moon"], "doc_freqs": [1, 1]}
 V1_PAYLOAD = {"format": "factrail-index", "version": 1, "passages": [GOOD_ENTRY]}
+TWO_PASSAGES = [GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}]
+# A version 2 file: no checksums, and each posting's passage id as an int64.
+V2_FILE = (
+    json.dumps({**v3_header(**MOON_TERMS), "version": 2}).encode() + b"\n"
+    + (0).to_bytes(8, "little") * 2 + (1).to_bytes(4, "little") * 2
+)
 
 
 @pytest.mark.parametrize(
@@ -384,33 +394,40 @@ V1_PAYLOAD = {"format": "factrail-index", "version": 1, "passages": [GOOD_ENTRY]
     [
         pytest.param(b'{"format": "factrail-index",\n', "not an index file: ", id="header-not-json"),
         pytest.param(
-            b"\xff\xfe" + index_bytes(v2_header()),
+            b"\xff\xfe" + index_bytes(v3_header()),
             "not an index file: 'utf-8' codec can't decode byte 0xff",
             id="header-not-utf8",
         ),
         pytest.param(
-            index_bytes(v2_header(**MOON_TERMS), [0], [1]),
-            "index columns hold 12 bytes, but sum(doc_freqs) = 2 postings need 24",
+            index_bytes(v3_header(**MOON_TERMS), [0], [1]),
+            "index columns hold 8 bytes, but sum(doc_freqs) = 2 postings need 16",
             id="columns-too-short",
         ),
         pytest.param(
-            index_bytes(v2_header(**MOON_TERMS), [0, 0, 0], [1, 1, 1]),
-            "index columns hold 36 bytes, but sum(doc_freqs) = 2 postings need 24",
+            index_bytes(v3_header(**MOON_TERMS), [0, 0, 0], [1, 1, 1]),
+            "index columns hold 24 bytes, but sum(doc_freqs) = 2 postings need 16",
             id="columns-too-long",
         ),
         pytest.param(
-            index_bytes(v2_header(**MOON_TERMS), [0, 0], [1, 0]),
+            index_bytes(v3_header(**MOON_TERMS), [0, 0], [1, 0]),
             "a term frequency in the index is below 1",
             id="tf-zero",
         ),
         pytest.param(
-            index_bytes(v2_header(**MOON_TERMS), [0, 5], [1, 1]),
-            "the postings name passage id 5, which is not in 'passages'",
-            id="unknown-pid",
+            index_bytes(v3_header(**MOON_TERMS), [0, 5], [1, 1]),
+            "the postings name passage row 5, but len(passages) = 1",
+            id="unknown-row",
+        ),
+        pytest.param(
+            # The last tf turns from 1 to 2 after its checksum was taken.
+            index_bytes(v3_header(TWO_PASSAGES, **MOON_TERMS), [0, 1], [1, 1])[:-4]
+            + (2).to_bytes(4, "little"),
+            "the index columns do not match their checksum",
+            id="checksum-mismatch",
         ),
         pytest.param(
             index_bytes(
-                v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 2]),
+                v3_header(TWO_PASSAGES, ["the", "moon"], [2, 2]),
                 [0, 1, 1, 0], [1, 1, 1, 1],
             ),
             "the passage ids of term 'moon' are not strictly ascending",
@@ -418,60 +435,63 @@ V1_PAYLOAD = {"format": "factrail-index", "version": 1, "passages": [GOOD_ENTRY]
         ),
         pytest.param(
             index_bytes(
-                v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 2]),
+                v3_header(TWO_PASSAGES, ["the", "moon"], [2, 2]),
                 [0, 0, 0, 1], [1, 1, 1, 1],
             ),
             "the passage ids of term 'the' are not strictly ascending",
             id="duplicate-pid",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["moon", "moon"], doc_freqs=[1, 1]), [0, 0], [1, 1]),
+            index_bytes(v3_header(terms=["moon", "moon"], doc_freqs=[1, 1]), [0, 0], [1, 1]),
             "'terms' lists 'moon' twice",
             id="duplicate-term",
         ),
         pytest.param(
-            index_bytes(v2_header([GOOD_ENTRY, GOOD_ENTRY])),
+            index_bytes(v3_header([GOOD_ENTRY, GOOD_ENTRY])),
             "passages[1] repeats passage id 0",
             id="duplicate-passage-id",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["the", "moon"], doc_freqs=[1, 0]), [0], [1]),
+            index_bytes(v3_header(terms=["the", "moon"], doc_freqs=[1, 0]), [0], [1]),
             "doc_freqs[1] must be at least 1",
             id="doc-freq-zero",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["moon"], doc_freqs=[-1])),
+            index_bytes(v3_header(terms=["moon"], doc_freqs=[-1])),
             "doc_freqs[0] must be at least 1",
             id="doc-freq-negative",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["moon"], doc_freqs=[True]), [0], [1]),
+            index_bytes(v3_header(terms=["moon"], doc_freqs=[True]), [0], [1]),
             "doc_freqs[0] must be int, not bool",
             id="doc-freq-bool",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["the", "moon"], doc_freqs=[1])),
+            index_bytes(v3_header(terms=["the", "moon"], doc_freqs=[1])),
             "index has no 'doc_freqs' list as long as 'terms'",
             id="doc-freqs-short",
         ),
         pytest.param(
-            index_bytes(v2_header(terms=["the", 7], doc_freqs=[1, 1]), [0, 0], [1, 1]),
+            index_bytes(v3_header(terms=["the", 7], doc_freqs=[1, 1]), [0, 0], [1, 1]),
             "index has no 'terms' list of strings",
             id="term-not-str",
         ),
         pytest.param(
-            json.dumps(V1_PAYLOAD, indent=1).encode() + b"\n", V1_COMPLAINT, id="v1-pretty-printed"
+            json.dumps(V1_PAYLOAD, indent=1).encode() + b"\n",
+            rebuild_complaint(1),
+            id="v1-pretty-printed",
         ),
-        pytest.param(json.dumps(V1_PAYLOAD).encode(), V1_COMPLAINT, id="v1-one-line"),
+        pytest.param(json.dumps(V1_PAYLOAD).encode(), rebuild_complaint(1), id="v1-one-line"),
+        pytest.param(V2_FILE, rebuild_complaint(2), id="v2"),
     ],
 )
-def test_malformed_v2_index_exits_with_message(tmp_path, capsys, index_data, complaint):
+def test_malformed_v3_index_exits_with_message(tmp_path, capsys, index_data, complaint):
     assert_infer_fails_with(tmp_path, capsys, index_data, complaint)
 
 
 def test_index_with_valid_columns_loads(tmp_path):
     # Ids may fall where one term's column ends and the next begins.
-    header = v2_header([GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}], ["the", "moon"], [2, 1])
+    header = v3_header(TWO_PASSAGES, ["the", "moon"], [2, 1])
     path = tmp_path / "ok.index"
     path.write_bytes(index_bytes(header, [0, 1, 0], [1, 1, 2]))
     index = load_index(path)

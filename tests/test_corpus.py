@@ -9,6 +9,7 @@ import re
 import stat
 import string
 import sys
+import zlib
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -613,15 +614,15 @@ def test_index_file_is_a_json_header_then_little_endian_columns(tmp_path):
     header = json.loads(line)
     compact = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     assert line == compact.encode()
-    assert header["version"] == 2
+    assert header["version"] == 3
     assert header["terms"] == ["cat", "dog", "a", "b"]
     assert header["doc_freqs"] == [1, 2, 1, 1]
     assert [p["id"] for p in header["passages"]] == [0, 300]
-    pids = [0, 0, 300, 0, 300]
-    tfs = [1, 1, 2, 1, 1]
-    assert columns == b"".join(p.to_bytes(8, "little") for p in pids) + b"".join(
-        t.to_bytes(4, "little") for t in tfs
-    )
+    # Passage 300 is row 1: its place among the passages sorted by id.
+    rows = b"".join(row.to_bytes(4, "little") for row in [0, 0, 1, 0, 1])
+    tfs = b"".join(tf.to_bytes(4, "little") for tf in [1, 1, 2, 1, 1])
+    assert columns == rows + tfs
+    assert header["crc32"] == {"rows": zlib.crc32(rows), "tfs": zlib.crc32(tfs)}
 
 
 def test_saves_of_one_index_are_byte_identical(tmp_path):
@@ -637,11 +638,51 @@ def test_saves_of_one_index_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("size", [1, 3, 7])
 def test_an_id_column_written_in_slices_has_the_bytes_of_one_write(tmp_path, monkeypatch, size):
-    index = build_index(_random_corpus(random.Random(7), 8))
+    # Sparse ids, some negative, so no posting's row equals its passage id.
+    passages = [replace(p, id=3 * p.id - 5) for p in _random_corpus(random.Random(7), 8)]
+    index = build_index(passages)
     save_index(index, tmp_path / "whole.idx")
     monkeypatch.setattr(corpus, "_WRITE_SLICE", size)
     save_index(index, tmp_path / "sliced.idx")
     assert (tmp_path / "sliced.idx").read_bytes() == (tmp_path / "whole.idx").read_bytes()
+    assert load_index(tmp_path / "sliced.idx") == index
+
+
+def test_rows_name_the_passages_in_id_order_whatever_order_the_header_lists(tmp_path):
+    index = build_index([make_passage(7, "A", "cat"), make_passage(-3, "B", "cat dog")])
+    path = tmp_path / "idx.bin"
+    save_index(index, path)
+    line, newline, columns = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    assert [p["id"] for p in header["passages"]] == [-3, 7]
+    header["passages"].reverse()
+    path.write_bytes(json.dumps(header).encode() + newline + columns)
+    loaded = load_index(path)
+    assert loaded == index
+    assert loaded.ids[: loaded.span("cat")[1]] == [-3, 7]
+
+
+@pytest.mark.parametrize(
+    "pids, bad",
+    [([0, 1, 2], 2), ([0, -1, 1], -1), ([0, 2**32], 2**32), ([5, 9, 6], 6), ([5, -5], -5)],
+    ids=["past-the-last", "negative", "beyond-uint32", "between-sparse-ids", "sparse-negative"],
+)
+def test_save_refuses_postings_naming_no_passage(tmp_path, pids, bad):
+    # A hand-built index; save_index would otherwise write a file that
+    # load_index refuses. Passages 0 and 1 have dense ids, 5 and 9 sparse ones.
+    passages = [make_passage(pid, "T", "word") for pid in sorted(set(pids) - {bad})]
+    index = replace(
+        build_index(passages),
+        term_numbers={"word": 0},
+        offsets=[0, len(pids)],
+        ids=pids,
+        tfs=array("I", [1] * len(pids)),
+    )
+    path = tmp_path / "idx.bin"
+    message = f"the postings name passage id {bad}, which the index has no passage for"
+    with pytest.raises(CorpusError, match=exactly(message)):
+        save_index(index, path)
+    assert not path.exists()
 
 
 def test_loaded_postings_share_the_passage_id_objects(tmp_path):

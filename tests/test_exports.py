@@ -93,6 +93,15 @@ def test_importing_one_module_loads_no_other_and_no_network_stack():
     assert fresh_interpreter(probe) == ["factrail.grammar"]
 
 
+def test_importing_the_cli_loads_no_network_stack():
+    # Only an HTTP request needs the network stack, so it loads on the first.
+    probe = (
+        "import sys; import factrail.cli; "
+        "print(' '.join(sorted({'ssl', 'http.client'} & set(sys.modules))))"
+    )
+    assert fresh_interpreter(probe) == []
+
+
 def test_the_package_declares_no_runtime_dependency():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     declared = re.search(r"^dependencies = \[(.*?)\]", pyproject.read_text(encoding="utf-8"), re.M | re.S)

@@ -1,6 +1,7 @@
 """Differential tests of ``load_index`` over corrupted index files: every
 file loads to the index that ``helpers.reference_load_index`` (plain loops
-over every entry and posting) loads, or fails with the same message.
+over every entry and posting) loads, or fails with the same message. A
+corruption that keeps the columns well-formed is refused by their checksum.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
 ``HYPOTHESIS_PROFILE=ci`` runs more. Generation is derandomized, so a run
@@ -10,6 +11,8 @@ corrupts the same files every time.
 import json
 import random
 import tempfile
+import zlib
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -36,17 +39,18 @@ _VALUES = [
 
 
 def _saved_index() -> tuple[dict, bytes, bytes]:
-    """The header, id column and tf column of the saved index of ``_DOCS``."""
+    """The header, row column and tf column of the saved index of ``_DOCS``."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "base.idx"
         save_index(index_documents(_DOCS), path)
         line, _, columns = path.read_bytes().partition(b"\n")
     header = json.loads(line)
-    return header, columns[: 8 * len(columns) // 12], columns[8 * len(columns) // 12 :]
+    return header, columns[: len(columns) // 2], columns[len(columns) // 2 :]
 
 
-_HEADER, _ID_BYTES, _TF_BYTES = _saved_index()
+_HEADER, _ROW_BYTES, _TF_BYTES = _saved_index()
 _POSTINGS = len(_TF_BYTES) // 4
+_PASSAGES = len(_HEADER["passages"])
 
 
 def _corrupt_header(rng: random.Random, header: dict) -> None:
@@ -73,36 +77,59 @@ def _corrupt_header(rng: random.Random, header: dict) -> None:
         container[key] = rng.choice(_VALUES)
 
 
-def _set_int(column: bytearray, width: int, at: int, value: int, signed: bool) -> None:
-    column[width * at : width * (at + 1)] = value.to_bytes(width, "little", signed=signed)
+def _get_int(column: bytes, at: int) -> int:
+    return int.from_bytes(column[4 * at : 4 * at + 4], "little")
+
+
+def _set_int(column: bytearray, at: int, value: int) -> None:
+    column[4 * at : 4 * at + 4] = value.to_bytes(4, "little")
+
+
+def _row_replacements() -> list[tuple[int, int]]:
+    """Each (posting, row) where writing the row, another known one, keeps
+    the posting's term strictly ascending."""
+    spans = [0, *accumulate(_HEADER["doc_freqs"])]
+    found = []
+    for start, end in zip(spans, spans[1:]):
+        rows = [-1, *(_get_int(_ROW_BYTES, at) for at in range(start, end)), _PASSAGES]
+        for at in range(start, end):
+            low, row, high = rows[at - start : at - start + 3]
+            found += [(at, other) for other in range(low + 1, high) if other != row]
+    return found
+
+
+_ROW_REPLACEMENTS = _row_replacements()
 
 
 def _corrupted(kind: str, rng: random.Random) -> bytes:
     header = json.loads(json.dumps(_HEADER))
-    ids, tfs = bytearray(_ID_BYTES), bytearray(_TF_BYTES)
+    rows, tfs = bytearray(_ROW_BYTES), bytearray(_TF_BYTES)
     at = rng.randrange(_POSTINGS)
     if kind in ("header", "two in header"):
         for _ in range(1 + (kind == "two in header")):
             _corrupt_header(rng, header)
     elif kind == "bit flip":
-        columns = rng.choice([ids, tfs])
+        columns = rng.choice([rows, tfs])
         bit = rng.randrange(8 * len(columns))
         columns[bit // 8] ^= 1 << (bit % 8)
-    elif kind == "id":
-        value = rng.choice([-1, len(_HEADER["passages"]), 2**40, -rng.randint(2, 10**6)])
-        _set_int(ids, 8, at, value, signed=True)
+    elif kind == "row":
+        _set_int(rows, at, rng.choice([_PASSAGES, 2**32 - 1, rng.randint(_PASSAGES, 2**32 - 1)]))
+    elif kind == "known row":
+        _set_int(rows, *rng.choice(_ROW_REPLACEMENTS))
     elif kind == "swap":
         at = rng.randrange(_POSTINGS - 1)
-        ids[8 * at : 8 * at + 16] = ids[8 * at + 8 : 8 * at + 16] + ids[8 * at : 8 * at + 8]
+        rows[4 * at : 4 * at + 8] = rows[4 * at + 4 : 4 * at + 8] + rows[4 * at : 4 * at + 4]
     elif kind == "tf 0":
-        _set_int(tfs, 4, at, 0, signed=False)
-    return _file(header, ids, tfs)
+        _set_int(tfs, at, 0)
+    elif kind == "tf":
+        _set_int(tfs, at, rng.choice([_get_int(tfs, at) + 1, 2**32 - 1, 256]))
+    return _file(header, rows, tfs)
 
 
-def _file(header: dict, ids: bytes = _ID_BYTES, tfs: bytes = _TF_BYTES) -> bytes:
+def _file(header: dict, rows: bytes = _ROW_BYTES, tfs: bytes = _TF_BYTES) -> bytes:
     # ASCII JSON, which escapes what UTF-8 cannot encode (a lone surrogate).
     line = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return line.encode() + b"\n" + bytes(ids) + bytes(tfs)
+    return line.encode() + b"\n" + bytes(rows) + bytes(tfs)
 
 
 def _outcome(load, path):
@@ -123,7 +150,9 @@ def _assert_loads_as_the_reference(data: bytes) -> object:
 
 @settings(deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["header", "two in header", "bit flip", "id", "swap", "tf 0"]),
+    kind=st.sampled_from(
+        ["header", "two in header", "bit flip", "row", "known row", "swap", "tf 0", "tf"]
+    ),
     rng=st.randoms(use_true_random=False),
 )
 def test_a_corrupted_index_loads_as_the_reference_loads_it(kind, rng):
@@ -156,17 +185,37 @@ def test_a_word_count_is_checked_as_the_reference_checks_it(value):
     _assert_loads_as_the_reference(_file(header))
 
 
-def test_a_negative_id_inside_a_term_is_named_before_the_order():
-    # The id falls below the term's valid first id, so the span is out of
-    # order too, but an unknown passage is the fault named first.
+def test_a_row_past_the_passages_inside_a_term_is_named_before_the_order():
+    # The row names no passage, and it is above the row after it, so the
+    # span is out of order too; an unknown row is the fault named first.
     start, end = index_documents(_DOCS).span("moon")
     assert end - start >= 3
-    ids = bytearray(_ID_BYTES)
-    _set_int(ids, 8, start + 1, -7, signed=True)
-    outcome = _assert_loads_as_the_reference(_file(_HEADER, ids))
+    rows = bytearray(_ROW_BYTES)
+    _set_int(rows, start + 1, 2**32 - 7)
+    outcome = _assert_loads_as_the_reference(_file(_HEADER, rows))
     assert outcome == (
-        "CorpusError: the postings name passage id -7, which is not in 'passages'"
+        f"CorpusError: the postings name passage row {2**32 - 7}, but len(passages) = {_PASSAGES}"
     )
+
+
+def _with_checksums(data: bytes) -> bytes:
+    """data with the checksums of its own columns in its header."""
+    line, _, columns = data.partition(b"\n")
+    header = json.loads(line)
+    half = len(columns) // 2
+    header["crc32"] = {"rows": zlib.crc32(columns[:half]), "tfs": zlib.crc32(columns[half:])}
+    return _file(header, columns[:half], columns[half:])
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["tf", "known row"])
+def test_a_well_formed_corruption_is_refused_by_the_checksum_alone(kind, seed):
+    data = _corrupted(kind, random.Random(seed))
+    outcome = _assert_loads_as_the_reference(data)
+    assert outcome == "CorpusError: the index columns do not match their checksum"
+    # Every other check passes it: with its checksums fixed, the file loads.
+    loaded = _assert_loads_as_the_reference(_with_checksums(data))
+    assert loaded != index_documents(_DOCS)
 
 
 def test_the_first_faulty_entry_is_named_when_a_clean_looking_one_follows():
@@ -198,3 +247,10 @@ def test_a_non_ascii_title_takes_the_exact_check_and_loads(monkeypatch):
 
 def test_every_grammar_token_starts_with_the_character_the_quick_check_looks_for():
     assert all(token.value.startswith(corpus._TOKEN_START) for token in TokenKind)
+
+
+def test_a_tf_whose_low_byte_is_zero_is_not_taken_for_zero():
+    tfs = bytearray(_TF_BYTES)
+    _set_int(tfs, 0, 512)
+    loaded = _assert_loads_as_the_reference(_with_checksums(_file(_HEADER, tfs=tfs)))
+    assert loaded.tfs[0] == 512
