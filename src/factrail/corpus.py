@@ -21,15 +21,19 @@ per-term lists. Each of its checks is one pass at C speed, one quick test
 per passage entry, or the bounds check of the pass that maps rows to ids;
 the per-item code that names a fault runs only once a pass finds one.
 
-``retrieve`` prunes exactly (MaxScore): it scans rare terms first and skips
-the spans of common terms once their summed upper bounds can no longer
-lift an unseen passage into the top k. It looks the skipped terms up
-by binary search within the term's span for the passages still in
-contention (a heap, not a sort, picks the k-th best of many partial
-scores), then rescores the survivors adding terms in query order, so
-scores and ranks equal those of an exhaustive scan. The first scan of a term
-keeps the BM25 weight of each of its postings in the index, and later scans
-add those weights instead of recomputing them.
+``retrieve`` is exact, and picks its evaluation from the query's postings.
+A query whose terms hold few postings, as most intents do, is scored
+term at a time: each term's weights are added in query order, so each sum
+is already the exhaustive score. A longer one is pruned (MaxScore): rare
+terms are scanned first, and the spans of common terms are skipped once
+their summed upper bounds can no longer lift an unseen passage into the
+top k. The skipped terms are looked up by binary search within the term's
+span for the passages still in contention (a heap, not a sort, picks the
+k-th best of many partial scores), and the survivors are rescored adding
+terms in query order, so scores and ranks equal those of an exhaustive
+scan. The first scan of a term keeps the BM25 weight of each of its
+postings in the index, the exhaustive scan's own expression, and later
+scans by either evaluation add those weights instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -92,6 +96,14 @@ _PRUNE_SLACK = 1e-9
 # From this many partial scores on, retrieve picks the k-th best with a heap,
 # not a sort: the two cost about the same here at k = 3.
 _HEAP_SELECT_FROM = 300
+# retrieve scores a query whose matching terms hold at most this many
+# postings exhaustively, and prunes one with more (MaxScore). Exhaustive
+# over MaxScore time, per-query minimum of 5 alternating warm rounds over
+# the benchmark generator's seeds 1-6 (2-vCPU Xeon VM, Python 3.11.7): on
+# answer-zipf intents 0.73-0.93 below 448 postings, 1.20 at 448-511 (4
+# queries), 0.92 at 512-575 and 1.07-1.18 from 576 on; on chain-small's
+# build-dataset queries, all below 384, 0.68-0.74.
+_PRUNE_FROM = 512
 
 
 class CorpusError(Exception):
@@ -182,8 +194,11 @@ class CorpusIndex:
     ``1 - b + b * dl / avgdl``, the value every BM25 denominator adds to tf.
 
     ``weights`` caches, per term that ``retrieve`` has scanned, the BM25
-    weight of each of its postings, keyed by the start of the term's span
-    (spans are never empty, so no two terms share a start). It is filled
+    weight ``idf * tf * (k1 + 1) / (tf + k1 * norm)`` of each of its
+    postings, keyed by the start of the term's span (spans are never empty,
+    so no two terms share a start). Both of ``retrieve``'s evaluations read
+    it, and the expression is the exhaustive scan's own, so adding a
+    passage's weights in query order gives its exact score. It is filled
     lazily on a term's first scan and holds 8 bytes per posting of the
     terms scanned so far; saving, loading and comparing ignore it, and a
     copy made with ``dataclasses.replace`` starts with an empty cache.
@@ -282,21 +297,29 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     """Rank passages by BM25 against the query's unique terms.
 
     Only passages sharing at least one term score, so zero-score passages
-    never appear. Ties break by ascending passage id.
+    never appear. Ties break by ascending passage id. Scores are
+    bit-identical to an exhaustive scan that adds each term's
+    ``idf * tf * (k1 + 1) / (tf + k1 * norm)`` in query order.
 
-    Retrieval is exact but MaxScore-pruned. A term adds less than its bound
-    ``idf * (k1 + 1)`` to any passage, because tf saturates. Terms are
-    scanned in descending bound. Once the bounds of the unscanned terms sum
-    to less than the k-th best partial score (less a 1e-9 slack for
-    rounding), no passage the scan has not reached can enter the top k, so
-    the rest of the posting lists are skipped; the scan stops there only
+    How it gets there depends on the query's postings, the summed spans of
+    its matching terms. Up to ``_PRUNE_FROM`` of them, every term's list is
+    scanned and its weights added in query order, so each sum is already
+    the exhaustive score: only the k-th best score is read, and only the
+    passages at or above it are sorted. Short lists are cheaper to scan
+    than to prune. Past that, the scan is MaxScore-pruned. A term adds less
+    than its bound ``idf * (k1 + 1)`` to any passage, because tf saturates.
+    Terms are scanned in descending bound. Once the bounds of the unscanned
+    terms sum to less than the k-th best partial score (less a 1e-9 slack
+    for rounding), no passage the scan has not reached can enter the top k,
+    so the rest of the posting lists are skipped; the scan stops there only
     when those lists hold more postings than there are passages to probe
-    instead. Each skipped term is then looked up by binary search within its
-    span for the passages that could still reach the k-th best score, and
-    the survivors are rescored in full: terms added in query order with the
-    exhaustive expression, so scores are bit-identical to a full scan.
-    The scan reads a term's posting weights from ``index.weights``, filling
-    them on the term's first scan; a skipped term's list is never read.
+    instead. Each skipped term is then looked up by binary search within
+    its span for the passages that could still reach the k-th best score,
+    and the survivors are rescored in full, terms added in query order.
+
+    Both evaluations read a term's posting weights from ``index.weights``,
+    filling them on the term's first scan; a skipped term's list is never
+    read.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -310,37 +333,68 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
         for start, end in map(index.span, terms)
         if end > start
     ]
-    ids, tfs, k1_norms = index.ids, index.tfs, index.k1_length_norms
+    if sum(end - start for _, start, end in weighted) > _PRUNE_FROM:
+        scored = _maxscore(index, weighted, k)
+    else:
+        ids = index.ids
+        scores: dict[int, float] = {}
+        for idf, start, end in weighted:
+            pids = ids[start:end]
+            for pid, weight in zip(pids, _kept_weights(index, idf, start, pids)):
+                scores[pid] = scores.get(pid, 0.0) + weight
+        scored = scores.items()
+        if len(scores) > k:
+            threshold = _kth_largest(scores.values(), k)
+            scored = [item for item in scored if item[1] >= threshold]
+    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
+    return RetrievalResult(ranked=tuple(ranked))
 
-    # (bound, start, end) per matching term, largest bound first.
-    # bound_left[i] and postings_left[i] total the bounds and the postings
-    # of scan[i:].
-    scan = sorted(
-        ((idf * (BM25_K1 + 1.0), start, end) for idf, start, end in weighted),
-        key=lambda item: -item[0],
-    )
+
+def _kept_weights(index: CorpusIndex, idf: float, start: int, pids: list[int]) -> array:
+    """The BM25 weight of each of a term's postings, pids being its ids.
+
+    A weight depends on nothing but the index, so a term's first scan
+    computes them into ``index.weights`` and every later scan reads them
+    back. The expression is the exhaustive scan's own, so adding the
+    weights in query order gives its scores bit for bit.
+    """
+    weights = index.weights.get(start)
+    if weights is None:
+        k1_norms = index.k1_length_norms
+        tfs = index.tfs[start : start + len(pids)]
+        weights = index.weights[start] = array(
+            "d", [idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid]) for pid, tf in zip(pids, tfs)]
+        )
+    return weights
+
+
+def _maxscore(
+    index: CorpusIndex, weighted: list[tuple[float, int, int]], k: int
+) -> list[tuple[int, float]]:
+    """The exact scores of the passages that may be in the top k, by MaxScore.
+
+    weighted holds (idf, start, end) per matching term in query order.
+    """
+    ids, tfs, k1_norms = index.ids, index.tfs, index.k1_length_norms
+    # The matching terms, largest bound idf * (k1 + 1) first. bound_left[i]
+    # and postings_left[i] total the bounds and the postings of scan[i:].
+    scan = sorted(weighted, key=lambda item: -item[0])
     backwards = scan[::-1]
-    bound_left = [*accumulate((bound for bound, _, _ in backwards), initial=0.0)][::-1]
+    bounds = (idf * (BM25_K1 + 1.0) for idf, _, _ in backwards)
+    bound_left = [*accumulate(bounds, initial=0.0)][::-1]
     postings_left = [*accumulate((end - start for _, start, end in backwards), initial=0)][::-1]
 
     # Partial sums only steer pruning; the rescoring at the end gives the scores.
     partial: dict[int, float] = {}
     threshold = 0.0  # the k-th best partial score, once k passages have one
     scanned = 0
-    for bound, start, end in scan:
+    for idf, start, end in scan:
         if postings_left[scanned] > len(partial) >= k:
             threshold = _kth_largest(partial.values(), k)
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
-        # A posting's weight depends on nothing but the index, so a term's
-        # first scan computes them and every later scan reads them back.
         pids = ids[start:end]
-        weights = index.weights.get(start)
-        if weights is None:
-            weights = index.weights[start] = array(
-                "d", [bound * tf / (tf + k1_norms[pid]) for pid, tf in zip(pids, tfs[start:end])]
-            )
-        for pid, weight in zip(pids, weights):
+        for pid, weight in zip(pids, _kept_weights(index, idf, start, pids)):
             partial[pid] = partial.get(pid, 0.0) + weight
         scanned += 1
     else:
@@ -354,12 +408,12 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     floor = threshold - _PRUNE_SLACK - bound_left[scanned]
     candidates = [pid for pid, score in partial.items() if score >= floor]
     for i in range(scanned, len(scan)):
-        bound, start, end = scan[i]
+        idf, start, end = scan[i]
         for pid in candidates:
             at = bisect_left(ids, pid, start, end)
             if at < end and ids[at] == pid:
                 tf = tfs[at]
-                partial[pid] += bound * tf / (tf + k1_norms[pid])
+                partial[pid] += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid])
         if len(candidates) >= k:
             threshold = _kth_largest([partial[pid] for pid in candidates], k)
         floor = threshold - _PRUNE_SLACK - bound_left[i + 1]
@@ -374,8 +428,7 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
                 tf = tfs[at]
                 score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid])
         scored.append((pid, score))
-    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
-    return RetrievalResult(ranked=tuple(ranked))
+    return scored
 
 
 def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passage]:

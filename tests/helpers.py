@@ -44,6 +44,21 @@ def exactly(message: str) -> str:
     return "^" + re.escape(message) + "$"
 
 
+def make_passage(pid: int, title: str, text: str) -> Passage:
+    return Passage(id=pid, title=title, text=text, word_count=len(text.split()))
+
+
+VOCAB = [f"w{i}" for i in range(12)]
+# Term w<r> is drawn about 12/(r+1) times as often as w0: Zipf-skewed text.
+ZIPF_DRAWS = [term for rank, term in enumerate(VOCAB) for _ in range(12 // (rank + 1))]
+
+
+def query_postings(index: CorpusIndex, query: str) -> int:
+    """The postings of the query's matching terms, which decide whether
+    ``retrieve`` prunes it."""
+    return sum(end - start for start, end in map(index.span, set(tokenize(query))))
+
+
 def brute_force_bm25(
     passages: Sequence[Passage], query: str, k: int
 ) -> list[tuple[int, float]]:

@@ -9,8 +9,10 @@ import re
 import stat
 import string
 import sys
+import threading
 import zlib
 from array import array
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -25,7 +27,6 @@ from factrail.corpus import (
     CHUNK_WORDS,
     CorpusError,
     EmptyQueryError,
-    Passage,
     build_index,
     chunk_document,
     index_documents,
@@ -38,11 +39,7 @@ from factrail.corpus import (
 )
 from factrail.grammar import IntentSet
 
-from helpers import brute_force_bm25, exactly
-
-
-def make_passage(pid, title, text):
-    return Passage(id=pid, title=title, text=text, word_count=len(text.split()))
+from helpers import VOCAB, ZIPF_DRAWS, brute_force_bm25, exactly, make_passage, query_postings
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,9 @@ def _random_corpus(rng, n_docs):
     return passages
 
 
-def test_retrieve_matches_brute_force_on_random_corpora():
+@pytest.mark.parametrize("prune_from", [0, corpus._PRUNE_FROM])
+def test_retrieve_matches_brute_force_on_random_corpora(monkeypatch, prune_from):
+    monkeypatch.setattr(corpus, "_PRUNE_FROM", prune_from)
     rng = random.Random(42)
     vocab = [f"term{i}" for i in range(30)] + ["zebra"]
     for trial in range(15):
@@ -231,54 +230,9 @@ def test_retrieve_matches_brute_force_on_random_corpora():
         for _ in range(5):
             query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
             k = rng.randint(1, 10)
-            expected = brute_force_bm25(passages, query, k)
-            got = retrieve(index, query, k).ranked
-            assert [pid for pid, _ in got] == [pid for pid, _ in expected]
-            for (_, got_score), (_, want_score) in zip(got, expected):
-                assert got_score == pytest.approx(want_score, abs=1e-9)
-
-
-VOCAB = [f"w{i}" for i in range(12)]
-# Term w<r> is drawn about 12/(r+1) times as often as w0: Zipf-skewed text.
-ZIPF_DRAWS = [term for rank, term in enumerate(VOCAB) for _ in range(12 // (rank + 1))]
-HEAD = "every"
-
-
-@st.composite
-def tie_heavy_cases(draw):
-    """A small Zipf-skewed corpus with duplicated passages, a query and a k."""
-    originals = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(VOCAB),
-                st.lists(st.sampled_from(ZIPF_DRAWS), min_size=1, max_size=30),
-                st.integers(1, 3),
-            ),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    # Copies of a passage tie exactly, so only the id orders them.
-    bodies = [(title, words) for title, words, copies in originals for _ in range(copies)]
-    if draw(st.booleans()):
-        bodies = [(title, words + [HEAD]) for title, words in bodies]
-    ids = draw(st.lists(st.integers(0, 400), min_size=len(bodies), max_size=len(bodies), unique=True))
-    passages = [make_passage(pid, title, " ".join(words)) for pid, (title, words) in zip(ids, bodies)]
-    query = draw(st.lists(st.sampled_from(VOCAB + [HEAD, "zebra"]), min_size=1, max_size=8))
-    k = draw(st.integers(1, len(passages) + 3))
-    return passages, " ".join(query), k
-
-
-@settings(max_examples=300, deadline=None)
-@given(tie_heavy_cases())
-def test_pruned_retrieve_matches_brute_force(case):
-    passages, query, k = case
-    got = retrieve(build_index(passages), query, k).ranked
-    expected = brute_force_bm25(passages, query, k)
-    assert [pid for pid, _ in got] == [pid for pid, _ in expected]
-    # Stronger than agreeing within 1e-9: the oracle adds the same expression
-    # in query order, so even the last bit agrees.
-    assert list(got) == expected
+            # Both evaluations add the oracle's expression in query order, so
+            # even the last bit of each score agrees.
+            assert list(retrieve(index, query, k).ranked) == brute_force_bm25(passages, query, k)
 
 
 class ScanRecordingList(list):
@@ -302,10 +256,16 @@ class ScanRecordingList(list):
         return super().__iter__()
 
 
-def _common_and_rare_passages():
+# The passages that hold "rare" besides "common".
+_RARE_PIDS = (7, 57, 107, 157)
+
+
+def _common_and_rare_passages(size=2 * corpus._PRUNE_FROM):
+    """size passages, each holding "common"; four of them also hold "rare".
+    So "common rare" has size + 4 postings, by default enough to be pruned."""
     return [
-        make_passage(pid, "T", "common " + ("rare " if pid % 50 == 7 else "") + "filler " * (pid % 9))
-        for pid in range(200)
+        make_passage(pid, "T", "common " + "rare " * (pid in _RARE_PIDS) + "filler " * (pid % 9))
+        for pid in range(size)
     ]
 
 
@@ -340,7 +300,36 @@ def test_a_warm_scan_reads_kept_weights_and_still_skips_the_head_term_list():
     assert list(warm) == brute_force_bm25(passages, "common rare", 2)
 
 
-def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold():
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_query_is_pruned_only_past_prune_from_postings(monkeypatch, extra):
+    # "common rare" holds exactly _PRUNE_FROM postings, or one more.
+    passages = _common_and_rare_passages(corpus._PRUNE_FROM - len(_RARE_PIDS) + extra)
+    index = build_index(passages)
+    common, rare = index.span("common"), index.span("rare")
+    assert common[1] - common[0] + rare[1] - rare[0] == corpus._PRUNE_FROM + extra
+    probes = []
+
+    def counted_bisect_left(*args):
+        probes.append(args)
+        return bisect_left(*args)
+
+    monkeypatch.setattr(corpus, "bisect_left", counted_bisect_left)
+    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
+    got = retrieve(index, "common rare", k=2).ranked
+    if extra:
+        # MaxScore: the rare list alone is scanned and the head list probed.
+        assert index.ids.scanned == [rare]
+        assert probes
+    else:
+        # Term at a time in query order: both lists scanned, nothing probed.
+        assert index.ids.scanned == [common, rare]
+        assert probes == []
+    assert list(got) == brute_force_bm25(passages, "common rare", 2)
+
+
+def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold(monkeypatch):
+    # Too few postings to be pruned unless every query is.
+    monkeypatch.setattr(corpus, "_PRUNE_FROM", 0)
     # After the rare term the best partial score is 0.944 (passages 0, 2, 3).
     # The common term's bound is 1.083, and passage 1, which the rare list
     # never reaches, scores 0.956 from the common term alone. A stop rule
@@ -419,14 +408,18 @@ def test_a_term_weight_array_is_built_once():
     index = build_index(_skewed_corpus(random.Random(17)))
     start, end = index.span("scarce")
     assert end - start == 2
+    # The first query is scored term at a time, the second pruned: both
+    # evaluations read the one array.
+    short, pruned = query_postings(index, "scarce mid4"), query_postings(index, "pad scarce")
+    assert short <= corpus._PRUNE_FROM < pruned
     retrieve(index, "scarce mid4", 3)
     kept = index.weights[start]
     retrieve(index, "pad scarce", 3)
     assert index.weights[start] is kept
-    # Each weight is the scan's own expression for its posting.
-    bound = corpus.bm25_idf(index.total_docs, 2) * (BM25_K1 + 1.0)
+    # Each weight is the exhaustive scan's expression for its posting.
+    idf = corpus.bm25_idf(index.total_docs, 2)
     assert list(kept) == [
-        bound * tf / (tf + index.k1_length_norms[pid])
+        idf * tf * (BM25_K1 + 1.0) / (tf + index.k1_length_norms[pid])
         for pid, tf in zip(index.ids[start:end], index.tfs[start:end])
     ]
     # The cache is no part of the index's value, and a copy starts empty.
@@ -434,20 +427,38 @@ def test_a_term_weight_array_is_built_once():
     assert copy == index and copy.weights == {}
 
 
+# Queries scored term at a time, each sharing a term with the query of
+# _SKEWED_QUERIES at its place, which is pruned.
+_SHORT_SKEWED_QUERIES = ("rare3 mid2", "scarce rare1 mid5", "mid0 mid1", "mid4 scarce", "rare9 mid7")
+
+
 def test_threads_that_fill_the_weight_cache_at_once_rank_exactly():
     passages = _skewed_corpus(random.Random(17))
     index = build_index(passages)
-    queries = list(_SKEWED_QUERIES) * 8
+    pairs = list(zip(_SKEWED_QUERIES, _SHORT_SKEWED_QUERIES))
+    for pruned, short in pairs:
+        assert set(tokenize(pruned)) & set(tokenize(short))
+        assert query_postings(index, short) <= corpus._PRUNE_FROM < query_postings(index, pruned)
+    want = {query: brute_force_bm25(passages, query, 3) for pair in pairs for query in pair}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(retrieve, index, query, 3) for query in queries]
-            got = [future.result(timeout=60) for future in futures]
+            for pruned, short in pairs * 10:
+                # Four threads released at once on an empty cache, two on
+                # each query, fill the shared terms' weights together.
+                fresh, barrier = replace(index), threading.Barrier(4)
+
+                def run(query, fresh=fresh, barrier=barrier):
+                    barrier.wait(timeout=60)
+                    return retrieve(fresh, query, 3)
+
+                queries = [pruned, short, pruned, short]
+                futures = [pool.submit(run, query) for query in queries]
+                for query, future in zip(queries, futures):
+                    assert list(future.result(timeout=60).ranked) == want[query], query
     finally:
         sys.setswitchinterval(interval)
-    for query, result in zip(queries, got):
-        assert list(result.ranked) == brute_force_bm25(passages, query, 3), query
 
 
 @pytest.mark.parametrize("size", [1, 7, corpus._HEAP_SELECT_FROM - 1, corpus._HEAP_SELECT_FROM, 2000])
@@ -481,7 +492,9 @@ def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
             assert len(tfs) == len(pids) and min(tfs) >= 1, term
 
 
-def test_a_term_frequency_lookup_stays_inside_its_span():
+@pytest.mark.parametrize("prune_from", [0, corpus._PRUNE_FROM])
+def test_a_term_frequency_lookup_stays_inside_its_span(monkeypatch, prune_from):
+    monkeypatch.setattr(corpus, "_PRUNE_FROM", prune_from)
     # Passage 0 holds only "alpha", passage 1 only "beta", and "beta"'s span
     # follows "alpha"'s: ids == [0, 1]. Probing "alpha" for passage 1 lands
     # on the first id past its span, which is 1, and a search of "beta"
