@@ -9,17 +9,17 @@ Terms are lowercased maximal runs of Unicode letters and digits. ASCII text,
 the common case, is tokenized by one translate pass and one split, with no
 regex; other text by one regex scan.
 
-The postings sit in two flat columns, passage ids and term frequencies,
-term after term; a term's postings are one span of both, with its ids in
-ascending order. An index file (format version 3, written atomically) stores
-the columns almost as they are: one JSON header line with the passages, the
-terms, their document frequencies and a CRC-32 of each column, then the
-postings' passage rows and their tfs, both as little-endian uint32. A row is
-a passage's position in the id-sorted passage list. Loading checks the
-columns and keeps them whole; it never tokenizes a passage and builds no
-per-term lists. Each of its checks is one pass at C speed, one quick test
-per passage entry, or the bounds check of the pass that maps rows to ids;
-the per-item code that names a fault runs only once a pass finds one.
+The postings sit in two flat columns, passage rows and term frequencies,
+term after term; a term's postings are one span of both, in ascending row.
+A row is a passage's position among the passages sorted by id; only
+``retrieve``'s results are mapped back to ids. An index file (format
+version 3, written atomically) stores the columns as they are: one JSON
+header line with the passages, the terms, their document frequencies and a
+CRC-32 of each column, then both columns as little-endian uint32. Loading
+checks the columns and keeps them whole; it never tokenizes a passage and
+builds no per-term lists. Saving runs the same column checks. Each check is
+one pass at C speed or one quick test per passage entry or term; the
+per-item code that names a fault runs only once a pass finds one.
 
 ``retrieve`` is exact, and picks its evaluation from the query's postings.
 A query whose terms hold few postings, as most intents do, is scored
@@ -42,13 +42,12 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
-import tempfile
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import nlargest
 from itertools import accumulate, compress, islice
@@ -88,7 +87,7 @@ INDEX_VERSION = 3
 # Both columns on disk are uint32: passage rows, then term frequencies.
 _COLUMN_TYPE = "I"
 _POSTING_BYTES = 4 + 4
-# save_index converts a column this many postings at a time.
+# save_index converts a column this many values at a time.
 _WRITE_SLICE = 1 << 16
 
 # Absorbs rounding in the partial sums that decide what retrieve may skip.
@@ -174,24 +173,24 @@ def chunk_document(title: str, body: str, *, start_id: int = 0) -> list[Passage]
 class CorpusIndex:
     """Inverted index over passages. Treat as immutable once built.
 
-    The postings of every term lie in two flat, parallel columns, ``ids``
-    (passage ids) and ``tfs`` (the term's frequency in each), term after
-    term in the order of ``term_numbers``. Term number n owns the span
-    ``offsets[n]:offsets[n + 1]`` of both. Within a span the ids are strictly
-    ascending: ``build_index`` appends in ascending id and ``load_index``
-    rejects a file whose spans are out of order, because ``retrieve``
-    binary-searches them. This is the layout of the index file, so loading
-    allocates no per-term containers.
+    The postings of every term lie in two flat, parallel columns, ``rows``
+    and ``tfs``, term after term in the order of ``term_numbers``; term
+    number n owns the span ``offsets[n]:offsets[n + 1]`` of both. A row
+    names a passage by its position in ``row_ids``, the passage ids in
+    ascending order, so rows rise with ids. Within a span the rows strictly
+    rise, because ``retrieve`` binary-searches them: ``build_index``
+    appends them so, and ``save_index`` and ``load_index`` refuse any other
+    order. This is the layout of the index file, so loading allocates no
+    per-term containers.
 
-    ``ids`` is a list that shares the passage table's int objects, since
-    reading an id out of an array would allocate an int per read. ``tfs``
-    is a uint32 array, the file's own type: frequencies are small ints
-    that CPython caches, so reading them allocates nothing; the array
-    holds 4 bytes per posting where a list holds 8, and it gives the
-    garbage collector nothing to traverse.
-
-    ``k1_length_norms`` maps a passage id to k1 times BM25's length norm
-    ``1 - b + b * dl / avgdl``, the value every BM25 denominator adds to tf.
+    ``rows`` is a list holding one int object per row, since reading a row
+    out of an array would allocate an int per read. ``tfs`` is a uint32
+    array, the file's own type: frequencies are small ints that CPython
+    caches, so reading them allocates nothing; the array holds 4 bytes per
+    posting where a list holds 8, and it gives the garbage collector
+    nothing to traverse. ``k1_length_norms[row]`` is k1 times BM25's length
+    norm ``1 - b + b * dl / avgdl`` of that passage, the value every BM25
+    denominator adds to tf.
 
     ``weights`` caches, per term that ``retrieve`` has scanned, the BM25
     weight ``idf * tf * (k1 + 1) / (tf + k1 * norm)`` of each of its
@@ -207,15 +206,16 @@ class CorpusIndex:
     passages: dict[int, Passage]
     term_numbers: dict[str, int]
     offsets: list[int]
-    ids: list[int]
+    rows: list[int]
+    row_ids: list[int]
     tfs: array
-    k1_length_norms: dict[int, float]
+    k1_length_norms: list[float]
     avg_doc_length: float
     total_docs: int
     weights: dict[int, array] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def span(self, term: str) -> tuple[int, int]:
-        """The (start, end) of term's postings in ids and tfs; empty if unknown."""
+        """The (start, end) of term's postings in rows and tfs; empty if unknown."""
         number = self.term_numbers.get(term)
         if number is None:
             return 0, 0
@@ -228,48 +228,50 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
         if passage.id in by_id:
             raise CorpusError(f"duplicate passage id {passage.id}")
         by_id[passage.id] = passage
-    # Each term's postings as one list, pid, tf, pid, tf, ... by ascending pid.
+    # Each term's postings as one list, row, tf, row, tf, ... by ascending row.
     postings: dict[str, list[int]] = {}
-    for pid in sorted(by_id):
+    for row, pid in enumerate(sorted(by_id)):
         passage = by_id[pid]
         # Title terms are appended once so titles are searchable.
         counts = Counter(tokenize(passage.text) + tokenize(passage.title))
         for term, tf in counts.items():
             pairs = postings.get(term)
             if pairs is None:
-                postings[term] = [pid, tf]
+                postings[term] = [row, tf]
             else:
-                pairs.append(pid)
+                pairs.append(row)
                 pairs.append(tf)
     # Flatten once into the layout that save_index writes and load_index
     # reads. Emptying each term's list once it is copied keeps the build's
     # peak memory below that of holding every posting twice.
-    ids: list[int] = []
+    rows: list[int] = []
     tfs = array(_COLUMN_TYPE)
     offsets = [0]
     for pairs in postings.values():
-        ids += pairs[::2]
+        rows += pairs[::2]
         tfs.fromlist(pairs[1::2])
-        offsets.append(len(ids))
+        offsets.append(len(rows))
         pairs.clear()
-    return _corpus_index(by_id, list(postings), offsets, ids, tfs)
+    return _corpus_index(by_id, list(postings), offsets, rows, tfs)
 
 
 def _corpus_index(
-    by_id: dict[int, Passage], terms: list[str], offsets: list[int], ids: list[int], tfs: array
+    by_id: dict[int, Passage], terms: list[str], offsets: list[int], rows: list[int], tfs: array
 ) -> CorpusIndex:
     total = len(by_id)
+    row_ids = sorted(by_id)
     avg = sum(p.word_count for p in by_id.values()) / total if total else 0.0
     # k1 times BM25's document-length normalisation 1 - b + b * dl / avgdl:
     # the value retrieve adds to tf in every denominator.
-    k1_length_norms = {
-        pid: BM25_K1 * (1.0 - BM25_B + BM25_B * p.word_count / avg) for pid, p in by_id.items()
-    }
+    k1_length_norms = [
+        BM25_K1 * (1.0 - BM25_B + BM25_B * by_id[pid].word_count / avg) for pid in row_ids
+    ]
     return CorpusIndex(
         passages=by_id,
         term_numbers=dict(zip(terms, range(len(terms)))),
         offsets=offsets,
-        ids=ids,
+        rows=rows,
+        row_ids=row_ids,
         tfs=tfs,
         k1_length_norms=k1_length_norms,
         avg_doc_length=avg,
@@ -297,8 +299,9 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     """Rank passages by BM25 against the query's unique terms.
 
     Only passages sharing at least one term score, so zero-score passages
-    never appear. Ties break by ascending passage id. Scores are
-    bit-identical to an exhaustive scan that adds each term's
+    never appear. Ties break by ascending passage id, which is ascending
+    row: passages are scored by row and only the top k mapped to ids.
+    Scores are bit-identical to an exhaustive scan that adds each term's
     ``idf * tf * (k1 + 1) / (tf + k1 * norm)`` in query order.
 
     How it gets there depends on the query's postings, the summed spans of
@@ -327,7 +330,7 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     if not terms:
         raise EmptyQueryError(query)
     # (idf, start, end) per matching term, in query order; the term's
-    # postings are ids[start:end] and tfs[start:end].
+    # postings are rows[start:end] and tfs[start:end].
     weighted = [
         (bm25_idf(index.total_docs, end - start), start, end)
         for start, end in map(index.span, terms)
@@ -336,22 +339,23 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     if sum(end - start for _, start, end in weighted) > _PRUNE_FROM:
         scored = _maxscore(index, weighted, k)
     else:
-        ids = index.ids
+        rows = index.rows
         scores: dict[int, float] = {}
         for idf, start, end in weighted:
-            pids = ids[start:end]
-            for pid, weight in zip(pids, _kept_weights(index, idf, start, pids)):
-                scores[pid] = scores.get(pid, 0.0) + weight
+            span = rows[start:end]
+            for row, weight in zip(span, _kept_weights(index, idf, start, span)):
+                scores[row] = scores.get(row, 0.0) + weight
         scored = scores.items()
         if len(scores) > k:
             threshold = _kth_largest(scores.values(), k)
             scored = [item for item in scored if item[1] >= threshold]
     ranked = sorted(scored, key=lambda item: (-item[1], item[0]))[:k]
-    return RetrievalResult(ranked=tuple(ranked))
+    row_ids = index.row_ids
+    return RetrievalResult(ranked=tuple((row_ids[row], score) for row, score in ranked))
 
 
-def _kept_weights(index: CorpusIndex, idf: float, start: int, pids: list[int]) -> array:
-    """The BM25 weight of each of a term's postings, pids being its ids.
+def _kept_weights(index: CorpusIndex, idf: float, start: int, span: list[int]) -> array:
+    """The BM25 weight of each of a term's postings, span being its rows.
 
     A weight depends on nothing but the index, so a term's first scan
     computes them into ``index.weights`` and every later scan reads them
@@ -361,9 +365,9 @@ def _kept_weights(index: CorpusIndex, idf: float, start: int, pids: list[int]) -
     weights = index.weights.get(start)
     if weights is None:
         k1_norms = index.k1_length_norms
-        tfs = index.tfs[start : start + len(pids)]
+        tfs = index.tfs[start : start + len(span)]
         weights = index.weights[start] = array(
-            "d", [idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid]) for pid, tf in zip(pids, tfs)]
+            "d", [idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row]) for row, tf in zip(span, tfs)]
         )
     return weights
 
@@ -371,11 +375,11 @@ def _kept_weights(index: CorpusIndex, idf: float, start: int, pids: list[int]) -
 def _maxscore(
     index: CorpusIndex, weighted: list[tuple[float, int, int]], k: int
 ) -> list[tuple[int, float]]:
-    """The exact scores of the passages that may be in the top k, by MaxScore.
+    """The exact scores, by row, of the passages that may be in the top k.
 
     weighted holds (idf, start, end) per matching term in query order.
     """
-    ids, tfs, k1_norms = index.ids, index.tfs, index.k1_length_norms
+    rows, tfs, k1_norms = index.rows, index.tfs, index.k1_length_norms
     # The matching terms, largest bound idf * (k1 + 1) first. bound_left[i]
     # and postings_left[i] total the bounds and the postings of scan[i:].
     scan = sorted(weighted, key=lambda item: -item[0])
@@ -393,9 +397,9 @@ def _maxscore(
             threshold = _kth_largest(partial.values(), k)
             if bound_left[scanned] < threshold - _PRUNE_SLACK:
                 break
-        pids = ids[start:end]
-        for pid, weight in zip(pids, _kept_weights(index, idf, start, pids)):
-            partial[pid] = partial.get(pid, 0.0) + weight
+        span = rows[start:end]
+        for row, weight in zip(span, _kept_weights(index, idf, start, span)):
+            partial[row] = partial.get(row, 0.0) + weight
         scanned += 1
     else:
         if len(partial) >= k:
@@ -406,28 +410,28 @@ def _maxscore(
     # the term's own span, which every index keeps strictly ascending, so a
     # passage in a neighbouring term's span is never found.
     floor = threshold - _PRUNE_SLACK - bound_left[scanned]
-    candidates = [pid for pid, score in partial.items() if score >= floor]
+    candidates = [row for row, score in partial.items() if score >= floor]
     for i in range(scanned, len(scan)):
         idf, start, end = scan[i]
-        for pid in candidates:
-            at = bisect_left(ids, pid, start, end)
-            if at < end and ids[at] == pid:
+        for row in candidates:
+            at = bisect_left(rows, row, start, end)
+            if at < end and rows[at] == row:
                 tf = tfs[at]
-                partial[pid] += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid])
+                partial[row] += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
         if len(candidates) >= k:
-            threshold = _kth_largest([partial[pid] for pid in candidates], k)
+            threshold = _kth_largest([partial[row] for row in candidates], k)
         floor = threshold - _PRUNE_SLACK - bound_left[i + 1]
-        candidates = [pid for pid in candidates if partial[pid] >= floor]
+        candidates = [row for row in candidates if partial[row] >= floor]
 
     scored = []
-    for pid in candidates:
+    for row in candidates:
         score = 0.0
         for idf, start, end in weighted:
-            at = bisect_left(ids, pid, start, end)
-            if at < end and ids[at] == pid:
+            at = bisect_left(rows, row, start, end)
+            if at < end and rows[at] == row:
                 tf = tfs[at]
-                score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[pid])
-        scored.append((pid, score))
+                score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
+        scored.append((row, score))
     return scored
 
 
@@ -466,84 +470,88 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     The layout is one line of compact JSON (the header: passages sorted by
     id, terms in build order, each term's document frequency and the CRC-32
     of each column as written), then the row column, then the tf column,
-    both little-endian uint32. A posting's row is its passage's position in
-    the id-sorted passage list. Equal indexes give equal bytes.
+    both little-endian uint32. Equal indexes give equal bytes. A column is
+    converted a slice at a time, never whole: once for the header's
+    checksum, then again to write it.
 
-    The row column is made once, a slice at a time, so no copy of the whole
-    column is ever held; the slices wait in an unnamed file beside ``path``
-    until the header, which holds their checksum, is written. On a
-    little-endian host the tf column is written as it is.
-
-    Raises CorpusError, naming the id, if a posting names a passage that
-    ``index.passages`` does not hold.
+    Raises CorpusError, with ``load_index``'s message and writing nothing,
+    for postings that ``load_index`` refuses: a term with none, a tf below
+    1, a row that names no passage, or a term whose rows are not strictly
+    ascending.
     """
-    row_ids = sorted(index.passages)
-    row_of = dict(zip(row_ids, range(len(row_ids))))
-    offsets = index.offsets
+    terms, offsets = list(index.term_numbers), index.offsets
     doc_freqs = [end - start for start, end in zip(offsets, islice(offsets, 1, None))]
+    _terms_from_header({"terms": terms, "doc_freqs": doc_freqs})
+    _check_columns(terms, offsets, index.rows, index.tfs, len(index.row_ids))
+    header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "chunk_words": CHUNK_WORDS,
+        "bm25": {"k1": BM25_K1, "b": BM25_B},
+        "passages": [
+            {"id": p.id, "title": p.title, "text": p.text, "word_count": p.word_count}
+            for p in map(index.passages.__getitem__, index.row_ids)
+        ],
+        "terms": terms,
+        "doc_freqs": doc_freqs,
+        "crc32": {"rows": _column_crc(index.rows), "tfs": _column_crc(index.tfs)},
+    }
+    line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    del header
     with atomic_path(path) as temp, open(temp, "wb") as handle:
-        with tempfile.TemporaryFile(dir=temp.parent) as spool:
-            rows_crc = 0
-            for rows in _row_slices(index.ids, row_of):
-                rows_crc = zlib.crc32(rows, rows_crc)
-                rows.tofile(spool)
-            tfs_crc = 0
-            for tfs in _tf_slices(index.tfs):
-                tfs_crc = zlib.crc32(tfs, tfs_crc)
-            header = {
-                "format": INDEX_FORMAT,
-                "version": INDEX_VERSION,
-                "chunk_words": CHUNK_WORDS,
-                "bm25": {"k1": BM25_K1, "b": BM25_B},
-                "passages": [
-                    {
-                        "id": p.id,
-                        "title": p.title,
-                        "text": p.text,
-                        "word_count": p.word_count,
-                    }
-                    for p in map(index.passages.__getitem__, row_ids)
-                ],
-                "terms": list(index.term_numbers),
-                "doc_freqs": doc_freqs,
-                "crc32": {"rows": rows_crc, "tfs": tfs_crc},
-            }
-            line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-            del header
-            handle.write(line.encode("utf-8"))
-            handle.write(b"\n")
-            spool.seek(0)
-            shutil.copyfileobj(spool, handle)
-        for tfs in _tf_slices(index.tfs):
-            tfs.tofile(handle)
+        handle.write(line.encode("utf-8"))
+        handle.write(b"\n")
+        for column in (index.rows, index.tfs):
+            for part in _file_slices(column):
+                part.tofile(handle)
 
 
-def _row_slices(ids: Sequence[int], row_of: dict[int, int]) -> Iterator[array]:
-    """The row column of ids as the file stores it, a slice at a time.
-    Raises CorpusError naming the first id that row_of has no row for."""
-    try:
-        for at in range(0, len(ids), _WRITE_SLICE):
-            yield _file_column(map(row_of.__getitem__, ids[at : at + _WRITE_SLICE]))
-    except KeyError as exc:
-        raise CorpusError(
-            f"the postings name passage id {exc.args[0]}, which the index has no passage for"
-        ) from None
+def _file_slices(column: Sequence[int]) -> Iterator[array]:
+    """column as the file stores it, little-endian uint32, a slice at a time."""
+    for at in range(0, len(column), _WRITE_SLICE):
+        part = array(_COLUMN_TYPE, column[at : at + _WRITE_SLICE])
+        if sys.byteorder != "little":
+            part.byteswap()
+        yield part
 
 
-def _tf_slices(tfs: array) -> Iterable[array]:
-    """The tf column as the file stores it: on a little-endian host the
-    array itself, elsewhere byteswapped copies of a slice at a time."""
-    if sys.byteorder == "little":
-        return (tfs,)
-    return (_file_column(tfs[at : at + _WRITE_SLICE]) for at in range(0, len(tfs), _WRITE_SLICE))
+def _column_crc(column: Sequence[int]) -> int:
+    crc = 0
+    for part in _file_slices(column):
+        crc = zlib.crc32(part, crc)
+    return crc
 
 
-def _file_column(values: Iterable[int]) -> array:
-    """values as a uint32 column in the file's byte order, little-endian."""
-    column = array(_COLUMN_TYPE, values)
-    if sys.byteorder != "little":
-        column.byteswap()
-    return column
+def _check_columns(
+    terms: list[str], offsets: list[int], rows: Sequence[int], tfs: array, passage_count: int
+) -> None:
+    """Raise CorpusError naming the first fault unless every tf is at least 1,
+    every row names a passage and each term's rows strictly rise. Rows may
+    fall only where a term starts; once that holds, a term's first and last
+    rows bound the rest. Only failing columns are scanned to name the fault."""
+    # Unsigned, so 0 is the only tf below 1. A zero has a zero low byte, the
+    # first of its four in the file, so only a column holding a multiple of
+    # 256 is searched in full.
+    if any(b"\0" in part.tobytes()[::4] for part in _file_slices(tfs)) and 0 in tfs:
+        raise CorpusError("a term frequency in the index is below 1")
+    falls = sum(map(ge, rows, islice(rows, 1, None)))
+    starts = islice(offsets, 1, len(offsets) - 1)
+    if (
+        falls == sum(1 for start in starts if rows[start - 1] >= rows[start])
+        and min(map(rows.__getitem__, offsets[:-1]), default=0) >= 0
+        and max((rows[end - 1] for end in islice(offsets, 1, None)), default=0) < passage_count
+    ):
+        return
+    for row in rows:
+        if not 0 <= row < passage_count:
+            raise CorpusError(
+                f"the postings name passage row {row}, but len(passages) = {passage_count}"
+            )
+    term_ends = {end - 1 for end in islice(offsets, 1, None)}
+    for at in compress(range(len(rows) - 1), map(ge, rows, islice(rows, 1, None))):
+        if at not in term_ends:
+            term = terms[bisect_right(offsets, at) - 1]
+            raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -555,11 +563,11 @@ def load_index(path: str | Path) -> CorpusIndex:
     refuses or that holds a line break, a duplicate passage id or term, a
     document frequency below 1, columns whose length disagrees with the
     frequencies, a tf below 1, a row past the last passage, a term whose
-    passage ids are not strictly ascending, or, once all of that holds,
-    columns whose CRC-32 differs from the one in the header.
+    rows are not strictly ascending, or, once all of that holds, columns
+    whose CRC-32 differs from the one in the header.
 
     Each check is one pass at C speed (one quick test per passage entry;
-    the row check is the bounds check of mapping rows to ids), and the
+    the row check is the bounds check of sharing the row objects), and the
     per-item code that names the fault runs only when that pass finds one,
     so a file with several faults reports the first in file order of the
     first check it fails.
@@ -578,47 +586,20 @@ def load_index(path: str | Path) -> CorpusIndex:
         raw_rows, raw_tfs = handle.read(4 * total), handle.read(4 * total)
     checksums = {"rows": zlib.crc32(raw_rows), "tfs": zlib.crc32(raw_tfs)}
     rows, tfs = array(_COLUMN_TYPE, raw_rows), array(_COLUMN_TYPE, raw_tfs)
-    del raw_rows
+    del raw_rows, raw_tfs
     if sys.byteorder != "little":
         rows.byteswap()
         tfs.byteswap()
-    # Unsigned, so 0 is the only tf below 1. A zero has a zero low byte, the
-    # first of its four in the file, so only a column holding a multiple of
-    # 256 is searched in full.
-    if b"\0" in raw_tfs[::4] and 0 in tfs:
-        raise CorpusError("a term frequency in the index is below 1")
-    del raw_tfs
-    # Row r names the passage with the r-th smallest id. The id column reuses
-    # the passage table's own int objects, so a loaded index holds one int
-    # object per passage rather than one per posting. On CPython 3.11 this
-    # comprehension, whose list indexing the interpreter specializes, runs
-    # about 20% faster than list(map(row_ids.__getitem__, rows)).
-    row_ids = sorted(by_id)
-    try:
-        ids = [row_ids[row] for row in rows]
-    except IndexError:
-        row = next(row for row in rows if row >= len(row_ids))
-        raise CorpusError(
-            f"the postings name passage row {row}, but len(passages) = {len(row_ids)}"
-        ) from None
-    del rows  # freed as soon as the list holds the ids
+    # A row's postings share its one int object; about 20% faster than list(map(...)) on
+    # CPython 3.11. A row past the last passage stops it, and _check_columns names it.
+    shared = list(range(len(by_id)))
+    with suppress(IndexError):
+        rows = [shared[row] for row in rows]
     offsets = [0, *accumulate(doc_freqs)]
-    # Within a term the ids must rise; they may fall only where a term ends.
-    # So in a valid file every fall is one at a term's start, and only a file
-    # with more falls than that is scanned to name the term.
-    drops = sum(map(ge, ids, islice(ids, 1, None)))
-    starts = islice(offsets, 1, len(offsets) - 1)
-    if drops != sum(1 for start in starts if ids[start - 1] >= ids[start]):
-        term_ends = {end - 1 for end in islice(offsets, 1, None)}
-        for at in compress(range(total - 1), map(ge, ids, islice(ids, 1, None))):
-            if at not in term_ends:
-                term = terms[bisect_right(offsets, at) - 1]
-                raise CorpusError(
-                    f"the passage ids of term {term!r} are not strictly ascending"
-                )
+    _check_columns(terms, offsets, rows, tfs, len(shared))
     if header.get("crc32") != checksums:
         raise CorpusError("the index columns do not match their checksum")
-    return _corpus_index(by_id, terms, offsets, ids, tfs)
+    return _corpus_index(by_id, terms, offsets, rows, tfs)
 
 
 def _read_header(handle: BinaryIO) -> dict:

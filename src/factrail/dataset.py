@@ -48,6 +48,7 @@ from .grammar import (
     render_instruction,
     retrieval_body,
     serialize_sections,
+    surrogate_violation,
     text_violation,
 )
 from .fileio import atomic_path, drawn_ahead, read_jsonl, typed_field
@@ -475,7 +476,7 @@ def check_example_dict(record: dict) -> list[str]:
     """Every contract violation in one dataset row (empty means clean).
 
     A row that holds no example raises KeyError, TypeError or ValueError,
-    which ``read_jsonl`` reports with its line.
+    which ``read_jsonl`` reports with its line; so does a lone surrogate.
     """
     example = TrainingExample(
         kind=ExampleKind(record["kind"]),
@@ -484,6 +485,9 @@ def check_example_dict(record: dict) -> list[str]:
         loss_spans=typed_field(record, "loss_spans", list),
         source=record.get("source", ""),
     )
+    for name in ("input", "output", "source"):
+        if (problem := surrogate_violation(getattr(example, name))) is not None:
+            raise ValueError(f"{name!r} {problem}")
     return check_training_example(example)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "MultilinePassageError",
     "first_token",
     "text_violation",
+    "surrogate_violation",
     "serialize_sections",
     "serialize_steps",
     "serialize_trajectory",
@@ -238,6 +239,11 @@ def text_violation(text: str) -> str | None:
     token = first_token(text)
     if token is not None:
         return f"holds the grammar token {token.value}"
+    return surrogate_violation(text)
+
+
+def surrogate_violation(text: str) -> str | None:
+    """Why UTF-8 cannot encode text (the first lone surrogate it holds), or None."""
     if not text.isascii():  # isascii is O(1); only other text is encoded
         try:
             text.encode("utf-8")

@@ -52,6 +52,7 @@ from .grammar import (
     serialize_steps,
     serialize_trajectory,
     parse_trajectory,
+    surrogate_violation,
     text_violation,
 )
 
@@ -491,9 +492,16 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     GrammarError."""
     if any(key in data for key in _V1_KEYS):
         raise ValueError(_V1_COMPLAINT)
+    # No row holds what run_inference refuses to put into a prompt or write.
+    instruction = typed_field(data, "instruction")
+    if (problem := text_violation(instruction)) is not None:
+        raise ValueError(f"the instruction {problem}")
     trajectory = parse_trajectory(typed_field(data, "trajectory"))
+    for step in trajectory.steps:
+        if (problem := surrogate_violation(step.body)) is not None:
+            raise ValueError(f"the {step.kind.value} section {problem}")
     trace = InferenceTrace(
-        instruction=typed_field(data, "instruction"),
+        instruction=instruction,
         trajectory=trajectory,
         passage_meta=_passage_meta(data["passages"]),
         flags=string_list(data.get("flags", []), "flags"),

@@ -158,17 +158,16 @@ def reference_load_index(path) -> CorpusIndex:
             raise CorpusError(
                 f"the postings name passage row {row}, but len(passages) = {len(row_ids)}"
             )
-    ids = [row_ids[row] for row in rows]
     offsets = [0]
     for term, freq in zip(terms, doc_freqs):
         start = offsets[-1]
         for at in range(start + 1, start + freq):
-            if ids[at] <= ids[at - 1]:
+            if row_ids[rows[at]] <= row_ids[rows[at - 1]]:
                 raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
         offsets.append(start + freq)
     if header.get("crc32") != {"rows": zlib.crc32(row_column), "tfs": zlib.crc32(tf_column)}:
         raise CorpusError("the index columns do not match their checksum")
-    return corpus._corpus_index(by_id, terms, offsets, ids, array("I", tfs))
+    return corpus._corpus_index(by_id, terms, offsets, rows, array("I", tfs))
 
 
 def mirror_retrieval(

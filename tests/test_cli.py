@@ -490,13 +490,13 @@ def test_malformed_v3_index_exits_with_message(tmp_path, capsys, index_data, com
 
 
 def test_index_with_valid_columns_loads(tmp_path):
-    # Ids may fall where one term's column ends and the next begins.
+    # Rows may fall where one term's column ends and the next begins.
     header = v3_header(TWO_PASSAGES, ["the", "moon"], [2, 1])
     path = tmp_path / "ok.index"
     path.write_bytes(index_bytes(header, [0, 1, 0], [1, 1, 2]))
     index = load_index(path)
     assert index.term_numbers == {"the": 0, "moon": 1}
-    assert (index.offsets, index.ids, index.tfs.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 2])
+    assert (index.offsets, index.rows, index.tfs.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -1085,13 +1085,37 @@ V1_TRACE_COMPLAINT = (
             V1_TRACE_COMPLAINT,
             id="v1-passage-text",
         ),
+        pytest.param(
+            _set("instruction", "who\udc00?"),
+            "the instruction holds the lone surrogate '\\udc00'",
+            id="instruction-surrogate",
+        ),
+        pytest.param(
+            _set("instruction", "who <Locator>?"),
+            "the instruction holds the grammar token <Locator>",
+            id="instruction-token",
+        ),
+        pytest.param(
+            rewrite_section("ocean tides)", "ocean tides\ud800)"),
+            "the reconstructor section holds the lone surrogate '\\ud800'",
+            id="section-surrogate",
+        ),
+        pytest.param(
+            lambda row: (
+                rewrite_section("the earth\n[Cite]", "the earth\ud800\n[Cite]")(row),
+                row.update(instruction="who\udc00?"),
+            ),
+            "the instruction holds the lone surrogate '\\udc00'",
+            id="instruction-and-section-surrogates",
+        ),
     ],
 )
 def test_eval_and_validate_refuse_a_row_that_is_not_a_v2_trace(
     tmp_path, index_file, capsys, corrupt, complaint
 ):
-    # A row that contradicts itself, or holds a key of format v1, is no
-    # trace: reading it fails and names its line, before anything is scored.
+    # A row that contradicts itself, holds a key of format v1 or holds what
+    # no prompt may is no trace: reading it fails and names its line, before
+    # anything is scored.
     row = first_trace_row(tmp_path, index_file)
     good = json.dumps(row)
     corrupt(row)
@@ -1216,6 +1240,22 @@ def test_validate_names_a_mistyped_dataset_row(tmp_path, capsys, change, complai
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad dataset record on line 2: {complaint}\n"
+
+
+@pytest.mark.parametrize(
+    "change, complaint",
+    [
+        ({"input": "q\ud800</eoi>\n<Generator>\n"}, "'input' holds the lone surrogate '\\ud800'"),
+        ({"output": "a\udfff</eog>", "loss_spans": [[0, 8]]}, "'output' holds the lone surrogate '\\udfff'"),
+        ({"source": "open-qa\udc80"}, "'source' holds the lone surrogate '\\udc80'"),
+    ],
+    ids=["input", "output", "source"],
+)
+def test_validate_refuses_a_dataset_row_holding_a_lone_surrogate(tmp_path, capsys, change, complaint):
+    # emit_dataset cannot write such a row, since UTF-8 cannot encode it.
+    path = write_jsonl(tmp_path / "train.jsonl", [PLAIN_ROW, dict(PLAIN_ROW, **change)])
+    assert main(["validate", "--dataset", path]) == EXIT_FAILURE
+    assert capsys.readouterr() == ("", f"error: bad dataset record on line 2: {complaint}\n")
 
 
 def test_validate_reports_a_number_int_refuses_and_checks_the_rows_after_it(tmp_path, capsys):

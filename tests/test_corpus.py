@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -273,10 +274,10 @@ def test_pruning_skips_the_head_term_list():
     passages = _common_and_rare_passages()
     index = build_index(passages)
     start, end = index.span("common")
-    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
+    index.rows, index.tfs = ScanRecordingList(index.rows), ScanRecordingList(index.tfs)
     got = retrieve(index, "common rare", k=2).ranked
-    assert index.ids.scanned == index.tfs.scanned == [index.span("rare")]
-    for lo, hi in index.ids.scanned:
+    assert index.rows.scanned == index.tfs.scanned == [index.span("rare")]
+    for lo, hi in index.rows.scanned:
         assert hi <= start or end <= lo
     # The skipped term still counts in the exact scores.
     assert list(got) == brute_force_bm25(passages, "common rare", 2)
@@ -286,13 +287,13 @@ def test_a_warm_scan_reads_kept_weights_and_still_skips_the_head_term_list():
     passages = _common_and_rare_passages()
     index = build_index(passages)
     head_start = index.span("common")[0]
-    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
+    index.rows, index.tfs = ScanRecordingList(index.rows), ScanRecordingList(index.tfs)
     cold = retrieve(index, "common rare", k=2).ranked
-    index.ids.scanned.clear()
+    index.rows.scanned.clear()
     index.tfs.scanned.clear()
     warm = retrieve(index, "common rare", k=2).ranked
-    # The warm scan reads the rare term's ids and its kept weights, no tf.
-    assert index.ids.scanned == [index.span("rare")]
+    # The warm scan reads the rare term's rows and its kept weights, no tf.
+    assert index.rows.scanned == [index.span("rare")]
     assert index.tfs.scanned == []
     assert list(index.weights) == [index.span("rare")[0]]
     assert head_start not in index.weights
@@ -314,15 +315,15 @@ def test_a_query_is_pruned_only_past_prune_from_postings(monkeypatch, extra):
         return bisect_left(*args)
 
     monkeypatch.setattr(corpus, "bisect_left", counted_bisect_left)
-    index.ids, index.tfs = ScanRecordingList(index.ids), ScanRecordingList(index.tfs)
+    index.rows, index.tfs = ScanRecordingList(index.rows), ScanRecordingList(index.tfs)
     got = retrieve(index, "common rare", k=2).ranked
     if extra:
         # MaxScore: the rare list alone is scanned and the head list probed.
-        assert index.ids.scanned == [rare]
+        assert index.rows.scanned == [rare]
         assert probes
     else:
         # Term at a time in query order: both lists scanned, nothing probed.
-        assert index.ids.scanned == [common, rare]
+        assert index.rows.scanned == [common, rare]
         assert probes == []
     assert list(got) == brute_force_bm25(passages, "common rare", 2)
 
@@ -419,8 +420,8 @@ def test_a_term_weight_array_is_built_once():
     # Each weight is the exhaustive scan's expression for its posting.
     idf = corpus.bm25_idf(index.total_docs, 2)
     assert list(kept) == [
-        idf * tf * (BM25_K1 + 1.0) / (tf + index.k1_length_norms[pid])
-        for pid, tf in zip(index.ids[start:end], index.tfs[start:end])
+        idf * tf * (BM25_K1 + 1.0) / (tf + index.k1_length_norms[row])
+        for row, tf in zip(index.rows[start:end], index.tfs[start:end])
     ]
     # The cache is no part of the index's value, and a copy starts empty.
     copy = replace(index)
@@ -472,7 +473,7 @@ def test_the_kth_largest_score_is_that_of_a_full_sort(size):
         assert corpus._kth_largest(dict(enumerate(values)).values(), k) == want
 
 
-def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
+def test_postings_are_row_ascending_after_build_and_load(tmp_path):
     rng = random.Random(5)
     ids = rng.sample(range(1000), 40)
     passages = [
@@ -484,26 +485,27 @@ def test_postings_are_pid_ascending_after_build_and_load(tmp_path):
     save_index(built, path)
     for index in (built, load_index(path)):
         assert index.offsets[0] == 0
-        assert index.offsets[-1] == len(index.ids) == len(index.tfs)
+        assert index.offsets[-1] == len(index.rows) == len(index.tfs)
+        assert index.row_ids == sorted(ids)
         for term in index.term_numbers:
             start, end = index.span(term)
-            pids, tfs = index.ids[start:end], index.tfs[start:end]
-            assert pids == sorted(set(pids)), term
-            assert len(tfs) == len(pids) and min(tfs) >= 1, term
+            rows, tfs = index.rows[start:end], index.tfs[start:end]
+            assert rows == sorted(set(rows)), term
+            assert len(tfs) == len(rows) and min(tfs) >= 1, term
 
 
 @pytest.mark.parametrize("prune_from", [0, corpus._PRUNE_FROM])
 def test_a_term_frequency_lookup_stays_inside_its_span(monkeypatch, prune_from):
     monkeypatch.setattr(corpus, "_PRUNE_FROM", prune_from)
     # Passage 0 holds only "alpha", passage 1 only "beta", and "beta"'s span
-    # follows "alpha"'s: ids == [0, 1]. Probing "alpha" for passage 1 lands
-    # on the first id past its span, which is 1, and a search of "beta"
+    # follows "alpha"'s: rows == [0, 1]. Probing "alpha" for passage 1 lands
+    # on the first row past its span, which is 1, and a search of "beta"
     # begun before its span would find passage 0. Either slip would give a
     # passage a tf it does not have.
     passages = [make_passage(0, "alpha", "alpha"), make_passage(1, "beta", "beta beta")]
     index = build_index(passages)
     assert list(index.term_numbers) == ["alpha", "beta"]
-    assert index.ids == [0, 1] and list(index.tfs) == [2, 3]
+    assert index.rows == [0, 1] and list(index.tfs) == [2, 3]
     assert index.span("alpha") == (0, 1) and index.span("beta") == (1, 2)
     assert index.span("gamma") == (0, 0)
     for query in ("alpha", "beta", "alpha beta", "beta alpha"):
@@ -599,7 +601,8 @@ def test_save_and_load_round_trip(tmp_path):
     assert loaded.passages == index.passages
     assert loaded.term_numbers == index.term_numbers
     assert loaded.offsets == index.offsets
-    assert loaded.ids == index.ids
+    assert loaded.rows == index.rows
+    assert loaded.row_ids == index.row_ids
     assert loaded.tfs == index.tfs
     assert loaded.avg_doc_length == index.avg_doc_length
     got = retrieve(loaded, "term1 term2", k=5).ranked
@@ -650,7 +653,7 @@ def test_saves_of_one_index_are_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
-def test_an_id_column_written_in_slices_has_the_bytes_of_one_write(tmp_path, monkeypatch, size):
+def test_columns_written_in_slices_have_the_bytes_of_one_write(tmp_path, monkeypatch, size):
     # Sparse ids, some negative, so no posting's row equals its passage id.
     passages = [replace(p, id=3 * p.id - 5) for p in _random_corpus(random.Random(7), 8)]
     index = build_index(passages)
@@ -659,6 +662,32 @@ def test_an_id_column_written_in_slices_has_the_bytes_of_one_write(tmp_path, mon
     save_index(index, tmp_path / "sliced.idx")
     assert (tmp_path / "sliced.idx").read_bytes() == (tmp_path / "whole.idx").read_bytes()
     assert load_index(tmp_path / "sliced.idx") == index
+
+
+def test_a_host_of_the_other_byte_order_writes_each_uint32_swapped_and_reads_it_back(
+    tmp_path, monkeypatch
+):
+    # Runners are little-endian, so a stand-in for sys whose byte order is
+    # the other one ("big" there) takes the branch that swaps every slice.
+    passages = [replace(p, id=3 * p.id - 5) for p in _random_corpus(random.Random(7), 8)]
+    index = build_index(passages)
+    native, other = tmp_path / "native.idx", tmp_path / "other.idx"
+    save_index(index, native)
+    flipped = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(corpus, "sys", SimpleNamespace(byteorder=flipped))
+    monkeypatch.setattr(corpus, "_WRITE_SLICE", 3)  # several slices per column
+    save_index(index, other)
+    native_line, _, native_columns = native.read_bytes().partition(b"\n")
+    other_line, _, other_columns = other.read_bytes().partition(b"\n")
+    swapped = array("I", native_columns)
+    swapped.byteswap()
+    assert other_columns == swapped.tobytes() != native_columns
+    # The header differs only in the checksums, which are of the bytes written.
+    half = len(other_columns) // 2
+    want = json.loads(native_line)
+    want["crc32"] = {"rows": zlib.crc32(other_columns[:half]), "tfs": zlib.crc32(other_columns[half:])}
+    assert json.loads(other_line) == want
+    assert load_index(other) == index
 
 
 def test_rows_name_the_passages_in_id_order_whatever_order_the_header_lists(tmp_path):
@@ -672,43 +701,81 @@ def test_rows_name_the_passages_in_id_order_whatever_order_the_header_lists(tmp_
     path.write_bytes(json.dumps(header).encode() + newline + columns)
     loaded = load_index(path)
     assert loaded == index
-    assert loaded.ids[: loaded.span("cat")[1]] == [-3, 7]
+    assert loaded.row_ids == [-3, 7]
+    assert loaded.rows[: loaded.span("cat")[1]] == [0, 1]
+
+
+def _hand_built(rows, tfs=None):
+    """An index of passages 0 and 1 whose one term "word" has these postings."""
+    passages = [make_passage(pid, "T", "word") for pid in (0, 1)]
+    return replace(
+        build_index(passages),
+        term_numbers={"word": 0},
+        offsets=[0, len(rows)],
+        rows=rows,
+        tfs=array("I", tfs or [1] * len(rows)),
+    )
 
 
 @pytest.mark.parametrize(
-    "pids, bad",
-    [([0, 1, 2], 2), ([0, -1, 1], -1), ([0, 2**32], 2**32), ([5, 9, 6], 6), ([5, -5], -5)],
-    ids=["past-the-last", "negative", "beyond-uint32", "between-sparse-ids", "sparse-negative"],
+    "rows, bad",
+    [([0, 1, 2], 2), ([-1, 0, 1], -1), ([0, 2**32], 2**32), ([0, -1, 1], -1), ([1, 0, 5], 5)],
+    ids=["past-the-last", "negative", "beyond-uint32", "negative-and-falling", "late-and-falling"],
 )
-def test_save_refuses_postings_naming_no_passage(tmp_path, pids, bad):
+def test_save_refuses_postings_naming_no_passage(tmp_path, rows, bad):
     # A hand-built index; save_index would otherwise write a file that
-    # load_index refuses. Passages 0 and 1 have dense ids, 5 and 9 sparse ones.
-    passages = [make_passage(pid, "T", "word") for pid in sorted(set(pids) - {bad})]
-    index = replace(
-        build_index(passages),
-        term_numbers={"word": 0},
-        offsets=[0, len(pids)],
-        ids=pids,
-        tfs=array("I", [1] * len(pids)),
-    )
+    # load_index refuses. A row out of range is named before a fall.
     path = tmp_path / "idx.bin"
-    message = f"the postings name passage id {bad}, which the index has no passage for"
+    message = f"the postings name passage row {bad}, but len(passages) = 2"
     with pytest.raises(CorpusError, match=exactly(message)):
-        save_index(index, path)
+        save_index(_hand_built(rows), path)
     assert not path.exists()
 
 
-def test_loaded_postings_share_the_passage_id_objects(tmp_path):
-    # Ids above 256 are not interned by CPython, so sharing is observable.
-    passages = chunk_document("T", "alpha beta " * 150, start_id=1000)
+@pytest.mark.parametrize(
+    "rows, tfs, message",
+    [
+        ([0, 1], [1, 0], "a term frequency in the index is below 1"),
+        ([1, 0], [1, 1], "the passage ids of term 'word' are not strictly ascending"),
+        ([0, 0], [1, 1], "the passage ids of term 'word' are not strictly ascending"),
+        ([1, 5], [0, 1], "a term frequency in the index is below 1"),
+    ],
+    ids=["zero-tf", "falling", "repeated", "zero-tf-before-bad-row"],
+)
+def test_save_refuses_what_load_refuses_with_its_message(tmp_path, monkeypatch, rows, tfs, message):
+    index, path = _hand_built(rows, tfs), tmp_path / "idx.bin"
+    with pytest.raises(CorpusError, match=exactly(message)):
+        save_index(index, path)
+    assert not path.exists()
+    if max(rows) < 2:
+        # Written without the check, the file is refused on load with the same message.
+        with monkeypatch.context() as patched:
+            patched.setattr(corpus, "_check_columns", lambda *args: None)
+            save_index(index, path)
+        with pytest.raises(CorpusError, match=exactly(message)):
+            load_index(path)
+
+
+def test_save_refuses_a_term_without_postings_with_loads_message(tmp_path):
+    index = replace(_hand_built([0, 1]), term_numbers={"word": 0, "none": 1}, offsets=[0, 2, 2])
+    with pytest.raises(CorpusError, match=exactly("doc_freqs[1] must be at least 1")):
+        save_index(index, tmp_path / "idx.bin")
+    assert not (tmp_path / "idx.bin").exists()
+
+
+def test_built_and_loaded_postings_hold_one_int_object_per_row(tmp_path):
+    # 300 passages, so most rows are above 256 and not interned by CPython.
+    passages = chunk_document("T", "alpha beta " * 15_000, start_id=1000)
+    assert len(passages) == 300
+    built = build_index(passages)
     path = tmp_path / "idx.bin"
-    save_index(build_index(passages), path)
+    save_index(built, path)
     loaded = load_index(path)
-    own = {id(pid) for pid in loaded.passages}
-    assert len(loaded.ids) == 3 * len(passages)  # alpha, beta and the title t
-    assert all(id(pid) in own for pid in loaded.ids)
-    # The very object each passage holds as its id: one int per passage.
-    assert all(pid is loaded.passages[pid].id for pid in loaded.ids)
+    for index in (built, loaded):
+        assert len(index.rows) == 3 * len(passages)  # alpha, beta and the title t
+        assert index.rows[: len(passages)] == list(range(len(passages)))
+        assert len({id(row) for row in index.rows}) == len(passages)
+        assert index.row_ids == list(range(1000, 1300))
 
 
 def test_load_rejects_foreign_json(tmp_path):

@@ -1,6 +1,6 @@
 """Property tests of retrieval: both of ``retrieve``'s evaluations, term at a
 time and MaxScore-pruned, give the exhaustive oracle's ranking and scores bit
-for bit; and a batch whose workers fill one index's weight cache at once
+for bit, on a built index and on its saved and loaded copy; and a batch whose workers fill one index's weight cache at once
 writes the bytes of a serial run, whatever the schedule.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from factrail import corpus
 from factrail.backends import ScriptedBackend, prompt_text
-from factrail.corpus import build_index, index_documents, retrieve, tokenize
+from factrail.corpus import (
+    build_index,
+    index_documents,
+    load_index,
+    retrieve,
+    save_index,
+    tokenize,
+)
 from factrail.grammar import (
     LocatorJudgment,
     Relevance,
@@ -55,11 +62,12 @@ def tie_heavy_cases(draw):
             max_size=10,
         )
     )
-    # Copies of a passage tie exactly, so only the id orders them.
+    # Copies of a passage tie exactly, so only the id orders them. Sparse
+    # ids, negative ones among them, keep a passage's row apart from its id.
     bodies = [(title, words) for title, words, copies in originals for _ in range(copies)]
     if draw(st.booleans()):
         bodies = [(title, words + [HEAD]) for title, words in bodies]
-    ids = draw(st.lists(st.integers(0, 400), min_size=len(bodies), max_size=len(bodies), unique=True))
+    ids = draw(st.lists(st.integers(-400, 400), min_size=len(bodies), max_size=len(bodies), unique=True))
     passages = [make_passage(pid, title, " ".join(words)) for pid, (title, words) in zip(ids, bodies)]
     query = draw(st.lists(st.sampled_from(VOCAB + [HEAD, "zebra"]), min_size=1, max_size=8))
     k = draw(st.integers(1, len(passages) + 3))
@@ -71,12 +79,18 @@ def tie_heavy_cases(draw):
 @given(tie_heavy_cases())
 def test_retrieve_matches_brute_force_on_tie_heavy_corpora(prune_from, case):
     passages, query, k = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_PRUNE_FROM", prune_from)
-        got = retrieve(build_index(passages), query, k).ranked
+    built = build_index(passages)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "idx.bin"
+        save_index(built, path)
+        loaded = load_index(path)
     # The oracle adds the same expression in query order, so even the last
     # bit agrees.
-    assert list(got) == brute_force_bm25(passages, query, k)
+    want = brute_force_bm25(passages, query, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_PRUNE_FROM", prune_from)
+        for index in (built, loaded):
+            assert list(retrieve(index, query, k).ranked) == want
 
 
 # ---------------------------------------------------------------------------
