@@ -13,13 +13,15 @@ The postings sit in two flat columns, passage rows and term frequencies,
 term after term; a term's postings are one span of both, in ascending row.
 A row is a passage's position among the passages sorted by id; only
 ``retrieve``'s results are mapped back to ids. An index file (format
-version 3, written atomically) stores the columns as they are: one JSON
-header line with the passages, the terms, their document frequencies and a
-CRC-32 of each column, then both columns as little-endian uint32. Loading
-checks the columns and keeps them whole; it never tokenizes a passage and
-builds no per-term lists. Saving runs the same column checks. Each check is
-one pass at C speed or one quick test per passage entry or term; the
-per-item code that names a fault runs only once a pass finds one.
+version 4, written atomically) stores the columns as they are: one JSON
+header line of numbers (passage ids, word counts, block sizes and a CRC-32
+of every block and column), then the passage titles, the passage texts and
+the terms as three UTF-8 blocks of lines, then the document frequencies and
+both posting columns as little-endian uint32. Loading decodes and splits
+each block once and keeps the columns whole; it parses no per-passage JSON,
+never tokenizes a passage and builds no per-term lists. Saving runs the
+same checks. Each check is one pass at C speed over a block or a column;
+the per-item code that names a fault runs only once a pass finds one.
 
 ``retrieve`` is exact, and picks its evaluation from the query's postings.
 A query whose terms hold few postings, as most intents do, is scored
@@ -51,12 +53,12 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import nlargest
 from itertools import accumulate, compress, islice
-from operator import ge
+from operator import ge, lt
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 from .fileio import atomic_path, read_jsonl, typed_field
-from .grammar import IntentSet, text_violation
+from .grammar import IntentSet, first_token, text_violation
 
 __all__ = [
     "CHUNK_WORDS",
@@ -83,10 +85,15 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 INDEX_FORMAT = "factrail-index"
-INDEX_VERSION = 3
-# Both columns on disk are uint32: passage rows, then term frequencies.
+INDEX_VERSION = 4
+# The line blocks in file order, and what an error calls line i of each.
+_BLOCK_LINES = {
+    "titles": "passages[{}] 'title'",
+    "texts": "passages[{}] 'text'",
+    "terms": "terms[{}]",
+}
+# Every column on disk is uint32: document frequencies, passage rows, term frequencies.
 _COLUMN_TYPE = "I"
-_POSTING_BYTES = 4 + 4
 # save_index converts a column this many values at a time.
 _WRITE_SLICE = 1 << 16
 
@@ -180,8 +187,8 @@ class CorpusIndex:
     ascending order, so rows rise with ids. Within a span the rows strictly
     rise, because ``retrieve`` binary-searches them: ``build_index``
     appends them so, and ``save_index`` and ``load_index`` refuse any other
-    order. This is the layout of the index file, so loading allocates no
-    per-term containers.
+    order. This is the layout of the index file's columns, so loading
+    allocates no per-term containers.
 
     ``rows`` is a list holding one int object per row, since reading a row
     out of an array would allocate an int per read. ``tfs`` is a uint32
@@ -228,9 +235,10 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
         if passage.id in by_id:
             raise CorpusError(f"duplicate passage id {passage.id}")
         by_id[passage.id] = passage
+    row_ids = sorted(by_id)
     # Each term's postings as one list, row, tf, row, tf, ... by ascending row.
     postings: dict[str, list[int]] = {}
-    for row, pid in enumerate(sorted(by_id)):
+    for row, pid in enumerate(row_ids):
         passage = by_id[pid]
         # Title terms are appended once so titles are searchable.
         counts = Counter(tokenize(passage.text) + tokenize(passage.title))
@@ -252,14 +260,20 @@ def build_index(passages: Sequence[Passage]) -> CorpusIndex:
         tfs.fromlist(pairs[1::2])
         offsets.append(len(rows))
         pairs.clear()
-    return _corpus_index(by_id, list(postings), offsets, rows, tfs)
+    term_numbers = dict(zip(postings, range(len(postings))))
+    return _corpus_index(by_id, row_ids, term_numbers, offsets, rows, tfs)
 
 
 def _corpus_index(
-    by_id: dict[int, Passage], terms: list[str], offsets: list[int], rows: list[int], tfs: array
+    by_id: dict[int, Passage],
+    row_ids: list[int],
+    term_numbers: dict[str, int],
+    offsets: list[int],
+    rows: list[int],
+    tfs: array,
 ) -> CorpusIndex:
+    """The index of these parts; row_ids must be the passage ids in ascending order."""
     total = len(by_id)
-    row_ids = sorted(by_id)
     avg = sum(p.word_count for p in by_id.values()) / total if total else 0.0
     # k1 times BM25's document-length normalisation 1 - b + b * dl / avgdl:
     # the value retrieve adds to tf in every denominator.
@@ -268,7 +282,7 @@ def _corpus_index(
     ]
     return CorpusIndex(
         passages=by_id,
-        term_numbers=dict(zip(terms, range(len(terms)))),
+        term_numbers=term_numbers,
         offsets=offsets,
         rows=rows,
         row_ids=row_ids,
@@ -465,45 +479,87 @@ def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passa
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write ``index`` to ``path`` in format version 3, atomically.
+    """Write ``index`` to ``path`` in format version 4, atomically.
 
-    The layout is one line of compact JSON (the header: passages sorted by
-    id, terms in build order, each term's document frequency and the CRC-32
-    of each column as written), then the row column, then the tf column,
-    both little-endian uint32. Equal indexes give equal bytes. A column is
+    The layout is one line of compact JSON (the header: the passage ids and
+    word counts in ascending id order, the byte length of each line block
+    and the CRC-32 of every block and column as written), then three UTF-8
+    line blocks, each line ended by ``\\n``: the passage titles and texts in
+    ascending id order, then the terms in build order. Last come three
+    little-endian uint32 columns: each term's document frequency, the
+    postings' passage rows, and their term frequencies. Equal indexes give
+    equal bytes. A block is joined and encoded once, and a column is
     converted a slice at a time, never whole: once for the header's
     checksum, then again to write it.
 
     Raises CorpusError, with ``load_index``'s message and writing nothing,
-    for postings that ``load_index`` refuses: a term with none, a tf below
-    1, a row that names no passage, or a term whose rows are not strictly
-    ascending.
+    for what ``load_index`` would refuse: passage ids that are not ints, a
+    word count below 1, a title, text or term holding a grammar token, a
+    lone surrogate or a line break, a term with no postings, columns whose
+    lengths disagree with the document frequencies, a tf below 1, a row
+    that names no passage, or a term whose rows are not strictly ascending.
     """
-    terms, offsets = list(index.term_numbers), index.offsets
-    doc_freqs = [end - start for start, end in zip(offsets, islice(offsets, 1, None))]
-    _terms_from_header({"terms": terms, "doc_freqs": doc_freqs})
-    _check_columns(terms, offsets, index.rows, index.tfs, len(index.row_ids))
+    ids, terms = index.row_ids, list(index.term_numbers)
+    offsets, rows, tfs = index.offsets, index.rows, index.tfs
+    passages = list(map(index.passages.__getitem__, ids))
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "chunk_words": CHUNK_WORDS,
-        "bm25": {"k1": BM25_K1, "b": BM25_B},
-        "passages": [
-            {"id": p.id, "title": p.title, "text": p.text, "word_count": p.word_count}
-            for p in map(index.passages.__getitem__, index.row_ids)
-        ],
-        "terms": terms,
-        "doc_freqs": doc_freqs,
-        "crc32": {"rows": _column_crc(index.rows), "tfs": _column_crc(index.tfs)},
+        "ids": ids,
+        "word_counts": [p.word_count for p in passages],
     }
-    line = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    del header
+    _passage_numbers(header)
+    blocks = {
+        "titles": _line_block("titles", [p.title for p in passages]),
+        "texts": _line_block("texts", [p.text for p in passages]),
+        "terms": _line_block("terms", terms),
+    }
+    doc_freqs = [end - start for start, end in zip(offsets, islice(offsets, 1, None))]
+    _check_doc_freqs(doc_freqs, len(terms), 4 * (len(doc_freqs) + len(rows) + len(tfs)))
+    if len(rows) != len(tfs):
+        raise CorpusError(f"the index holds {len(rows)} rows but {len(tfs)} term frequencies")
+    _check_columns(terms, offsets, rows, tfs, len(ids))
+    columns = {"doc_freqs": doc_freqs, "rows": rows, "tfs": tfs}
+    header["block_bytes"] = {name: len(block) for name, block in blocks.items()}
+    header["crc32"] = {
+        **{name: zlib.crc32(block) for name, block in blocks.items()},
+        **{name: _column_crc(column) for name, column in columns.items()},
+    }
+    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
     with atomic_path(path) as temp, open(temp, "wb") as handle:
-        handle.write(line.encode("utf-8"))
+        handle.write(line.encode("ascii"))
         handle.write(b"\n")
-        for column in (index.rows, index.tfs):
+        for block in blocks.values():
+            handle.write(block)
+        for column in columns.values():
             for part in _file_slices(column):
                 part.tofile(handle)
+
+
+def _line_block(name: str, lines: list[str]) -> bytes:
+    """lines as the UTF-8 block ``name``, each ended by ``\\n``.
+
+    Raises CorpusError naming the first line that holds a grammar token, a
+    lone surrogate or a line break: none could be read back as that line.
+    """
+    text = "\n".join([*lines, ""])
+    if text.count("\n") == len(lines) and first_token(text) is None:
+        with suppress(UnicodeEncodeError):
+            return text.encode("utf-8")
+    raise _line_fault(name, lines)
+
+
+def _line_fault(name: str, lines: list[str]) -> CorpusError:
+    """The error naming the first line of block ``name`` that holds a
+    grammar token, a lone surrogate or a line break, one of which a pass
+    over the whole block has found."""
+    for at, line in enumerate(lines):
+        problem = text_violation(line)
+        if problem is None and "\n" in line:
+            problem = "holds a line break"
+        if problem is not None:
+            return CorpusError(f"{_BLOCK_LINES[name].format(at)} {problem}")
+    raise ValueError(f"no line of the {name} block is at fault")
 
 
 def _file_slices(column: Sequence[int]) -> Iterator[array]:
@@ -522,11 +578,27 @@ def _column_crc(column: Sequence[int]) -> int:
     return crc
 
 
+def _check_doc_freqs(doc_freqs: Sequence[int], term_count: int, column_bytes: int) -> None:
+    """Raise CorpusError unless every document frequency is at least 1 and
+    the columns hold the bytes that term_count terms with these need."""
+    if doc_freqs and min(doc_freqs) < 1:
+        at = next(at for at, freq in enumerate(doc_freqs) if freq < 1)
+        raise CorpusError(f"doc_freqs[{at}] must be at least 1")
+    need = 4 * term_count + 8 * sum(doc_freqs)
+    if column_bytes != need:
+        raise CorpusError(
+            f"index columns hold {column_bytes} bytes, "
+            f"but 4 * len(terms) + 8 * sum(doc_freqs) = {need}"
+        )
+
+
 def _check_columns(
-    terms: list[str], offsets: list[int], rows: Sequence[int], tfs: array, passage_count: int
+    terms: list[str], offsets: list[int], rows: Sequence[int], tfs: array, passage_count: int | None
 ) -> None:
-    """Raise CorpusError naming the first fault unless every tf is at least 1,
-    every row names a passage and each term's rows strictly rise. Rows may
+    """Raise CorpusError naming the first fault unless every tf is at least
+    1, every row names one of passage_count passages and each term's rows
+    strictly rise. A passage_count of None skips the range test: loading
+    has proved every row in range while sharing the row objects. Rows may
     fall only where a term starts; once that holds, a term's first and last
     rows bound the rest. Only failing columns are scanned to name the fault."""
     # Unsigned, so 0 is the only tf below 1. A zero has a zero low byte, the
@@ -536,17 +608,20 @@ def _check_columns(
         raise CorpusError("a term frequency in the index is below 1")
     falls = sum(map(ge, rows, islice(rows, 1, None)))
     starts = islice(offsets, 1, len(offsets) - 1)
-    if (
-        falls == sum(1 for start in starts if rows[start - 1] >= rows[start])
-        and min(map(rows.__getitem__, offsets[:-1]), default=0) >= 0
-        and max((rows[end - 1] for end in islice(offsets, 1, None)), default=0) < passage_count
+    if falls == sum(1 for start in starts if rows[start - 1] >= rows[start]) and (
+        passage_count is None
+        or (
+            min(map(rows.__getitem__, offsets[:-1]), default=0) >= 0
+            and max((rows[end - 1] for end in islice(offsets, 1, None)), default=0) < passage_count
+        )
     ):
         return
-    for row in rows:
-        if not 0 <= row < passage_count:
-            raise CorpusError(
-                f"the postings name passage row {row}, but len(passages) = {passage_count}"
-            )
+    if passage_count is not None:
+        for row in rows:
+            if not 0 <= row < passage_count:
+                raise CorpusError(
+                    f"the postings name passage row {row}, but len(passages) = {passage_count}"
+                )
     term_ends = {end - 1 for end in islice(offsets, 1, None)}
     for at in compress(range(len(rows) - 1), map(ge, rows, islice(rows, 1, None))):
         if at not in term_ends:
@@ -557,49 +632,68 @@ def _check_columns(
 def load_index(path: str | Path) -> CorpusIndex:
     """Read an index that ``save_index`` wrote, checking every part of it.
 
-    Raises CorpusError, naming the fault, for anything else: a header
-    that is not JSON, nests too deeply or has missing or mistyped entries,
-    a version 1 or 2 file, a passage title or text that ``index_documents``
-    refuses or that holds a line break, a duplicate passage id or term, a
-    document frequency below 1, columns whose length disagrees with the
-    frequencies, a tf below 1, a row past the last passage, a term whose
-    rows are not strictly ascending, or, once all of that holds, columns
-    whose CRC-32 differs from the one in the header.
+    Raises CorpusError, naming the fault, for anything else: a header that
+    is not JSON or nests too deeply, a version 1, 2 or 3 file, passage ids
+    that are not strictly ascending ints, word counts that are not ints of
+    at least 1 or not one per id, a missing block size, blocks longer than
+    the file, a block that does not end with a line break, a passage block
+    whose lines are not one per id, a line that is not UTF-8 or holds a
+    grammar token, a repeated term, columns too short for the document
+    frequencies or whose length disagrees with them, a document frequency
+    or tf below 1, a row past the last passage, a term whose rows are not
+    strictly ascending, or, once all of that holds, a block or column whose
+    CRC-32 differs from the one in the header.
 
-    Each check is one pass at C speed (one quick test per passage entry;
-    the row check is the bounds check of sharing the row objects), and the
-    per-item code that names the fault runs only when that pass finds one,
-    so a file with several faults reports the first in file order of the
-    first check it fails.
+    Each check is one pass at C speed over a block or column (the row check
+    is the bounds check of sharing the row objects), and the per-item code
+    that names the fault runs only when that pass finds one, so a file with
+    several faults reports the first in file order of the first check it
+    fails.
     """
     with open(path, "rb") as handle:
         header = _read_header(handle)
-        by_id = _passages_from_header(header)
-        terms, doc_freqs = _terms_from_header(header)
-        total = sum(doc_freqs)
+        ids, word_counts = _passage_numbers(header)
+        sizes = _block_sizes(header)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
-        if size != total * _POSTING_BYTES:
+        if size < sum(sizes.values()):
             raise CorpusError(
-                f"index columns hold {size} bytes, but sum(doc_freqs) = {total} "
-                f"postings need {total * _POSTING_BYTES}"
+                f"the index blocks need {sum(sizes.values())} bytes, but {size} follow the header"
             )
-        raw_rows, raw_tfs = handle.read(4 * total), handle.read(4 * total)
-    checksums = {"rows": zlib.crc32(raw_rows), "tfs": zlib.crc32(raw_tfs)}
-    rows, tfs = array(_COLUMN_TYPE, raw_rows), array(_COLUMN_TYPE, raw_tfs)
-    del raw_rows, raw_tfs
-    if sys.byteorder != "little":
-        rows.byteswap()
-        tfs.byteswap()
+        checksums, lines = {}, {}
+        for name, block_size in sizes.items():
+            block = handle.read(block_size)
+            checksums[name] = zlib.crc32(block)
+            lines[name] = _block_lines(name, block, None if name == "terms" else len(ids))
+            size -= block_size
+        titles, texts, terms = lines.values()
+        term_numbers = dict(zip(terms, range(len(terms))))
+        if len(term_numbers) != len(terms):
+            repeated = next(term for term, count in Counter(terms).items() if count > 1)
+            raise CorpusError(f"the terms block lists {repeated!r} twice")
+        if size < 4 * len(terms):
+            raise CorpusError(
+                f"index columns hold {size} bytes, fewer than 4 * len(terms) = {4 * len(terms)}"
+            )
+        doc_freqs, checksums["doc_freqs"] = _read_column(handle, len(terms))
+        _check_doc_freqs(doc_freqs, len(terms), size)
+        offsets = [0, *accumulate(doc_freqs)]
+        rows, checksums["rows"] = _read_column(handle, offsets[-1])
+        tfs, checksums["tfs"] = _read_column(handle, offsets[-1])
+    by_id = dict(zip(ids, map(Passage, ids, titles, texts, word_counts)))
     # A row's postings share its one int object; about 20% faster than list(map(...)) on
     # CPython 3.11. A row past the last passage stops it, and _check_columns names it.
-    shared = list(range(len(by_id)))
-    with suppress(IndexError):
+    shared = list(range(len(ids)))
+    passage_count = None
+    try:
         rows = [shared[row] for row in rows]
-    offsets = [0, *accumulate(doc_freqs)]
-    _check_columns(terms, offsets, rows, tfs, len(shared))
-    if header.get("crc32") != checksums:
-        raise CorpusError("the index columns do not match their checksum")
-    return _corpus_index(by_id, terms, offsets, rows, tfs)
+    except IndexError:
+        passage_count = len(shared)
+    _check_columns(terms, offsets, rows, tfs, passage_count)
+    stored = header.get("crc32")
+    for name, crc in checksums.items():
+        if not isinstance(stored, dict) or stored.get(name) != crc:
+            raise CorpusError(f"the index {name} do not match their checksum")
+    return _corpus_index(by_id, ids, term_numbers, offsets, rows, tfs)
 
 
 def _read_header(handle: BinaryIO) -> dict:
@@ -620,7 +714,7 @@ def _read_header(handle: BinaryIO) -> dict:
     if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
         raise CorpusError("missing or wrong format header")
     version = header.get("version")
-    if type(version) is int and version in (1, 2):
+    if type(version) is int and version in (1, 2, 3):
         raise CorpusError(
             f"index format version {version} is no longer read; re-run `factrail index` "
             "on the corpus to rebuild the index"
@@ -630,92 +724,65 @@ def _read_header(handle: BinaryIO) -> dict:
     return header
 
 
-def _passages_from_header(header: dict) -> dict[int, Passage]:
-    entries = header.get("passages")
-    if not isinstance(entries, list):
-        raise CorpusError("index has no 'passages' list")
-    by_id: dict[int, Passage] = {}
-    for at, entry in enumerate(entries):
-        # One test covers what the file that save_index wrote holds: JSON
-        # gives no subclass of int or str, and ASCII text without a token's
-        # first character holds neither a token nor a lone surrogate; no
-        # passage spans lines. An entry that fails it is checked field by
-        # field, which names the fault.
-        try:
-            pid, title, text, words = entry["id"], entry["title"], entry["text"], entry["word_count"]
-        except (KeyError, TypeError):
-            clean = False
-        else:
-            clean = (
-                type(pid) is type(words) is int
-                and words >= 1
-                and type(title) is type(text) is str
-                and title.isascii()
-                and text.isascii()
-                and _TOKEN_START not in title
-                and _TOKEN_START not in text
-                and "\n" not in title
-                and "\n" not in text
-            )
-        passage = Passage(pid, title, text, words) if clean else _passage_from_entry(at, entry)
-        if passage.id in by_id:
-            raise CorpusError(f"passages[{at}] repeats passage id {passage.id}")
-        by_id[passage.id] = passage
-    return by_id
-
-
-def _terms_from_header(header: dict) -> tuple[list[str], list[int]]:
-    terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
-    if not isinstance(terms, list) or not set(map(type, terms)) <= {str}:
-        raise CorpusError("index has no 'terms' list of strings")
-    if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
-        raise CorpusError("index has no 'doc_freqs' list as long as 'terms'")
-    if len(set(terms)) != len(terms):
-        repeated = next(term for term, count in Counter(terms).items() if count > 1)
-        raise CorpusError(f"'terms' lists {repeated!r} twice")
-    if set(map(type, doc_freqs)) <= {int} and (not doc_freqs or min(doc_freqs) >= 1):
-        return terms, doc_freqs
-    for at, freq in enumerate(doc_freqs):  # names the first bad frequency
-        if not isinstance(freq, int) or isinstance(freq, bool):
-            raise CorpusError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
-        if freq < 1:
-            raise CorpusError(f"doc_freqs[{at}] must be at least 1")
-    return terms, doc_freqs
-
-
-# The first character of every grammar token, so text without it holds none
-# (tests pin this against grammar.TokenKind).
-_TOKEN_START = "<"
-
-_ENTRY_FIELDS = (("id", int), ("title", str), ("text", str), ("word_count", int))
-
-
-def _passage_from_entry(at: int, entry: object) -> Passage:
-    if not isinstance(entry, dict):
-        raise CorpusError(f"passages[{at}] is not an object")
-    for name, kind in _ENTRY_FIELDS:
-        if name not in entry:
-            raise CorpusError(f"passages[{at}] has no {name!r}")
-        value = entry[name]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise CorpusError(
-                f"passages[{at}] {name!r} must be {kind.__name__}, not {type(value).__name__}"
-            )
+def _passage_numbers(header: dict) -> tuple[list[int], list[int]]:
+    ids, word_counts = header.get("ids"), header.get("word_counts")
+    # JSON gives no subclass of int but bool, which the type test refuses.
+    if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
+        raise CorpusError("index has no 'ids' list of ints")
+    if not isinstance(word_counts, list) or len(word_counts) != len(ids):
+        raise CorpusError("index has no 'word_counts' list as long as 'ids'")
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        at = next(at for at in range(1, len(ids)) if ids[at] <= ids[at - 1])
+        raise CorpusError(f"ids[{at}] = {ids[at]} is not above ids[{at - 1}] = {ids[at - 1]}")
     # A positive length keeps every BM25 length norm, and so retrieve's
     # pruning bounds, valid.
-    if entry["word_count"] < 1:
-        raise CorpusError(f"passages[{at}] 'word_count' must be at least 1")
-    # index_documents' own rule: no passage may hold what no prompt may.
-    # Nor may it span lines: a trace holds it as one line of its retrieval section.
-    for name in ("title", "text"):
-        problem = text_violation(entry[name])
-        if problem is None and "\n" in entry[name]:
-            problem = "holds a line break"
-        if problem is not None:
-            raise CorpusError(f"passages[{at}] {name!r} {problem}")
-    return Passage(
-        id=entry["id"], title=entry["title"], text=entry["text"], word_count=entry["word_count"]
-    )
+    if set(map(type, word_counts)) <= {int} and min(word_counts, default=1) >= 1:
+        return ids, word_counts
+    for at, words in enumerate(word_counts):  # names the first bad count
+        if type(words) is not int:
+            raise CorpusError(f"word_counts[{at}] must be int, not {type(words).__name__}")
+        if words < 1:
+            raise CorpusError(f"word_counts[{at}] must be at least 1")
+    return ids, word_counts
+
+
+def _block_sizes(header: dict) -> dict[str, int]:
+    sizes = header.get("block_bytes")
+    if not isinstance(sizes, dict):
+        sizes = {}
+    for name in _BLOCK_LINES:
+        if type(sizes.get(name)) is not int or sizes[name] < 0:
+            raise CorpusError(f"index has no byte count for its {name} block")
+    return {name: sizes[name] for name in _BLOCK_LINES}
+
+
+def _block_lines(name: str, block: bytes, count: int | None) -> list[str]:
+    """The lines of block ``name``, which must hold count of them if given."""
+    if block[-1:] not in (b"", b"\n"):
+        raise CorpusError(f"the index {name} block does not end with a line break")
+    held = block.count(b"\n")
+    if count is not None and held != count:
+        raise CorpusError(f"the index {name} block holds {held} lines, but 'ids' lists {count}")
+    # Strict UTF-8 decodes no lone surrogate, and a line break ends each line.
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = block.count(b"\n", 0, exc.start)
+        raise CorpusError(f"{_BLOCK_LINES[name].format(at)} is not UTF-8") from None
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the last line break
+    if first_token(text) is not None:
+        raise _line_fault(name, lines)
+    return lines
+
+
+def _read_column(handle: BinaryIO, count: int) -> tuple[array, int]:
+    """The next count uint32 of handle, and the CRC-32 of their bytes."""
+    raw = handle.read(4 * count)
+    column = array(_COLUMN_TYPE, raw)
+    if sys.byteorder != "little":
+        column.byteswap()
+    return column, zlib.crc32(raw)
 
 
 def _document(row: dict) -> tuple[str, str]:

@@ -90,84 +90,173 @@ def brute_force_bm25(
 
 
 def reference_load_index(path) -> CorpusIndex:
-    """``load_index`` as plain loops: each passage entry checked field by
-    field, each posting one at a time, in the order and with the messages of
-    ``load_index``. Only reading the header and assembling the index are
-    ``load_index``'s own code."""
+    """``load_index`` as plain loops: each header number, block line and
+    posting checked one at a time, in the order and with the messages of
+    ``load_index``. Only reading the header line and assembling the index
+    are ``load_index``'s own code."""
     with open(path, "rb") as handle:
         header = corpus._read_header(handle)
-        columns = handle.read()
+        rest = handle.read()
 
-    entries = header.get("passages")
-    if not isinstance(entries, list):
-        raise CorpusError("index has no 'passages' list")
-    by_id = {}
-    for at, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise CorpusError(f"passages[{at}] is not an object")
-        for name, kind in (("id", int), ("title", str), ("text", str), ("word_count", int)):
-            if name not in entry:
-                raise CorpusError(f"passages[{at}] has no {name!r}")
-            value = entry[name]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise CorpusError(
-                    f"passages[{at}] {name!r} must be {kind.__name__}, not {type(value).__name__}"
-                )
-        if entry["word_count"] < 1:
-            raise CorpusError(f"passages[{at}] 'word_count' must be at least 1")
-        for name in ("title", "text"):
-            problem = text_violation(entry[name])
-            if problem is not None:
-                raise CorpusError(f"passages[{at}] {name!r} {problem}")
-            if "\n" in entry[name]:
-                raise CorpusError(f"passages[{at}] {name!r} holds a line break")
-        if entry["id"] in by_id:
-            raise CorpusError(f"passages[{at}] repeats passage id {entry['id']}")
-        by_id[entry["id"]] = Passage(entry["id"], entry["title"], entry["text"], entry["word_count"])
+    ids, word_counts = header.get("ids"), header.get("word_counts")
+    if not isinstance(ids, list) or not all(type(pid) is int for pid in ids):
+        raise CorpusError("index has no 'ids' list of ints")
+    if not isinstance(word_counts, list) or len(word_counts) != len(ids):
+        raise CorpusError("index has no 'word_counts' list as long as 'ids'")
+    for at in range(1, len(ids)):
+        if ids[at] <= ids[at - 1]:
+            raise CorpusError(f"ids[{at}] = {ids[at]} is not above ids[{at - 1}] = {ids[at - 1]}")
+    for at, words in enumerate(word_counts):
+        if type(words) is not int:
+            raise CorpusError(f"word_counts[{at}] must be int, not {type(words).__name__}")
+        if words < 1:
+            raise CorpusError(f"word_counts[{at}] must be at least 1")
+    sizes = header.get("block_bytes")
+    for name in BLOCKS:
+        size = sizes.get(name) if isinstance(sizes, dict) else None
+        if type(size) is not int or size < 0:
+            raise CorpusError(f"index has no byte count for its {name} block")
 
-    terms, doc_freqs = header.get("terms"), header.get("doc_freqs")
-    if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
-        raise CorpusError("index has no 'terms' list of strings")
-    if not isinstance(doc_freqs, list) or len(doc_freqs) != len(terms):
-        raise CorpusError("index has no 'doc_freqs' list as long as 'terms'")
+    need = sum(sizes[name] for name in BLOCKS)
+    if len(rest) < need:
+        raise CorpusError(f"the index blocks need {need} bytes, but {len(rest)} follow the header")
+    parts, lines = {}, {}
+    for name in BLOCKS:
+        parts[name], rest = rest[: sizes[name]], rest[sizes[name] :]
+        count = None if name == "terms" else len(ids)
+        lines[name] = _reference_block_lines(name, parts[name], count)
+    terms = lines["terms"]
     counts = Counter(terms)
     for term in terms:
         if counts[term] > 1:
-            raise CorpusError(f"'terms' lists {term!r} twice")
+            raise CorpusError(f"the terms block lists {term!r} twice")
+
+    if len(rest) < 4 * len(terms):
+        raise CorpusError(
+            f"index columns hold {len(rest)} bytes, fewer than 4 * len(terms) = {4 * len(terms)}"
+        )
+    parts["doc_freqs"] = rest[: 4 * len(terms)]
+    doc_freqs = _uint32s_of(parts["doc_freqs"])
     for at, freq in enumerate(doc_freqs):
-        if not isinstance(freq, int) or isinstance(freq, bool):
-            raise CorpusError(f"doc_freqs[{at}] must be int, not {type(freq).__name__}")
         if freq < 1:
             raise CorpusError(f"doc_freqs[{at}] must be at least 1")
-
     total = sum(doc_freqs)
-    if len(columns) != total * 8:
+    if len(rest) != 4 * len(terms) + 8 * total:
         raise CorpusError(
-            f"index columns hold {len(columns)} bytes, but sum(doc_freqs) = {total} "
-            f"postings need {total * 8}"
+            f"index columns hold {len(rest)} bytes, but 4 * len(terms) + 8 * sum(doc_freqs) = "
+            f"{4 * len(terms) + 8 * total}"
         )
-    row_column, tf_column = columns[: 4 * total], columns[4 * total :]
-    rows = [int.from_bytes(row_column[4 * at : 4 * at + 4], "little") for at in range(total)]
-    tfs = [int.from_bytes(tf_column[4 * at : 4 * at + 4], "little") for at in range(total)]
+    parts["rows"] = rest[4 * len(terms) : 4 * len(terms) + 4 * total]
+    parts["tfs"] = rest[4 * len(terms) + 4 * total :]
+    rows, tfs = _uint32s_of(parts["rows"]), _uint32s_of(parts["tfs"])
     for tf in tfs:
         if tf < 1:
             raise CorpusError("a term frequency in the index is below 1")
-    row_ids = sorted(by_id)
     for row in rows:
-        if row >= len(row_ids):
+        if row >= len(ids):
             raise CorpusError(
-                f"the postings name passage row {row}, but len(passages) = {len(row_ids)}"
+                f"the postings name passage row {row}, but len(passages) = {len(ids)}"
             )
     offsets = [0]
     for term, freq in zip(terms, doc_freqs):
         start = offsets[-1]
         for at in range(start + 1, start + freq):
-            if row_ids[rows[at]] <= row_ids[rows[at - 1]]:
+            if ids[rows[at]] <= ids[rows[at - 1]]:
                 raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
         offsets.append(start + freq)
-    if header.get("crc32") != {"rows": zlib.crc32(row_column), "tfs": zlib.crc32(tf_column)}:
-        raise CorpusError("the index columns do not match their checksum")
-    return corpus._corpus_index(by_id, terms, offsets, rows, array("I", tfs))
+    stored = header.get("crc32")
+    for name in INDEX_PARTS:
+        if not isinstance(stored, dict) or stored.get(name) != zlib.crc32(parts[name]):
+            raise CorpusError(f"the index {name} do not match their checksum")
+    by_id = {
+        pid: Passage(pid, title, text, words)
+        for pid, title, text, words in zip(ids, lines["titles"], lines["texts"], word_counts)
+    }
+    term_numbers = {term: number for number, term in enumerate(terms)}
+    return corpus._corpus_index(by_id, ids, term_numbers, offsets, rows, array("I", tfs))
+
+
+_LINE_NAMES = {
+    "titles": "passages[{}] 'title'",
+    "texts": "passages[{}] 'text'",
+    "terms": "terms[{}]",
+}
+
+
+def _reference_block_lines(name: str, block: bytes, count) -> list[str]:
+    if block and block[-1] != ord("\n"):
+        raise CorpusError(f"the index {name} block does not end with a line break")
+    raw_lines = block.split(b"\n")[:-1]
+    if count is not None and len(raw_lines) != count:
+        raise CorpusError(
+            f"the index {name} block holds {len(raw_lines)} lines, but 'ids' lists {count}"
+        )
+    lines = []
+    for at, raw in enumerate(raw_lines):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CorpusError(f"{_LINE_NAMES[name].format(at)} is not UTF-8") from None
+    for at, line in enumerate(lines):
+        problem = text_violation(line)
+        if problem is not None:
+            raise CorpusError(f"{_LINE_NAMES[name].format(at)} {problem}")
+    return lines
+
+
+def _uint32s_of(column: bytes) -> list[int]:
+    return [int.from_bytes(column[at : at + 4], "little") for at in range(0, len(column), 4)]
+
+
+# ---------------------------------------------------------------------------
+# index files taken apart and put together
+
+BLOCKS = ("titles", "texts", "terms")
+INDEX_PARTS = (*BLOCKS, "doc_freqs", "rows", "tfs")
+
+
+def uint32s(values) -> bytes:
+    return b"".join(value.to_bytes(4, "little") for value in values)
+
+
+def split_index(data: bytes) -> tuple[dict, dict[str, bytes]]:
+    """The header and the six parts, by name, of a well-formed index file."""
+    line, _, rest = data.partition(b"\n")
+    header = json.loads(line)
+    parts = {}
+    for name in BLOCKS:
+        size = header["block_bytes"][name]
+        parts[name], rest = rest[:size], rest[size:]
+    terms = parts["terms"].count(b"\n")
+    parts["doc_freqs"], rest = rest[: 4 * terms], rest[4 * terms :]
+    parts["rows"], parts["tfs"] = rest[: len(rest) // 2], rest[len(rest) // 2 :]
+    return header, parts
+
+
+def join_index(header: dict, parts: dict[str, bytes]) -> bytes:
+    """An index file: header as one line of JSON, then the parts in file order."""
+    return json.dumps(header).encode() + b"\n" + b"".join(parts[name] for name in INDEX_PARTS)
+
+
+def sealed(header: dict, parts: dict[str, bytes]) -> dict:
+    """header with the byte length of each block and the CRC-32 of each part."""
+    return {
+        **header,
+        "block_bytes": {name: len(parts[name]) for name in BLOCKS},
+        "crc32": {name: zlib.crc32(parts[name]) for name in INDEX_PARTS},
+    }
+
+
+def with_block_lines(
+    data: bytes, name: str, edit: Callable[[list[bytes]], list[bytes]]
+) -> bytes:
+    """data, an index file, with the lines of block ``name`` (bytes, without
+    their line breaks) replaced by what edit returns for them, and the
+    header sealed again, so that only what edit did is wrong."""
+    header, parts = split_index(data)
+    lines = edit(parts[name].split(b"\n")[:-1])
+    parts[name] = b"".join(line + b"\n" for line in lines)
+    return join_index(sealed(header, parts), parts)
 
 
 def mirror_retrieval(

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import re
-import zlib
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -37,7 +36,17 @@ from factrail.dataset import (
 from factrail.grammar import StepKind, TrajectoryStep, retrieval_body
 from factrail.orchestrator import InferenceConfig, build_step_prompt
 
-from helpers import StubServer, chat_reply, judge_by_answer, mirror_retrieval, script_scenario
+from helpers import (
+    StubServer,
+    chat_reply,
+    join_index,
+    judge_by_answer,
+    mirror_retrieval,
+    script_scenario,
+    sealed,
+    uint32s,
+    with_block_lines,
+)
 
 DOCS = [
     {"title": "Moon", "text": "the moon orbits the earth every month"},
@@ -311,7 +320,7 @@ def test_index_missing_corpus_fails(tmp_path):
     assert code == EXIT_FAILURE
 
 
-GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
+MOON = (0, "Moon", "the moon", 2)  # a passage's id, title, text and word count
 
 
 def rebuild_complaint(version):
@@ -321,20 +330,28 @@ def rebuild_complaint(version):
     )
 
 
-def index_bytes(header, rows=(), tfs=()):
-    """A version 3 index file: a JSON header line carrying the columns' true
-    CRC-32s, then the two columns."""
-    row_column = b"".join(row.to_bytes(4, "little") for row in rows)
-    tf_column = b"".join(tf.to_bytes(4, "little") for tf in tfs)
-    header = {**header, "crc32": {"rows": zlib.crc32(row_column), "tfs": zlib.crc32(tf_column)}}
-    return json.dumps(header).encode() + b"\n" + row_column + tf_column
+def index_bytes(passages=(MOON,), terms=(), doc_freqs=(), rows=(), tfs=(), **header):
+    """A version 4 index file of these passages and postings, its block
+    sizes and CRC-32s true; header entries given replace the file's own. A
+    lone surrogate is written as UTF-8 would write it if it could."""
 
+    def block(lines):
+        return "".join(f"{line}\n" for line in lines).encode("utf-8", "surrogatepass")
 
-def v3_header(passages=(GOOD_ENTRY,), terms=(), doc_freqs=()):
-    return {
-        "format": "factrail-index", "version": 3, "passages": list(passages),
-        "terms": list(terms), "doc_freqs": list(doc_freqs),
+    parts = {
+        "titles": block(title for _, title, _, _ in passages),
+        "texts": block(text for _, _, text, _ in passages),
+        "terms": block(terms),
+        "doc_freqs": uint32s(doc_freqs),
+        "rows": uint32s(rows),
+        "tfs": uint32s(tfs),
     }
+    numbers = {
+        "format": "factrail-index", "version": 4,
+        "ids": [pid for pid, _, _, _ in passages],
+        "word_counts": [words for _, _, _, words in passages],
+    }
+    return join_index({**sealed(numbers, parts), **header}, parts)
 
 
 def assert_infer_fails_with(tmp_path, capsys, index_data, complaint):
@@ -354,39 +371,59 @@ def assert_infer_fails_with(tmp_path, capsys, index_data, complaint):
 
 
 @pytest.mark.parametrize(
-    "passages, complaint",
+    "numbers, complaint",
     [
-        (None, "index has no 'passages' list"),
-        ({"0": GOOD_ENTRY}, "index has no 'passages' list"),
-        ([GOOD_ENTRY, "moon"], "passages[1] is not an object"),
-        *[
-            ([{k: v for k, v in GOOD_ENTRY.items() if k != name}], f"passages[0] has no '{name}'")
-            for name in GOOD_ENTRY
-        ],
-        ([GOOD_ENTRY, {**GOOD_ENTRY, "id": "1"}], "passages[1] 'id' must be int, not str"),
-        ([{**GOOD_ENTRY, "title": 7}], "passages[0] 'title' must be str, not int"),
-        ([{**GOOD_ENTRY, "text": None}], "passages[0] 'text' must be str, not NoneType"),
-        ([{**GOOD_ENTRY, "word_count": "2"}], "passages[0] 'word_count' must be int, not str"),
-        ([{**GOOD_ENTRY, "word_count": True}], "passages[0] 'word_count' must be int, not bool"),
-        ([{**GOOD_ENTRY, "word_count": 0}], "passages[0] 'word_count' must be at least 1"),
+        ({"ids": None}, "index has no 'ids' list of ints"),
+        ({"ids": {"0": 0}}, "index has no 'ids' list of ints"),
+        ({"ids": ["0"]}, "index has no 'ids' list of ints"),
+        ({"ids": [True]}, "index has no 'ids' list of ints"),
+        ({"word_counts": None}, "index has no 'word_counts' list as long as 'ids'"),
+        ({"word_counts": [2, 2]}, "index has no 'word_counts' list as long as 'ids'"),
+        ({"ids": [0, 0], "word_counts": [2, 2]}, "ids[1] = 0 is not above ids[0] = 0"),
+        ({"ids": [3, -1], "word_counts": [2, 2]}, "ids[1] = -1 is not above ids[0] = 3"),
+        ({"word_counts": ["2"]}, "word_counts[0] must be int, not str"),
+        ({"word_counts": [True]}, "word_counts[0] must be int, not bool"),
+        ({"word_counts": [0]}, "word_counts[0] must be at least 1"),
+        ({"block_bytes": None}, "index has no byte count for its titles block"),
+        ({"block_bytes": {"titles": 5, "texts": -1, "terms": 0}},
+         "index has no byte count for its texts block"),
+        ({"block_bytes": {"titles": 5, "texts": 9, "terms": 0.0}},
+         "index has no byte count for its terms block"),
     ],
 )
-def test_malformed_index_exits_with_message(tmp_path, capsys, passages, complaint):
-    header = v3_header()
-    del header["passages"]
-    if passages is not None:
-        header["passages"] = passages
-    assert_infer_fails_with(tmp_path, capsys, index_bytes(header), complaint + "\n")
+def test_malformed_index_header_exits_with_message(tmp_path, capsys, numbers, complaint):
+    header = json.loads(index_bytes().partition(b"\n")[0])
+    header.update(numbers)
+    header = {name: value for name, value in header.items() if value is not None}
+    data = json.dumps(header).encode() + b"\n" + index_bytes().partition(b"\n")[2]
+    assert_infer_fails_with(tmp_path, capsys, data, complaint + "\n")
 
 
 MOON_TERMS = {"terms": ["the", "moon"], "doc_freqs": [1, 1]}
+TWO_PASSAGES = [MOON, (1, *MOON[1:])]
+GOOD_ENTRY = {"id": 0, "title": "Moon", "text": "the moon", "word_count": 2}
 V1_PAYLOAD = {"format": "factrail-index", "version": 1, "passages": [GOOD_ENTRY]}
-TWO_PASSAGES = [GOOD_ENTRY, {**GOOD_ENTRY, "id": 1}]
 # A version 2 file: no checksums, and each posting's passage id as an int64.
 V2_FILE = (
-    json.dumps({**v3_header(**MOON_TERMS), "version": 2}).encode() + b"\n"
+    json.dumps({**V1_PAYLOAD, "version": 2, **MOON_TERMS}).encode() + b"\n"
     + (0).to_bytes(8, "little") * 2 + (1).to_bytes(4, "little") * 2
 )
+# A version 3 file: the passages in the header, rows and tfs as uint32.
+V3_FILE = (
+    json.dumps({**V1_PAYLOAD, "version": 3, **MOON_TERMS, "crc32": {"rows": 0, "tfs": 0}}).encode()
+    + b"\n" + uint32s([0, 0, 1, 1])
+)
+
+
+def crc_of(name, data):
+    """The CRC-32 in data's header with the one of part ``name`` changed."""
+    crcs = json.loads(data.partition(b"\n")[0])["crc32"]
+    return {**crcs, name: crcs[name] ^ 1}
+
+
+def moon_index(**header):
+    """Two passages of "the moon", each of whose terms they both hold."""
+    return index_bytes(TWO_PASSAGES, ["the", "moon"], [2, 2], [0, 1, 0, 1], [1, 1, 1, 1], **header)
 
 
 @pytest.mark.parametrize(
@@ -394,87 +431,107 @@ V2_FILE = (
     [
         pytest.param(b'{"format": "factrail-index",\n', "not an index file: ", id="header-not-json"),
         pytest.param(
-            b"\xff\xfe" + index_bytes(v3_header()),
+            b"\xff\xfe" + index_bytes(),
             "not an index file: 'utf-8' codec can't decode byte 0xff",
             id="header-not-utf8",
         ),
         pytest.param(
-            index_bytes(v3_header(**MOON_TERMS), [0], [1]),
-            "index columns hold 8 bytes, but sum(doc_freqs) = 2 postings need 16",
-            id="columns-too-short",
+            index_bytes(block_bytes={"titles": 5, "texts": 9, "terms": 40}),
+            "the index blocks need 54 bytes, but 14 follow the header",
+            id="blocks-past-the-end",
         ),
         pytest.param(
-            index_bytes(v3_header(**MOON_TERMS), [0, 0, 0], [1, 1, 1]),
-            "index columns hold 24 bytes, but sum(doc_freqs) = 2 postings need 16",
-            id="columns-too-long",
+            index_bytes(block_bytes={"titles": 4, "texts": 10, "terms": 0}),
+            "the index titles block does not end with a line break",
+            id="block-without-its-last-line-break",
         ),
         pytest.param(
-            index_bytes(v3_header(**MOON_TERMS), [0, 0], [1, 0]),
-            "a term frequency in the index is below 1",
-            id="tf-zero",
+            index_bytes([(0, "Moon", "the\nmoon", 2)]),
+            "the index texts block holds 2 lines, but 'ids' lists 1",
+            id="passage-line-break",
         ),
         pytest.param(
-            index_bytes(v3_header(**MOON_TERMS), [0, 5], [1, 1]),
-            "the postings name passage row 5, but len(passages) = 1",
-            id="unknown-row",
-        ),
-        pytest.param(
-            # The last tf turns from 1 to 2 after its checksum was taken.
-            index_bytes(v3_header(TWO_PASSAGES, **MOON_TERMS), [0, 1], [1, 1])[:-4]
-            + (2).to_bytes(4, "little"),
-            "the index columns do not match their checksum",
-            id="checksum-mismatch",
-        ),
-        pytest.param(
-            index_bytes(
-                v3_header(TWO_PASSAGES, ["the", "moon"], [2, 2]),
-                [0, 1, 1, 0], [1, 1, 1, 1],
+            with_block_lines(
+                index_bytes([(0, "Moon", "the moon", 2), (1, "Sun", "the sun", 2)]),
+                "titles",
+                lambda lines: [b"MoonSun"],
             ),
-            "the passage ids of term 'moon' are not strictly ascending",
-            id="descending-pids",
+            "the index titles block holds 1 lines, but 'ids' lists 2",
+            id="titles-line-break-removed",
         ),
         pytest.param(
-            index_bytes(
-                v3_header(TWO_PASSAGES, ["the", "moon"], [2, 2]),
-                [0, 0, 0, 1], [1, 1, 1, 1],
-            ),
-            "the passage ids of term 'the' are not strictly ascending",
-            id="duplicate-pid",
+            index_bytes([(0, "Moon", "the moon \udc80", 3)]),
+            "passages[0] 'text' is not UTF-8",
+            id="text-not-utf8",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["moon", "moon"], doc_freqs=[1, 1]), [0, 0], [1, 1]),
-            "'terms' lists 'moon' twice",
+            index_bytes([(0, "Moon <Generator>", "the moon", 2)]),
+            "passages[0] 'title' holds the grammar token <Generator>",
+            id="title-token",
+        ),
+        pytest.param(
+            index_bytes(TWO_PASSAGES, ["the", "moon", "</eog>"], [1, 1, 1], [0, 0, 1], [1, 1, 1]),
+            "terms[2] holds the grammar token </eog>",
+            id="term-token",
+        ),
+        pytest.param(
+            index_bytes(terms=["moon", "moon"], doc_freqs=[1, 1], rows=[0, 0], tfs=[1, 1]),
+            "the terms block lists 'moon' twice",
             id="duplicate-term",
         ),
         pytest.param(
-            index_bytes(v3_header([GOOD_ENTRY, GOOD_ENTRY])),
-            "passages[1] repeats passage id 0",
-            id="duplicate-passage-id",
+            index_bytes(terms=["the", "moon"], doc_freqs=[1]),
+            "index columns hold 4 bytes, fewer than 4 * len(terms) = 8",
+            id="columns-shorter-than-doc-freqs",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["the", "moon"], doc_freqs=[1, 0]), [0], [1]),
+            index_bytes(terms=["the", "moon"], doc_freqs=[1, 0], rows=[0], tfs=[1]),
             "doc_freqs[1] must be at least 1",
             id="doc-freq-zero",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["moon"], doc_freqs=[-1])),
-            "doc_freqs[0] must be at least 1",
-            id="doc-freq-negative",
+            index_bytes(**MOON_TERMS, rows=[0], tfs=[1]),
+            "index columns hold 16 bytes, but 4 * len(terms) + 8 * sum(doc_freqs) = 24",
+            id="columns-too-short",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["moon"], doc_freqs=[True]), [0], [1]),
-            "doc_freqs[0] must be int, not bool",
-            id="doc-freq-bool",
+            index_bytes(**MOON_TERMS, rows=[0, 0, 0], tfs=[1, 1, 1]),
+            "index columns hold 32 bytes, but 4 * len(terms) + 8 * sum(doc_freqs) = 24",
+            id="columns-too-long",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["the", "moon"], doc_freqs=[1])),
-            "index has no 'doc_freqs' list as long as 'terms'",
-            id="doc-freqs-short",
+            index_bytes(**MOON_TERMS, rows=[0, 0], tfs=[1, 0]),
+            "a term frequency in the index is below 1",
+            id="tf-zero",
         ),
         pytest.param(
-            index_bytes(v3_header(terms=["the", 7], doc_freqs=[1, 1]), [0, 0], [1, 1]),
-            "index has no 'terms' list of strings",
-            id="term-not-str",
+            index_bytes(**MOON_TERMS, rows=[0, 5], tfs=[1, 1]),
+            "the postings name passage row 5, but len(passages) = 1",
+            id="unknown-row",
+        ),
+        pytest.param(
+            index_bytes(TWO_PASSAGES, ["the", "moon"], [2, 2], [0, 1, 1, 0], [1, 1, 1, 1]),
+            "the passage ids of term 'moon' are not strictly ascending",
+            id="descending-pids",
+        ),
+        pytest.param(
+            index_bytes(TWO_PASSAGES, ["the", "moon"], [2, 2], [0, 0, 0, 1], [1, 1, 1, 1]),
+            "the passage ids of term 'the' are not strictly ascending",
+            id="duplicate-pid",
+        ),
+        *[
+            pytest.param(
+                moon_index(crc32=crc_of(name, moon_index())),
+                f"the index {name} do not match their checksum",
+                id=f"checksum-{name}",
+            )
+            for name in ("titles", "texts", "terms", "doc_freqs", "rows", "tfs")
+        ],
+        pytest.param(
+            # The last tf turns from 1 to 2 after its checksum was taken.
+            moon_index()[:-4] + (2).to_bytes(4, "little"),
+            "the index tfs do not match their checksum",
+            id="tf-changed-after-its-checksum",
         ),
         pytest.param(
             json.dumps(V1_PAYLOAD, indent=1).encode() + b"\n",
@@ -483,17 +540,17 @@ V2_FILE = (
         ),
         pytest.param(json.dumps(V1_PAYLOAD).encode(), rebuild_complaint(1), id="v1-one-line"),
         pytest.param(V2_FILE, rebuild_complaint(2), id="v2"),
+        pytest.param(V3_FILE, rebuild_complaint(3), id="v3"),
     ],
 )
-def test_malformed_v3_index_exits_with_message(tmp_path, capsys, index_data, complaint):
+def test_malformed_v4_index_exits_with_message(tmp_path, capsys, index_data, complaint):
     assert_infer_fails_with(tmp_path, capsys, index_data, complaint)
 
 
 def test_index_with_valid_columns_loads(tmp_path):
     # Rows may fall where one term's column ends and the next begins.
-    header = v3_header(TWO_PASSAGES, ["the", "moon"], [2, 1])
     path = tmp_path / "ok.index"
-    path.write_bytes(index_bytes(header, [0, 1, 0], [1, 1, 2]))
+    path.write_bytes(index_bytes(TWO_PASSAGES, ["the", "moon"], [2, 1], [0, 1, 0], [1, 1, 2]))
     index = load_index(path)
     assert index.term_numbers == {"the": 0, "moon": 1}
     assert (index.offsets, index.rows, index.tfs.tolist()) == ([0, 2, 3], [0, 1, 0], [1, 1, 2])
@@ -1782,11 +1839,10 @@ def test_a_passage_holding_a_form_feed_survives_build_dataset_and_validate(tmp_p
     data = Path(__file__).parent / "data"
     index = tmp_path / "toy.index"
     assert main(["index", "--corpus", str(data / "toy_corpus.jsonl"), "--out", str(index)]) == EXIT_OK
-    head, _, columns = index.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    for passage in header["passages"]:
-        passage["text"] = passage["text"].replace(" ", "\x0c", 1)
-    index.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + columns)
+    def feed(lines):
+        return [line.replace(b" ", b"\x0c", 1) for line in lines]
+
+    index.write_bytes(with_block_lines(index.read_bytes(), "texts", feed))
     out = tmp_path / "train.jsonl"
     argv = ["build-dataset", "--kind", "long", "--in", str(data / "toy_raw.jsonl")]
     assert main([*argv, "--index", str(index), "--out", str(out)]) == EXIT_OK
@@ -1803,15 +1859,16 @@ def test_build_dataset_refuses_an_index_holding_a_passage_that_spans_lines(tmp_p
     data = Path(__file__).parent / "data"
     index = tmp_path / "toy.index"
     assert main(["index", "--corpus", str(data / "toy_corpus.jsonl"), "--out", str(index)]) == EXIT_OK
-    head, _, columns = index.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    header["passages"][1]["text"] = header["passages"][1]["text"].replace(" ", "\n", 1)
-    index.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + columns)
+    def split(lines):
+        return [lines[0], lines[1].replace(b" ", b"\n", 1), *lines[2:]]
+
+    index.write_bytes(with_block_lines(index.read_bytes(), "texts", split))
     out = tmp_path / "train.jsonl"
     argv = ["build-dataset", "--kind", kind, "--in", str(data / "toy_raw.jsonl")]
     capsys.readouterr()
     assert main([*argv, "--index", str(index), "--out", str(out)]) == EXIT_FAILURE
-    assert capsys.readouterr().err == "error: passages[1] 'text' holds a line break\n"
+    complaint = "the index texts block holds 11 lines, but 'ids' lists 10"
+    assert capsys.readouterr().err == f"error: {complaint}\n"
     assert not out.exists()
 
 
@@ -1833,33 +1890,31 @@ def test_an_index_header_nested_too_deeply_is_an_index_error(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize(
-    "field, value, problem",
+    "block, value, complaint",
     [
-        ("text", "the moon orbits \udc80", "holds the lone surrogate '\\udc80'"),
-        ("title", "Moon <Generator>", "holds the grammar token <Generator>"),
-        ("text", "the moon\norbits the earth", "holds a line break"),
-        ("title", "Mo\non", "holds a line break"),
+        ("texts", "the moon orbits \udc80", "passages[0] 'text' is not UTF-8"),
+        ("titles", "Moon <Generator>", "passages[0] 'title' holds the grammar token <Generator>"),
+        ("texts", "the moon\norbits", "the index texts block holds 4 lines, but 'ids' lists 3"),
+        ("titles", "Mo\non", "the index titles block holds 4 lines, but 'ids' lists 3"),
     ],
     ids=["surrogate-text", "token-title", "line-break-text", "line-break-title"],
 )
 def test_infer_refuses_an_index_holding_a_passage_no_prompt_may_hold(
-    tmp_path, capsys, field, value, problem
+    tmp_path, capsys, block, value, complaint
 ):
     # Refused as the index loads: at inference, a lone surrogate would abort
     # the batch (exit 2, no traces), and a token fail each item retrieving it.
     config = scripted_setup(tmp_path, [(INSTRUCTION, "the earth\n[Cite]: [1]")])
     clean = tmp_path / "clean.index"
     main(["index", "--corpus", write_jsonl(tmp_path / "docs.jsonl", DOCS), "--out", str(clean)])
-    header_line, columns = clean.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    header["passages"][0][field] = value
+    line = value.encode("utf-8", "surrogatepass")
     index = tmp_path / "unclean.index"
-    index.write_bytes(json.dumps(header).encode() + b"\n" + columns)
+    index.write_bytes(with_block_lines(clean.read_bytes(), block, lambda lines: [line, *lines[1:]]))
     ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": INSTRUCTION}] * 2)
     out = tmp_path / "traces.jsonl"
     capsys.readouterr()
     code = main(["--config", config, "infer", "--backend", "scripted", "--index", str(index),
                  "--in", ins, "--out", str(out)])
     assert code == EXIT_FAILURE
-    assert capsys.readouterr().err == f"error: passages[0] {field!r} {problem}\n"
+    assert capsys.readouterr().err == f"error: {complaint}\n"
     assert not out.exists()

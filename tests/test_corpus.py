@@ -28,6 +28,7 @@ from factrail.corpus import (
     CHUNK_WORDS,
     CorpusError,
     EmptyQueryError,
+    Passage,
     build_index,
     chunk_document,
     index_documents,
@@ -40,7 +41,17 @@ from factrail.corpus import (
 )
 from factrail.grammar import IntentSet
 
-from helpers import VOCAB, ZIPF_DRAWS, brute_force_bm25, exactly, make_passage, query_postings
+from helpers import (
+    VOCAB,
+    ZIPF_DRAWS,
+    brute_force_bm25,
+    exactly,
+    make_passage,
+    query_postings,
+    sealed,
+    split_index,
+    uint32s,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +633,31 @@ def test_load_rejects_wrong_version(tmp_path):
         load_index(path)
 
 
-def test_index_file_is_a_json_header_then_little_endian_columns(tmp_path):
-    index = build_index([make_passage(0, "A", "cat dog"), make_passage(300, "B", "dog dog")])
+def test_index_file_is_a_json_header_then_line_blocks_then_little_endian_columns(tmp_path):
+    index = build_index([make_passage(0, "A", "cat dog"), make_passage(300, "Zoë", "dog dog")])
     path = tmp_path / "idx.bin"
     save_index(index, path)
-    line, newline, columns = path.read_bytes().partition(b"\n")
+    data = path.read_bytes()
+    line, _, _ = data.partition(b"\n")
     header = json.loads(line)
-    compact = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    assert line == compact.encode()
-    assert header["version"] == 3
-    assert header["terms"] == ["cat", "dog", "a", "b"]
-    assert header["doc_freqs"] == [1, 2, 1, 1]
-    assert [p["id"] for p in header["passages"]] == [0, 300]
+    assert line == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    titles, texts = "A\nZoë\n".encode(), b"cat dog\ndog dog\n"
+    terms = "cat\ndog\na\nzoë\n".encode()
+    doc_freqs = uint32s([1, 2, 1, 1])
     # Passage 300 is row 1: its place among the passages sorted by id.
-    rows = b"".join(row.to_bytes(4, "little") for row in [0, 0, 1, 0, 1])
-    tfs = b"".join(tf.to_bytes(4, "little") for tf in [1, 1, 2, 1, 1])
-    assert columns == rows + tfs
-    assert header["crc32"] == {"rows": zlib.crc32(rows), "tfs": zlib.crc32(tfs)}
+    rows, tfs = uint32s([0, 0, 1, 0, 1]), uint32s([1, 1, 2, 1, 1])
+    assert header == {
+        "format": "factrail-index",
+        "version": 4,
+        "ids": [0, 300],
+        "word_counts": [2, 2],
+        "block_bytes": {"titles": len(titles), "texts": len(texts), "terms": len(terms)},
+        "crc32": {
+            "titles": zlib.crc32(titles), "texts": zlib.crc32(texts), "terms": zlib.crc32(terms),
+            "doc_freqs": zlib.crc32(doc_freqs), "rows": zlib.crc32(rows), "tfs": zlib.crc32(tfs),
+        },
+    }
+    assert data == line + b"\n" + titles + texts + terms + doc_freqs + rows + tfs
 
 
 def test_saves_of_one_index_are_byte_identical(tmp_path):
@@ -677,32 +696,18 @@ def test_a_host_of_the_other_byte_order_writes_each_uint32_swapped_and_reads_it_
     monkeypatch.setattr(corpus, "sys", SimpleNamespace(byteorder=flipped))
     monkeypatch.setattr(corpus, "_WRITE_SLICE", 3)  # several slices per column
     save_index(index, other)
-    native_line, _, native_columns = native.read_bytes().partition(b"\n")
-    other_line, _, other_columns = other.read_bytes().partition(b"\n")
-    swapped = array("I", native_columns)
-    swapped.byteswap()
-    assert other_columns == swapped.tobytes() != native_columns
-    # The header differs only in the checksums, which are of the bytes written.
-    half = len(other_columns) // 2
-    want = json.loads(native_line)
-    want["crc32"] = {"rows": zlib.crc32(other_columns[:half]), "tfs": zlib.crc32(other_columns[half:])}
-    assert json.loads(other_line) == want
+    native_header, native_parts = split_index(native.read_bytes())
+    other_header, other_parts = split_index(other.read_bytes())
+    for name in ("doc_freqs", "rows", "tfs"):
+        swapped = array("I", native_parts[name])
+        swapped.byteswap()
+        assert other_parts[name] == swapped.tobytes() != native_parts[name]
+    # Only the columns and their checksums differ: the checksums are of the bytes written.
+    assert {**other_parts, "doc_freqs": b"", "rows": b"", "tfs": b""} == {
+        **native_parts, "doc_freqs": b"", "rows": b"", "tfs": b""
+    }
+    assert other_header == sealed(native_header, other_parts)
     assert load_index(other) == index
-
-
-def test_rows_name_the_passages_in_id_order_whatever_order_the_header_lists(tmp_path):
-    index = build_index([make_passage(7, "A", "cat"), make_passage(-3, "B", "cat dog")])
-    path = tmp_path / "idx.bin"
-    save_index(index, path)
-    line, newline, columns = path.read_bytes().partition(b"\n")
-    header = json.loads(line)
-    assert [p["id"] for p in header["passages"]] == [-3, 7]
-    header["passages"].reverse()
-    path.write_bytes(json.dumps(header).encode() + newline + columns)
-    loaded = load_index(path)
-    assert loaded == index
-    assert loaded.row_ids == [-3, 7]
-    assert loaded.rows[: loaded.span("cat")[1]] == [0, 1]
 
 
 def _hand_built(rows, tfs=None):
@@ -759,6 +764,66 @@ def test_save_refuses_what_load_refuses_with_its_message(tmp_path, monkeypatch, 
 def test_save_refuses_a_term_without_postings_with_loads_message(tmp_path):
     index = replace(_hand_built([0, 1]), term_numbers={"word": 0, "none": 1}, offsets=[0, 2, 2])
     with pytest.raises(CorpusError, match=exactly("doc_freqs[1] must be at least 1")):
+        save_index(index, tmp_path / "idx.bin")
+    assert not (tmp_path / "idx.bin").exists()
+
+
+# How load_index's column-length message ends for one term of 2 postings.
+NEED_20 = "but 4 * len(terms) + 8 * sum(doc_freqs) = 20"
+
+
+@pytest.mark.parametrize(
+    "rows, tfs, message",
+    [
+        ([0, 1], [1], "index columns hold 16 bytes, " + NEED_20),
+        ([0, 1, 1], [1, 1, 1], "index columns hold 28 bytes, " + NEED_20),
+        ([0, 1, 1], [1], "the index holds 3 rows but 1 term frequencies"),
+    ],
+    ids=["a-tf-short", "a-posting-past-the-offsets", "rows-and-tfs-differ"],
+)
+def test_save_refuses_columns_whose_lengths_disagree_with_the_offsets(
+    tmp_path, monkeypatch, rows, tfs, message
+):
+    index, path = replace(_hand_built([0, 1]), rows=rows, tfs=array("I", tfs)), tmp_path / "idx.bin"
+    assert index.offsets == [0, 2]
+    with pytest.raises(CorpusError, match=exactly(message)):
+        save_index(index, path)
+    assert not path.exists()
+    if len(rows) == len(tfs):
+        # Written without the check, the file is refused on load with the same message.
+        with monkeypatch.context() as patched:
+            patched.setattr(corpus, "_check_doc_freqs", lambda *args: None)
+            save_index(index, path)
+        with pytest.raises(CorpusError, match=exactly(message)):
+            load_index(path)
+
+
+@pytest.mark.parametrize(
+    "title, text, message",
+    [
+        ("The <Locator> stone", "a b", "passages[1] 'title' holds the grammar token <Locator>"),
+        ("T", "a </eog> b", "passages[1] 'text' holds the grammar token </eog>"),
+        ("Mo\non", "a b", "passages[1] 'title' holds a line break"),
+        ("T", "a\nb", "passages[1] 'text' holds a line break"),
+        ("T\udc80", "a b", "passages[1] 'title' holds the lone surrogate '\\udc80'"),
+        ("T", "a \ud800 b", "passages[1] 'text' holds the lone surrogate '\\ud800'"),
+    ],
+    ids=[
+        "token-title", "token-text", "line-break-title", "line-break-text",
+        "surrogate-title", "surrogate-text",
+    ],
+)
+def test_save_refuses_a_passage_that_could_not_be_read_back(tmp_path, title, text, message):
+    passages = [make_passage(0, "A", "cat"), Passage(1, title, text, 2), make_passage(2, "B", "x")]
+    path = tmp_path / "idx.bin"
+    with pytest.raises(CorpusError, match=exactly(message)):
+        save_index(build_index(passages), path)
+    assert not path.exists()
+
+
+def test_save_refuses_a_term_holding_a_line_break(tmp_path):
+    index = replace(_hand_built([0, 1]), term_numbers={"wo\nrd": 0})
+    with pytest.raises(CorpusError, match=exactly("terms[0] holds a line break")):
         save_index(index, tmp_path / "idx.bin")
     assert not (tmp_path / "idx.bin").exists()
 

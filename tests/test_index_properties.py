@@ -1,17 +1,17 @@
 """Differential tests of ``load_index`` over corrupted index files: every
 file loads to the index that ``helpers.reference_load_index`` (plain loops
-over every entry and posting) loads, or fails with the same message. A
-corruption that keeps the columns well-formed is refused by their checksum.
+over every header number, block line and posting) loads, or fails with the
+same message. A corruption that keeps every block and column well-formed
+is refused by the checksums.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
 ``HYPOTHESIS_PROFILE=ci`` runs more. Generation is derandomized, so a run
 corrupts the same files every time.
 """
 
-import json
+import copy
 import random
 import tempfile
-import zlib
 from itertools import accumulate
 from pathlib import Path
 
@@ -21,8 +21,14 @@ from hypothesis import strategies as st
 
 from factrail import corpus
 from factrail.corpus import CorpusError, index_documents, load_index, save_index
-from factrail.grammar import TokenKind
-from helpers import reference_load_index
+from helpers import (
+    BLOCKS,
+    join_index,
+    reference_load_index,
+    sealed,
+    split_index,
+    uint32s,
+)
 
 _DOCS = [
     ("Moon", "the moon orbits the earth and the moon pulls the tide " * 3),
@@ -30,55 +36,60 @@ _DOCS = [
     ("Tide", "the tide rises twice a day as the moon pulls the sea " * 2),
     ("Earth", "the earth turns and the sun sets and the moon rises"),
 ]
-# Values that a corrupted header field may take: other JSON types, ints out
-# of range, a grammar token, non-ASCII text, a lone surrogate and a line break.
-_VALUES = [
-    None, True, False, 0, -1, 1, 3, 2**40, 1.5, "", "x", "a < b", "<Locator>", "Zoë",
-    "\udc80", "a\nb", [], [1], {}, {"id": 0},
-]
-
-
-def _saved_index() -> tuple[dict, bytes, bytes]:
-    """The header, row column and tf column of the saved index of ``_DOCS``."""
-    with tempfile.TemporaryDirectory() as folder:
-        path = Path(folder) / "base.idx"
-        save_index(index_documents(_DOCS), path)
-        line, _, columns = path.read_bytes().partition(b"\n")
-    header = json.loads(line)
-    return header, columns[: len(columns) // 2], columns[len(columns) // 2 :]
-
-
-_HEADER, _ROW_BYTES, _TF_BYTES = _saved_index()
-_POSTINGS = len(_TF_BYTES) // 4
-_PASSAGES = len(_HEADER["passages"])
-
-
-def _corrupt_header(rng: random.Random, header: dict) -> None:
-    """Retype or remove one field of header: a top-level key, a passage
-    entry or one of its keys, a term or a document frequency."""
-    where = rng.choice(["top", "entry", "entry field", "term", "doc freq"])
-    if where == "top":
-        container, key = header, rng.choice(sorted(header))
-    elif where == "entry field":
-        entries = header.get("passages")
-        container = rng.choice(entries) if isinstance(entries, list) and entries else None
-        if not isinstance(container, dict) or not container:
-            return
-        key = rng.choice(sorted(container))
-    else:
-        name = {"entry": "passages", "term": "terms", "doc freq": "doc_freqs"}[where]
-        container = header.get(name)
-        if not isinstance(container, list) or not container:
-            return
-        key = rng.randrange(len(container))
-    if rng.random() < 0.3:
-        del container[key]
-    else:
-        container[key] = rng.choice(_VALUES)
+# Values that a corrupted header number may take: other JSON types, ints
+# out of range and in range, and a string.
+_VALUES = [None, True, False, 0, -1, 1, 3, 2**40, 1.5, "", "x", [], [1], {}, {"titles": 0}]
+# What a corrupted line may gain: a grammar token, text that only looks
+# like one, non-ASCII text, and bytes that are not UTF-8 (a lone surrogate
+# as UTF-8 would encode it, a stray continuation byte, a cut sequence).
+_TEXTS = ["<Locator>", "a </eog>", "a < b", "Zoë", "Земля", " "]
+_NOT_UTF8 = [b"\xed\xb2\x80", b"\x80", b"\xc3", b"\xff"]
 
 
 def _get_int(column: bytes, at: int) -> int:
     return int.from_bytes(column[4 * at : 4 * at + 4], "little")
+
+
+def _lines(block: bytes) -> list[bytes]:
+    return block.split(b"\n")[:-1]
+
+
+def _block(lines: list[bytes]) -> bytes:
+    return b"".join(line + b"\n" for line in lines)
+
+
+def _saved_index() -> tuple[dict, dict[str, bytes]]:
+    """The header and parts of the saved index of ``_DOCS``."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "base.idx"
+        save_index(index_documents(_DOCS), path)
+        return split_index(path.read_bytes())
+
+
+_HEADER, _PARTS = _saved_index()
+_POSTINGS = len(_PARTS["tfs"]) // 4
+_PASSAGES = len(_HEADER["ids"])
+_DOC_FREQS = [_get_int(_PARTS["doc_freqs"], at) for at in range(len(_PARTS["doc_freqs"]) // 4)]
+
+
+def _corrupt_header(rng: random.Random, header: dict) -> None:
+    """Retype, change or remove one header number: a top-level entry, a
+    passage id or word count, or a block size."""
+    where = rng.choice(["top", "ids", "word_counts", "block_bytes"])
+    container = header if where == "top" else header.get(where)
+    if isinstance(container, dict) and container:
+        key = rng.choice(sorted(container))
+    elif isinstance(container, list) and container:
+        key = rng.randrange(len(container))
+    else:
+        return
+    value = container[key]
+    if rng.random() < 0.2:
+        del container[key]
+    elif type(value) is int and rng.random() < 0.5:
+        container[key] = value + rng.choice([-1, 1])
+    else:
+        container[key] = rng.choice(_VALUES)
 
 
 def _set_int(column: bytearray, at: int, value: int) -> None:
@@ -88,10 +99,10 @@ def _set_int(column: bytearray, at: int, value: int) -> None:
 def _row_replacements() -> list[tuple[int, int]]:
     """Each (posting, row) where writing the row, another known one, keeps
     the posting's term strictly ascending."""
-    spans = [0, *accumulate(_HEADER["doc_freqs"])]
+    spans = [0, *accumulate(_DOC_FREQS)]
     found = []
     for start, end in zip(spans, spans[1:]):
-        rows = [-1, *(_get_int(_ROW_BYTES, at) for at in range(start, end)), _PASSAGES]
+        rows = [-1, *(_get_int(_PARTS["rows"], at) for at in range(start, end)), _PASSAGES]
         for at in range(start, end):
             low, row, high = rows[at - start : at - start + 3]
             found += [(at, other) for other in range(low + 1, high) if other != row]
@@ -101,17 +112,60 @@ def _row_replacements() -> list[tuple[int, int]]:
 _ROW_REPLACEMENTS = _row_replacements()
 
 
+def _edit_line(rng: random.Random, block: bytes, edit) -> bytes:
+    """block with one of its lines passed through edit."""
+    lines = _lines(block)
+    at = rng.randrange(len(lines))
+    lines[at] = edit(lines[at])
+    return _block(lines)
+
+
+def _insert(rng: random.Random, line: bytes, piece: bytes) -> bytes:
+    at = rng.randint(0, len(line))
+    return line[:at] + piece + line[at:]
+
+
 def _corrupted(kind: str, rng: random.Random) -> bytes:
-    header = json.loads(json.dumps(_HEADER))
-    rows, tfs = bytearray(_ROW_BYTES), bytearray(_TF_BYTES)
-    at = rng.randrange(_POSTINGS)
+    header, parts = copy.deepcopy(_HEADER), dict(_PARTS)
+    name = rng.choice(BLOCKS)
+    block = parts[name]
     if kind in ("header", "two in header"):
         for _ in range(1 + (kind == "two in header")):
             _corrupt_header(rng, header)
-    elif kind == "bit flip":
-        columns = rng.choice([rows, tfs])
-        bit = rng.randrange(8 * len(columns))
-        columns[bit // 8] ^= 1 << (bit % 8)
+        return join_index(header, parts)
+    if kind == "block byte":
+        at = rng.randrange(len(block))
+        parts[name] = block[:at] + bytes([rng.randrange(256)]) + block[at + 1 :]
+    elif kind == "line break removed":
+        at = rng.choice([at for at, byte in enumerate(block) if byte == ord("\n")])
+        parts[name] = block[:at] + block[at + 1 :]
+    elif kind == "line break inserted":
+        at = rng.randrange(len(block) + 1)
+        parts[name] = block[:at] + b"\n" + block[at:]
+    elif kind == "not UTF-8":
+        parts[name] = _edit_line(rng, block, lambda line: _insert(rng, line, rng.choice(_NOT_UTF8)))
+    elif kind == "text":
+        piece = rng.choice(_TEXTS).encode()
+        parts[name] = _edit_line(rng, block, lambda line: _insert(rng, line, piece))
+    else:
+        parts.update(_corrupted_columns(kind, rng))
+        return join_index(header, parts)
+    # A block that changed length moves its true size into the header, so
+    # that the file reaches the checks of the block's lines.
+    header["block_bytes"] = sealed(header, parts)["block_bytes"]
+    return join_index(header, parts)
+
+
+def _corrupted_columns(kind: str, rng: random.Random) -> dict[str, bytes]:
+    doc_freqs, rows, tfs = (bytearray(_PARTS[name]) for name in ("doc_freqs", "rows", "tfs"))
+    at = rng.randrange(_POSTINGS)
+    if kind == "bit flip":
+        flipped = rng.choice([doc_freqs, rows, tfs])
+        bit = rng.randrange(8 * len(flipped))
+        flipped[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "doc freq":
+        term = rng.randrange(len(_DOC_FREQS))
+        _set_int(doc_freqs, term, rng.choice([0, _DOC_FREQS[term] - 1, _DOC_FREQS[term] + 1]))
     elif kind == "row":
         _set_int(rows, at, rng.choice([_PASSAGES, 2**32 - 1, rng.randint(_PASSAGES, 2**32 - 1)]))
     elif kind == "known row":
@@ -123,13 +177,7 @@ def _corrupted(kind: str, rng: random.Random) -> bytes:
         _set_int(tfs, at, 0)
     elif kind == "tf":
         _set_int(tfs, at, rng.choice([_get_int(tfs, at) + 1, 2**32 - 1, 256]))
-    return _file(header, rows, tfs)
-
-
-def _file(header: dict, rows: bytes = _ROW_BYTES, tfs: bytes = _TF_BYTES) -> bytes:
-    # ASCII JSON, which escapes what UTF-8 cannot encode (a lone surrogate).
-    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return line.encode() + b"\n" + bytes(rows) + bytes(tfs)
+    return {"doc_freqs": bytes(doc_freqs), "rows": bytes(rows), "tfs": bytes(tfs)}
 
 
 def _outcome(load, path):
@@ -148,41 +196,51 @@ def _assert_loads_as_the_reference(data: bytes) -> object:
     return want
 
 
+_KINDS = [
+    "header", "two in header", "block byte", "line break removed", "line break inserted",
+    "not UTF-8", "text",
+    "bit flip", "doc freq", "row", "known row", "swap", "tf 0", "tf",
+]
+
+
 @settings(deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(
-        ["header", "two in header", "bit flip", "row", "known row", "swap", "tf 0", "tf"]
-    ),
-    rng=st.randoms(use_true_random=False),
-)
+@given(kind=st.sampled_from(_KINDS), rng=st.randoms(use_true_random=False))
 def test_a_corrupted_index_loads_as_the_reference_loads_it(kind, rng):
     _assert_loads_as_the_reference(_corrupted(kind, rng))
 
 
 def test_the_uncorrupted_index_loads_as_the_reference_loads_it():
-    loaded = _assert_loads_as_the_reference(_file(_HEADER))
+    loaded = _assert_loads_as_the_reference(join_index(_HEADER, _PARTS))
     assert loaded == index_documents(_DOCS)
 
 
-def _edited(edit) -> dict:
-    header = json.loads(json.dumps(_HEADER))
-    edit(header)
-    return header
+def _with_line(name: str, at: int, line: bytes) -> bytes:
+    """The saved file with line ``at`` of block ``name`` replaced, its block
+    size and checksums true."""
+    lines = _lines(_PARTS[name])
+    lines[at] = line
+    parts = {**_PARTS, name: _block(lines)}
+    return join_index(sealed(_HEADER, parts), parts)
 
 
-@pytest.mark.parametrize("name", ["title", "text"])
+@pytest.mark.parametrize("name", BLOCKS)
 @pytest.mark.parametrize(
-    "value", ["<Locator>", "a </eog>", "a < b", "\udc80", "Zoë", "", 7, "a\nb", "Zoë\n", "<Locator>\n"]
+    "line",
+    [
+        "<Locator>", "a </eog>", "a < b", "Zoë", "", "a\nb", "Zoë\n", "<Locator>\n",
+        b"\xed\xb2\x80", b"Zo\xc3", b"\xff<Locator>",
+    ],
 )
-def test_each_text_field_of_an_entry_is_checked_as_the_reference_checks_it(name, value):
-    header = _edited(lambda header: header["passages"][3].update({name: value}))
-    _assert_loads_as_the_reference(_file(header))
+def test_each_block_line_is_checked_as_the_reference_checks_it(name, line):
+    raw = line if isinstance(line, bytes) else line.encode()
+    _assert_loads_as_the_reference(_with_line(name, 2, raw))
 
 
 @pytest.mark.parametrize("value", [0, -3, 1, True, 2.0, "9"])
 def test_a_word_count_is_checked_as_the_reference_checks_it(value):
-    header = _edited(lambda header: header["passages"][2].update(word_count=value))
-    _assert_loads_as_the_reference(_file(header))
+    header = copy.deepcopy(_HEADER)
+    header["word_counts"][2] = value
+    _assert_loads_as_the_reference(join_index(header, _PARTS))
 
 
 def test_a_row_past_the_passages_inside_a_term_is_named_before_the_order():
@@ -190,67 +248,84 @@ def test_a_row_past_the_passages_inside_a_term_is_named_before_the_order():
     # span is out of order too; an unknown row is the fault named first.
     start, end = index_documents(_DOCS).span("moon")
     assert end - start >= 3
-    rows = bytearray(_ROW_BYTES)
+    rows = bytearray(_PARTS["rows"])
     _set_int(rows, start + 1, 2**32 - 7)
-    outcome = _assert_loads_as_the_reference(_file(_HEADER, rows))
+    outcome = _assert_loads_as_the_reference(join_index(_HEADER, {**_PARTS, "rows": bytes(rows)}))
     assert outcome == (
         f"CorpusError: the postings name passage row {2**32 - 7}, but len(passages) = {_PASSAGES}"
     )
 
 
 def _with_checksums(data: bytes) -> bytes:
-    """data with the checksums of its own columns in its header."""
-    line, _, columns = data.partition(b"\n")
-    header = json.loads(line)
-    half = len(columns) // 2
-    header["crc32"] = {"rows": zlib.crc32(columns[:half]), "tfs": zlib.crc32(columns[half:])}
-    return _file(header, columns[:half], columns[half:])
+    """data with the checksums of its own blocks and columns in its header."""
+    header, parts = split_index(data)
+    return join_index(sealed(header, parts), parts)
+
+
+def _letter_changed(rng: random.Random) -> bytes:
+    """The saved file with one letter of a title or text changed to another."""
+    header, parts = copy.deepcopy(_HEADER), dict(_PARTS)
+    name = rng.choice(["titles", "texts"])
+    block = parts[name]
+    at = rng.choice([at for at, byte in enumerate(block) if chr(byte).isalpha()])
+    other = rng.choice([letter for letter in b"xyzXYZ" if letter != block[at]])
+    parts[name] = block[:at] + bytes([other]) + block[at + 1 :]
+    return join_index(header, parts)
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("kind", ["tf", "known row"])
+@pytest.mark.parametrize("kind", ["tf", "known row", "letter"])
 def test_a_well_formed_corruption_is_refused_by_the_checksum_alone(kind, seed):
-    data = _corrupted(kind, random.Random(seed))
+    rng = random.Random(seed)
+    data = _letter_changed(rng) if kind == "letter" else _corrupted(kind, rng)
     outcome = _assert_loads_as_the_reference(data)
-    assert outcome == "CorpusError: the index columns do not match their checksum"
+    part = {"tf": "tfs", "known row": "rows"}.get(kind)
+    assert outcome in {
+        f"CorpusError: the index {name} do not match their checksum"
+        for name in ([part] if part else ["titles", "texts"])
+    }
     # Every other check passes it: with its checksums fixed, the file loads.
     loaded = _assert_loads_as_the_reference(_with_checksums(data))
     assert loaded != index_documents(_DOCS)
 
 
-def test_the_first_faulty_entry_is_named_when_a_clean_looking_one_follows():
-    def edit(header):
-        header["passages"][0]["title"] = "The <Locator> stone"
-        header["passages"][2]["word_count"] = "100"
-
-    outcome = _assert_loads_as_the_reference(_file(_edited(edit)))
-    assert outcome == "CorpusError: passages[0] 'title' holds the grammar token <Locator>"
-
-
-def test_a_non_ascii_title_takes_the_exact_check_and_loads(monkeypatch):
-    checked = []
-    exact = corpus._passage_from_entry
-
-    def spy(at, entry):
-        checked.append(at)
-        return exact(at, entry)
-
-    monkeypatch.setattr(corpus, "_passage_from_entry", spy)
-
-    def edit(header):
-        header["passages"][1]["title"] = "Zoë"
-
-    loaded = _assert_loads_as_the_reference(_file(_edited(edit)))
-    assert checked == [1]
-    assert loaded.passages[1].title == "Zoë"
+def test_the_first_faulty_line_in_file_order_is_named():
+    # Passage 0's text and passage 2's title both hold a token; the titles
+    # block comes first in the file.
+    titles, texts = _lines(_PARTS["titles"]), _lines(_PARTS["texts"])
+    texts[0] = b"the <Generator> moon"
+    titles[2] = b"The <Locator> stone"
+    titles[3] = b"The </eog> stone"
+    parts = {**_PARTS, "titles": _block(titles), "texts": _block(texts)}
+    outcome = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    assert outcome == "CorpusError: passages[2] 'title' holds the grammar token <Locator>"
 
 
-def test_every_grammar_token_starts_with_the_character_the_quick_check_looks_for():
-    assert all(token.value.startswith(corpus._TOKEN_START) for token in TokenKind)
+def test_a_clean_file_of_non_ascii_text_and_angle_brackets_names_no_line(monkeypatch):
+    # Only a pass over a block that finds a fault leads to the per-line search.
+    searched = []
+    monkeypatch.setattr(corpus, "_line_fault", lambda *args: searched.append(args))
+    lines = _lines(_PARTS["titles"])
+    lines[1], lines[3] = "Zoë < Земля".encode(), "a <b> c".encode()
+    parts = {**_PARTS, "titles": _block(lines)}
+    loaded = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    assert searched == []
+    assert loaded.passages[_HEADER["ids"][1]].title == "Zoë < Земля"
 
 
 def test_a_tf_whose_low_byte_is_zero_is_not_taken_for_zero():
-    tfs = bytearray(_TF_BYTES)
+    tfs = bytearray(_PARTS["tfs"])
     _set_int(tfs, 0, 512)
-    loaded = _assert_loads_as_the_reference(_with_checksums(_file(_HEADER, tfs=tfs)))
+    data = join_index(_HEADER, {**_PARTS, "tfs": bytes(tfs)})
+    loaded = _assert_loads_as_the_reference(_with_checksums(data))
     assert loaded.tfs[0] == 512
+
+
+def test_a_term_frequency_column_of_the_wrong_length_is_named_by_its_bytes():
+    parts = {**_PARTS, "tfs": _PARTS["tfs"] + uint32s([1])}
+    outcome = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    need = 4 * len(_DOC_FREQS) + 8 * _POSTINGS
+    assert outcome == (
+        f"CorpusError: index columns hold {need + 4} bytes, "
+        f"but 4 * len(terms) + 8 * sum(doc_freqs) = {need}"
+    )
