@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 from urllib.parse import urlsplit
 
-from .fileio import atomic_path, read_jsonl, typed_field
+from .fileio import atomic_path, json_line, read_jsonl, typed_field
 from .grammar import StepKind, TokenKind
 
 # The HTTP stack loads on the first request, so a process that sends none
@@ -182,14 +182,7 @@ def save_script(script: Mapping[str, str], path: str | Path) -> None:
     """Write a replay script that ``load_script`` reads, atomically."""
     with atomic_path(path) as temp, open(temp, "w", encoding="utf-8") as handle:
         for key in sorted(script):
-            handle.write(
-                json.dumps(
-                    {"fingerprint": key, "reply": script[key]},
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json_line({"fingerprint": key, "reply": script[key]}))
 
 
 @functools.cache

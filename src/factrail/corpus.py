@@ -36,6 +36,9 @@ terms in query order, so scores and ranks equal those of an exhaustive
 scan. The first scan of a term keeps the BM25 weight of each of its
 postings in the index, the exhaustive scan's own expression, and later
 scans by either evaluation add those weights instead of recomputing them.
+A skipped term that has been probed for enough passages to pay for it gets
+a probe table, one byte per passage holding its tf there, and later probes
+read the table instead of binary-searching the span.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import nlargest
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from operator import ge, lt
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
@@ -110,6 +113,18 @@ _HEAP_SELECT_FROM = 300
 # queries), 0.92 at 512-575 and 1.07-1.18 from 576 on; on chain-small's
 # build-dataset queries, all below 384, 0.68-0.74.
 _PRUNE_FROM = 512
+# A probe table holds min(tf, 255) per passage, so 255 sends a probe to the
+# term's postings for the exact tf.
+_TABLE_TF_CAP = 255
+# retrieve builds a term's probe table once the passages probed against the
+# term reach its document frequency over this ratio. Over the probes of a
+# warm answer-zipf pass at seeds 1 and 3 (68k and 67k probed passages, 2-vCPU
+# Xeon VM, Python 3.11.7), a probe took 328-341 ns by binary search and
+# 91-105 ns by table, and a table took 36-38 ns a posting to build: it pays
+# for itself after about df / 6.4 probes. Retrieval-only passes over the
+# intents of seeds 2 and 4-7 read the same cold time (within 5%) for ratios
+# 2 to 16; the warm time falls up to a ratio of 4-6 and levels off after.
+_TABLE_RATIO = 6
 
 
 class CorpusError(Exception):
@@ -208,6 +223,18 @@ class CorpusIndex:
     lazily on a term's first scan and holds 8 bytes per posting of the
     terms scanned so far; saving, loading and comparing ignore it, and a
     copy made with ``dataclasses.replace`` starts with an empty cache.
+
+    ``tables`` is a second such cache, keyed the same way, for the terms
+    whose spans MaxScore skips and probes instead: a ``bytearray`` of
+    ``total_docs`` bytes holding ``min(tf, 255)`` at each row, 0 where the
+    passage lacks the term and 255 where the exact tf must be looked up in
+    the span. ``probed`` counts, per term without a table, the passages
+    probed against it so far; the table is built once that count reaches
+    the term's document frequency over ``_TABLE_RATIO``, the point past
+    which its build costs less than the binary searches it replaces. Both
+    are ignored like ``weights``. A table is stored only once complete, so
+    threads that share an index at worst build equal tables, or build one
+    late when an update of a count is lost.
     """
 
     passages: dict[int, Passage]
@@ -220,6 +247,8 @@ class CorpusIndex:
     avg_doc_length: float
     total_docs: int
     weights: dict[int, array] = field(default_factory=dict, init=False, repr=False, compare=False)
+    tables: dict[int, bytearray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    probed: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def span(self, term: str) -> tuple[int, int]:
         """The (start, end) of term's postings in rows and tfs; empty if unknown."""
@@ -331,12 +360,13 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     so the rest of the posting lists are skipped; the scan stops there only
     when those lists hold more postings than there are passages to probe
     instead. Each skipped term is then looked up by binary search within
-    its span for the passages that could still reach the k-th best score,
-    and the survivors are rescored in full, terms added in query order.
+    its span, or in its probe table once it has one, for the passages that
+    could still reach the k-th best score, and the survivors are rescored
+    in full, terms added in query order.
 
     Both evaluations read a term's posting weights from ``index.weights``,
-    filling them on the term's first scan; a skipped term's list is never
-    read.
+    filling them on the term's first scan; a skipped term's list is read
+    only to build its table in ``index.tables``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -420,17 +450,26 @@ def _maxscore(
             threshold = _kth_largest(partial.values(), k)
 
     # A candidate is dropped once even every term it has not been scored
-    # on could not lift it to the k-th best score. Each probe bisects only
-    # the term's own span, which every index keeps strictly ascending, so a
-    # passage in a neighbouring term's span is never found.
+    # on could not lift it to the k-th best score. Each probe reads the
+    # term's table or bisects only the term's own span, which every index
+    # keeps strictly ascending, so a passage in a neighbouring term's span
+    # is never found.
     floor = threshold - _PRUNE_SLACK - bound_left[scanned]
     candidates = [row for row, score in partial.items() if score >= floor]
     for i in range(scanned, len(scan)):
         idf, start, end = scan[i]
-        for row in candidates:
-            at = bisect_left(rows, row, start, end)
-            if at < end and rows[at] == row:
-                tf = tfs[at]
+        table = _probe_table(index, start, end, len(candidates))
+        if table is None:
+            for row in candidates:
+                at = bisect_left(rows, row, start, end)
+                if at < end and rows[at] == row:
+                    tf = tfs[at]
+                    partial[row] += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
+        else:
+            for row in compress(candidates, map(table.__getitem__, candidates)):
+                tf = table[row]
+                if tf == _TABLE_TF_CAP:
+                    tf = tfs[bisect_left(rows, row, start, end)]
                 partial[row] += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
         if len(candidates) >= k:
             threshold = _kth_largest([partial[row] for row in candidates], k)
@@ -447,6 +486,30 @@ def _maxscore(
                 score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
         scored.append((row, score))
     return scored
+
+
+def _probe_table(index: CorpusIndex, start: int, end: int, probes: int) -> bytearray | None:
+    """The probe table of the term whose postings span start:end, or None.
+
+    probes is the number of passages about to be probed against the term.
+    The table is built, and kept in ``index.tables``, once the passages
+    probed against the term reach its document frequency over
+    ``_TABLE_RATIO``; until then the count grows in ``index.probed``.
+    """
+    table = index.tables.get(start)
+    if table is not None:
+        return table
+    probed = index.probed.get(start, 0) + probes
+    if probed * _TABLE_RATIO < end - start:
+        index.probed[start] = probed
+        return None
+    table = bytearray(index.total_docs)
+    tfs = index.tfs[start:end]
+    capped = map(min, tfs, repeat(_TABLE_TF_CAP)) if max(tfs) > _TABLE_TF_CAP else tfs
+    for row, tf in zip(index.rows[start:end], capped):
+        table[row] = tf
+    index.tables[start] = table  # published only once complete
+    return table
 
 
 def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passage]:

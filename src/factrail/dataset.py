@@ -19,7 +19,6 @@ passage or the build fails.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -51,7 +50,7 @@ from .grammar import (
     surrogate_violation,
     text_violation,
 )
-from .fileio import atomic_path, drawn_ahead, read_jsonl, typed_field
+from .fileio import atomic_path, drawn_ahead, json_line, read_jsonl, typed_field
 from .orchestrator import build_step_prompt, section_violations
 
 __all__ = [
@@ -531,7 +530,7 @@ def emit_dataset(
                 "loss_spans": [[a, b] for a, b in example.loss_spans],
                 "source": example.source,
             }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            handle.write(json_line(record))
             by_kind[example.kind.value] = by_kind.get(example.kind.value, 0) + 1
             by_source[example.source] = by_source.get(example.source, 0) + 1
     return DatasetManifest(

@@ -14,7 +14,6 @@ model wrote early is flagged ``head_mismatch:<stage>``.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from collections import deque
@@ -33,7 +32,7 @@ from .backends import (
     prompt_text,
 )
 from .corpus import CorpusIndex, EmptyQueryError, Passage, retrieve_multi
-from .fileio import atomic_path, drawn_ahead, read_jsonl, string_list, typed_field
+from .fileio import atomic_path, drawn_ahead, json_line, read_jsonl, string_list, typed_field
 from .grammar import (
     CitationList,
     GrammarError,
@@ -524,7 +523,7 @@ def write_traces(items: Iterable[InferenceTrace | PipelineError], path: str | Pa
                 record = {"error": {"stage": item.stage, "message": item.message}}
             else:
                 record = trace_to_dict(item)
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            handle.write(json_line(record))
 
 
 def _trace_row(record: dict) -> InferenceTrace | PipelineError:

@@ -391,7 +391,7 @@ def test_pruned_retrieve_is_bit_exact_on_long_head_lists(tmp_path, monkeypatch):
     built = build_index(passages)
     save_index(built, tmp_path / "skewed.idx")
     loaded = load_index(tmp_path / "skewed.idx")
-    calls = {"nlargest": 0, "bisect_left": 0}
+    calls = {"nlargest": 0, "bisect probes": 0, "table probes": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -400,8 +400,15 @@ def test_pruned_retrieve_is_bit_exact_on_long_head_lists(tmp_path, monkeypatch):
 
         return wrapper
 
+    real_probe_table = corpus._probe_table
+
+    def probe_table(index, start, end, probes):
+        table = real_probe_table(index, start, end, probes)
+        calls["bisect probes" if table is None else "table probes"] += probes
+        return table
+
     monkeypatch.setattr(corpus, "nlargest", counted("nlargest", corpus.nlargest))
-    monkeypatch.setattr(corpus, "bisect_left", counted("bisect_left", corpus.bisect_left))
+    monkeypatch.setattr(corpus, "_probe_table", probe_table)
     for query in _SKEWED_QUERIES:
         expected = brute_force_bm25(passages, query, 10)
         for k in (1, 3, 10):
@@ -412,8 +419,10 @@ def test_pruned_retrieve_is_bit_exact_on_long_head_lists(tmp_path, monkeypatch):
                 cold = list(retrieve(fresh, query, k).ranked)
                 assert fresh.weights
                 assert cold == list(retrieve(fresh, query, k).ranked) == expected[:k], (query, k)
-    # Both new paths ran: heap selection and binary-search probes.
-    assert calls["nlargest"] > 0 and calls["bisect_left"] > 1000, calls
+    # Every path ran: heap selection, and probes both by binary search and by
+    # table (the cold runs probe by search until a table pays).
+    assert calls["nlargest"] > 0, calls
+    assert calls["bisect probes"] > 500 and calls["table probes"] > 5000, calls
 
 
 def test_a_term_weight_array_is_built_once():
@@ -439,36 +448,109 @@ def test_a_term_weight_array_is_built_once():
     assert copy == index and copy.weights == {}
 
 
+def test_a_probe_table_keeps_a_term_frequency_past_a_byte_exact(monkeypatch):
+    # The first probe of "common" builds its table. Three of the passages
+    # that also hold "rare", and so are probed, repeat "common" 254, 255 and
+    # 300 times: a table holds the first, and 255 for the other two, whose
+    # tfs the probe then looks up in the span.
+    monkeypatch.setattr(corpus, "_TABLE_RATIO", 10**9)
+    heavy = dict(zip(_RARE_PIDS, (254, 255, 300)))
+    passages = [
+        make_passage(pid, "T", "rare " + "common " * heavy[pid]) if pid in heavy else passage
+        for pid, passage in enumerate(_common_and_rare_passages())
+    ]
+    partial_sums = []
+
+    def kth_largest(values, k):
+        partial_sums.append(sorted(values, reverse=True))
+        return real_kth_largest(values, k)
+
+    real_kth_largest = corpus._kth_largest
+    monkeypatch.setattr(corpus, "_kth_largest", kth_largest)
+    for k in (1, 2, 3, 4):
+        index = build_index(passages)
+        want = brute_force_bm25(passages, "rare common", k)
+        assert list(retrieve(index, "rare common", k).ranked) == want
+        table = index.tables[index.span("common")[0]]
+        assert len(table) == index.total_docs
+        assert [table[index.row_ids.index(pid)] for pid in heavy] == [254, 255, 255]
+        assert table[index.row_ids.index(_RARE_PIDS[-1])] == 1
+    # The scores are rescored in full, so only pruning reads the probes. The
+    # last partial sums pruning read, all four passages probed, are the
+    # exhaustive scores but for rounding: each probe added the exact tf.
+    assert partial_sums[-1] == pytest.approx([score for _, score in want], rel=0, abs=1e-12)
+
+
+def test_a_probe_table_is_built_once_the_probes_reach_its_df_over_the_ratio(monkeypatch):
+    index = build_index(_common_and_rare_passages())
+    start, end = index.span("common")
+    retrieve(index, "common rare", 2)
+    # The first query probes a few passages against the head term: no table.
+    probed = index.probed[start]
+    assert 0 < probed and probed * corpus._TABLE_RATIO < end - start
+    assert index.tables == {}
+    # Each run of the query probes as many. At a ratio that makes the fifth
+    # run bring the count to exactly df / ratio, that run builds the table,
+    # total_docs bytes.
+    monkeypatch.setattr(corpus, "_TABLE_RATIO", (end - start) / (5 * probed))
+    for run in range(2, 5):
+        retrieve(index, "common rare", 2)
+        assert index.probed[start] == run * probed and index.tables == {}
+    cold = retrieve(index, "common rare", 2)
+    assert list(index.tables) == [start] and len(index.tables[start]) == index.total_docs
+    assert retrieve(index, "common rare", 2) == cold
+    # Tables and counts are no part of the index's value, and a copy starts without them.
+    copy = replace(index)
+    assert copy == index and copy.tables == {} and copy.probed == {}
+
+
 # Queries scored term at a time, each sharing a term with the query of
 # _SKEWED_QUERIES at its place, which is pruned.
 _SHORT_SKEWED_QUERIES = ("rare3 mid2", "scarce rare1 mid5", "mid0 mid1", "mid4 scarce", "rare9 mid7")
 
 
-def test_threads_that_fill_the_weight_cache_at_once_rank_exactly():
+def test_threads_that_fill_the_weight_cache_at_once_rank_exactly(monkeypatch):
     passages = _skewed_corpus(random.Random(17))
     index = build_index(passages)
     pairs = list(zip(_SKEWED_QUERIES, _SHORT_SKEWED_QUERIES))
     for pruned, short in pairs:
         assert set(tokenize(pruned)) & set(tokenize(short))
         assert query_postings(index, short) <= corpus._PRUNE_FROM < query_postings(index, pruned)
-    want = {query: brute_force_bm25(passages, query, 3) for pair in pairs for query in pair}
+    queries = set(_SKEWED_QUERIES + _SHORT_SKEWED_QUERIES)
+    want = {query: brute_force_bm25(passages, query, 3) for query in queries}
+
+    def run(fresh, barrier, query):
+        barrier.wait(timeout=60)
+        return retrieve(fresh, query, 3)
+
+    def race(queries):
+        """The copy of index on which four threads, released at once, ran queries."""
+        fresh, barrier = replace(index), threading.Barrier(4)
+        futures = [pool.submit(run, fresh, barrier, query) for query in queries]
+        for query, future in zip(queries, futures):
+            assert list(future.result(timeout=60).ranked) == want[query], query
+        return fresh
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
+            # Four threads on an empty cache, two on each query, fill the
+            # shared terms' weights together.
             for pruned, short in pairs * 10:
-                # Four threads released at once on an empty cache, two on
-                # each query, fill the shared terms' weights together.
-                fresh, barrier = replace(index), threading.Barrier(4)
-
-                def run(query, fresh=fresh, barrier=barrier):
-                    barrier.wait(timeout=60)
-                    return retrieve(fresh, query, 3)
-
-                queries = [pruned, short, pruned, short]
-                futures = [pool.submit(run, query) for query in queries]
-                for query, future in zip(queries, futures):
-                    assert list(future.result(timeout=60).ranked) == want[query], query
+                race([pruned, short, pruned, short])
+            # With every first probe paying for a table, four threads on one
+            # pruned query build the skipped terms' tables together.
+            monkeypatch.setattr(corpus, "_TABLE_RATIO", 10**9)
+            serial = replace(index)
+            for pruned in _SKEWED_QUERIES:
+                retrieve(serial, pruned, 3)
+            built = 0
+            for pruned in _SKEWED_QUERIES * 5:
+                tables = race([pruned] * 4).tables
+                assert all(table == serial.tables[start] for start, table in tables.items())
+                built += len(tables)
+            assert built
     finally:
         sys.setswitchinterval(interval)
 

@@ -1,12 +1,15 @@
 """Property tests of retrieval: both of ``retrieve``'s evaluations, term at a
 time and MaxScore-pruned, give the exhaustive oracle's ranking and scores bit
-for bit, on a built index and on its saved and loaded copy; and a batch whose workers fill one index's weight cache at once
-writes the bytes of a serial run, whatever the schedule.
+for bit, on a built index and on its saved and loaded copy, and on one index
+over a batch run three times while its probe tables appear; and a batch
+whose workers fill one index's weight cache at once writes the bytes of a
+serial run, whatever the schedule.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
 ``HYPOTHESIS_PROFILE=ci`` runs more.
 """
 
+import functools
 import random
 import sys
 import tempfile
@@ -125,6 +128,40 @@ def test_the_batch_intents_take_both_evaluations():
     assert 0 < min(short) and max(short) <= corpus._PRUNE_FROM < min(head)
     head_terms = {term for intent in HEAD_INTENTS for term in tokenize(intent)}
     assert all(set(tokenize(intent)) & head_terms for intent in SHORT_INTENTS)
+
+
+# A ratio at which the head terms' tables pay after about ten probed passages,
+# so that on BATCH_INDEX they appear partway through a batch's first pass.
+BATCH_TABLE_RATIO = 60
+BATCH_QUERIES = SHORT_INTENTS + HEAD_INTENTS + ("alpha beta", "beta rare3", "mid5 alpha rare7 beta")
+
+
+@functools.cache
+def _batch_oracle(query):
+    return brute_force_bm25(list(BATCH_INDEX.passages.values()), query, 5)
+
+
+def test_probe_tables_appear_partway_through_a_batch(monkeypatch):
+    monkeypatch.setattr(corpus, "_TABLE_RATIO", BATCH_TABLE_RATIO)
+    index = replace(BATCH_INDEX)
+    tables = []
+    for intent in HEAD_INTENTS:
+        retrieve(index, intent, 3)
+        tables.append(len(index.tables))
+    assert tables[0] == 0 < tables[-1]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(BATCH_QUERIES), st.integers(1, 5)), min_size=1, max_size=12))
+def test_a_batch_run_three_times_ranks_exactly_while_its_tables_appear(batch):
+    # One index for the three passes: each probe of a head term adds to its
+    # count, and the probe that pays builds the table the rest then read.
+    index = replace(BATCH_INDEX)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_TABLE_RATIO", BATCH_TABLE_RATIO)
+        for _ in range(3):
+            for query, k in batch:
+                assert list(retrieve(index, query, k).ranked) == _batch_oracle(query)[:k], query
 
 
 class DelayedReplies:
