@@ -26,12 +26,15 @@ the per-item code that names a fault runs only once a pass finds one.
 ``retrieve`` is exact, and picks its evaluation from the query's postings.
 A query whose terms hold few postings, as most intents do, is scored
 term at a time: each term's weights are added in query order, so each sum
-is already the exhaustive score. A longer one is pruned (MaxScore): rare
-terms are scanned first, and the spans of common terms are skipped once
-their summed upper bounds can no longer lift an unseen passage into the
-top k. The skipped terms are looked up by binary search within the term's
-span for the passages still in contention (a heap, not a sort, picks the
-k-th best of many partial scores), and the survivors are rescored adding
+is already the exhaustive score. A longer one is pruned (MaxScore): terms
+are scanned from the largest upper bound down, and the spans of common
+terms are skipped once their summed bounds can no longer lift an unseen
+passage into the top k. A term's bound is its BM25 weight at its largest
+tf and the shortest passage's length norm, so taking it costs one pass
+over the term's tfs, once per index, and never reads its rows. The
+skipped terms are looked up by binary search within the term's span for
+the passages still in contention (a heap, not a sort, picks the k-th
+best of many partial scores), and the survivors are rescored adding
 terms in query order, so scores and ranks equal those of an exhaustive
 scan. The first scan of a term keeps the BM25 weight of each of its
 postings in the index, the exhaustive scan's own expression, and later
@@ -54,6 +57,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import nlargest
 from itertools import accumulate, compress, islice, repeat
 from operator import ge, lt
@@ -224,17 +228,25 @@ class CorpusIndex:
     terms scanned so far; saving, loading and comparing ignore it, and a
     copy made with ``dataclasses.replace`` starts with an empty cache.
 
-    ``tables`` is a second such cache, keyed the same way, for the terms
+    ``bounds`` keeps, keyed the same way, the MaxScore upper bound of each
+    term a pruned query has met: the weight expression at the term's largest
+    tf and at ``min_k1_length_norm``, which no posting of the term exceeds
+    (see ``retrieve``). It costs one read of the term's tfs, never of its
+    rows. An empty index has no terms, so no bound, nor its smallest norm,
+    is ever taken of it.
+
+    ``tables`` is another such cache, keyed the same way, for the terms
     whose spans MaxScore skips and probes instead: a ``bytearray`` of
     ``total_docs`` bytes holding ``min(tf, 255)`` at each row, 0 where the
     passage lacks the term and 255 where the exact tf must be looked up in
     the span. ``probed`` counts, per term without a table, the passages
     probed against it so far; the table is built once that count reaches
     the term's document frequency over ``_TABLE_RATIO``, the point past
-    which its build costs less than the binary searches it replaces. Both
-    are ignored like ``weights``. A table is stored only once complete, so
-    threads that share an index at worst build equal tables, or build one
-    late when an update of a count is lost.
+    which its build costs less than the binary searches it replaces. These
+    three are ignored like ``weights``. A table is stored only once
+    complete, so threads that share an index at worst build equal tables,
+    or build one late when an update of a count is lost; threads that take
+    a bound at once store equal floats.
     """
 
     passages: dict[int, Passage]
@@ -249,6 +261,12 @@ class CorpusIndex:
     weights: dict[int, array] = field(default_factory=dict, init=False, repr=False, compare=False)
     tables: dict[int, bytearray] = field(default_factory=dict, init=False, repr=False, compare=False)
     probed: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    bounds: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def min_k1_length_norm(self) -> float:
+        """The smallest of ``k1_length_norms``, that of the shortest passage."""
+        return min(self.k1_length_norms)
 
     def span(self, term: str) -> tuple[int, int]:
         """The (start, end) of term's postings in rows and tfs; empty if unknown."""
@@ -352,21 +370,30 @@ def retrieve(index: CorpusIndex, query: str, k: int) -> RetrievalResult:
     scanned and its weights added in query order, so each sum is already
     the exhaustive score: only the k-th best score is read, and only the
     passages at or above it are sorted. Short lists are cheaper to scan
-    than to prune. Past that, the scan is MaxScore-pruned. A term adds less
-    than its bound ``idf * (k1 + 1)`` to any passage, because tf saturates.
-    Terms are scanned in descending bound. Once the bounds of the unscanned
-    terms sum to less than the k-th best partial score (less a 1e-9 slack
-    for rounding), no passage the scan has not reached can enter the top k,
-    so the rest of the posting lists are skipped; the scan stops there only
-    when those lists hold more postings than there are passages to probe
-    instead. Each skipped term is then looked up by binary search within
-    its span, or in its probe table once it has one, for the passages that
-    could still reach the k-th best score, and the survivors are rescored
-    in full, terms added in query order.
+    than to prune. Past that, the scan is MaxScore-pruned. A term adds at
+    most its bound ``idf * T * (k1 + 1) / (T + k1 * norm_min)`` to any
+    passage, where T is its largest tf and norm_min the smallest length
+    norm in the index. A weight rises with tf and falls with the norm. The
+    norm enters only the denominator, and rounding is monotone, so the
+    computed weight keeps that order exactly; a step of tf raises the true
+    weight by more than rounding can move it for every tf below about ten
+    million, and past that rounding moves it by some 1e-15 of itself, which
+    the slack below absorbs. Terms are scanned in descending bound. Once
+    the bounds of the unscanned terms sum to less than the k-th best
+    partial score (less a 1e-9 slack for rounding), no passage the scan
+    has not reached can enter the top k, so the rest of the posting lists
+    are skipped; the scan stops there only when those lists hold more
+    postings than there are passages to probe instead. Each skipped term
+    is then looked up by binary search within its span, or in its probe
+    table once it has one, for the passages that could still reach the
+    k-th best score, and the survivors are rescored in full, terms added
+    in query order.
 
     Both evaluations read a term's posting weights from ``index.weights``,
-    filling them on the term's first scan; a skipped term's list is read
-    only to build its table in ``index.tables``.
+    filling them on the term's first scan. A pruned query reads each term's
+    bound from ``index.bounds``, filled by one read of the term's tfs the
+    first time a pruned query meets it; a skipped term's rows are read only
+    to build its table in ``index.tables``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -422,14 +449,17 @@ def _maxscore(
     """The exact scores, by row, of the passages that may be in the top k.
 
     weighted holds (idf, start, end) per matching term in query order.
+    Terms are scanned in descending ``_term_bound``, which no posting of the
+    term exceeds (see ``retrieve``); a skipped term costs one read of its
+    tfs, for its bound, once per index.
     """
     rows, tfs, k1_norms = index.rows, index.tfs, index.k1_length_norms
-    # The matching terms, largest bound idf * (k1 + 1) first. bound_left[i]
-    # and postings_left[i] total the bounds and the postings of scan[i:].
-    scan = sorted(weighted, key=lambda item: -item[0])
+    # The matching terms, largest bound first. bound_left[i] and
+    # postings_left[i] total the bounds and the postings of scan[i:].
+    bounds = {start: _term_bound(index, idf, start, end) for idf, start, end in weighted}
+    scan = sorted(weighted, key=lambda item: -bounds[item[1]])
     backwards = scan[::-1]
-    bounds = (idf * (BM25_K1 + 1.0) for idf, _, _ in backwards)
-    bound_left = [*accumulate(bounds, initial=0.0)][::-1]
+    bound_left = [*accumulate((bounds[start] for _, start, _ in backwards), initial=0.0)][::-1]
     postings_left = [*accumulate((end - start for _, start, end in backwards), initial=0)][::-1]
 
     # Partial sums only steer pruning; the rescoring at the end gives the scores.
@@ -476,16 +506,38 @@ def _maxscore(
         floor = threshold - _PRUNE_SLACK - bound_left[i + 1]
         candidates = [row for row in candidates if partial[row] >= floor]
 
+    # The rescoring reads a tabled term's tf from its table, and bisects the
+    # span of any other term, or of a tabled term whose table reads 255.
+    terms = [(idf, start, end, index.tables.get(start)) for idf, start, end in weighted]
     scored = []
     for row in candidates:
         score = 0.0
-        for idf, start, end in weighted:
-            at = bisect_left(rows, row, start, end)
-            if at < end and rows[at] == row:
+        for idf, start, end, table in terms:
+            if table is None:
+                at = bisect_left(rows, row, start, end)
+                if at == end or rows[at] != row:
+                    continue
                 tf = tfs[at]
-                score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
+            else:
+                tf = table[row]
+                if not tf:
+                    continue
+                if tf == _TABLE_TF_CAP:
+                    tf = tfs[bisect_left(rows, row, start, end)]
+            score += idf * tf * (BM25_K1 + 1.0) / (tf + k1_norms[row])
         scored.append((row, score))
     return scored
+
+
+def _term_bound(index: CorpusIndex, idf: float, start: int, end: int) -> float:
+    """The BM25 weight expression of the term whose postings span start:end
+    at its largest tf and the index's smallest length norm, kept in
+    ``index.bounds`` by the first call, which reads the term's tfs."""
+    bound = index.bounds.get(start)
+    if bound is None:
+        top = max(index.tfs[start:end])
+        bound = index.bounds[start] = idf * top * (BM25_K1 + 1.0) / (top + index.min_k1_length_norm)
+    return bound
 
 
 def _probe_table(index: CorpusIndex, start: int, end: int, probes: int) -> bytearray | None:

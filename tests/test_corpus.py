@@ -287,9 +287,13 @@ def test_pruning_skips_the_head_term_list():
     start, end = index.span("common")
     index.rows, index.tfs = ScanRecordingList(index.rows), ScanRecordingList(index.tfs)
     got = retrieve(index, "common rare", k=2).ranked
-    assert index.rows.scanned == index.tfs.scanned == [index.span("rare")]
+    assert index.rows.scanned == [index.span("rare")]
     for lo, hi in index.rows.scanned:
         assert hi <= start or end <= lo
+    # The head term's tfs are read once, by its bound, and its rows never;
+    # the rare term's tfs are read by its bound and by its scan.
+    assert sorted(index.tfs.scanned) == sorted([(start, end)] + [index.span("rare")] * 2)
+    assert index.bounds[start] < corpus.bm25_idf(index.total_docs, end - start) * (BM25_K1 + 1.0)
     # The skipped term still counts in the exact scores.
     assert list(got) == brute_force_bm25(passages, "common rare", 2)
 
@@ -343,9 +347,10 @@ def test_pruning_keeps_an_unscanned_passage_that_beats_the_threshold(monkeypatch
     # Too few postings to be pruned unless every query is.
     monkeypatch.setattr(corpus, "_PRUNE_FROM", 0)
     # After the rare term the best partial score is 0.944 (passages 0, 2, 3).
-    # The common term's bound is 1.083, and passage 1, which the rare list
-    # never reaches, scores 0.956 from the common term alone. A stop rule
-    # looser than the bound by more than 0.14 would rank passage 0 first.
+    # Passage 1, which the rare list never reaches, scores 0.956 from the
+    # common term alone: tf 9 at the shortest length here, so that is also
+    # the common term's bound. A stop rule looser than the bound by more
+    # than 0.012 would rank passage 0 first.
     passages = [make_passage(0, "T", "rare" + " x" * 8), make_passage(1, "T", "common " * 9)]
     passages += [make_passage(pid, "T", "rare" + " y" * 8) for pid in (2, 3)]
     passages += [make_passage(pid, "T", "common" + " y" * 8) for pid in range(4, 8)]
@@ -545,11 +550,14 @@ def test_threads_that_fill_the_weight_cache_at_once_rank_exactly(monkeypatch):
             serial = replace(index)
             for pruned in _SKEWED_QUERIES:
                 retrieve(serial, pruned, 3)
+            # They fill the query's term bounds together too.
             built = 0
             for pruned in _SKEWED_QUERIES * 5:
-                tables = race([pruned] * 4).tables
-                assert all(table == serial.tables[start] for start, table in tables.items())
-                built += len(tables)
+                fresh = race([pruned] * 4)
+                assert all(table == serial.tables[start] for start, table in fresh.tables.items())
+                built += len(fresh.tables)
+                starts = {index.span(term)[0] for term in tokenize(pruned)}
+                assert fresh.bounds == {start: serial.bounds[start] for start in starts}
             assert built
     finally:
         sys.setswitchinterval(interval)

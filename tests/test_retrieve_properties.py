@@ -1,8 +1,9 @@
 """Property tests of retrieval: both of ``retrieve``'s evaluations, term at a
 time and MaxScore-pruned, give the exhaustive oracle's ranking and scores bit
 for bit, on a built index and on its saved and loaded copy, and on one index
-over a batch run three times while its probe tables appear; and a batch
-whose workers fill one index's weight cache at once writes the bytes of a
+over a batch run three times while its probe tables appear; no term adds
+more to a score than the bound MaxScore keeps for it; and a batch whose
+workers fill one index's weight cache at once writes the bytes of a
 serial run, whatever the schedule.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from factrail import corpus
 from factrail.backends import ScriptedBackend, prompt_text
 from factrail.corpus import (
+    BM25_K1,
     build_index,
     index_documents,
     load_index,
@@ -94,6 +96,53 @@ def test_retrieve_matches_brute_force_on_tie_heavy_corpora(prune_from, case):
         patch.setattr(corpus, "_PRUNE_FROM", prune_from)
         for index in (built, loaded):
             assert list(retrieve(index, query, k).ranked) == want
+
+
+# ---------------------------------------------------------------------------
+# MaxScore's term bounds
+
+
+BOUND_TERMS = ["w0", "w1", "w2", "w3"]
+# 254-256 straddle a probe table's cap of 255.
+BOUND_TFS = (1, 1, 2, 3, 254, 255, 256, 300)
+
+
+@st.composite
+def varied_tf_cases(draw):
+    """Passages of one word up to about a thousand, terms repeated up to 300
+    times, and a batch of queries with their k."""
+    passages = []
+    for pid in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            words = [draw(st.sampled_from(BOUND_TERMS))]
+        else:
+            words = ["pad"] * draw(st.integers(0, 60))
+            for term in draw(st.lists(st.sampled_from(BOUND_TERMS), min_size=1, max_size=3, unique=True)):
+                words += [term] * draw(st.sampled_from(BOUND_TFS))
+        passages.append(make_passage(pid, "T", " ".join(words)))
+    queries = st.lists(st.sampled_from(BOUND_TERMS + ["pad", "t"]), min_size=1, max_size=4)
+    batch = draw(st.lists(st.tuples(queries.map(" ".join), st.integers(1, 4)), min_size=1, max_size=5))
+    return passages, batch
+
+
+@settings(deadline=None)
+@given(varied_tf_cases())
+def test_every_kept_bound_is_at_least_each_weight_of_its_term(case):
+    passages, batch = case
+    index = build_index(passages)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_PRUNE_FROM", 0)  # every query with postings is pruned
+        for query, k in batch:
+            assert list(retrieve(index, query, k).ranked) == brute_force_bm25(passages, query, k)
+    assert bool(index.bounds) == any(query_postings(index, query) for query, _ in batch)
+    for start, end in zip(index.offsets, index.offsets[1:]):
+        if start in index.bounds:
+            idf = corpus.bm25_idf(index.total_docs, end - start)
+            norms = map(index.k1_length_norms.__getitem__, index.rows[start:end])
+            weights = [
+                idf * tf * (BM25_K1 + 1.0) / (tf + norm) for tf, norm in zip(index.tfs[start:end], norms)
+            ]
+            assert index.bounds[start] >= max(weights)
 
 
 # ---------------------------------------------------------------------------
