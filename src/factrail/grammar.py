@@ -10,6 +10,14 @@ Serialization is strict and canonical: one byte layout, ``head\\nbody\\nend\\n``
 per section. Parsing is lenient about whitespace between sections but never
 repairs structural damage; every rejection carries the offset or line where
 the problem sits.
+
+The readers of a trajectory, a retrieval body and a locator body first take
+a fast pass made for the canonical layout: one ``str.find`` per section
+closer or retrieval entry, and one dict lookup per judgment line, which maps
+the canonical Irrelevant line of each index up to a fixed bound to one
+shared, frozen judgment. Text the pass does not accept is read again by the
+regex code, which alone names a fault. So the fast pass changes neither
+what is accepted nor what a rejection says.
 """
 
 from __future__ import annotations
@@ -86,7 +94,8 @@ class StepKind(Enum):
 
 
 # Keyed by surface: a str hash is cached, an Enum's is a Python-level call.
-_KIND_BY_HEAD_SURFACE = {kind.head.value: kind for kind in StepKind}
+# Each head maps to its kind and the surface of the kind's end token.
+_SECTION_BY_HEAD_SURFACE = {kind.head.value: (kind, kind.end.value) for kind in StepKind}
 
 _TOKEN_BY_SURFACE = {t.value: t for t in TokenKind}
 
@@ -306,6 +315,13 @@ def parse_trajectory(text: str) -> Trajectory:
     newline stripped, so parse is the inverse of serialize. Whitespace
     between sections is tolerated; any other stray text is rejected with
     its offset.
+
+    After each head, one ``str.find`` looks for the next ``<``. Every token
+    starts with one, and none is a prefix of another, so when the kind's
+    own end token starts there, it is the first token after the head and
+    the interior is taken at once. Any other section (a ``<`` in its body,
+    a missing or wrong closer) is read by ``_closer``, the token search
+    that names the fault.
     """
     steps: list[TrajectoryStep] = []
     last_rank = -1
@@ -320,31 +336,43 @@ def parse_trajectory(text: str) -> Trajectory:
         if match is None:
             break
         at = match.start()
-        kind = _KIND_BY_HEAD_SURFACE.get(match.group(0))
-        if kind is None:
+        section = _SECTION_BY_HEAD_SURFACE.get(match.group(0))
+        if section is None:
             # An end token (or the instruction terminator) with no open section.
             raise GrammarError(f"unexpected text outside any section at offset {at}", at)
+        kind, end_surface = section
         if kind.rank <= last_rank:
             raise GrammarError(f"{kind.head.value} at offset {at} breaks the section order", at)
-        closer = _TOKEN_RE.search(text, match.end())
-        if closer is None:
-            raise GrammarError(f"{kind.head.value} at offset {at} is never closed", at)
-        closing_token = _TOKEN_BY_SURFACE[closer.group(0)]
-        if closing_token is not kind.end:
-            at = closer.start()
-            message = f"expected {kind.end.value} but found {closing_token.value} at offset {at}"
-            raise GrammarError(message, at)
-        interior = text[match.end() : closer.start()]
-        if interior.startswith("\n"):
-            interior = interior[1:]
-        if interior.endswith("\n"):
-            interior = interior[:-1]
-        steps.append(TrajectoryStep(kind, interior))
+        start = match.end()
+        close = text.find("<", start)
+        if close == -1 or not text.startswith(end_surface, close):
+            close = _closer(text, kind, at, start)
+        # Trim the bounds, then slice once: a body may be kilobytes long.
+        pos = close + len(end_surface)
+        if text.startswith("\n", start, close):
+            start += 1
+        if text.endswith("\n", start, close):
+            close -= 1
+        steps.append(TrajectoryStep(kind, text[start:close]))
         last_rank = kind.rank
-        pos = closer.end()
         if pos >= n:
             break
     return Trajectory(tuple(steps))
+
+
+def _closer(text: str, kind: StepKind, at: int, start: int) -> int:
+    """Where the section of ``kind`` whose head sits at ``at`` and ends at
+    ``start`` is closed: the first token after its head, which must be the
+    kind's end token, or a GrammarError naming what is there instead."""
+    closer = _TOKEN_RE.search(text, start)
+    if closer is None:
+        raise GrammarError(f"{kind.head.value} at offset {at} is never closed", at)
+    closing_token = _TOKEN_BY_SURFACE[closer.group(0)]
+    if closing_token is not kind.end:
+        at = closer.start()
+        message = f"expected {kind.end.value} but found {closing_token.value} at offset {at}"
+        raise GrammarError(message, at)
+    return closer.start()
 
 
 # ---------------------------------------------------------------------------
@@ -390,35 +418,48 @@ def parse_locator_body(body: str) -> list[LocatorJudgment]:
     may hold a form feed or U+2028. Indices must be unique but need not be
     contiguous. An Irrelevant line carries the fixed no-facts phrase (period
     optional) or nothing at all.
+
+    Most lines are ``format_judgment``'s Irrelevant line for an index up to
+    ``_SHARED_IRRELEVANT_BOUND``. One dict lookup turns such a line into a
+    judgment built at import and shared by every parse, which is safe
+    because a judgment is frozen. Every other line goes through the regex,
+    which names any fault.
     """
     judgments: list[LocatorJudgment] = []
     seen: set[int] = set()
     for lineno, line in enumerate(body.split("\n"), start=1):
-        if not line.strip():
-            continue
-        match = _JUDGMENT_RE.match(line)
-        if match is None:
-            raise GrammarError(f"malformed judgment line (line {lineno})")
-        tag, index_text, rest = match.groups()
-        rest = rest.rstrip()
-        try:
-            index = int(index_text)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            message = f"passage index of {len(index_text)} digits is too long (line {lineno})"
-            raise GrammarError(message) from None
-        if index < 1:
-            raise GrammarError(f"passage indices are 1-based (line {lineno})")
+        judgment = _SHARED_IRRELEVANT.get(line)
+        if judgment is not None:
+            index = judgment.passage_index
+        else:
+            if not line.strip():
+                continue
+            match = _JUDGMENT_RE.match(line)
+            if match is None:
+                raise GrammarError(f"malformed judgment line (line {lineno})")
+            tag, index_text, rest = match.groups()
+            rest = rest.rstrip()
+            try:
+                index = int(index_text)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                message = f"passage index of {len(index_text)} digits is too long (line {lineno})"
+                raise GrammarError(message) from None
+            if index < 1:
+                raise GrammarError(f"passage indices are 1-based (line {lineno})")
         if index in seen:
             raise GrammarError(f"passage index {index} judged more than once")
         seen.add(index)
-        if tag == "Relevant":
-            if not rest:
-                raise GrammarError(f"a Relevant judgment must carry a fact (line {lineno})")
-            judgments.append(LocatorJudgment(index, Relevance.RELEVANT, rest))
-        else:
-            if rest not in _IRRELEVANT_ACCEPTED:
-                raise GrammarError(f"an Irrelevant judgment must not carry a fact (line {lineno})")
-            judgments.append(LocatorJudgment(index, Relevance.IRRELEVANT, None))
+        if judgment is None:
+            if tag == "Relevant":
+                if not rest:
+                    raise GrammarError(f"a Relevant judgment must carry a fact (line {lineno})")
+                judgment = LocatorJudgment(index, Relevance.RELEVANT, rest)
+            else:
+                if rest not in _IRRELEVANT_ACCEPTED:
+                    message = f"an Irrelevant judgment must not carry a fact (line {lineno})"
+                    raise GrammarError(message)
+                judgment = LocatorJudgment(index, Relevance.IRRELEVANT, None)
+        judgments.append(judgment)
     return judgments
 
 
@@ -426,6 +467,18 @@ def format_judgment(judgment: LocatorJudgment) -> str:
     if judgment.relevance is Relevance.RELEVANT:
         return f"[Relevant]: [{judgment.passage_index}] {judgment.fact}"
     return f"[Irrelevant]: [{judgment.passage_index}] {IRRELEVANT_PHRASE}"
+
+
+# The canonical Irrelevant judgment of each index up to the bound, keyed by
+# its ``format_judgment`` line. Built once, it never grows.
+_SHARED_IRRELEVANT_BOUND = 64
+_SHARED_IRRELEVANT = {
+    format_judgment(judgment): judgment
+    for judgment in (
+        LocatorJudgment(index, Relevance.IRRELEVANT)
+        for index in range(1, _SHARED_IRRELEVANT_BOUND + 1)
+    )
+}
 
 
 _CITE_TOKEN_RE = re.compile(r"\[(\d+)\]")
@@ -495,10 +548,18 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
     1..n in order. Titles containing the literal separator `` -`` will not
     survive the split; corpus titles are whitespace-normalized single lines
     and do not use it.
+
+    ``_canonical_entries`` reads a body whose every line starts with its
+    number as ``retrieval_body`` writes it. Any other body goes through the
+    regex line by line, which names the fault or reads a number such as
+    ``[01]``.
     """
     if not body:
         raise GrammarError("a retrieval block must contain at least one passage")
-    entries: list[tuple[str, str]] = []
+    entries = _canonical_entries(body)
+    if entries is not None:
+        return entries
+    entries = []
     for lineno, line in enumerate(body.split("\n"), start=1):
         match = _RETRIEVAL_ENTRY_RE.match(line)
         if match is None:
@@ -512,6 +573,29 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
             raise GrammarError(f"entry numbered {number}, expected {expected} (line {lineno})")
         entries.append((match.group(2), match.group(3)))
     return entries
+
+
+def _canonical_entries(body: str) -> list[tuple[str, str]] | None:
+    """The entries of a body whose line i starts ``[i] `` and holds `` -``
+    after that, or None. Each line is found and cut by ``str.find``, with no
+    split; the title ends at the first `` -``, as the lazy title of
+    ``_RETRIEVAL_ENTRY_RE`` does."""
+    entries: list[tuple[str, str]] = []
+    start = 0
+    while True:
+        end = body.find("\n", start)
+        stop = len(body) if end == -1 else end
+        prefix = f"[{len(entries) + 1}] "
+        if not body.startswith(prefix, start, stop):
+            return None
+        title = start + len(prefix)
+        cut = body.find(" -", title, stop)
+        if cut == -1:
+            return None
+        entries.append((body[title:cut], body[cut + 2 : stop]))
+        if end == -1:
+            return entries
+        start = end + 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import (
     LENGTH_LIMIT_MARKER,
@@ -127,6 +126,23 @@ class TraceViolation:
         return f"{self.code}: {self.detail}"
 
 
+class _cached(Generic[T]):
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first access (3.12 dropped it): the value goes into the
+    instance's ``__dict__``, which later reads find first. Threads that
+    read one trace at once at worst parse a section twice into equal values."""
+
+    def __init__(self, func: Callable[[Any], T]) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> T:
+        if instance is None:
+            return self  # type: ignore[return-value]
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class InferenceTrace:
     """One inference. The trajectory is the record: intents, judgments,
@@ -143,6 +159,9 @@ class InferenceTrace:
 
     def __post_init__(self) -> None:
         body = _section(self.trajectory, StepKind.RETRIEVAL)
+        if body is not None and _entries_fit(body, self.passage_meta):
+            return
+        # The split below only names the fault.
         lines = [] if body is None else body.split("\n")
         if len(lines) != len(self.passage_meta):
             raise ValueError(f"{len(self.passage_meta)} passages but {len(lines)} retrieval entries")
@@ -150,7 +169,7 @@ class InferenceTrace:
             if not line.startswith(prefix := f"[{i}] {title} -"):
                 raise ValueError(f"retrieval entry {i} does not start with {prefix!r}")
 
-    @cached_property
+    @_cached
     def passages(self) -> tuple[Passage, ...]:
         lines = (_section(self.trajectory, StepKind.RETRIEVAL) or "").split("\n")
         return tuple(
@@ -158,17 +177,17 @@ class InferenceTrace:
             for i, (pid, title, words) in enumerate(self.passage_meta)
         )
 
-    @cached_property
+    @_cached
     def intents(self) -> IntentSet | None:
         body = _section(self.trajectory, StepKind.RECONSTRUCTOR)
         return None if body is None else _kept_intents(parse_intents(body), self.flags)
 
-    @cached_property
+    @_cached
     def judgments(self) -> tuple[LocatorJudgment, ...]:
         body = _section(self.trajectory, StepKind.LOCATOR)
         return () if body is None else tuple(parse_locator_body(body))
 
-    @cached_property
+    @_cached
     def _generated(self) -> tuple[str, CitationList]:
         body = _section(self.trajectory, StepKind.GENERATOR)
         return ("", CitationList()) if body is None else parse_citations(body)
@@ -182,9 +201,28 @@ class InferenceTrace:
         return self._generated[1]
 
 
+def _entries_fit(body: str, meta: Sequence[tuple[int, str, int]]) -> bool:
+    """Whether the retrieval section body has one line per passage of meta,
+    line i starting ``[i] {title} -``. One ``str.find`` per line, where a
+    split would copy the whole body."""
+    last = len(meta)
+    start = 0
+    for i, (_, title, _) in enumerate(meta, start=1):
+        end = body.find("\n", start)
+        if (end == -1) != (i == last):
+            return False
+        if not body.startswith(f"[{i}] {title} -", start, len(body) if end == -1 else end):
+            return False
+        start = end + 1
+    return last > 0
+
+
 def _section(trajectory: Trajectory, kind: StepKind) -> str | None:
     """The body of the trajectory's section of this kind, or None."""
-    return next((step.body for step in trajectory.steps if step.kind is kind), None)
+    for step in trajectory.steps:
+        if step.kind is kind:
+            return step.body
+    return None
 
 
 class PipelineError(Exception):

@@ -26,6 +26,9 @@ from factrail.corpus import (
     tokenize,
 )
 from factrail.grammar import (
+    IRRELEVANT_PHRASE,
+    GrammarError,
+    LocatorJudgment,
     Relevance,
     StepKind,
     Trajectory,
@@ -433,6 +436,141 @@ def mutate_serialized(rng: random.Random, text: str) -> str:
             if rng.random() < 0.5:
                 return "stray words here\n" + text
             return text + "stray words here\n"
+
+
+# ---------------------------------------------------------------------------
+# reference parsers: the regex-only readers that the grammar's fast passes
+# must match, result for result and message for message
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    "|".join(re.escape(s) for s in sorted(_TOKEN_SURFACES, key=lambda s: -len(s)))
+)
+_REFERENCE_KINDS = {kind.head.value: kind for kind in StepKind}
+
+
+def reference_parse_trajectory(text: str) -> Trajectory:
+    """``grammar.parse_trajectory`` as a token search per head and per closer."""
+    steps: list[TrajectoryStep] = []
+    last_rank = -1
+    pos = 0
+    n = len(text)
+    while True:
+        match = _REFERENCE_TOKEN_RE.search(text, pos)
+        gap = text[pos : n if match is None else match.start()]
+        if gap.strip():
+            at = pos + len(gap) - len(gap.lstrip())
+            raise GrammarError(f"unexpected text outside any section at offset {at}", at)
+        if match is None:
+            break
+        at = match.start()
+        kind = _REFERENCE_KINDS.get(match.group(0))
+        if kind is None:
+            raise GrammarError(f"unexpected text outside any section at offset {at}", at)
+        if kind.rank <= last_rank:
+            raise GrammarError(f"{kind.head.value} at offset {at} breaks the section order", at)
+        closer = _REFERENCE_TOKEN_RE.search(text, match.end())
+        if closer is None:
+            raise GrammarError(f"{kind.head.value} at offset {at} is never closed", at)
+        if closer.group(0) != kind.end.value:
+            at = closer.start()
+            message = f"expected {kind.end.value} but found {closer.group(0)} at offset {at}"
+            raise GrammarError(message, at)
+        interior = text[match.end() : closer.start()]
+        if interior.startswith("\n"):
+            interior = interior[1:]
+        if interior.endswith("\n"):
+            interior = interior[:-1]
+        steps.append(TrajectoryStep(kind, interior))
+        last_rank = kind.rank
+        pos = closer.end()
+        if pos >= n:
+            break
+    return Trajectory(tuple(steps))
+
+
+_REFERENCE_ENTRY_RE = re.compile(r"^\[(\d+)\] (.*?) -(.*)$")
+
+
+def reference_parse_retrieval_body(body: str) -> list[tuple[str, str]]:
+    """``grammar.parse_retrieval_body`` as one regex match per line."""
+    if not body:
+        raise GrammarError("a retrieval block must contain at least one passage")
+    entries: list[tuple[str, str]] = []
+    for lineno, line in enumerate(body.split("\n"), start=1):
+        match = _REFERENCE_ENTRY_RE.match(line)
+        if match is None:
+            raise GrammarError(f"malformed retrieval entry (line {lineno})")
+        try:
+            number = int(match.group(1))
+        except ValueError:
+            message = f"entry number of {len(match.group(1))} digits is too long (line {lineno})"
+            raise GrammarError(message) from None
+        if number != (expected := len(entries) + 1):
+            raise GrammarError(f"entry numbered {number}, expected {expected} (line {lineno})")
+        entries.append((match.group(2), match.group(3)))
+    return entries
+
+
+_REFERENCE_JUDGMENT_RE = re.compile(
+    r"^\s*-?\s*\[(Relevant|Irrelevant)\]\s*:\s*\[(\d+)\]\s*(.*)$"
+)
+
+
+def reference_parse_locator_body(body: str) -> list:
+    """``grammar.parse_locator_body`` as one regex match and one freshly
+    built judgment per line."""
+    judgments = []
+    seen: set[int] = set()
+    for lineno, line in enumerate(body.split("\n"), start=1):
+        if not line.strip():
+            continue
+        match = _REFERENCE_JUDGMENT_RE.match(line)
+        if match is None:
+            raise GrammarError(f"malformed judgment line (line {lineno})")
+        tag, index_text, rest = match.groups()
+        rest = rest.rstrip()
+        try:
+            index = int(index_text)
+        except ValueError:
+            message = f"passage index of {len(index_text)} digits is too long (line {lineno})"
+            raise GrammarError(message) from None
+        if index < 1:
+            raise GrammarError(f"passage indices are 1-based (line {lineno})")
+        if index in seen:
+            raise GrammarError(f"passage index {index} judged more than once")
+        seen.add(index)
+        if tag == "Relevant":
+            if not rest:
+                raise GrammarError(f"a Relevant judgment must carry a fact (line {lineno})")
+            judgments.append(LocatorJudgment(index, Relevance.RELEVANT, rest))
+        else:
+            if rest not in ("", "Lacking Supporting Facts", IRRELEVANT_PHRASE):
+                raise GrammarError(f"an Irrelevant judgment must not carry a fact (line {lineno})")
+            judgments.append(LocatorJudgment(index, Relevance.IRRELEVANT, None))
+    return judgments
+
+
+def reference_entry_fault(body: str | None, meta: Sequence[tuple[int, str, int]]) -> str | None:
+    """The ValueError message with which ``InferenceTrace`` refuses passages
+    ``meta`` beside a retrieval section ``body`` (None: no section), checked
+    by splitting the body into lines; None if it accepts them."""
+    lines = [] if body is None else body.split("\n")
+    if len(lines) != len(meta):
+        return f"{len(meta)} passages but {len(lines)} retrieval entries"
+    for i, ((_, title, _), line) in enumerate(zip(meta, lines), start=1):
+        if not line.startswith(prefix := f"[{i}] {title} -"):
+            return f"retrieval entry {i} does not start with {prefix!r}"
+    return None
+
+
+def parse_outcome(parse: Callable, text: str):
+    """What a parser makes of text: ``("ok", result)``, or ``("error",
+    message, offset)`` for the GrammarError it raises."""
+    try:
+        return ("ok", parse(text))
+    except GrammarError as exc:
+        return ("error", str(exc), exc.offset)
 
 
 # ---------------------------------------------------------------------------

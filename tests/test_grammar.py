@@ -393,6 +393,28 @@ def test_format_judgment_round_trip():
     assert parse_locator_body(body) == judgments
 
 
+def test_irrelevant_judgments_are_shared_up_to_a_fixed_bound():
+    bound = grammar._SHARED_IRRELEVANT_BOUND
+    assert len(grammar._SHARED_IRRELEVANT) == bound
+    indices = [1, 2, bound - 1, bound, bound + 1, 10**6, *range(100, 2100)]
+    body = "\n".join(format_judgment(LocatorJudgment(i, Relevance.IRRELEVANT)) for i in indices)
+    fresh = [LocatorJudgment(i, Relevance.IRRELEVANT, None) for i in indices]
+    first, again = parse_locator_body(body), parse_locator_body(body)
+    assert first == again == fresh
+    # Within the bound both parses hold the one shared value; beyond it,
+    # each builds its own, and the table never grows.
+    assert all(a is b for a, b in zip(first[:4], again[:4]))
+    assert not any(a is b for a, b in zip(first[4:], again[4:]))
+    assert len(grammar._SHARED_IRRELEVANT) == bound
+    # A line in another form, or a Relevant one, is built as before.
+    loose = parse_locator_body("[Irrelevant]: [1]\n[Relevant]: [2] a fact.")
+    assert loose == [
+        LocatorJudgment(1, Relevance.IRRELEVANT, None),
+        LocatorJudgment(2, Relevance.RELEVANT, "a fact."),
+    ]
+    assert loose[0] is not first[0]
+
+
 def test_judgment_invariant():
     with pytest.raises(ValueError):
         LocatorJudgment(1, Relevance.RELEVANT, None)
