@@ -11,13 +11,13 @@ per section. Parsing is lenient about whitespace between sections but never
 repairs structural damage; every rejection carries the offset or line where
 the problem sits.
 
-The readers of a trajectory, a retrieval body and a locator body first take
-a fast pass made for the canonical layout: one ``str.find`` per section
-closer or retrieval entry, and one dict lookup per judgment line, which maps
-the canonical Irrelevant line of each index up to a fixed bound to one
-shared, frozen judgment. Text the pass does not accept is read again by the
-regex code, which alone names a fault. So the fast pass changes neither
-what is accepted nor what a rejection says.
+A retrieval body is read by one ``str.find`` walk per line, which also
+names each fault. The trajectory and locator readers keep one shortcut
+each, picked from the input in front of their one general reader, because
+the general reader's work is known in advance there: a section whose first
+``<`` after the head starts its own end token is cut at once (else the
+token search reads it), and the canonical Irrelevant line of an index up to
+a bound maps to one shared, frozen judgment (else the regex reads it).
 """
 
 from __future__ import annotations
@@ -537,9 +537,6 @@ def render_retrieval_block(passages: Sequence[TitledText]) -> str:
     return serialize_steps([TrajectoryStep(StepKind.RETRIEVAL, retrieval_body(passages))])
 
 
-_RETRIEVAL_ENTRY_RE = re.compile(r"^\[(\d+)\] (.*?) -(.*)$")
-
-
 def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
     """Recover (title, text) pairs from a retrieval section interior.
 
@@ -549,49 +546,41 @@ def parse_retrieval_body(body: str) -> list[tuple[str, str]]:
     survive the split; corpus titles are whitespace-normalized single lines
     and do not use it.
 
-    ``_canonical_entries`` reads a body whose every line starts with its
-    number as ``retrieval_body`` writes it. Any other body goes through the
-    regex line by line, which names the fault or reads a number such as
-    ``[01]``.
+    One ``str.find`` walk reads each line as ``[n] title -text`` and names
+    its fault itself: the number is a run of decimal digits (so ``[01]`` and
+    Arabic-Indic digits read), and the title ends at the first `` -``. Line
+    i written ``[i] ``, as ``retrieval_body`` writes it, needs no digit
+    check; any other is judged malformed, too long or misnumbered, in that
+    order.
     """
     if not body:
         raise GrammarError("a retrieval block must contain at least one passage")
-    entries = _canonical_entries(body)
-    if entries is not None:
-        return entries
-    entries = []
-    for lineno, line in enumerate(body.split("\n"), start=1):
-        match = _RETRIEVAL_ENTRY_RE.match(line)
-        if match is None:
-            raise GrammarError(f"malformed retrieval entry (line {lineno})")
-        try:
-            number = int(match.group(1))
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            message = f"entry number of {len(match.group(1))} digits is too long (line {lineno})"
-            raise GrammarError(message) from None
-        if number != (expected := len(entries) + 1):
-            raise GrammarError(f"entry numbered {number}, expected {expected} (line {lineno})")
-        entries.append((match.group(2), match.group(3)))
-    return entries
-
-
-def _canonical_entries(body: str) -> list[tuple[str, str]] | None:
-    """The entries of a body whose line i starts ``[i] `` and holds `` -``
-    after that, or None. Each line is found and cut by ``str.find``, with no
-    split; the title ends at the first `` -``, as the lazy title of
-    ``_RETRIEVAL_ENTRY_RE`` does."""
     entries: list[tuple[str, str]] = []
     start = 0
     while True:
         end = body.find("\n", start)
         stop = len(body) if end == -1 else end
-        prefix = f"[{len(entries) + 1}] "
-        if not body.startswith(prefix, start, stop):
-            return None
-        title = start + len(prefix)
+        lineno = len(entries) + 1
+        digits = None
+        if body.startswith(prefix := f"[{lineno}] ", start, stop):
+            title = start + len(prefix)
+        else:
+            close = body.find("] ", start, stop)
+            digits = body[start + 1 : close]
+            if close == -1 or not body.startswith("[", start) or not digits.isdecimal():
+                close = stop  # a malformed head: no separator is looked for
+            title = close + 2
         cut = body.find(" -", title, stop)
         if cut == -1:
-            return None
+            raise GrammarError(f"malformed retrieval entry (line {lineno})")
+        if digits is not None:
+            try:
+                number = int(digits)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                message = f"entry number of {len(digits)} digits is too long (line {lineno})"
+                raise GrammarError(message) from None
+            if number != lineno:
+                raise GrammarError(f"entry numbered {number}, expected {lineno} (line {lineno})")
         entries.append((body[title:cut], body[cut + 2 : stop]))
         if end == -1:
             return entries

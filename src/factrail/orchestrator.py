@@ -158,24 +158,19 @@ class InferenceTrace:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        body = _section(self.trajectory, StepKind.RETRIEVAL)
-        if body is not None and _entries_fit(body, self.passage_meta):
-            return
-        # The split below only names the fault.
-        lines = [] if body is None else body.split("\n")
-        if len(lines) != len(self.passage_meta):
-            raise ValueError(f"{len(self.passage_meta)} passages but {len(lines)} retrieval entries")
-        for i, ((_, title, _), line) in enumerate(zip(self.passage_meta, lines), start=1):
-            if not line.startswith(prefix := f"[{i}] {title} -"):
-                raise ValueError(f"retrieval entry {i} does not start with {prefix!r}")
+        _text_starts(_section(self.trajectory, StepKind.RETRIEVAL), self.passage_meta)
 
     @_cached
     def passages(self) -> tuple[Passage, ...]:
-        lines = (_section(self.trajectory, StepKind.RETRIEVAL) or "").split("\n")
-        return tuple(
-            Passage(pid, title, lines[i][len(f"[{i + 1}] {title} -") :], words)
-            for i, (pid, title, words) in enumerate(self.passage_meta)
-        )
+        body = _section(self.trajectory, StepKind.RETRIEVAL)
+        starts = _text_starts(body, self.passage_meta)
+        if body is None:  # no section, so no passages
+            return ()
+        passages = []
+        for (pid, title, words), start in zip(self.passage_meta, starts):
+            end = body.find("\n", start)  # -1 on the last line
+            passages.append(Passage(pid, title, body[start:end if end != -1 else None], words))
+        return tuple(passages)
 
     @_cached
     def intents(self) -> IntentSet | None:
@@ -201,20 +196,29 @@ class InferenceTrace:
         return self._generated[1]
 
 
-def _entries_fit(body: str, meta: Sequence[tuple[int, str, int]]) -> bool:
-    """Whether the retrieval section body has one line per passage of meta,
-    line i starting ``[i] {title} -``. One ``str.find`` per line, where a
-    split would copy the whole body."""
-    last = len(meta)
+def _text_starts(body: str | None, meta: Sequence[tuple[int, str, int]]) -> list[int]:
+    """Where the text of each passage of meta starts in the retrieval section
+    body (None: no section), which must hold one line per passage, line i
+    starting ``[i] {title} -``; else a ValueError names the count or the
+    first line that does not fit. One ``str.find`` per line, where a split
+    would copy the whole body."""
+    starts: list[int] = []
     start = 0
-    for i, (_, title, _) in enumerate(meta, start=1):
-        end = body.find("\n", start)
-        if (end == -1) != (i == last):
-            return False
-        if not body.startswith(f"[{i}] {title} -", start, len(body) if end == -1 else end):
-            return False
-        start = end + 1
-    return last > 0
+    if body is not None:
+        for i, (_, title, _) in enumerate(meta, start=1):
+            end = body.find("\n", start)
+            stop = len(body) if end == -1 else end
+            if not body.startswith(prefix := f"[{i}] {title} -", start, stop):
+                break
+            starts.append(start + len(prefix))
+            start = stop + 1
+    # Every line fitted, and the last passage's line ended the body.
+    if len(starts) == len(meta) and start == (0 if body is None else len(body) + 1):
+        return starts
+    entries = 0 if body is None else body.count("\n") + 1
+    if entries != len(meta):
+        raise ValueError(f"{len(meta)} passages but {entries} retrieval entries")
+    raise ValueError(f"retrieval entry {len(starts) + 1} does not start with {prefix!r}")
 
 
 def _section(trajectory: Trajectory, kind: StepKind) -> str | None:
@@ -497,13 +501,19 @@ _V1_COMPLAINT = (
 
 def _kept_intents(raw: IntentSet, flags: Sequence[str]) -> IntentSet:
     """The intents retrieval used: all of the section's, or the first n that
-    an ``intents_truncated:m->n`` flag names."""
+    an ``intents_truncated:m->n`` flag names, m and n in ASCII digits."""
     for flag in flags:
         if flag.startswith("intents_truncated:"):
-            m, n = (int(count) for count in flag[len("intents_truncated:") :].split("->"))
-            if m != raw.m or not 0 < n < m:
+            m, arrow, n = flag[len("intents_truncated:") :].partition("->")
+            if not (arrow and m.isdigit() and n.isdigit() and flag.isascii()):
+                raise ValueError(f"flag {flag} is not of the form intents_truncated:<m>-><n>")
+            try:
+                fits = int(m) == raw.m and 0 < int(n) < raw.m
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                fits = False
+            if not fits:
                 raise ValueError(f"flag {flag} does not fit the {raw.m} intents of the section")
-            return IntentSet(raw.intents[:n])
+            return IntentSet(raw.intents[: int(n)])
     return raw
 
 

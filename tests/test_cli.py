@@ -1134,6 +1134,26 @@ V1_TRACE_COMPLAINT = (
             "flag intents_truncated:5->2 does not fit the 2 intents of the section",
             id="truncation-flag",
         ),
+        pytest.param(
+            _set("flags", ["intents_truncated:2->1->0"]),
+            "flag intents_truncated:2->1->0 is not of the form intents_truncated:<m>-><n>",
+            id="truncation-flag-two-arrows",
+        ),
+        pytest.param(
+            _set("flags", ["intents_truncated:x"]),
+            "flag intents_truncated:x is not of the form intents_truncated:<m>-><n>",
+            id="truncation-flag-no-counts",
+        ),
+        pytest.param(
+            _set("flags", ["intents_truncated:+2->1"]),
+            "flag intents_truncated:+2->1 is not of the form intents_truncated:<m>-><n>",
+            id="truncation-flag-signed",
+        ),
+        pytest.param(
+            _set("flags", ["intents_truncated:2-> 1"]),
+            "flag intents_truncated:2-> 1 is not of the form intents_truncated:<m>-><n>",
+            id="truncation-flag-spaced",
+        ),
         pytest.param(_set("answer", "the earth"), V1_TRACE_COMPLAINT, id="v1-answer"),
         pytest.param(_set("judgments", []), V1_TRACE_COMPLAINT, id="v1-judgments"),
         pytest.param(_set("intents", ["moon orbit"]), V1_TRACE_COMPLAINT, id="v1-intents"),

@@ -1,11 +1,12 @@
-"""The fast read passes against the line-by-line readers they replace.
+"""The read passes against the line-by-line readers in helpers.py.
 
-``parse_trajectory``, ``parse_retrieval_body`` and ``parse_locator_body``
-take a find-based or table-based pass first, and ``InferenceTrace`` checks
-its retrieval entries with one find per line; each falls back to its
-earlier code on anything the pass does not accept. For every input drawn
-here, each must return what the reference copy in helpers.py returns, or
-raise the same error with the same message (and, for a trajectory, the
+``parse_trajectory`` and ``parse_locator_body`` keep one input-selected
+shortcut each in front of their general reader, and ``parse_retrieval_body``
+and ``InferenceTrace`` read retrieval entries with one find-based walk that
+names its own faults. The regex and split readers in helpers.py are now the
+only other implementation of these formats, and they are the oracle: for
+every input drawn here, each reader must return what its reference returns,
+or raise the same error with the same message (and, for a trajectory, the
 same offset). The number of examples is the Hypothesis profile's (see
 conftest.py).
 """
@@ -111,6 +112,13 @@ def _retrieval_lines(draw) -> list[str]:
 @example(["[\u0661] a -b"], "")
 @example(["[1] a -b"], "\n")
 @example(["[1] a", "[2] b -c"], "")  # a separator only on the next line
+@example(["[2] -"], "")  # malformed wins over misnumbered
+@example(["[1]] a -b"], "")
+@example(["[1]x] a -b"], "")
+@example(["[] -x"], "")
+@example(["[1]"], "")
+@example(["x[1] a -b"], "")
+@example(["[1] a -b", ""], "")  # an empty last line
 def test_parse_retrieval_body_matches_the_entry_regex(lines, end):
     body = "\n".join(lines) + end
     assert parse_outcome(parse_retrieval_body, body) == parse_outcome(
