@@ -13,15 +13,16 @@ The postings sit in two flat columns, passage rows and term frequencies,
 term after term; a term's postings are one span of both, in ascending row.
 A row is a passage's position among the passages sorted by id; only
 ``retrieve``'s results are mapped back to ids. An index file (format
-version 4, written atomically) stores the columns as they are: one JSON
-header line of numbers (passage ids, word counts, block sizes and a CRC-32
-of every block and column), then the passage titles, the passage texts and
-the terms as three UTF-8 blocks of lines, then the document frequencies and
-both posting columns as little-endian uint32. Loading decodes and splits
-each block once and keeps the columns whole; it parses no per-passage JSON,
-never tokenizes a passage and builds no per-term lists. Saving runs the
-same checks. Each check is one pass at C speed over a block or a column;
-the per-item code that names a fault runs only once a pass finds one.
+version 5, written atomically) stores the columns as they are: one JSON
+header line of numbers (passage ids, word counts and block sizes), then the
+passage titles, the passage texts and the terms as three UTF-8 blocks of
+lines, then the document frequencies and both posting columns as
+little-endian uint32, and last the CRC-32 of every byte before it. Loading
+decodes and splits each block once and keeps the columns whole; it parses
+no per-passage JSON, never tokenizes a passage and builds no per-term
+lists. Saving runs the same checks. Each check is one pass at C speed over
+a block or a column; the per-item code that names a fault runs only once a
+pass finds one.
 
 ``retrieve`` is exact, and picks its evaluation from the query's postings.
 A query whose terms hold few postings, as most intents do, is scored
@@ -92,7 +93,7 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 INDEX_FORMAT = "factrail-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 # The line blocks in file order, and what an error calls line i of each.
 _BLOCK_LINES = {
     "titles": "passages[{}] 'title'",
@@ -594,18 +595,18 @@ def retrieve_multi(index: CorpusIndex, intents: IntentSet, k: int) -> list[Passa
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write ``index`` to ``path`` in format version 4, atomically.
+    """Write ``index`` to ``path`` in format version 5, atomically.
 
     The layout is one line of compact JSON (the header: the passage ids and
-    word counts in ascending id order, the byte length of each line block
-    and the CRC-32 of every block and column as written), then three UTF-8
-    line blocks, each line ended by ``\\n``: the passage titles and texts in
-    ascending id order, then the terms in build order. Last come three
-    little-endian uint32 columns: each term's document frequency, the
-    postings' passage rows, and their term frequencies. Equal indexes give
+    word counts in ascending id order and the byte length of each line
+    block), then three UTF-8 line blocks, each line ended by ``\\n``: the
+    passage titles and texts in ascending id order, then the terms in build
+    order. Then come three little-endian uint32 columns: each term's
+    document frequency, the postings' passage rows, and their term
+    frequencies. Last come 4 bytes, the little-endian CRC-32 of every byte
+    before them, taken over each part as it is written. Equal indexes give
     equal bytes. A block is joined and encoded once, and a column is
-    converted a slice at a time, never whole: once for the header's
-    checksum, then again to write it.
+    converted a slice at a time, never whole.
 
     Raises CorpusError, with ``load_index``'s message and writing nothing,
     for what ``load_index`` would refuse: passage ids that are not ints, a
@@ -634,21 +635,19 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     if len(rows) != len(tfs):
         raise CorpusError(f"the index holds {len(rows)} rows but {len(tfs)} term frequencies")
     _check_columns(terms, offsets, rows, tfs, len(ids))
-    columns = {"doc_freqs": doc_freqs, "rows": rows, "tfs": tfs}
     header["block_bytes"] = {name: len(block) for name, block in blocks.items()}
-    header["crc32"] = {
-        **{name: zlib.crc32(block) for name, block in blocks.items()},
-        **{name: _column_crc(column) for name, column in columns.items()},
-    }
-    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    crc = zlib.crc32(line)
     with atomic_path(path) as temp, open(temp, "wb") as handle:
-        handle.write(line.encode("ascii"))
-        handle.write(b"\n")
+        handle.write(line)
         for block in blocks.values():
             handle.write(block)
-        for column in columns.values():
+            crc = zlib.crc32(block, crc)
+        for column in (doc_freqs, rows, tfs):
             for part in _file_slices(column):
                 part.tofile(handle)
+                crc = zlib.crc32(part, crc)
+        handle.write(crc.to_bytes(4, "little"))
 
 
 def _line_block(name: str, lines: list[str]) -> bytes:
@@ -684,13 +683,6 @@ def _file_slices(column: Sequence[int]) -> Iterator[array]:
         if sys.byteorder != "little":
             part.byteswap()
         yield part
-
-
-def _column_crc(column: Sequence[int]) -> int:
-    crc = 0
-    for part in _file_slices(column):
-        crc = zlib.crc32(part, crc)
-    return crc
 
 
 def _check_doc_freqs(doc_freqs: Sequence[int], term_count: int, column_bytes: int) -> None:
@@ -748,7 +740,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     """Read an index that ``save_index`` wrote, checking every part of it.
 
     Raises CorpusError, naming the fault, for anything else: a header that
-    is not JSON or nests too deeply, a version 1, 2 or 3 file, passage ids
+    is not JSON or nests too deeply, a file of versions 1 to 4, passage ids
     that are not strictly ascending ints, word counts that are not ints of
     at least 1 or not one per id, a missing block size, blocks longer than
     the file, a block that does not end with a line break, a passage block
@@ -756,8 +748,9 @@ def load_index(path: str | Path) -> CorpusIndex:
     grammar token, a repeated term, columns too short for the document
     frequencies or whose length disagrees with them, a document frequency
     or tf below 1, a row past the last passage, a term whose rows are not
-    strictly ascending, or, once all of that holds, a block or column whose
-    CRC-32 differs from the one in the header.
+    strictly ascending, or, once all of that holds, a file whose last 4
+    bytes are not the CRC-32 of every byte before them; the other checks
+    read the file up to those 4 bytes.
 
     Each check is one pass at C speed over a block or column (the row check
     is the bounds check of sharing the row objects), and the per-item code
@@ -766,18 +759,19 @@ def load_index(path: str | Path) -> CorpusIndex:
     fails.
     """
     with open(path, "rb") as handle:
-        header = _read_header(handle)
+        header, crc = _read_header(handle)
         ids, word_counts = _passage_numbers(header)
         sizes = _block_sizes(header)
-        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        # The bytes between the header and the CRC-32 that ends the file.
+        size = max(0, os.fstat(handle.fileno()).st_size - handle.tell() - 4)
         if size < sum(sizes.values()):
             raise CorpusError(
                 f"the index blocks need {sum(sizes.values())} bytes, but {size} follow the header"
             )
-        checksums, lines = {}, {}
+        lines = {}
         for name, block_size in sizes.items():
             block = handle.read(block_size)
-            checksums[name] = zlib.crc32(block)
+            crc = zlib.crc32(block, crc)
             lines[name] = _block_lines(name, block, None if name == "terms" else len(ids))
             size -= block_size
         titles, texts, terms = lines.values()
@@ -789,11 +783,12 @@ def load_index(path: str | Path) -> CorpusIndex:
             raise CorpusError(
                 f"index columns hold {size} bytes, fewer than 4 * len(terms) = {4 * len(terms)}"
             )
-        doc_freqs, checksums["doc_freqs"] = _read_column(handle, len(terms))
+        doc_freqs, crc = _read_column(handle, len(terms), crc)
         _check_doc_freqs(doc_freqs, len(terms), size)
         offsets = [0, *accumulate(doc_freqs)]
-        rows, checksums["rows"] = _read_column(handle, offsets[-1])
-        tfs, checksums["tfs"] = _read_column(handle, offsets[-1])
+        rows, crc = _read_column(handle, offsets[-1], crc)
+        tfs, crc = _read_column(handle, offsets[-1], crc)
+        stored = handle.read(4)
     by_id = dict(zip(ids, map(Passage, ids, titles, texts, word_counts)))
     # A row's postings share its one int object; about 20% faster than list(map(...)) on
     # CPython 3.11. A row past the last passage stops it, and _check_columns names it.
@@ -804,14 +799,13 @@ def load_index(path: str | Path) -> CorpusIndex:
     except IndexError:
         passage_count = len(shared)
     _check_columns(terms, offsets, rows, tfs, passage_count)
-    stored = header.get("crc32")
-    for name, crc in checksums.items():
-        if not isinstance(stored, dict) or stored.get(name) != crc:
-            raise CorpusError(f"the index {name} do not match their checksum")
+    if stored != crc.to_bytes(4, "little"):
+        raise CorpusError("the index file does not match its checksum")
     return _corpus_index(by_id, ids, term_numbers, offsets, rows, tfs)
 
 
-def _read_header(handle: BinaryIO) -> dict:
+def _read_header(handle: BinaryIO) -> tuple[dict, int]:
+    """The header of the index file open at handle, and the CRC-32 of its line."""
     line = handle.readline()
     try:
         header = json.loads(line.decode("utf-8"))
@@ -829,14 +823,14 @@ def _read_header(handle: BinaryIO) -> dict:
     if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
         raise CorpusError("missing or wrong format header")
     version = header.get("version")
-    if type(version) is int and version in (1, 2, 3):
+    if type(version) is int and 1 <= version < INDEX_VERSION:
         raise CorpusError(
             f"index format version {version} is no longer read; re-run `factrail index` "
             "on the corpus to rebuild the index"
         )
     if version != INDEX_VERSION:
         raise CorpusError(f"unsupported index version {version!r}")
-    return header
+    return header, zlib.crc32(line)
 
 
 def _passage_numbers(header: dict) -> tuple[list[int], list[int]]:
@@ -891,13 +885,13 @@ def _block_lines(name: str, block: bytes, count: int | None) -> list[str]:
     return lines
 
 
-def _read_column(handle: BinaryIO, count: int) -> tuple[array, int]:
-    """The next count uint32 of handle, and the CRC-32 of their bytes."""
+def _read_column(handle: BinaryIO, count: int, crc: int) -> tuple[array, int]:
+    """The next count uint32 of handle, and crc continued over their bytes."""
     raw = handle.read(4 * count)
     column = array(_COLUMN_TYPE, raw)
     if sys.byteorder != "little":
         column.byteswap()
-    return column, zlib.crc32(raw)
+    return column, zlib.crc32(raw, crc)
 
 
 def _document(row: dict) -> tuple[str, str]:

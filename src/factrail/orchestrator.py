@@ -577,7 +577,11 @@ def write_traces(items: Iterable[InferenceTrace | PipelineError], path: str | Pa
 def _trace_row(record: dict) -> InferenceTrace | PipelineError:
     if "error" in record:
         error = record["error"]
-        return PipelineError(typed_field(error, "stage"), typed_field(error, "message"))
+        # Neither field may hold what no UTF-8 file can: a lone surrogate.
+        for name in ("stage", "message"):
+            if (problem := surrogate_violation(typed_field(error, name))) is not None:
+                raise ValueError(f"{name!r} {problem}")
+        return PipelineError(error["stage"], error["message"])
     return trace_from_dict(record)
 
 

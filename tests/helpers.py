@@ -98,8 +98,11 @@ def reference_load_index(path) -> CorpusIndex:
     ``load_index``. Only reading the header line and assembling the index
     are ``load_index``'s own code."""
     with open(path, "rb") as handle:
-        header = corpus._read_header(handle)
-        rest = handle.read()
+        header, _ = corpus._read_header(handle)
+        # Every check but the checksum's stops before the file's last 4 bytes.
+        rest = handle.read()[:-4]
+        handle.seek(0)
+        data = handle.read()
 
     ids, word_counts = header.get("ids"), header.get("word_counts")
     if not isinstance(ids, list) or not all(type(pid) is int for pid in ids):
@@ -167,10 +170,8 @@ def reference_load_index(path) -> CorpusIndex:
             if ids[rows[at]] <= ids[rows[at - 1]]:
                 raise CorpusError(f"the passage ids of term {term!r} are not strictly ascending")
         offsets.append(start + freq)
-    stored = header.get("crc32")
-    for name in INDEX_PARTS:
-        if not isinstance(stored, dict) or stored.get(name) != zlib.crc32(parts[name]):
-            raise CorpusError(f"the index {name} do not match their checksum")
+    if int.from_bytes(data[-4:], "little") != zlib.crc32(data[:-4]):
+        raise CorpusError("the index file does not match its checksum")
     by_id = {
         pid: Passage(pid, title, text, words)
         for pid, title, text, words in zip(ids, lines["titles"], lines["texts"], word_counts)
@@ -223,8 +224,9 @@ def uint32s(values) -> bytes:
 
 
 def split_index(data: bytes) -> tuple[dict, dict[str, bytes]]:
-    """The header and the six parts, by name, of a well-formed index file."""
-    line, _, rest = data.partition(b"\n")
+    """The header and the six parts, by name, of a well-formed index file;
+    its last 4 bytes, the checksum, are left out."""
+    line, _, rest = data[:-4].partition(b"\n")
     header = json.loads(line)
     parts = {}
     for name in BLOCKS:
@@ -236,30 +238,30 @@ def split_index(data: bytes) -> tuple[dict, dict[str, bytes]]:
     return header, parts
 
 
-def join_index(header: dict, parts: dict[str, bytes]) -> bytes:
-    """An index file: header as one line of JSON, then the parts in file order."""
-    return json.dumps(header).encode() + b"\n" + b"".join(parts[name] for name in INDEX_PARTS)
+def join_index(header: dict, parts: dict[str, bytes], crc: bytes | None = None) -> bytes:
+    """An index file: header as one line of JSON as ``save_index`` writes it,
+    then the parts in file order, then crc, or if None the little-endian
+    CRC-32 of every byte before it."""
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    data = line + b"\n" + b"".join(parts[name] for name in INDEX_PARTS)
+    return data + (zlib.crc32(data).to_bytes(4, "little") if crc is None else crc)
 
 
-def sealed(header: dict, parts: dict[str, bytes]) -> dict:
-    """header with the byte length of each block and the CRC-32 of each part."""
-    return {
-        **header,
-        "block_bytes": {name: len(parts[name]) for name in BLOCKS},
-        "crc32": {name: zlib.crc32(parts[name]) for name in INDEX_PARTS},
-    }
+def sized(header: dict, parts: dict[str, bytes]) -> dict:
+    """header with the byte length of each block of parts."""
+    return {**header, "block_bytes": {name: len(parts[name]) for name in BLOCKS}}
 
 
 def with_block_lines(
     data: bytes, name: str, edit: Callable[[list[bytes]], list[bytes]]
 ) -> bytes:
     """data, an index file, with the lines of block ``name`` (bytes, without
-    their line breaks) replaced by what edit returns for them, and the
-    header sealed again, so that only what edit did is wrong."""
+    their line breaks) replaced by what edit returns for them, and its block
+    sizes and checksum true again, so that only what edit did is wrong."""
     header, parts = split_index(data)
     lines = edit(parts[name].split(b"\n")[:-1])
     parts[name] = b"".join(line + b"\n" for line in lines)
-    return join_index(sealed(header, parts), parts)
+    return join_index(sized(header, parts), parts)
 
 
 def mirror_retrieval(

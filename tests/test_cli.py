@@ -43,7 +43,7 @@ from helpers import (
     judge_by_answer,
     mirror_retrieval,
     script_scenario,
-    sealed,
+    sized,
     uint32s,
     with_block_lines,
 )
@@ -331,8 +331,8 @@ def rebuild_complaint(version):
 
 
 def index_bytes(passages=(MOON,), terms=(), doc_freqs=(), rows=(), tfs=(), **header):
-    """A version 4 index file of these passages and postings, its block
-    sizes and CRC-32s true; header entries given replace the file's own. A
+    """A version 5 index file of these passages and postings, its block
+    sizes and checksum true; header entries given replace the file's own. A
     lone surrogate is written as UTF-8 would write it if it could."""
 
     def block(lines):
@@ -347,11 +347,11 @@ def index_bytes(passages=(MOON,), terms=(), doc_freqs=(), rows=(), tfs=(), **hea
         "tfs": uint32s(tfs),
     }
     numbers = {
-        "format": "factrail-index", "version": 4,
+        "format": "factrail-index", "version": 5,
         "ids": [pid for pid, _, _, _ in passages],
         "word_counts": [words for _, _, _, words in passages],
     }
-    return join_index({**sealed(numbers, parts), **header}, parts)
+    return join_index({**sized(numbers, parts), **header}, parts)
 
 
 def assert_infer_fails_with(tmp_path, capsys, index_data, complaint):
@@ -413,17 +413,42 @@ V3_FILE = (
     json.dumps({**V1_PAYLOAD, "version": 3, **MOON_TERMS, "crc32": {"rows": 0, "tfs": 0}}).encode()
     + b"\n" + uint32s([0, 0, 1, 1])
 )
+# A version 4 file: a CRC-32 of each block and column in the header, none at the end.
+V4_FILE = (
+    json.dumps(
+        {
+            "format": "factrail-index", "version": 4, "ids": [0], "word_counts": [2],
+            "block_bytes": {"titles": 5, "texts": 9, "terms": 9},
+            "crc32": dict.fromkeys(["titles", "texts", "terms", "doc_freqs", "rows", "tfs"], 0),
+        }
+    ).encode()
+    + b"\nMoon\nthe moon\nthe\nmoon\n" + uint32s([1, 1, 0, 0, 1, 1])
+)
+# Two passages of "the moon" and three terms. Each change below alters one
+# part of its file, and the file stays well-formed.
+SUN_INDEX = {
+    "passages": TWO_PASSAGES,
+    "terms": ["the", "moon", "sun"],
+    "doc_freqs": [1, 1, 2],
+    "rows": [0, 1, 0, 1],
+    "tfs": [1, 1, 1, 1],
+}
+SUN_INDEX_CHANGES = {
+    "ids": {"ids": [0, 2]},
+    "word-counts": {"word_counts": [2, 3]},
+    "titles": {"passages": [MOON, (1, "Noon", "the moon", 2)]},
+    "texts": {"passages": [MOON, (1, "Moon", "the noon", 2)]},
+    "terms": {"terms": ["the", "noon", "sun"]},
+    "doc-freqs": {"doc_freqs": [2, 1, 1]},
+    "rows": {"rows": [1, 0, 0, 1]},
+    "tfs": {"tfs": [1, 1, 1, 2]},
+}
+CHECKSUM_COMPLAINT = "the index file does not match its checksum"
 
 
-def crc_of(name, data):
-    """The CRC-32 in data's header with the one of part ``name`` changed."""
-    crcs = json.loads(data.partition(b"\n")[0])["crc32"]
-    return {**crcs, name: crcs[name] ^ 1}
-
-
-def moon_index(**header):
-    """Two passages of "the moon", each of whose terms they both hold."""
-    return index_bytes(TWO_PASSAGES, ["the", "moon"], [2, 2], [0, 1, 0, 1], [1, 1, 1, 1], **header)
+def sun_index(**changes):
+    """The SUN_INDEX file with these arguments of index_bytes replaced."""
+    return index_bytes(**{**SUN_INDEX, **changes})
 
 
 @pytest.mark.parametrize(
@@ -519,20 +544,25 @@ def moon_index(**header):
             "the passage ids of term 'the' are not strictly ascending",
             id="duplicate-pid",
         ),
+        pytest.param(
+            sun_index()[:-1] + bytes([sun_index()[-1] ^ 1]),
+            CHECKSUM_COMPLAINT,
+            id="checksum-changed",
+        ),
+        pytest.param(
+            # The columns are read up to the last 4 bytes, so they lack those.
+            sun_index()[:-4],
+            "index columns hold 40 bytes, but 4 * len(terms) + 8 * sum(doc_freqs) = 44",
+            id="checksum-missing",
+        ),
         *[
             pytest.param(
-                moon_index(crc32=crc_of(name, moon_index())),
-                f"the index {name} do not match their checksum",
-                id=f"checksum-{name}",
+                sun_index(**change)[:-4] + sun_index()[-4:],
+                CHECKSUM_COMPLAINT,
+                id=f"{part}-changed-after-the-checksum",
             )
-            for name in ("titles", "texts", "terms", "doc_freqs", "rows", "tfs")
+            for part, change in SUN_INDEX_CHANGES.items()
         ],
-        pytest.param(
-            # The last tf turns from 1 to 2 after its checksum was taken.
-            moon_index()[:-4] + (2).to_bytes(4, "little"),
-            "the index tfs do not match their checksum",
-            id="tf-changed-after-its-checksum",
-        ),
         pytest.param(
             json.dumps(V1_PAYLOAD, indent=1).encode() + b"\n",
             rebuild_complaint(1),
@@ -541,9 +571,10 @@ def moon_index(**header):
         pytest.param(json.dumps(V1_PAYLOAD).encode(), rebuild_complaint(1), id="v1-one-line"),
         pytest.param(V2_FILE, rebuild_complaint(2), id="v2"),
         pytest.param(V3_FILE, rebuild_complaint(3), id="v3"),
+        pytest.param(V4_FILE, rebuild_complaint(4), id="v4"),
     ],
 )
-def test_malformed_v4_index_exits_with_message(tmp_path, capsys, index_data, complaint):
+def test_malformed_index_exits_with_message(tmp_path, capsys, index_data, complaint):
     assert_infer_fails_with(tmp_path, capsys, index_data, complaint)
 
 
@@ -1184,6 +1215,19 @@ V1_TRACE_COMPLAINT = (
             ),
             "the instruction holds the lone surrogate '\\udc00'",
             id="instruction-and-section-surrogates",
+        ),
+        pytest.param(
+            lambda row: (
+                row.clear(),
+                row.update(error={"stage": "generator", "message": "bad \udc80 reply"}),
+            ),
+            "'message' holds the lone surrogate '\\udc80'",
+            id="error-message-surrogate",
+        ),
+        pytest.param(
+            lambda row: (row.clear(), row.update(error={"stage": "\ud800", "message": "m"})),
+            "'stage' holds the lone surrogate '\\ud800'",
+            id="error-stage-surrogate",
         ),
     ],
 )

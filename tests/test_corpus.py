@@ -46,9 +46,9 @@ from helpers import (
     ZIPF_DRAWS,
     brute_force_bm25,
     exactly,
+    join_index,
     make_passage,
     query_postings,
-    sealed,
     split_index,
     uint32s,
 )
@@ -738,16 +738,13 @@ def test_index_file_is_a_json_header_then_line_blocks_then_little_endian_columns
     rows, tfs = uint32s([0, 0, 1, 0, 1]), uint32s([1, 1, 2, 1, 1])
     assert header == {
         "format": "factrail-index",
-        "version": 4,
+        "version": 5,
         "ids": [0, 300],
         "word_counts": [2, 2],
         "block_bytes": {"titles": len(titles), "texts": len(texts), "terms": len(terms)},
-        "crc32": {
-            "titles": zlib.crc32(titles), "texts": zlib.crc32(texts), "terms": zlib.crc32(terms),
-            "doc_freqs": zlib.crc32(doc_freqs), "rows": zlib.crc32(rows), "tfs": zlib.crc32(tfs),
-        },
     }
-    assert data == line + b"\n" + titles + texts + terms + doc_freqs + rows + tfs
+    body = line + b"\n" + titles + texts + terms + doc_freqs + rows + tfs
+    assert data == body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def test_saves_of_one_index_are_byte_identical(tmp_path):
@@ -792,11 +789,12 @@ def test_a_host_of_the_other_byte_order_writes_each_uint32_swapped_and_reads_it_
         swapped = array("I", native_parts[name])
         swapped.byteswap()
         assert other_parts[name] == swapped.tobytes() != native_parts[name]
-    # Only the columns and their checksums differ: the checksums are of the bytes written.
+    # Only the columns and the checksum differ: the checksum is of the bytes written.
     assert {**other_parts, "doc_freqs": b"", "rows": b"", "tfs": b""} == {
         **native_parts, "doc_freqs": b"", "rows": b"", "tfs": b""
     }
-    assert other_header == sealed(native_header, other_parts)
+    assert other_header == native_header
+    assert other.read_bytes() == join_index(other_header, other_parts)
     assert load_index(other) == index
 
 

@@ -1,8 +1,9 @@
 """Differential tests of ``load_index`` over corrupted index files: every
 file loads to the index that ``helpers.reference_load_index`` (plain loops
 over every header number, block line and posting) loads, or fails with the
-same message. A corruption that keeps every block and column well-formed
-is refused by the checksums.
+same message. A corruption that keeps the header, every block and every
+column well-formed is refused by the checksum, and so is every flip of a
+single bit.
 
 The number of examples is the Hypothesis profile's (see conftest.py);
 ``HYPOTHESIS_PROFILE=ci`` runs more. Generation is derandomized, so a run
@@ -25,7 +26,7 @@ from helpers import (
     BLOCKS,
     join_index,
     reference_load_index,
-    sealed,
+    sized,
     split_index,
     uint32s,
 )
@@ -58,15 +59,18 @@ def _block(lines: list[bytes]) -> bytes:
     return b"".join(line + b"\n" for line in lines)
 
 
-def _saved_index() -> tuple[dict, dict[str, bytes]]:
-    """The header and parts of the saved index of ``_DOCS``."""
+def _saved_index() -> bytes:
+    """The saved index file of ``_DOCS``, 917 bytes."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "base.idx"
         save_index(index_documents(_DOCS), path)
-        return split_index(path.read_bytes())
+        return path.read_bytes()
 
 
-_HEADER, _PARTS = _saved_index()
+_SAVED = _saved_index()
+_HEADER, _PARTS = split_index(_SAVED)
+# The saved file's checksum, which a corruption of the file leaves as it was.
+_CRC = _SAVED[-4:]
 _POSTINGS = len(_PARTS["tfs"]) // 4
 _PASSAGES = len(_HEADER["ids"])
 _DOC_FREQS = [_get_int(_PARTS["doc_freqs"], at) for at in range(len(_PARTS["doc_freqs"]) // 4)]
@@ -132,7 +136,7 @@ def _corrupted(kind: str, rng: random.Random) -> bytes:
     if kind in ("header", "two in header"):
         for _ in range(1 + (kind == "two in header")):
             _corrupt_header(rng, header)
-        return join_index(header, parts)
+        return join_index(header, parts, _CRC)
     if kind == "block byte":
         at = rng.randrange(len(block))
         parts[name] = block[:at] + bytes([rng.randrange(256)]) + block[at + 1 :]
@@ -149,11 +153,11 @@ def _corrupted(kind: str, rng: random.Random) -> bytes:
         parts[name] = _edit_line(rng, block, lambda line: _insert(rng, line, piece))
     else:
         parts.update(_corrupted_columns(kind, rng))
-        return join_index(header, parts)
+        return join_index(header, parts, _CRC)
     # A block that changed length moves its true size into the header, so
     # that the file reaches the checks of the block's lines.
-    header["block_bytes"] = sealed(header, parts)["block_bytes"]
-    return join_index(header, parts)
+    header["block_bytes"] = sized(header, parts)["block_bytes"]
+    return join_index(header, parts, _CRC)
 
 
 def _corrupted_columns(kind: str, rng: random.Random) -> dict[str, bytes]:
@@ -210,17 +214,18 @@ def test_a_corrupted_index_loads_as_the_reference_loads_it(kind, rng):
 
 
 def test_the_uncorrupted_index_loads_as_the_reference_loads_it():
-    loaded = _assert_loads_as_the_reference(join_index(_HEADER, _PARTS))
+    assert join_index(_HEADER, _PARTS) == _SAVED
+    loaded = _assert_loads_as_the_reference(_SAVED)
     assert loaded == index_documents(_DOCS)
 
 
 def _with_line(name: str, at: int, line: bytes) -> bytes:
     """The saved file with line ``at`` of block ``name`` replaced, its block
-    size and checksums true."""
+    size and checksum true."""
     lines = _lines(_PARTS[name])
     lines[at] = line
     parts = {**_PARTS, name: _block(lines)}
-    return join_index(sealed(_HEADER, parts), parts)
+    return join_index(sized(_HEADER, parts), parts)
 
 
 @pytest.mark.parametrize("name", BLOCKS)
@@ -256,10 +261,17 @@ def test_a_row_past_the_passages_inside_a_term_is_named_before_the_order():
     )
 
 
-def _with_checksums(data: bytes) -> bytes:
-    """data with the checksums of its own blocks and columns in its header."""
-    header, parts = split_index(data)
-    return join_index(sealed(header, parts), parts)
+def _with_checksum(data: bytes) -> bytes:
+    """data ended by the checksum of its own bytes."""
+    return join_index(*split_index(data))
+
+
+def _word_count_changed(rng: random.Random) -> bytes:
+    """The saved file with one passage's word count changed to another."""
+    header = copy.deepcopy(_HEADER)
+    at = rng.randrange(_PASSAGES)
+    header["word_counts"][at] += rng.randint(1, 5)
+    return join_index(header, _PARTS, _CRC)
 
 
 def _letter_changed(rng: random.Random) -> bytes:
@@ -270,23 +282,34 @@ def _letter_changed(rng: random.Random) -> bytes:
     at = rng.choice([at for at, byte in enumerate(block) if chr(byte).isalpha()])
     other = rng.choice([letter for letter in b"xyzXYZ" if letter != block[at]])
     parts[name] = block[:at] + bytes([other]) + block[at + 1 :]
-    return join_index(header, parts)
+    return join_index(header, parts, _CRC)
 
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("kind", ["tf", "known row", "letter"])
+@pytest.mark.parametrize("kind", ["tf", "known row", "letter", "word count"])
 def test_a_well_formed_corruption_is_refused_by_the_checksum_alone(kind, seed):
     rng = random.Random(seed)
-    data = _letter_changed(rng) if kind == "letter" else _corrupted(kind, rng)
+    changed = {"letter": _letter_changed, "word count": _word_count_changed}.get(kind)
+    data = changed(rng) if changed else _corrupted(kind, rng)
     outcome = _assert_loads_as_the_reference(data)
-    part = {"tf": "tfs", "known row": "rows"}.get(kind)
-    assert outcome in {
-        f"CorpusError: the index {name} do not match their checksum"
-        for name in ([part] if part else ["titles", "texts"])
-    }
-    # Every other check passes it: with its checksums fixed, the file loads.
-    loaded = _assert_loads_as_the_reference(_with_checksums(data))
+    assert outcome == "CorpusError: the index file does not match its checksum"
+    # Every other check passes it: with its checksum fixed, the file loads.
+    loaded = _assert_loads_as_the_reference(_with_checksum(data))
     assert loaded != index_documents(_DOCS)
+
+
+def test_every_single_bit_flip_is_refused(tmp_path):
+    path, loaded = tmp_path / "flipped.idx", []
+    for bit in range(8 * len(_SAVED)):
+        flipped = bytearray(_SAVED)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        try:
+            load_index(path)
+        except CorpusError:
+            continue
+        loaded.append(bit)
+    assert loaded == []
 
 
 def test_the_first_faulty_line_in_file_order_is_named():
@@ -297,7 +320,7 @@ def test_the_first_faulty_line_in_file_order_is_named():
     titles[2] = b"The <Locator> stone"
     titles[3] = b"The </eog> stone"
     parts = {**_PARTS, "titles": _block(titles), "texts": _block(texts)}
-    outcome = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    outcome = _assert_loads_as_the_reference(join_index(sized(_HEADER, parts), parts))
     assert outcome == "CorpusError: passages[2] 'title' holds the grammar token <Locator>"
 
 
@@ -308,7 +331,7 @@ def test_a_clean_file_of_non_ascii_text_and_angle_brackets_names_no_line(monkeyp
     lines = _lines(_PARTS["titles"])
     lines[1], lines[3] = "Zoë < Земля".encode(), "a <b> c".encode()
     parts = {**_PARTS, "titles": _block(lines)}
-    loaded = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    loaded = _assert_loads_as_the_reference(join_index(sized(_HEADER, parts), parts))
     assert searched == []
     assert loaded.passages[_HEADER["ids"][1]].title == "Zoë < Земля"
 
@@ -316,14 +339,13 @@ def test_a_clean_file_of_non_ascii_text_and_angle_brackets_names_no_line(monkeyp
 def test_a_tf_whose_low_byte_is_zero_is_not_taken_for_zero():
     tfs = bytearray(_PARTS["tfs"])
     _set_int(tfs, 0, 512)
-    data = join_index(_HEADER, {**_PARTS, "tfs": bytes(tfs)})
-    loaded = _assert_loads_as_the_reference(_with_checksums(data))
+    loaded = _assert_loads_as_the_reference(join_index(_HEADER, {**_PARTS, "tfs": bytes(tfs)}))
     assert loaded.tfs[0] == 512
 
 
 def test_a_term_frequency_column_of_the_wrong_length_is_named_by_its_bytes():
     parts = {**_PARTS, "tfs": _PARTS["tfs"] + uint32s([1])}
-    outcome = _assert_loads_as_the_reference(join_index(sealed(_HEADER, parts), parts))
+    outcome = _assert_loads_as_the_reference(join_index(sized(_HEADER, parts), parts))
     need = 4 * len(_DOC_FREQS) + 8 * _POSTINGS
     assert outcome == (
         f"CorpusError: index columns hold {need + 4} bytes, "
