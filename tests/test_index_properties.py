@@ -261,11 +261,6 @@ def test_a_row_past_the_passages_inside_a_term_is_named_before_the_order():
     )
 
 
-def _with_checksum(data: bytes) -> bytes:
-    """data ended by the checksum of its own bytes."""
-    return join_index(*split_index(data))
-
-
 def _word_count_changed(rng: random.Random) -> bytes:
     """The saved file with one passage's word count changed to another."""
     header = copy.deepcopy(_HEADER)
@@ -294,7 +289,7 @@ def test_a_well_formed_corruption_is_refused_by_the_checksum_alone(kind, seed):
     outcome = _assert_loads_as_the_reference(data)
     assert outcome == "CorpusError: the index file does not match its checksum"
     # Every other check passes it: with its checksum fixed, the file loads.
-    loaded = _assert_loads_as_the_reference(_with_checksum(data))
+    loaded = _assert_loads_as_the_reference(join_index(*split_index(data)))
     assert loaded != index_documents(_DOCS)
 
 
