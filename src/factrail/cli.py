@@ -179,9 +179,9 @@ def cmd_infer(args: argparse.Namespace, cfg: GlobalConfig) -> int:
                     totals[record.kind.value] = (total + record.duration_s, count + 1)
             yield item
 
-    items = orchestrator.iter_batch(
-        instructions, index, backend, cfg.inference, max_workers=cfg.concurrency
-    )
+    # Only HTTP requests wait; threads would run scripted CPU work one at a time anyway.
+    workers = cfg.concurrency if args.backend == "http" else 1
+    items = orchestrator.iter_batch(instructions, index, backend, cfg.inference, max_workers=workers)
     orchestrator.write_traces(tally(items), args.out)
     for stage in sorted(totals):
         total, count = totals[stage]

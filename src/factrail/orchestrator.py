@@ -17,10 +17,9 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import (
     LENGTH_LIMIT_MARKER,
@@ -53,6 +52,9 @@ from .grammar import (
     surrogate_violation,
     text_violation,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "InferenceConfig",
@@ -233,9 +235,11 @@ class PipelineError(Exception):
     """A stage failed in a way that aborts the trace."""
 
     def __init__(self, stage: str, message: str) -> None:
-        self.stage = stage
-        super().__init__(f"{stage}: {message}")
-        self.message = message
+        # A lone surrogate is kept as its backslash escape, so every error fits a UTF-8 file.
+        self.stage, self.message = (
+            text.encode("utf-8", "backslashreplace").decode("utf-8") for text in (stage, message)
+        )
+        super().__init__(f"{self.stage}: {self.message}")
 
 
 class TraceFormatError(Exception):
@@ -422,7 +426,8 @@ def validate_trace(trace: InferenceTrace) -> list[TraceViolation]:
 # batching and trace files
 
 
-# Instructions started ahead of the one yielded, per worker; 4 read slower in `infer`.
+# Instructions a pool starts ahead of the one yielded, per worker; 4 read
+# slower in `infer`. One worker starts none ahead.
 _WINDOW_PER_WORKER = 16
 
 
@@ -435,8 +440,10 @@ def iter_batch(
     max_workers: int = 4,
 ) -> Iterator[InferenceTrace | PipelineError]:
     """Yield each instruction's trace, or the PipelineError that failed it, in
-    input order, with at most ``16 * max_workers`` in flight: memory does not
-    grow with the batch."""
+    input order: memory does not grow with the batch. One worker runs each
+    instruction in the caller's thread when its item is asked for, one in
+    flight; more run on a thread pool with at most ``16 * max_workers`` in
+    flight."""
 
     def work(instruction: str) -> InferenceTrace | PipelineError:
         try:
@@ -447,6 +454,13 @@ def iter_batch(
             return exc.with_traceback(None)
 
     workers = max(1, max_workers)
+    if workers == 1:
+        # A pool of one would add only hand-offs and lock waits.
+        for instruction in instructions:
+            yield work(instruction)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # a process that starts no pool skips the import
+
     pool = ThreadPoolExecutor(max_workers=workers)
     pending: deque[Future[InferenceTrace | PipelineError]] = deque()
     try:

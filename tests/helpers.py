@@ -8,6 +8,7 @@ import math
 import random
 import re
 import threading
+import time
 import zlib
 from array import array
 from collections import Counter
@@ -652,3 +653,23 @@ class StubServer:
 
 def chat_reply(content: str, finish_reason: str = "stop") -> dict:
     return {"choices": [{"message": {"content": content}, "finish_reason": finish_reason}]}
+
+
+class InFlightHandler:
+    """A StubServer handler that holds each request 50 ms and keeps the
+    peak number in flight at once. It answers the reconstructor with
+    Search(zebra), which retrieves nothing, so each item asks twice."""
+
+    def __init__(self) -> None:
+        self.now = self.peak = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, payload: dict) -> tuple:
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        time.sleep(0.05)
+        with self.lock:
+            self.now -= 1
+        prompt = payload["messages"][0]["content"]
+        return 200, chat_reply("Search(zebra)" if prompt.endswith("<Reconstructor>\n") else "ok")

@@ -3,8 +3,6 @@
 import http.client
 import json
 import ssl
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +34,7 @@ from factrail.corpus import index_documents
 from factrail.grammar import TokenKind
 from factrail.orchestrator import run_batch
 
-from helpers import StubServer, chat_reply, exactly
+from helpers import InFlightHandler, StubServer, chat_reply, exactly
 
 
 def NO_WAIT(_seconds):
@@ -491,24 +489,11 @@ def test_chat_completion_reports_finish_reason():
 def test_http_in_flight_bound_is_respected():
     # Each batch worker holds one request at a time, so max_workers bounds
     # the requests in flight.
-    active = {"now": 0, "peak": 0}
-    gate = threading.Lock()
-
-    def handler(payload):
-        with gate:
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-        time.sleep(0.05)
-        with gate:
-            active["now"] -= 1
-        prompt = payload["messages"][0]["content"]
-        # Search(zebra) retrieves nothing, so each item asks twice.
-        return 200, chat_reply("Search(zebra)" if prompt.endswith("<Reconstructor>\n") else "ok")
-
+    handler = InFlightHandler()
     index = index_documents([("Moon", "the moon orbits the earth")])
     with StubServer(handler) as server:
         backend = HttpBackend(config_for(server))
         results = run_batch([f"question {i}?" for i in range(6)], index, backend, max_workers=2)
     assert [r.answer for r in results] == ["ok"] * 6
     assert server.request_count == 12
-    assert active["peak"] == 2
+    assert handler.peak == 2

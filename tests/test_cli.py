@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -37,6 +38,7 @@ from factrail.grammar import StepKind, TrajectoryStep, retrieval_body
 from factrail.orchestrator import InferenceConfig, build_step_prompt
 
 from helpers import (
+    InFlightHandler,
     StubServer,
     chat_reply,
     join_index,
@@ -800,6 +802,53 @@ def test_infer_scripted_writes_traces(tmp_path, index_file, capsys):
     assert record["trajectory"].endswith("<Generator>\nthe earth\n[Cite]: [1]\n</eog>\n")
     assert record["citations"] == [1]
     assert "duration" not in json.dumps(record)
+
+
+def test_infer_http_keeps_concurrency_requests_in_flight(tmp_path, index_file):
+    handler = InFlightHandler()
+    ins = write_jsonl(tmp_path / "ins.jsonl", [{"instruction": f"question {i}?"} for i in range(6)])
+    out = tmp_path / "traces.jsonl"
+    with StubServer(handler) as server:
+        config = tmp_path / "c.json"
+        backend = {"endpoint_url": server.url, "retries": 0, "timeout_s": 5.0}
+        config.write_text(json.dumps({"concurrency": 2, "backend": backend}))
+        code = main(
+            [
+                "--config", str(config), "infer", "--backend", "http",
+                "--index", index_file, "--in", ins, "--out", str(out),
+            ]
+        )
+    assert code == EXIT_OK
+    assert server.request_count == 12
+    assert handler.peak == 2
+
+
+def test_infer_scripted_runs_in_the_callers_thread_whatever_the_concurrency(
+    tmp_path, index_file, monkeypatch
+):
+    config = scripted_setup(tmp_path, [(INSTRUCTION, "the earth\n[Cite]: [1]")])
+    script = json.loads(Path(config).read_text())["script"]
+    ins = write_jsonl(
+        tmp_path / "ins.jsonl",
+        [{"instruction": INSTRUCTION if n % 2 else f"unscripted {n}"} for n in range(8)],
+    )
+    threads = set()
+    generate = ScriptedBackend.generate
+
+    def recorded(self, request):
+        threads.add(threading.get_ident())
+        return generate(self, request)
+
+    monkeypatch.setattr(ScriptedBackend, "generate", recorded)
+    written = []
+    for concurrency in (1, 4):
+        Path(config).write_text(json.dumps({"script": script, "concurrency": concurrency}))
+        out = tmp_path / f"traces-{concurrency}.jsonl"
+        argv = ["--config", config, "infer", "--backend", "scripted", "--index", index_file]
+        assert main(argv + ["--in", ins, "--out", str(out)]) == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert threads == {threading.get_ident()}
 
 
 def test_infer_strict_fails_on_unscripted_items(tmp_path, index_file):

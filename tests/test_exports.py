@@ -102,6 +102,12 @@ def test_importing_the_cli_loads_no_network_stack():
     assert fresh_interpreter(probe) == []
 
 
+def test_importing_the_cli_loads_no_thread_pool():
+    # Only a batch of more than one worker starts a pool, so it loads then.
+    probe = "import sys; import factrail.cli; print('concurrent.futures' in sys.modules)"
+    assert fresh_interpreter(probe) == ["False"]
+
+
 def test_the_package_declares_no_runtime_dependency():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     declared = re.search(r"^dependencies = \[(.*?)\]", pyproject.read_text(encoding="utf-8"), re.M | re.S)

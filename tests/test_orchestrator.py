@@ -17,6 +17,7 @@ from factrail import orchestrator
 from factrail.backends import (
     AgentReply,
     BackendConfig,
+    BackendError,
     HttpBackend,
     ScriptedBackend,
     prompt_text,
@@ -928,6 +929,39 @@ def test_a_batch_starts_no_more_than_its_window_ahead(index, consumer):
     assert [str(r) for r in got[1:]] == [serial_failure(f"unscripted {n}", index, backend, cfg) for n in range(79)]
 
 
+class ThreadRecordingBackend:
+    """Records the thread of each call and each instruction as it starts."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+        self.started = []
+
+    def generate(self, request):
+        self.threads.add(threading.get_ident())
+        if request.instruction not in self.started:
+            self.started.append(request.instruction)
+        return self.inner.generate(request)
+
+
+@pytest.mark.parametrize("max_workers", [1, 0])
+def test_one_worker_runs_the_batch_in_the_callers_thread_with_nothing_ahead(index, max_workers):
+    backend, cfg, _ = relevance_setup(index)
+    recording = ThreadRecordingBackend(backend)
+    instructions = [INSTRUCTION] + [f"unscripted {n}" for n in range(5)]
+    threads = threading.active_count()
+    results = orchestrator.iter_batch(instructions, index, recording, cfg, max_workers=max_workers)
+    first = next(results)
+    assert recording.started == [render_instruction(INSTRUCTION)]
+    assert threading.active_count() == threads
+    rest = list(results)
+    assert recording.started == [render_instruction(i) for i in instructions]
+    assert recording.threads == {threading.get_ident()}
+    assert threading.active_count() == threads
+    assert first.instruction == INSTRUCTION
+    assert [str(r) for r in rest] == [serial_failure(i, index, backend, cfg) for i in instructions[1:]]
+
+
 def serial_failure(instruction, index, backend, cfg):
     """The message of the PipelineError that run_inference raises for ``instruction``."""
     with pytest.raises(PipelineError) as caught:
@@ -965,6 +999,24 @@ def test_trace_jsonl_round_trip(index, tmp_path):
     assert loaded[1].stage == "locator"
     assert loaded[1].message == "gave up"
     assert validate_trace(loaded[0]) == []
+
+
+def test_an_error_holding_a_lone_surrogate_is_written_with_it_escaped(index, tmp_path):
+    # A third-party backend's BackendError message may hold one.
+    class FailingBackend:
+        def generate(self, request):
+            raise BackendError("bad \udc80 reply")
+
+    [failed] = run_batch([INSTRUCTION], index, FailingBackend(), max_workers=1)
+    errors = [failed, PipelineError("gen\ud800", "m"), PipelineError("locator", "gave up é\\u")]
+    path = tmp_path / "traces.jsonl"
+    write_traces(errors, path)
+    assert [(e.stage, e.message) for e in read_traces(path)] == [
+        ("reconstructor", "bad \\udc80 reply"),
+        ("gen\\ud800", "m"),
+        ("locator", "gave up é\\u"),
+    ]
+    assert str(failed) == "reconstructor: bad \\udc80 reply"
 
 
 def test_trace_files_are_byte_identical_across_writes(index, tmp_path):
