@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -110,10 +111,16 @@ def _read_instructions(path: str) -> list[str]:
 
 
 def cmd_index(args: argparse.Namespace, cfg: GlobalConfig) -> int:
-    docs = corpus.read_documents(args.corpus)
-    document_count = len(docs)
-    index = corpus.index_documents(docs)
-    del docs  # the passages hold their own text; the save need not hold both
+    # The documents stream into the index, so only the passages hold the corpus's text.
+    document_count = 0
+
+    def counted(docs):
+        nonlocal document_count
+        for document_count, doc in enumerate(docs, start=1):
+            yield doc
+
+    with closing(corpus.iter_documents(args.corpus)) as docs:
+        index = corpus.index_documents(counted(docs))
     corpus.save_index(index, args.out)
     print(
         f"indexed {document_count} documents into {index.total_docs} passages "

@@ -20,9 +20,11 @@ lines, then the document frequencies and both posting columns as
 little-endian uint32, and last the CRC-32 of every byte before it. Loading
 decodes and splits each block once and keeps the columns whole; it parses
 no per-passage JSON, never tokenizes a passage and builds no per-term
-lists. Saving runs the same checks. Each check is one pass at C speed over
-a block or a column; the per-item code that names a fault runs only once a
-pass finds one.
+lists. Saving runs the same checks, over a block a slice of lines at a
+time and a column a slice of values at a time, so it never holds a whole
+block as text beside its bytes. Each check is one pass at C speed over a
+block, a slice or a column; the per-item code that names a fault runs only
+once a pass finds one.
 
 ``retrieve`` is exact, and picks its evaluation from the query's postings.
 A query whose terms hold few postings, as most intents do, is scored
@@ -84,6 +86,7 @@ __all__ = [
     "retrieve_multi",
     "save_index",
     "load_index",
+    "iter_documents",
     "read_documents",
     "index_documents",
 ]
@@ -104,6 +107,8 @@ _BLOCK_LINES = {
 _COLUMN_TYPE = "I"
 # save_index converts a column this many values at a time.
 _WRITE_SLICE = 1 << 16
+# save_index checks and encodes a line block this many lines at a time.
+_LINE_SLICE = 1 << 10
 
 # Absorbs rounding in the partial sums that decide what retrieve may skip.
 _PRUNE_SLACK = 1e-9
@@ -141,7 +146,7 @@ class EmptyQueryError(CorpusError):
         super().__init__(f"query {query!r} contains no indexable terms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     """A chunk of at most CHUNK_WORDS whitespace-delimited words."""
 
@@ -605,8 +610,10 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     document frequency, the postings' passage rows, and their term
     frequencies. Last come 4 bytes, the little-endian CRC-32 of every byte
     before them, taken over each part as it is written. Equal indexes give
-    equal bytes. A block is joined and encoded once, and a column is
-    converted a slice at a time, never whole.
+    equal bytes. A block is checked and encoded ``_LINE_SLICE`` lines at a
+    time, its size summed from the encoded slices, and a column is
+    converted ``_WRITE_SLICE`` values at a time: neither is ever held whole
+    in a second form.
 
     Raises CorpusError, with ``load_index``'s message and writing nothing,
     for what ``load_index`` would refuse: passage ids that are not ints, a
@@ -626,23 +633,24 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     }
     _passage_numbers(header)
     blocks = {
-        "titles": _line_block("titles", [p.title for p in passages]),
-        "texts": _line_block("texts", [p.text for p in passages]),
-        "terms": _line_block("terms", terms),
+        "titles": _line_slices("titles", [p.title for p in passages]),
+        "texts": _line_slices("texts", [p.text for p in passages]),
+        "terms": _line_slices("terms", terms),
     }
     doc_freqs = [end - start for start, end in zip(offsets, islice(offsets, 1, None))]
     _check_doc_freqs(doc_freqs, len(terms), 4 * (len(doc_freqs) + len(rows) + len(tfs)))
     if len(rows) != len(tfs):
         raise CorpusError(f"the index holds {len(rows)} rows but {len(tfs)} term frequencies")
     _check_columns(terms, offsets, rows, tfs, len(ids))
-    header["block_bytes"] = {name: len(block) for name, block in blocks.items()}
+    header["block_bytes"] = {name: sum(map(len, block)) for name, block in blocks.items()}
     line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
     crc = zlib.crc32(line)
     with atomic_path(path) as temp, open(temp, "wb") as handle:
         handle.write(line)
         for block in blocks.values():
-            handle.write(block)
-            crc = zlib.crc32(block, crc)
+            for part in block:
+                handle.write(part)
+                crc = zlib.crc32(part, crc)
         for column in (doc_freqs, rows, tfs):
             for part in _file_slices(column):
                 part.tofile(handle)
@@ -650,24 +658,30 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         handle.write(crc.to_bytes(4, "little"))
 
 
-def _line_block(name: str, lines: list[str]) -> bytes:
-    """lines as the UTF-8 block ``name``, each ended by ``\\n``.
+def _line_slices(name: str, lines: list[str]) -> list[bytes]:
+    """lines as the UTF-8 block ``name``, each ended by ``\\n``, in slices of
+    ``_LINE_SLICE`` lines, each checked and encoded once.
 
     Raises CorpusError naming the first line that holds a grammar token, a
     lone surrogate or a line break: none could be read back as that line.
     """
-    text = "\n".join([*lines, ""])
-    if text.count("\n") == len(lines) and first_token(text) is None:
-        with suppress(UnicodeEncodeError):
-            return text.encode("utf-8")
-    raise _line_fault(name, lines)
+    slices = []
+    for start in range(0, len(lines), _LINE_SLICE):
+        part = lines[start : start + _LINE_SLICE]
+        text = "\n".join([*part, ""])
+        if text.count("\n") == len(part) and first_token(text) is None:
+            with suppress(UnicodeEncodeError):
+                slices.append(text.encode("utf-8"))
+                continue
+        raise _line_fault(name, part, start)
+    return slices
 
 
-def _line_fault(name: str, lines: list[str]) -> CorpusError:
+def _line_fault(name: str, lines: list[str], start: int = 0) -> CorpusError:
     """The error naming the first line of block ``name`` that holds a
     grammar token, a lone surrogate or a line break, one of which a pass
-    over the whole block has found."""
-    for at, line in enumerate(lines):
+    over lines has found; lines[0] is line start of the block."""
+    for at, line in enumerate(lines, start):
         problem = text_violation(line)
         if problem is None and "\n" in line:
             problem = "holds a line break"
@@ -898,9 +912,16 @@ def _document(row: dict) -> tuple[str, str]:
     return typed_field(row, "title"), typed_field(row, "text")
 
 
+def iter_documents(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Stream the (title, text) of each record of a JSONL corpus of
+    {"title", "text"} records, the file open until the stream ends or is closed."""
+    for _, doc in read_jsonl(path, _document, "corpus record", CorpusError):
+        yield doc
+
+
 def read_documents(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSONL corpus of {"title", "text"} records."""
-    return [doc for _, doc in read_jsonl(path, _document, "corpus record", CorpusError)]
+    return list(iter_documents(path))
 
 
 def index_documents(docs: Iterable[tuple[str, str]]) -> CorpusIndex:
@@ -909,8 +930,10 @@ def index_documents(docs: Iterable[tuple[str, str]]) -> CorpusIndex:
     A title or text that ``text_violation`` rejects (a grammar token or a
     lone surrogate) is refused: a passage holding one could never be put
     into a prompt. Documents are numbered from 1 in the order given, which
-    is their line in a corpus file read by ``read_documents`` unless the
-    file has blank lines.
+    is their line in a corpus file read by ``iter_documents`` unless the
+    file has blank lines. docs is drawn one document at a time, so a
+    stream is chunked as it is read, and a refused document stops it
+    before any later line is read.
     """
     passages: list[Passage] = []
     next_id = 0

@@ -151,7 +151,13 @@ class InferenceTrace:
     answer, citations and passages are parsed from its sections on first
     access (a GrammarError if one does not parse). ``passage_meta`` holds
     each passage's (id, title, word_count); its retrieval entry must start
-    ``[i] {title} -`` (a ValueError if not). ``steps`` holds what only the run saw."""
+    ``[i] {title} -`` (a ValueError if not). ``steps`` holds what only the run saw.
+
+    A trace is refused with a ValueError, whose message ``read_traces``
+    reports for such a row, when its instruction holds a grammar token or a
+    lone surrogate, a section holds a lone surrogate or a flag is not a
+    str: ``write_traces`` could not write it, or could write only a row
+    that ``read_traces`` refuses."""
 
     instruction: str
     trajectory: Trajectory
@@ -160,6 +166,13 @@ class InferenceTrace:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if (problem := text_violation(self.instruction)) is not None:
+            raise ValueError(f"the instruction {problem}")
+        for step in self.trajectory.steps:
+            if (problem := surrogate_violation(step.body)) is not None:
+                raise ValueError(f"the {step.kind.value} section {problem}")
+        if not set(map(type, self.flags)) <= {str}:
+            raise ValueError("'flags' must be a list of str")
         _text_starts(_section(self.trajectory, StepKind.RETRIEVAL), self.passage_meta)
 
     @_cached
@@ -553,17 +566,9 @@ def trace_from_dict(data: dict) -> InferenceTrace:
     GrammarError."""
     if any(key in data for key in _V1_KEYS):
         raise ValueError(_V1_COMPLAINT)
-    # No row holds what run_inference refuses to put into a prompt or write.
-    instruction = typed_field(data, "instruction")
-    if (problem := text_violation(instruction)) is not None:
-        raise ValueError(f"the instruction {problem}")
-    trajectory = parse_trajectory(typed_field(data, "trajectory"))
-    for step in trajectory.steps:
-        if (problem := surrogate_violation(step.body)) is not None:
-            raise ValueError(f"the {step.kind.value} section {problem}")
     trace = InferenceTrace(
-        instruction=instruction,
-        trajectory=trajectory,
+        instruction=typed_field(data, "instruction"),
+        trajectory=parse_trajectory(typed_field(data, "trajectory")),
         passage_meta=_passage_meta(data["passages"]),
         flags=string_list(data.get("flags", []), "flags"),
     )

@@ -26,7 +26,8 @@ from factrail.cli import (
     load_config,
     main,
 )
-from factrail.corpus import index_documents, load_index
+from factrail import fileio
+from factrail.corpus import index_documents, load_index, read_documents, save_index
 from factrail.dataset import (
     ExampleKind,
     RuleBasedCritic,
@@ -315,6 +316,57 @@ def test_index_rejects_a_record_whose_text_is_not_a_string(tmp_path, capsys):
     corpus_path = write_jsonl(tmp_path / "docs.jsonl", [DOCS[0], {"title": "N", "text": 7}])
     assert main(["index", "--corpus", corpus_path, "--out", str(tmp_path / "i")]) == EXIT_FAILURE
     assert "bad corpus record on line 2" in capsys.readouterr().err
+
+
+def test_index_streams_the_corpus_into_the_bytes_of_the_list_reader(tmp_path, capsys):
+    # Blank lines and a document of three passages; the count is of documents.
+    long_doc = {"title": "Long", "text": " ".join(f"w{i}" for i in range(250))}
+    corpus_path = tmp_path / "docs.jsonl"
+    corpus_path.write_text("\n".join(json.dumps(row) for row in [DOCS[0], long_doc, *DOCS[1:]]) + "\n\n")
+    streamed, listed = tmp_path / "streamed.idx", tmp_path / "listed.idx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(streamed)]) == EXIT_OK
+    docs = read_documents(corpus_path)
+    index = index_documents(docs)
+    save_index(index, listed)
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert capsys.readouterr().out.startswith(
+        f"indexed {len(docs)} documents into {index.total_docs} passages"
+    )
+    assert (len(docs), index.total_docs) == (4, 6)
+
+
+# Document 2 holds a grammar token and line 5 is no JSON object. The
+# documents stream into the index, so the first fault in the file is named.
+_TWO_FAULTS = [
+    json.dumps(DOCS[0]),
+    json.dumps({"title": "Zebra", "text": "zebra stripes hide a <Generator> token"}),
+    json.dumps(DOCS[1]),
+    "",
+    "[1, 2]",
+]
+_DOCUMENT_2 = (
+    "error: document 2 ('Zebra'): its text holds the grammar token <Generator>, "
+    "which no passage may contain\n"
+)
+
+
+def test_index_names_a_refused_document_before_a_later_malformed_line(
+    tmp_path, capsys, monkeypatch
+):
+    opened = []
+
+    def recorded_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fileio, "open", recorded_open, raising=False)
+    corpus_path = tmp_path / "docs.jsonl"
+    corpus_path.write_text("\n".join(_TWO_FAULTS) + "\n")
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i")]) == EXIT_FAILURE
+    assert capsys.readouterr().err == _DOCUMENT_2
+    assert list(tmp_path.iterdir()) == [corpus_path]
+    # The corpus is closed when the command returns, not when its reader is collected.
+    assert [handle.closed for handle in opened] == [True]
 
 
 def test_index_missing_corpus_fails(tmp_path):

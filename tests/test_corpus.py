@@ -14,7 +14,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import pytest
@@ -768,6 +768,52 @@ def test_columns_written_in_slices_have_the_bytes_of_one_write(tmp_path, monkeyp
     save_index(index, tmp_path / "sliced.idx")
     assert (tmp_path / "sliced.idx").read_bytes() == (tmp_path / "whole.idx").read_bytes()
     assert load_index(tmp_path / "sliced.idx") == index
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_line_blocks_written_in_slices_have_the_bytes_of_one_slice(tmp_path, monkeypatch, size):
+    # Non-ASCII titles, so a slice's byte length is not its length in characters.
+    passages = [
+        replace(p, title=f"{p.title} Zoë Земля") if p.id % 3 else p
+        for p in _random_corpus(random.Random(7), 16)
+    ]
+    index = build_index(passages)
+    assert len(passages) > 2 * 7 and len(index.term_numbers) > 2 * 7  # every block spans slices
+    save_index(index, tmp_path / "whole.idx")
+    monkeypatch.setattr(corpus, "_LINE_SLICE", size)
+    save_index(index, tmp_path / "sliced.idx")
+    assert (tmp_path / "sliced.idx").read_bytes() == (tmp_path / "whole.idx").read_bytes()
+    assert load_index(tmp_path / "sliced.idx") == index
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("text", "a <Locator> b", "passages[5] 'text' holds the grammar token <Locator>"),
+        ("title", "T\udc80", "passages[5] 'title' holds the lone surrogate '\\udc80'"),
+        ("text", "a\nb", "passages[5] 'text' holds a line break"),
+    ],
+    ids=["token", "surrogate", "line-break"],
+)
+def test_a_line_in_a_later_slice_is_named_by_its_line_in_the_block(
+    tmp_path, monkeypatch, field, value, message
+):
+    monkeypatch.setattr(corpus, "_LINE_SLICE", 2)  # line 5 is the second of the third slice
+    passages = [make_passage(pid, "T", "word") for pid in range(8)]
+    passages[5] = replace(passages[5], **{field: value})
+    with pytest.raises(CorpusError, match=exactly(message)):
+        save_index(build_index(passages), tmp_path / "idx.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_passage_holds_no_instance_dict_and_refuses_assignment():
+    passage = make_passage(0, "Moon", "the moon orbits")
+    assert not hasattr(passage, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        passage.text = "the sun"
+    assert replace(passage, text="the sun") == Passage(0, "Moon", "the sun", passage.word_count)
+    assert hash(passage) == hash(make_passage(0, "Moon", "the moon orbits"))
+    assert repr(passage) == "Passage(id=0, title='Moon', text='the moon orbits', word_count=3)"
 
 
 def test_a_host_of_the_other_byte_order_writes_each_uint32_swapped_and_reads_it_back(

@@ -43,6 +43,7 @@ from factrail.orchestrator import (
     InferenceConfig,
     InferenceTrace,
     PipelineError,
+    TraceFormatError,
     build_step_prompt,
     read_traces,
     run_batch,
@@ -1017,6 +1018,38 @@ def test_an_error_holding_a_lone_surrogate_is_written_with_it_escaped(index, tmp
         ("locator", "gave up é\\u"),
     ]
     assert str(failed) == "reconstructor: bad \\udc80 reply"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("instruction", "who <Locator>?", "the instruction holds the grammar token <Locator>"),
+        ("instruction", "who\udc00?", "the instruction holds the lone surrogate '\\udc00'"),
+        ("flags", ("generator_fallback", 7), "'flags' must be a list of str"),
+        (
+            "trajectory",
+            "the earth\ud800\n[Cite]: [1]",
+            "the generator section holds the lone surrogate '\\ud800'",
+        ),
+    ],
+    ids=["instruction-token", "instruction-surrogate", "int-flag", "section-surrogate"],
+)
+def test_no_trace_is_built_that_read_traces_would_refuse(index, tmp_path, field, value, message):
+    # The constructor is the one gate, so write_traces is never handed such
+    # a trace; the reader refuses the same row with the same message.
+    backend, cfg, _ = relevance_setup(index)
+    trace = run_inference(INSTRUCTION, index, backend, cfg)
+    if field == "trajectory":  # value is the generator section's body
+        steps = trace.trajectory.steps
+        value = Trajectory(tuple(replace(s, body=value) if s.kind is StepKind.GENERATOR else s for s in steps))
+    with pytest.raises(ValueError, match=exactly(message)):
+        replace(trace, **{field: value})
+    row = trace_to_dict(trace)
+    row[field] = serialize_trajectory(value) if field == "trajectory" else value
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=exactly(f"bad trace record on line 1: {message}")):
+        read_traces(path)
 
 
 def test_trace_files_are_byte_identical_across_writes(index, tmp_path):
