@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,8 +54,8 @@ __all__ = [
     "HEAD_TOKEN_SURFACES",
 ]
 
-END_TOKEN_SURFACES = tuple(kind.end.value for kind in StepKind)
-HEAD_TOKEN_SURFACES = tuple(kind.head.value for kind in StepKind)
+END_TOKEN_SURFACES = tuple(kind.end_surface for kind in StepKind)
+HEAD_TOKEN_SURFACES = tuple(kind.head_surface for kind in StepKind)
 # No surface is a prefix of another, so at most one starts at any position.
 _SECTION_TOKEN_SURFACES = END_TOKEN_SURFACES + HEAD_TOKEN_SURFACES
 
@@ -126,15 +127,29 @@ def fingerprint(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=16)
+def _cut_pattern(stop: tuple[str, ...]) -> re.Pattern[str]:
+    """One alternation of the stop strings, then the section tokens not among them."""
+    candidates = stop + tuple(t for t in _SECTION_TOKEN_SURFACES if t not in stop)
+    return re.compile("|".join(map(re.escape, candidates)))
+
+
 def _finalize(raw: str, stop: tuple[str, ...]) -> tuple[str, str | None]:
     """Cut at the earliest stop string or section token, head or end, and trim
     framing newlines; return the body, which holds no section token, and
-    the string it was cut at."""
-    candidates = list(stop) + [t for t in _SECTION_TOKEN_SURFACES if t not in stop]
-    found = [(at, c) for c in candidates if (at := raw.find(c)) != -1]
-    # min keeps the first of equal positions, so stop order breaks ties.
-    cut, fired = min(found, key=lambda hit: hit[0], default=(len(raw), None))
-    body = raw[:cut]
+    the string it was cut at.
+
+    One compiled search finds the cut: ``re`` takes the leftmost match and,
+    at that position, the first alternative that matches, so stop order
+    breaks ties as a ``min`` over one ``find`` per candidate would. The
+    pattern of each stop tuple is kept in a cache of 16 entries; inference
+    asks for four.
+    """
+    match = _cut_pattern(stop).search(raw)
+    if match is None:
+        body, fired = raw, None
+    else:
+        body, fired = raw[: match.start()], match.group()
     if body.startswith("\n"):
         body = body[1:]
     if body.endswith("\n"):

@@ -337,7 +337,7 @@ def _cut(
         kept = (span for step, span in zip(steps, spans) if step.kind is not StepKind.RETRIEVAL)
         return render_instruction(instruction), output, tuple(kept)
     *prior, last = steps
-    output = last.body + last.kind.end.value
+    output = last.body + last.kind.end_surface
     return build_step_prompt(instruction, prior, last.kind), output, ((0, len(output)),)
 
 
@@ -426,7 +426,7 @@ def check_training_example(example: TrainingExample) -> list[str]:
         return [f"input holds {count} instruction terminators, not one"]
     long = example.kind is ExampleKind.LONG
     side = "long" if long else "short"
-    head, end = example.kind.sections[-1].head.value, example.kind.sections[-1].end.value
+    head, end = example.kind.sections[-1].head_surface, example.kind.sections[-1].end_surface
     instruction, framed, text = example.input.partition(f"{terminator}\n")
     problems: list[str] = []
     if not framed:

@@ -260,7 +260,7 @@ class TraceFormatError(Exception):
 
 
 _STOPS = {
-    kind: (kind.end.value,) + tuple(k.end.value for k in StepKind if k is not kind)
+    kind: (kind.end_surface,) + tuple(k.end_surface for k in StepKind if k is not kind)
     for kind in StepKind
 }
 

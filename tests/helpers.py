@@ -32,6 +32,7 @@ from factrail.grammar import (
     LocatorJudgment,
     Relevance,
     StepKind,
+    TokenKind,
     Trajectory,
     TrajectoryStep,
     format_judgment,
@@ -442,8 +443,8 @@ def mutate_serialized(rng: random.Random, text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reference parsers: the regex-only readers that the grammar's fast passes
-# must match, result for result and message for message
+# reference parsers and scans: the plain readers that the grammar's and the
+# backends' fast passes must match, result for result and message for message
 
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -565,6 +566,26 @@ def reference_entry_fault(body: str | None, meta: Sequence[tuple[int, str, int]]
         if not line.startswith(prefix := f"[{i}] {title} -"):
             return f"retrieval entry {i} does not start with {prefix!r}"
     return None
+
+
+def reference_first_token(text: str) -> TokenKind | None:
+    """``grammar.first_token`` as one substring search per token, in
+    ``TokenKind`` order."""
+    for token in TokenKind:
+        if token.value in text:
+            return token
+    return None
+
+
+def reference_finalize(raw: str, stop: tuple[str, ...]) -> tuple[str, str | None]:
+    """``backends._finalize`` as one ``find`` per stop string and per section
+    token (every surface but the instruction terminator) not among them;
+    ``min`` keeps the first of equal positions, so stop order breaks ties."""
+    sections = [t for t in _TOKEN_SURFACES if t != "</eoi>"]
+    candidates = list(stop) + [t for t in sections if t not in stop]
+    found = [(at, c) for c in candidates if (at := raw.find(c)) != -1]
+    cut, fired = min(found, key=lambda hit: hit[0], default=(len(raw), None))
+    return raw[:cut].removeprefix("\n").removesuffix("\n"), fired
 
 
 def parse_outcome(parse: Callable, text: str):

@@ -34,7 +34,7 @@ from factrail.corpus import index_documents
 from factrail.grammar import TokenKind
 from factrail.orchestrator import run_batch
 
-from helpers import InFlightHandler, StubServer, chat_reply, exactly
+from helpers import InFlightHandler, StubServer, chat_reply, exactly, reference_finalize
 
 
 def NO_WAIT(_seconds):
@@ -163,6 +163,33 @@ def test_finalize_body_never_holds_an_end_token(raw, stop):
         assert fired in SECTION_SURFACES
         assert raw.find(fired) == min(positions)
         assert raw[: raw.find(fired)].removeprefix("\n").removesuffix("\n") == body
+
+
+# Stop strings a caller might pass: section tokens, stops that overlap them
+# or each other by prefix ("</e" with "</eol>"), the empty stop, regex
+# metacharacters and non-ASCII text.
+_STOP_PIECES = sorted(
+    set(SECTION_SURFACES)
+    | {"</e", "</eo", "<", ">", "", ".", "|", "()", "*", "\\", ".*", "a|b", "(?", "[", "$", "^"}
+    | {"é", "</é>", "→", "日本", "\u2028", "ａ"}
+)
+_stops = st.lists(
+    st.one_of(st.sampled_from(_STOP_PIECES), st.text(max_size=3)), max_size=6
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_REPLY_PIECES + _STOP_PIECES), max_size=16).map("".join), _stops)
+def test_finalize_matches_the_find_per_candidate_cut(raw, stop):
+    assert _finalize(raw, stop) == reference_finalize(raw, stop)
+
+
+def test_finalize_pattern_cache_stays_at_its_bound():
+    for i in range(1000):
+        _finalize("a reply", (f"</stop{i}>",))
+    info = backends._cut_pattern.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize == info.maxsize
 
 
 def test_script_file_round_trip(tmp_path):
